@@ -4,7 +4,8 @@
 #   ./ci.sh
 #
 # Mirrors what the driver enforces: formatting, lint-clean at -D warnings,
-# and the tier-1 suite (release build + the root package's tests).
+# and the tier-1 suite (release build + the root package's tests) — then
+# every other test in the workspace, which tier-1 does not reach.
 set -eu
 
 echo "==> cargo fmt --check"
@@ -18,6 +19,11 @@ cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
+
+# Tier-1 runs the facade package only. The crate-level unit and property
+# tests, the CLI end-to-end suite and usage_errors.rs live in the members.
+echo "==> every test: cargo test --workspace -q"
+cargo test --workspace -q
 
 echo "==> observability smoke: determinism gate + trace check"
 cargo build --release -q -p dimboost-cli -p dimboost-bench

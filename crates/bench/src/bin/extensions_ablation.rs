@@ -13,7 +13,7 @@ use dimboost_baselines::BaselineKind;
 use dimboost_bench::{fmt_bytes, fmt_secs, print_table, run_collective_baseline, Scale};
 use dimboost_core::metrics::classification_error;
 use dimboost_core::{
-    train_distributed, train_distributed_with_eval, EvalOptions, GbdtConfig, Optimizations,
+    train_distributed, train_with_options, EvalOptions, GbdtConfig, Optimizations, TrainOptions,
 };
 use dimboost_data::partition::{partition_rows, train_test_split};
 use dimboost_data::synthetic::{gender_like, generate};
@@ -157,11 +157,14 @@ fn main() {
     let mut cfg = base.clone();
     cfg.num_trees = scale.pick(15, 40);
     cfg.learning_rate = 0.5; // plateaus quickly
-    let ev = EvalOptions {
-        dataset: &test,
-        early_stopping_rounds: Some(3),
+    let options = TrainOptions {
+        eval: Some(EvalOptions {
+            dataset: &test,
+            early_stopping_rounds: Some(3),
+        }),
+        ..TrainOptions::default()
     };
-    let out = train_distributed_with_eval(&shards, &cfg, ps, Some(ev)).unwrap();
+    let out = train_with_options(&shards, &cfg, ps, &options).unwrap();
     println!(
         "\nExtension: early stopping — budget {} rounds, stopped with {} trees (best round {:?})",
         cfg.num_trees,

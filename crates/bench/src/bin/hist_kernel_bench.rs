@@ -61,6 +61,7 @@ use dimboost_core::hist_build::{QuantBinned, QuantizedGrads};
 use dimboost_core::parallel::{build_row_batched, BatchConfig};
 use dimboost_core::{FeatureMeta, GradPair};
 use dimboost_data::synthetic::{generate, SparseGenConfig};
+use dimboost_simnet::emit::fnv1a64;
 use dimboost_sketch::SplitCandidates;
 
 /// Quantization codes used by the `quantized` variant — the trainer's
@@ -494,19 +495,6 @@ fn render_json(opts: &Options, runs: &[ProblemRun]) -> String {
     }
     out.push('}');
     out
-}
-
-/// FNV-1a 64 over the little-endian bytes of `values` (bit-sensitive, same
-/// scheme as the serving report's score checksum).
-fn fnv1a64(values: &[f32]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for v in values {
-        for b in v.to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
 }
 
 fn parse_args() -> Result<Options, String> {

@@ -69,25 +69,28 @@ impl Json {
 
 /// Parses a complete JSON document (rejects trailing garbage).
 pub fn parse(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let value = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(value)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -128,7 +131,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -224,7 +227,7 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .bytes()
                                 .get(self.pos..self.pos + 4)
                                 .ok_or("truncated \\u escape")?;
                             let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
@@ -238,11 +241,11 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so
-                    // boundaries are valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().unwrap();
+                    // Consume one UTF-8 scalar. `pos` only ever advances
+                    // over whole scalars or ASCII, so it sits on a boundary.
+                    let rest = self.text.get(self.pos..);
+                    let c = rest.and_then(|s| s.chars().next());
+                    let c = c.ok_or_else(|| format!("invalid UTF-8 at byte {}", self.pos))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -273,7 +276,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number {text:?} at byte {start}"))
@@ -292,6 +295,25 @@ mod tests {
         assert_eq!(parse("-12.5e2").unwrap(), Json::Num(-1250.0));
         assert_eq!(parse("\"a\\nb\"").unwrap(), Json::Str("a\nb".into()));
         assert_eq!(parse("\"\\u0041\"").unwrap(), Json::Str("A".into()));
+    }
+
+    #[test]
+    fn multibyte_scalars_around_escapes() {
+        // Multi-byte characters directly before and after `\"`, `\\` and
+        // `\uXXXX`: the scalar step must land on the escape and resume on
+        // the next boundary.
+        let doc = parse(r#""é\"€\\𝄞\u00e9日\u20ac¢""#).unwrap();
+        assert_eq!(doc, Json::Str("é\"€\\𝄞é日€¢".into()));
+        // As an object key and inside nesting, with trailing multi-byte data.
+        let doc = parse(r#"{"ключ\"":["→\\←","\u65e5本"]}"#).unwrap();
+        let items = doc.get("ключ\"").unwrap().as_arr().unwrap();
+        assert_eq!(items[0].as_str(), Some("→\\←"));
+        assert_eq!(items[1].as_str(), Some("日本"));
+        // A `\u` escape whose four bytes straddle a multi-byte character is
+        // rejected, not sliced mid-scalar.
+        for bad in [r#""\u00é""#, r#""\u0€""#, r#""\u123日""#, r#""\é""#] {
+            assert!(parse(bad).is_err(), "should reject {bad:?}");
+        }
     }
 
     #[test]

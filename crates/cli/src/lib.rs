@@ -28,7 +28,7 @@ use dimboost_core::metrics::{
 };
 use dimboost_core::{
     load_model_file, save_model_file, CheckpointOptions, FaultPlan, GbdtConfig, LossKind,
-    RobustOptions, TrainCheckpoint, TrainError,
+    RobustOptions, TrainCheckpoint, TrainError, TrainOptions,
 };
 use dimboost_data::csv::{read_csv_file, CsvOptions};
 use dimboost_data::libsvm::{read_libsvm_file, write_libsvm, LibsvmOptions};
@@ -1011,27 +1011,29 @@ tree {i}:
                 ck.every = args.checkpoint_every;
                 ck
             });
-            let robust = RobustOptions {
-                fault_plan,
-                checkpoint,
-                resume: args.resume,
+            let options = TrainOptions {
+                eval: match (&test, args.early_stop) {
+                    (Some(test), Some(rounds)) => Some(dimboost_core::EvalOptions {
+                        dataset: test,
+                        early_stopping_rounds: Some(rounds),
+                    }),
+                    _ => None,
+                },
+                init: None,
+                robust: RobustOptions {
+                    fault_plan,
+                    checkpoint,
+                    resume: args.resume,
+                },
             };
-            let ev = match (&test, args.early_stop) {
-                (Some(test), Some(rounds)) => Some(dimboost_core::EvalOptions {
-                    dataset: test,
-                    early_stopping_rounds: Some(rounds),
-                }),
-                _ => None,
-            };
-            let out =
-                dimboost_core::train_distributed_resilient(&shards, &args.config, ps, ev, &robust)
-                    .map_err(|e| CliError {
-                        message: e.to_string(),
-                        exit_code: match e {
-                            TrainError::Crashed { .. } => 3,
-                            _ => 1,
-                        },
-                    })?;
+            let out = dimboost_core::train_with_options(&shards, &args.config, ps, &options)
+                .map_err(|e| CliError {
+                    message: e.to_string(),
+                    exit_code: match e {
+                        TrainError::Crashed { .. } => 3,
+                        _ => 1,
+                    },
+                })?;
             if let Some(round) = out.report.resumed_from_round {
                 println!("resumed from checkpoint at round {round}");
             }

@@ -32,9 +32,11 @@ use std::path::{Path, PathBuf};
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
+use dimboost_data::Dataset;
 use dimboost_simnet::{CommLedger, Phase, SimTime};
 use dimboost_sketch::SplitCandidates;
 
+use crate::config::GbdtConfig;
 use crate::model::GbdtModel;
 use crate::model_io::{self, ModelIoError};
 use crate::report::{NodeInstances, RoundRecord};
@@ -137,6 +139,24 @@ pub struct CheckpointFingerprint {
 }
 
 impl CheckpointFingerprint {
+    /// The fingerprint of a run over `shards` under `config`.
+    /// `membership_digest` covers the fault plan's elastic schedule (0
+    /// without one).
+    pub(crate) fn for_run(config: &GbdtConfig, shards: &[Dataset], membership_digest: u64) -> Self {
+        let (loss_tag, loss_classes) = model_io::loss_tag(config.loss);
+        Self {
+            seed: config.seed,
+            num_trees: config.num_trees as u64,
+            loss_tag,
+            loss_classes,
+            learning_rate_bits: config.learning_rate.to_bits(),
+            num_features: shards.first().map_or(0, |s| s.num_features()) as u64,
+            workers: shards.len() as u32,
+            shard_rows: shards.iter().map(|s| s.num_rows() as u64).collect(),
+            membership_digest,
+        }
+    }
+
     /// Checks that `other` (the resuming run) matches this checkpoint,
     /// naming the first mismatching field.
     pub fn ensure_matches(&self, other: &CheckpointFingerprint) -> Result<(), CheckpointError> {
@@ -543,6 +563,25 @@ impl TrainCheckpoint {
         let path = dir.join(CHECKPOINT_FILE);
         let raw = std::fs::read(&path)?;
         Self::from_bytes(Bytes::from(raw))
+    }
+
+    /// Loads the rolling checkpoint from `dir` for the run identified by
+    /// `run`: the fingerprints must match and every worker needs its RNG
+    /// state.
+    pub(crate) fn load_for_resume(
+        dir: &Path,
+        run: &CheckpointFingerprint,
+    ) -> Result<Self, CheckpointError> {
+        let ck = Self::load_from_dir(dir)?;
+        ck.fingerprint.ensure_matches(run)?;
+        if ck.rng_states.len() != run.workers as usize {
+            return Err(CheckpointError::Corrupt(format!(
+                "checkpoint has {} RNG states for {} workers",
+                ck.rng_states.len(),
+                run.workers
+            )));
+        }
+        Ok(ck)
     }
 }
 

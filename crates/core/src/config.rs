@@ -26,6 +26,24 @@ impl LossKind {
             _ => 1,
         }
     }
+
+    /// Checks that `labels` (the `what` set) are valid targets for this
+    /// loss: softmax needs class indices in `0..classes`; the scalar losses
+    /// accept any label.
+    pub(crate) fn check_labels(&self, labels: &[f32], what: &str) -> Result<(), String> {
+        let LossKind::Softmax { classes } = *self else {
+            return Ok(());
+        };
+        match labels
+            .iter()
+            .find(|&&y| y < 0.0 || y.fract() != 0.0 || y as u32 >= classes)
+        {
+            Some(y) => Err(format!(
+                "softmax {what} labels must be class indices in 0..{classes}, got {y}"
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 /// The optimization toggles evaluated one by one in Table 3. Each flag turns

@@ -57,9 +57,8 @@ pub use pool::WorkerPool;
 pub use report::{NodeInstances, PhaseReport, QuantHistRecord, RoundRecord, RunReport, SpanTimer};
 pub use scheduler::RoundRobinScheduler;
 pub use trainer::{
-    train_distributed, train_distributed_continue, train_distributed_resilient,
-    train_distributed_with_eval, train_single_machine, EvalOptions, LossPoint, RobustOptions,
-    RunBreakdown, TrainError, TrainOutput,
+    train_distributed, train_single_machine, train_with_options, EvalOptions, LossPoint,
+    RobustOptions, RunBreakdown, TrainError, TrainOptions, TrainOutput,
 };
 pub use tree::{Node, Tree};
 

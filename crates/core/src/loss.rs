@@ -150,6 +150,21 @@ pub fn softmax_grads(scores: &[f32], label: usize, out: &mut [GradPair]) {
     }
 }
 
+/// Summed loss of per-instance raw scores `preds` (`k` per row, class-major)
+/// against `labels`, in row order. `scalar_loss: None` is softmax.
+pub(crate) fn summed_loss(
+    scalar_loss: Option<&dyn Loss>,
+    k: usize,
+    preds: &[f32],
+    labels: &[f32],
+) -> f64 {
+    let per_row = labels.iter().enumerate().map(|(i, &y)| match scalar_loss {
+        Some(loss) => loss.loss(preds[i], y),
+        None => softmax_loss(&preds[i * k..(i + 1) * k], y as usize),
+    });
+    per_row.sum::<f64>()
+}
+
 /// Softmax cross-entropy loss `−log p_y` at the given raw scores.
 pub fn softmax_loss(scores: &[f32], label: usize) -> f64 {
     debug_assert!(label < scores.len());

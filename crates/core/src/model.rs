@@ -3,7 +3,7 @@
 use dimboost_data::{Dataset, RowView};
 use serde::{Deserialize, Serialize};
 
-use crate::config::LossKind;
+use crate::config::{GbdtConfig, LossKind};
 use crate::loss::loss_for;
 use crate::tree::Tree;
 
@@ -133,6 +133,17 @@ impl GbdtModel {
             .collect()
     }
 
+    /// [`Self::predict_scores`] for every row, flattened (`num_classes` per
+    /// row). Bit-equal to the trainer's incremental score updates: both sum
+    /// the same trees in the same per-class order.
+    pub(crate) fn predict_scores_dataset(&self, dataset: &Dataset) -> Vec<f32> {
+        let mut scores = Vec::with_capacity(dataset.num_rows() * self.num_classes());
+        for (row, _) in dataset.iter_rows() {
+            scores.extend(self.predict_scores(&row));
+        }
+        scores
+    }
+
     /// Transformed predictions for every row (see [`Self::predict`]).
     pub fn predict_dataset(&self, dataset: &Dataset) -> Vec<f32> {
         (0..dataset.num_rows())
@@ -198,6 +209,35 @@ impl GbdtModel {
         pairs.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         pairs.truncate(top_n);
         pairs
+    }
+
+    /// Whether boosting can continue on top of this model under `config`
+    /// over data with `num_features` columns: the combined ensemble has one
+    /// loss, one shrinkage factor and one dimensionality.
+    pub(crate) fn check_warm_start(
+        &self,
+        config: &GbdtConfig,
+        num_features: usize,
+    ) -> Result<(), String> {
+        if self.loss != config.loss {
+            return Err(format!(
+                "warm start loss mismatch: model {:?} vs config {:?}",
+                self.loss, config.loss
+            ));
+        }
+        if self.learning_rate != config.learning_rate {
+            return Err(format!(
+                "warm start learning-rate mismatch: model {} vs config {}",
+                self.learning_rate, config.learning_rate
+            ));
+        }
+        if self.num_features != num_features {
+            return Err(format!(
+                "warm start dimensionality mismatch: model {} vs data {}",
+                self.num_features, num_features
+            ));
+        }
+        self.check_consistency()
     }
 
     /// Structural sanity check over all trees, including the round-major

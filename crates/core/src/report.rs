@@ -19,6 +19,7 @@
 
 use std::time::Instant;
 
+use dimboost_simnet::emit::{fmt_f64, push_field};
 use dimboost_simnet::registry::MetricExport;
 use dimboost_simnet::wire::SparseWireStats;
 use dimboost_simnet::{
@@ -691,16 +692,6 @@ fn worker_percentiles(secs: &[f64]) -> (f64, f64) {
     (hist.quantile(0.50), hist.quantile(0.99))
 }
 
-fn push_field(out: &mut String, key: &str, value: &str, first: bool) {
-    if !first {
-        out.push(',');
-    }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(value);
-}
-
 fn push_comm(out: &mut String, c: &CommStats) {
     out.push_str(&format!(
         "{{\"bytes\":{},\"packages\":{},\"sim_time_secs\":{}}}",
@@ -708,16 +699,6 @@ fn push_comm(out: &mut String, c: &CommStats) {
         c.packages,
         fmt_f64(c.sim_time.seconds())
     ));
-}
-
-/// Shortest round-trip decimal form — `f64` Display is deterministic and
-/// platform-independent, which the canonical JSON relies on.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
 }
 
 fn fmt_f32(v: f32) -> String {

@@ -8,41 +8,47 @@
 //! separate machines); communication is charged to the simulated network via
 //! the Table 1 cost formulas. Every optimization of Sections 5–6 is a
 //! config toggle so the Table 3 ablation can enable them one at a time.
+//!
+//! The toggles are read exactly once, by [`plan::TrainPlan::new`]; each
+//! paper phase is one stage method of [`Run`] that matches on the plan
+//! (DESIGN.md §2.5 has the stage table). What survives a boosting round
+//! lives in [`state::TrainState`]; everything simulated — PS, trace bus,
+//! faults, membership, checkpoints — sits behind [`harness::Harness`].
+
+mod harness;
+mod plan;
+mod state;
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use dimboost_data::Dataset;
-use dimboost_ps::quantize::quantize_row;
-use dimboost_ps::split::{best_split_in_range, FinalSplit, PullSplitResult, SplitDecision};
-use dimboost_ps::{ParameterServer, PsConfig};
-use dimboost_simnet::fault::{LeavePolicy, LossPolicy, StripeMove};
-use dimboost_simnet::{CommStats, FaultPlan, FaultSession, Phase, SimTime, Trace, TraceBus};
-use dimboost_sketch::{propose_candidates, GkSketch, SplitCandidates};
+use dimboost_ps::quantize::{quantize_row, QuantizedRow};
+use dimboost_ps::split::{best_split_in_range, FinalSplit, SplitDecision};
+use dimboost_ps::PsConfig;
+use dimboost_simnet::{CommStats, CostModel, FaultPlan, Phase, SimTime, Trace};
+use dimboost_sketch::{propose_candidates, GkSketch};
 
-use crate::checkpoint::{
-    CheckpointError, CheckpointFingerprint, CheckpointOptions, TrainCheckpoint,
-};
+use crate::checkpoint::{CheckpointError, CheckpointOptions};
 use crate::config::{GbdtConfig, LossKind};
-use crate::hist_build::build_row;
-use crate::loss::{loss_for, softmax_grads, softmax_loss, GradPair, Loss};
+use crate::fused::{self, LayerPositions};
+use crate::hist_build::{acc_mode_for, build_quantized, build_row, new_row};
+use crate::loss::{loss_for, softmax_grads, summed_loss, Loss};
 use crate::meta::FeatureMeta;
 use crate::model::GbdtModel;
-use crate::model_io;
-use crate::node_index::NodeIndex;
 use crate::parallel::{build_row_batched, BatchConfig};
-use crate::report::{NodeInstances, RoundRecord, RunReport, SpanTimer};
-use crate::scheduler::RoundRobinScheduler;
-use crate::tree::Tree;
+use crate::report::{NodeInstances, QuantHistRecord, RoundRecord, RunReport, SpanTimer};
+use crate::tree::{Node, Tree};
 
-/// Errors from the resilient training entry points.
+use harness::Harness;
+use plan::{Exchange, InstanceSource, Kernel, SplitPull, TrainPlan};
+use state::{HistData, TrainState, Worker};
+
+/// Errors from [`train_with_options`].
 ///
-/// The legacy `Result<_, String>` entry points flatten this through
-/// [`std::fmt::Display`]; [`TrainError::Invalid`] displays as just its
-/// message so those callers see the exact strings they always did.
+/// [`train_distributed`] flattens this through [`std::fmt::Display`];
+/// [`TrainError::Invalid`] displays as just its message.
 #[derive(Debug)]
 pub enum TrainError {
     /// Invalid configuration or input data.
@@ -57,7 +63,8 @@ pub enum TrainError {
         /// Path of the checkpoint written at crash time, if any.
         checkpoint: Option<PathBuf>,
     },
-    /// A worker was permanently lost under [`LossPolicy::Abort`].
+    /// A worker was permanently lost under
+    /// [`LossPolicy::Abort`](dimboost_simnet::fault::LossPolicy::Abort).
     WorkerLost {
         /// The lost worker's shard id.
         worker: u32,
@@ -115,8 +122,14 @@ fn invalid(msg: impl Into<String>) -> TrainError {
     TrainError::Invalid(msg.into())
 }
 
-/// Robustness configuration for [`train_distributed_resilient`]: an
-/// optional deterministic fault plan plus checkpoint/resume settings.
+/// Robustness configuration: an optional deterministic fault plan plus
+/// checkpoint/resume settings.
+///
+/// The exactness invariant (tested): a fault plan changes only *timing* —
+/// the learned model, the logical communication ledger (bytes/packages per
+/// phase), and the loss curves are bit-identical to the fault-free run with
+/// the same seed. Likewise a run resumed from a checkpoint finishes with a
+/// model bit-identical to the uninterrupted run.
 #[derive(Debug, Clone, Default)]
 pub struct RobustOptions {
     /// Deterministic fault plan injected into the run (stragglers, message
@@ -185,7 +198,7 @@ pub struct TrainOutput {
     pub trace: Option<Trace>,
 }
 
-/// Validation configuration for [`train_distributed_with_eval`].
+/// Validation configuration: a held-out set evaluated every round.
 #[derive(Debug, Clone, Copy)]
 pub struct EvalOptions<'a> {
     /// Held-out dataset evaluated after every boosting round.
@@ -196,27 +209,128 @@ pub struct EvalOptions<'a> {
     pub early_stopping_rounds: Option<usize>,
 }
 
-/// Per-worker training state (one per simulated machine).
-struct Worker {
-    shard_id: usize,
-    /// Raw scores, `num_classes` per instance (class-major within a row).
-    preds: Vec<f32>,
-    /// Current tree's per-instance gradients (one class's column).
-    grads: Vec<GradPair>,
-    /// Round gradients for all classes (`num_classes` per instance).
-    grads_all: Vec<GradPair>,
-    index: NodeIndex,
-    /// Pre-binned shard (when `Optimizations::pre_binning` is on).
-    binned: Option<crate::binned::BinnedShard>,
-    /// Packed-pair offset view of `binned` (when
-    /// `Optimizations::quantized_hist` is on); rebuilt with it.
-    qbinned: Option<crate::hist_build::QuantBinned>,
-    /// Current tree's fixed-point gradient codes (`quantized_hist`),
-    /// re-quantized each NEW_TREE after the gradient pass.
-    qgrads: Option<crate::hist_build::QuantizedGrads>,
-    /// Row-subsampling membership for the current tree (`None` = all rows).
-    sample_mask: Option<Vec<bool>>,
-    rng: StdRng,
+/// Everything optional about a run; the default is plain
+/// [`train_distributed`].
+#[derive(Debug, Clone, Default)]
+pub struct TrainOptions<'a> {
+    /// Held-out evaluation set and early stopping.
+    pub eval: Option<EvalOptions<'a>>,
+    /// Warm start: continue boosting on top of this model, appending
+    /// `config.num_trees` further rounds. It must match the configured
+    /// loss, learning rate, and dimensionality (the combined ensemble has a
+    /// single shrinkage factor).
+    pub init: Option<&'a GbdtModel>,
+    /// Fault injection, rolling checkpoints, and checkpoint-resume.
+    pub robust: RobustOptions,
+}
+
+/// Trains a GBDT model across `shards` (one per worker) with the DimBoost
+/// execution plan on a parameter server configured by `ps_config`.
+///
+/// Returns the model, a compute/communication breakdown, and the per-tree
+/// training-loss curve. Deterministic in `(config.seed, shards, ps_config)`.
+pub fn train_distributed(
+    shards: &[Dataset],
+    config: &GbdtConfig,
+    ps_config: PsConfig,
+) -> Result<TrainOutput, String> {
+    train_with_options(shards, config, ps_config, &TrainOptions::default())
+        .map_err(|e| e.to_string())
+}
+
+/// [`train_distributed`] with an eval set, a warm-start model, and/or the
+/// robustness harness — see [`TrainOptions`].
+pub fn train_with_options(
+    shards: &[Dataset],
+    config: &GbdtConfig,
+    ps_config: PsConfig,
+    options: &TrainOptions<'_>,
+) -> Result<TrainOutput, TrainError> {
+    if let (Some(init), Some(first)) = (options.init, shards.first()) {
+        init.check_warm_start(config, first.num_features())?;
+    }
+    config.validate()?;
+    if shards.is_empty() {
+        return Err(invalid("need at least one worker shard"));
+    }
+    let num_features = shards[0].num_features();
+    if shards.iter().any(|s| s.num_features() != num_features) {
+        return Err(invalid("all shards must share the same dimensionality"));
+    }
+    if shards.iter().all(|s| s.num_rows() == 0) {
+        return Err(invalid("cannot train on zero instances"));
+    }
+    let warm_start = options.init.is_some();
+    let (h, resume) = Harness::start(shards, config, ps_config, &options.robust, warm_start)?;
+    let eval = options.eval.as_ref();
+    check_labels_and_eval(config, shards, eval)?;
+
+    let mut timer = SpanTimer::new(shards.len());
+    timer.attach_trace(h.bus.clone());
+    let fresh = resume.is_none();
+    let mut run = Run {
+        shards,
+        config,
+        eval,
+        ps_config,
+        plan: TrainPlan::new(config, shards),
+        h,
+        timer,
+        state: match resume {
+            Some(ck) => TrainState::from_checkpoint(ck, shards, config, eval),
+            None => TrainState::fresh(shards, config, eval, options.init),
+        },
+        scalar_loss: match config.loss {
+            LossKind::Softmax { .. } => None,
+            kind => Some(loss_for(kind)),
+        },
+        k: config.loss.trees_per_round(),
+    };
+    if fresh {
+        // On a resumed run the sketch phases ran before the crash: their
+        // traffic is in the preloaded ledger, their candidates in the state.
+        run.create_sketch();
+        run.pull_sketch();
+    }
+    for round in run.state.resumed_from.unwrap_or(0)..config.num_trees {
+        run.h.round_boundary(round, &run.state)?;
+        if run.boost_round(round) {
+            break;
+        }
+        run.h.rolling_checkpoint(round, &run.state)?;
+    }
+    run.finish()
+}
+
+/// Convenience wrapper: trains on a single machine (one worker, one server,
+/// free network) and returns just the model.
+pub fn train_single_machine(dataset: &Dataset, config: &GbdtConfig) -> Result<GbdtModel, String> {
+    let ps_config = PsConfig {
+        num_servers: 1,
+        num_partitions: 0,
+        cost_model: CostModel::FREE,
+    };
+    Ok(train_distributed(std::slice::from_ref(dataset), config, ps_config)?.model)
+}
+
+fn check_labels_and_eval(
+    config: &GbdtConfig,
+    shards: &[Dataset],
+    eval: Option<&EvalOptions<'_>>,
+) -> Result<(), TrainError> {
+    for shard in shards {
+        config.loss.check_labels(shard.labels(), "training")?;
+    }
+    let Some(ev) = eval else {
+        return Ok(());
+    };
+    config.loss.check_labels(ev.dataset.labels(), "eval")?;
+    if ev.dataset.num_features() != shards[0].num_features() {
+        return Err(invalid(
+            "eval set dimensionality does not match training data",
+        ));
+    }
+    Ok(())
 }
 
 /// Routes every local instance through the partially-built tree to find the
@@ -243,1297 +357,596 @@ fn build_local_sketches(shard: &Dataset, num_features: usize, eps: f64) -> Vec<G
     sketches
 }
 
-/// Trains a GBDT model across `shards` (one per worker) with the DimBoost
-/// execution plan on a parameter server configured by `ps_config`.
-///
-/// Returns the model, a compute/communication breakdown, and the per-tree
-/// training-loss curve. Deterministic in `(config.seed, shards, ps_config)`.
-pub fn train_distributed(
-    shards: &[Dataset],
-    config: &GbdtConfig,
-    ps_config: PsConfig,
-) -> Result<TrainOutput, String> {
-    train_distributed_with_eval(shards, config, ps_config, None)
+/// §6.1 stochastic quantization of one row, tracking the round's largest
+/// scale.
+fn quantize_for_push(
+    row: &[f32],
+    meta: &FeatureMeta,
+    bits: u8,
+    rng: &mut StdRng,
+    record: &mut RoundRecord,
+) -> QuantizedRow {
+    let q = quantize_row(row, meta.layout(), bits, rng);
+    record.max_quant_scale = record.max_quant_scale.max(q.max_scale());
+    q
 }
 
-/// [`train_distributed`] with an optional held-out evaluation set and early
-/// stopping.
-pub fn train_distributed_with_eval(
-    shards: &[Dataset],
-    config: &GbdtConfig,
-    ps_config: PsConfig,
-    eval: Option<EvalOptions<'_>>,
-) -> Result<TrainOutput, String> {
-    train_impl(shards, config, ps_config, eval, None, None).map_err(|e| e.to_string())
+/// One worker's local histogram of one build node: `(node, row, instances)`.
+type NodeRow = (u32, Vec<f32>, u64);
+
+/// The tree being grown and the nodes its current layer works on.
+struct Growing {
+    tree: Tree,
+    meta: FeatureMeta,
+    active: Vec<u32>,
+    /// `(parent, small, big)` per split of the previous layer under sibling
+    /// subtraction: only `small` is built, `big` is derived on the servers.
+    pairs: Vec<(u32, u32, u32)>,
+    /// The nodes whose histograms this layer builds.
+    build_nodes: Vec<u32>,
 }
 
-/// [`train_distributed_with_eval`] under a robustness harness: deterministic
-/// fault injection, rolling checkpoints, and checkpoint-resume.
-///
-/// The exactness invariant (tested): a fault plan changes only *timing* —
-/// the learned model, the logical communication ledger (bytes/packages per
-/// phase), and the loss curves are bit-identical to the fault-free run with
-/// the same seed. Likewise a run resumed from a checkpoint finishes with a
-/// model bit-identical to the uninterrupted run.
-pub fn train_distributed_resilient(
-    shards: &[Dataset],
-    config: &GbdtConfig,
-    ps_config: PsConfig,
-    eval: Option<EvalOptions<'_>>,
-    robust: &RobustOptions,
-) -> Result<TrainOutput, TrainError> {
-    train_impl(shards, config, ps_config, eval, None, Some(robust))
-}
-
-/// Warm start: continues boosting on top of an existing model, appending
-/// `config.num_trees` further rounds. The initial model must match the
-/// configured loss, learning rate, and dimensionality (the combined
-/// ensemble has a single shrinkage factor).
-pub fn train_distributed_continue(
-    init: &GbdtModel,
-    shards: &[Dataset],
-    config: &GbdtConfig,
-    ps_config: PsConfig,
-    eval: Option<EvalOptions<'_>>,
-) -> Result<TrainOutput, String> {
-    if init.loss() != config.loss {
-        return Err(format!(
-            "warm start loss mismatch: model {:?} vs config {:?}",
-            init.loss(),
-            config.loss
-        ));
-    }
-    if init.learning_rate() != config.learning_rate {
-        return Err(format!(
-            "warm start learning-rate mismatch: model {} vs config {}",
-            init.learning_rate(),
-            config.learning_rate
-        ));
-    }
-    if !shards.is_empty() && init.num_features() != shards[0].num_features() {
-        return Err(format!(
-            "warm start dimensionality mismatch: model {} vs data {}",
-            init.num_features(),
-            shards[0].num_features()
-        ));
-    }
-    init.check_consistency()?;
-    train_impl(shards, config, ps_config, eval, Some(init), None).map_err(|e| e.to_string())
-}
-
-/// Builds the fingerprint identifying this run for checkpoint validation.
-/// `membership_digest` covers the fault plan's elastic schedule (0 without
-/// one) so a resume under a different membership history fails loudly.
-fn fingerprint_for(
-    config: &GbdtConfig,
-    shards: &[Dataset],
-    membership_digest: u64,
-) -> CheckpointFingerprint {
-    let (loss_tag, loss_classes) = model_io::loss_tag(config.loss);
-    CheckpointFingerprint {
-        seed: config.seed,
-        num_trees: config.num_trees as u64,
-        loss_tag,
-        loss_classes,
-        learning_rate_bits: config.learning_rate.to_bits(),
-        num_features: shards.first().map_or(0, |s| s.num_features()) as u64,
-        workers: shards.len() as u32,
-        shard_rows: shards.iter().map(|s| s.num_rows() as u64).collect(),
-        membership_digest,
-    }
-}
-
-/// Reconstructs the membership overlay a run had reached after rounds
-/// `0..start` by replaying the plan's schedule (used when a resume has no
-/// checkpointed snapshot to restore). The rebalance is a pure function of
-/// the event sequence, so replay and live application agree exactly. The
-/// per-round order mirrors the live path: joins, then leaves, then
-/// redistribute-losses.
-fn replay_membership_to(session: &FaultSession, start: usize) -> Result<(), TrainError> {
-    for round in 0..start {
-        let plan = session.plan();
-        for spec in plan.joins.iter().filter(|j| j.round == round) {
-            session.apply_join(spec.worker).map_err(invalid)?;
-        }
-        for spec in plan.leaves.iter().filter(|l| l.round == round) {
-            session.apply_leave(spec.worker).map_err(invalid)?;
-        }
-        for spec in plan.losses.iter().filter(|l| l.round == round) {
-            if matches!(spec.policy, LossPolicy::Redistribute) {
-                session.apply_leave(spec.worker).map_err(invalid)?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Snapshots the run into a resumable checkpoint after round `next_round − 1`.
-#[allow(clippy::too_many_arguments)]
-fn snapshot_checkpoint(
-    fingerprint: &CheckpointFingerprint,
-    next_round: usize,
-    trees: &[Tree],
-    config: &GbdtConfig,
-    num_features: usize,
-    workers: &[Worker],
-    ledger: dimboost_simnet::CommLedger,
-    candidates: &[SplitCandidates],
-    loss_curve: &[LossPoint],
-    rounds: &[RoundRecord],
-    eval_curve: &[LossPoint],
-    best_eval_loss: f64,
-    best_iteration: Option<usize>,
-    membership: Option<(Vec<u32>, Vec<u32>, u64)>,
-) -> TrainCheckpoint {
-    TrainCheckpoint {
-        fingerprint: fingerprint.clone(),
-        next_round,
-        model: GbdtModel::new(
-            trees.to_vec(),
-            config.learning_rate,
-            config.loss,
-            num_features,
-        ),
-        rng_states: workers.iter().map(|wk| wk.rng.state()).collect(),
-        ledger,
-        candidates: candidates.to_vec(),
-        loss_curve: loss_curve.to_vec(),
-        rounds: rounds.to_vec(),
-        eval_curve: eval_curve.to_vec(),
-        best_eval_loss,
-        best_iteration,
-        membership,
-    }
-}
-
-fn train_impl(
-    shards: &[Dataset],
-    config: &GbdtConfig,
-    ps_config: PsConfig,
-    eval: Option<EvalOptions<'_>>,
-    init: Option<&GbdtModel>,
-    robust: Option<&RobustOptions>,
-) -> Result<TrainOutput, TrainError> {
-    config.validate()?;
-    if shards.is_empty() {
-        return Err(invalid("need at least one worker shard"));
-    }
-    let num_features = shards[0].num_features();
-    if shards.iter().any(|s| s.num_features() != num_features) {
-        return Err(invalid("all shards must share the same dimensionality"));
-    }
-    let total_instances: usize = shards.iter().map(|s| s.num_rows()).sum();
-    if total_instances == 0 {
-        return Err(invalid("cannot train on zero instances"));
-    }
-
-    // ---- Robustness harness: fault session, checkpointing, resume. -------
-    let fault_session: Option<Arc<FaultSession>> = robust
-        .and_then(|r| r.fault_plan.as_ref())
-        .map(|plan| FaultSession::new(plan.clone()));
-    let membership_digest = robust
-        .and_then(|r| r.fault_plan.as_ref())
-        .map_or(0, |p| p.membership_digest());
-    let checkpoint_opts = robust.and_then(|r| r.checkpoint.as_ref());
-    let resume_ck: Option<TrainCheckpoint> = match robust {
-        Some(r) if r.resume => {
-            let opts = r
-                .checkpoint
-                .as_ref()
-                .ok_or_else(|| invalid("resume requires a checkpoint directory"))?;
-            if init.is_some() {
-                return Err(invalid("resume cannot be combined with warm start"));
-            }
-            let ck = TrainCheckpoint::load_from_dir(&opts.dir)?;
-            ck.fingerprint
-                .ensure_matches(&fingerprint_for(config, shards, membership_digest))?;
-            if ck.rng_states.len() != shards.len() {
-                return Err(CheckpointError::Corrupt(format!(
-                    "checkpoint has {} RNG states for {} workers",
-                    ck.rng_states.len(),
-                    shards.len()
-                ))
-                .into());
-            }
-            if ck.next_round > config.num_trees {
-                return Err(invalid(format!(
-                    "checkpoint is ahead of the run: next round {} of {}",
-                    ck.next_round, config.num_trees
-                )));
-            }
-            Some(ck)
-        }
-        _ => None,
-    };
-    let resumed_from: Option<usize> = resume_ck.as_ref().map(|ck| ck.next_round);
-    let start_round = resumed_from.unwrap_or(0);
-    // A warm model to recompute per-instance scores from: either an explicit
-    // warm start or the partial model inside the checkpoint. Recomputation
-    // is bit-exact because `predict_scores` sums the same trees in the same
-    // per-class order as the incremental updates did.
-    let warm: Option<&GbdtModel> = init.or(resume_ck.as_ref().map(|ck| &ck.model));
-    if let (Some(session), Some(start)) = (&fault_session, resumed_from) {
-        // Workers redistributed before the crash stay lost in the resumed run.
-        for spec in &session.plan().losses {
-            if spec.round < start && matches!(spec.policy, LossPolicy::Redistribute) {
-                session.mark_lost(spec.worker);
-            }
-        }
-    }
-
-    let w = shards.len();
-    // Trees per boosting round: 1 for scalar losses, `classes` for softmax
-    // (`num_trees` counts *rounds*, so a softmax run grows `num_trees · k`
-    // trees, round-major).
-    let k = config.loss.trees_per_round();
-    let scalar_loss: Option<&dyn Loss> = match config.loss {
-        LossKind::Softmax { .. } => None,
-        kind => Some(loss_for(kind)),
-    };
-    if let LossKind::Softmax { classes } = config.loss {
-        let check = |labels: &[f32], what: &str| -> Result<(), String> {
-            for &y in labels {
-                if y < 0.0 || y.fract() != 0.0 || y as u32 >= classes {
-                    return Err(format!(
-                        "softmax {what} labels must be class indices in 0..{classes}, got {y}"
-                    ));
-                }
-            }
-            Ok(())
-        };
-        for shard in shards {
-            check(shard.labels(), "training")?;
-        }
-        if let Some(ev) = &eval {
-            check(ev.dataset.labels(), "eval")?;
-        }
-    }
-    let ps = ParameterServer::new(num_features, ps_config);
-    let cost = ps_config.cost_model;
-    let p = ps_config.partitions();
-    let params = config.split_params();
-    // The trace bus rides along on every PS interaction (through the shared
-    // StatsRecorder) and on every timed compute phase. With collect_trace
-    // off it still aggregates metrics percentiles, just no event log.
-    let bus = TraceBus::new(w, ps_config.num_servers, cost, config.collect_trace);
-    ps.attach_trace(bus.clone());
-    if let Some(session) = &fault_session {
-        ps.attach_faults(session.clone());
-    }
-    if let Some(ck) = &resume_ck {
-        // The resumed report accounts for the whole logical run: absorb the
-        // pre-crash ledger before any new charges land.
-        ps.recorder().preload(&ck.ledger);
-    }
-    // ---- Elastic membership overlay. ---------------------------------------
-    // Scripted joins/leaves/speed skew change only *placement* and simulated
-    // timing. The logical stripes are the initial shard set, immutable for
-    // the run: per-stripe worker state (gradients, histograms, RNG streams)
-    // and push order never change, so the model stays bit-identical to a
-    // fixed-membership run (f32 histogram merging is grouping-sensitive —
-    // re-grouping rows would change the bytes).
-    let membership_on = fault_session
-        .as_ref()
-        .is_some_and(|s| s.plan().has_membership_events());
-    if membership_on {
-        let session = fault_session.as_ref().expect("membership implies a plan");
-        session.init_membership(w);
-        match resume_ck.as_ref().and_then(|ck| ck.membership.clone()) {
-            // The checkpointed snapshot reproduces the exact placement and
-            // epoch numbering the interrupted run had reached.
-            Some((assignment, live, epoch)) => {
-                session.restore_membership(assignment, live, epoch);
-            }
-            // No snapshot (fresh run, or a pre-elastic checkpoint): replay
-            // the schedule up to the start round.
-            None => replay_membership_to(session, start_round)?,
-        }
-        ps.set_epoch(session.membership_epoch());
-    }
-    // Tags PS interactions with the issuing worker on both the trace bus
-    // and the fault session (per-worker message sequence numbers).
-    let set_worker = |worker: Option<u32>| {
-        bus.set_worker(worker);
-        if let Some(session) = &fault_session {
-            session.set_worker(worker);
+/// BUILD_HISTOGRAM on one worker: the layer's local rows under the kernel
+/// whose data NEW_TREE made resident — in one pass over the binned CSR when
+/// `fused`, else node by node.
+fn build_local_rows(
+    plan: &TrainPlan,
+    wk: &Worker,
+    shard: &Dataset,
+    g: &Growing,
+    fused: bool,
+) -> Vec<NodeRow> {
+    let (meta, nodes) = (&g.meta, &g.build_nodes[..]);
+    let (batch_size, threads) = (plan.batch_size, plan.threads);
+    let positions = || match plan.instances {
+        InstanceSource::Index => fused::positions_from_index(&wk.index, nodes, shard.num_rows()),
+        InstanceSource::Scan => {
+            fused::positions_from_scan(shard, &g.tree, nodes, wk.sample_mask.as_deref())
         }
     };
-    // Charges a phase-tagged communication time, dilated by any live
-    // stragglers (and by permanent worker losses under the redistribute
-    // policy: survivors carry the lost shard's traffic on their links).
-    // Dilation adds simulated *time* only — bytes and packages stay
-    // identical to the fault-free run, preserving the exactness invariant.
-    let charge = |phase: Phase, time: SimTime| {
-        ps.charge(phase, time);
-        let Some(session) = &fault_session else {
-            return;
-        };
-        if membership_on {
-            // Elastic schedule: a phase finishes when the slowest live
-            // machine drains its stripes (rate × load, see
-            // `FaultSession::membership_dilation`); speculation can cap a
-            // chronic straggler by replaying its stripes on a backup.
-            let d = session.membership_dilation(phase);
-            if let Some(b) = d.backup {
-                let won = b.effective_factor < b.raw_factor;
-                let saved = time.seconds() * (b.raw_factor - b.effective_factor);
-                session.on_backup(won, saved);
-                ps.recorder()
-                    .membership_event(phase, "speculative_backup", SimTime::ZERO, 0, 1);
-                if won {
-                    // The win's saved seconds are a *reduction*, not
-                    // schedule stretch — recorded with zero duration so the
-                    // trace profile attributes only real stretch.
-                    ps.recorder()
-                        .membership_event(phase, "backup_win", SimTime::ZERO, 0, 1);
-                }
-            }
-            if d.factor > 1.0 {
-                let extra = time.seconds() * (d.factor - 1.0);
-                session.add_elastic_secs(extra);
-                ps.recorder()
-                    .membership_event(phase, "elastic_dilation", SimTime(extra), 0, 1);
-                ps.charge(phase, SimTime(extra));
-            }
-        } else {
-            let dilation = session.dilation(phase);
-            if dilation > 1.0 {
-                let extra = time.seconds() * (dilation - 1.0);
-                session.add_straggler_secs(extra);
-                ps.recorder()
-                    .fault_event(phase, "straggler_dilation", SimTime(extra), 0, 1);
-                ps.charge(phase, SimTime(extra));
-            }
-        }
+    let rows_of_block = |block: Vec<f32>, positions: LayerPositions| {
+        let row_len = meta.layout().row_len();
+        let row = |slot: usize| block[slot * row_len..(slot + 1) * row_len].to_vec();
+        let slots = nodes.iter().enumerate();
+        slots
+            .map(|(slot, &node)| (node, row(slot), positions.counts[slot]))
+            .collect()
     };
-    // Transfer cost of re-homing one stripe at a membership event: a
-    // graceful handoff streams the resident partition (α + bytes·β); a cold
-    // re-shard (redistribute, or a lost machine that cannot hand off)
-    // re-reads and re-bins it on the receiver, modelled at twice the
-    // streaming cost. Pure simulated time — bytes appear only on the
-    // membership trace lane, never in the communication ledger.
-    let stripe_bytes: Vec<u64> = shards
-        .iter()
-        .map(|s| (8 * s.nnz() + 8 * s.num_rows()) as u64)
-        .collect();
-    let charge_moves = |moves: &[StripeMove], graceful: bool| {
-        let Some(session) = &fault_session else {
-            return;
-        };
-        for mv in moves {
-            let bytes = stripe_bytes[mv.stripe as usize];
-            let base = cost.alpha + bytes as f64 * cost.beta;
-            let (name, secs) = if graceful {
-                ("stripe_handoff", base)
-            } else {
-                ("stripe_reshard", 2.0 * base)
+    match &wk.hist {
+        HistData::Binned(binned) if fused => {
+            let p = positions();
+            let block = fused::build_layer(binned, &p, &wk.grads, meta, batch_size, threads);
+            return rows_of_block(block, p);
+        }
+        HistData::Quantized(binned, pairs, grads) if fused => {
+            let p = positions();
+            let (block, _stats) =
+                fused::build_layer_quantized(binned, pairs, &p, grads, meta, batch_size, threads);
+            return rows_of_block(block, p);
+        }
+        _ => {}
+    }
+    let row_of = |instances: &[u32]| match &wk.hist {
+        HistData::Quantized(binned, pairs, grads) => {
+            // Narrow/wide is chosen per node from its own row count; either
+            // mode decodes the same exact integer sums, so the choice can
+            // never change the output (pinned by tests).
+            let mode = acc_mode_for(instances.len() as u64, grads.max_code());
+            build_quantized(binned, pairs, instances, grads, meta, mode)
+        }
+        HistData::Binned(binned) if plan.batched => {
+            binned.build_row_batched(instances, &wk.grads, meta, batch_size, threads)
+        }
+        HistData::Binned(binned) => {
+            let mut out = new_row(meta);
+            binned.build_into(instances, &wk.grads, &mut out);
+            out
+        }
+        HistData::Raw if plan.batched => {
+            let sparse = plan.sparse_rows;
+            let bc = BatchConfig {
+                batch_size,
+                threads,
+                sparse,
             };
-            if graceful {
-                session.add_handoff_secs(secs);
-            } else {
-                session.add_reshard_secs(secs);
-            }
-            ps.recorder()
-                .membership_event(Phase::NewTree, name, SimTime(secs), bytes, 1);
-            ps.charge(Phase::NewTree, SimTime(secs));
+            build_row_batched(shard, instances, &wk.grads, meta, &bc)
+        }
+        HistData::Raw => build_row(shard, instances, &wk.grads, meta, plan.sparse_rows),
+    };
+    let node_row = |&node: &u32| match plan.instances {
+        InstanceSource::Index => {
+            let instances = wk.index.instances(node);
+            (node, row_of(instances), instances.len() as u64)
+        }
+        InstanceSource::Scan => {
+            let instances = scan_instances(shard, &g.tree, node, wk.sample_mask.as_deref());
+            (node, row_of(&instances), instances.len() as u64)
         }
     };
-    let mut timer = SpanTimer::new(w);
-    timer.attach_trace(bus.clone());
-    let mut rounds: Vec<RoundRecord> = match &resume_ck {
-        Some(ck) => ck.rounds.clone(),
-        None => Vec::with_capacity(config.num_trees),
-    };
+    nodes.iter().map(node_row).collect()
+}
 
-    let mut workers: Vec<Worker> = shards
-        .iter()
-        .enumerate()
-        .map(|(i, s)| Worker {
-            shard_id: i,
-            preds: match warm {
-                Some(model) => {
-                    let mut preds = Vec::with_capacity(s.num_rows() * k);
-                    for (row, _) in s.iter_rows() {
-                        preds.extend(model.predict_scores(&row));
-                    }
-                    preds
-                }
-                None => vec![0.0; s.num_rows() * k],
-            },
-            grads: vec![GradPair::default(); s.num_rows()],
-            grads_all: vec![GradPair::default(); s.num_rows() * k],
-            index: NodeIndex::new(s.num_rows(), 0),
-            binned: None,
-            qbinned: None,
-            qgrads: None,
-            sample_mask: None,
-            rng: match &resume_ck {
-                // Feature subsampling and stochastic rounding continue the
-                // exact streams the checkpointed run was drawing from.
-                Some(ck) => StdRng::from_state(ck.rng_states[i]),
-                None => StdRng::seed_from_u64(config.seed ^ ((i as u64 + 1) << 32)),
-            },
-        })
-        .collect();
+/// One run: its inputs, the plan, the two instruments (harness, timer) and
+/// the cross-round state. Each paper phase is one method.
+struct Run<'a> {
+    shards: &'a [Dataset],
+    config: &'a GbdtConfig,
+    eval: Option<&'a EvalOptions<'a>>,
+    ps_config: PsConfig,
+    plan: TrainPlan,
+    h: Harness<'a>,
+    timer: SpanTimer,
+    state: TrainState,
+    /// `None` for softmax, which is vector-valued.
+    scalar_loss: Option<&'static dyn Loss>,
+    /// Trees per boosting round: 1 for scalar losses, `classes` for softmax
+    /// (`num_trees` counts *rounds*, so a softmax run grows `num_trees · k`
+    /// trees, round-major).
+    k: usize,
+}
 
-    let candidates: Vec<SplitCandidates> = match &resume_ck {
-        // The sketch phases already ran before the crash — their traffic is
-        // in the preloaded ledger. Reusing the checkpointed candidates keeps
-        // candidate proposal (and so every split) exactly reproducible.
-        Some(ck) => ck.candidates.clone(),
-        None => {
-            // ---- CREATE_SKETCH: local sketches pushed to the PS. ---------
-            // Budget the rank error for the PS-side balanced merge of w
-            // sketches.
-            let worker_eps = config.sketch_eps / ((w as f64).log2() + 2.0).max(2.0);
-            let locals = timer.phase(Phase::CreateSketch, &mut workers, |wk| {
-                build_local_sketches(&shards[wk.shard_id], num_features, worker_eps)
-            });
-            let mut sketch_bytes = 0usize;
-            for (wi, mut local) in locals.into_iter().enumerate() {
-                set_worker(Some(wi as u32));
-                sketch_bytes += local.iter_mut().map(|s| s.wire_bytes()).sum::<usize>();
-                ps.push_sketches(local);
-            }
-            set_worker(None);
-            if w > 1 {
-                charge(
-                    Phase::CreateSketch,
-                    cost.t_ps_exchange_p(sketch_bytes / w.max(1), w, ps_config.num_servers),
-                );
-            }
-
-            // ---- PULL_SKETCH: merged sketches -> candidates per feature. -
-            let mut merged = ps.pull_sketches();
-            if w > 1 {
-                let merged_bytes: usize = merged.iter_mut().map(|s| s.wire_bytes()).sum();
-                // All workers pull in parallel over their own links.
-                charge(
-                    Phase::PullSketch,
-                    SimTime(cost.alpha + merged_bytes as f64 * cost.beta),
-                );
-            }
-            merged
-                .iter_mut()
-                .map(|s| propose_candidates(s, config.num_candidates))
-                .collect()
+impl Run<'_> {
+    /// Charges `time` to `phase` — unless there is one worker, which talks
+    /// to nobody.
+    fn charge(&self, phase: Phase, time: impl FnOnce(CostModel) -> SimTime) {
+        if self.shards.len() > 1 {
+            self.h.charge(phase, time(self.ps_config.cost_model));
         }
-    };
+    }
 
-    let mut trees: Vec<Tree> = match warm {
-        Some(model) => model.trees().to_vec(),
-        None => Vec::with_capacity(config.num_trees),
-    };
-    // Early-stopping truncation keeps `init_trees` plus whole rounds. A
-    // resumed run's trees all belong to the run itself, so the cursor stays
-    // at zero there (only an explicit warm start offsets it).
-    let init_trees = match init {
-        Some(model) => model.num_trees(),
-        None => 0,
-    };
-    let mut loss_curve = match &resume_ck {
-        Some(ck) => ck.loss_curve.clone(),
-        None => Vec::with_capacity(config.num_trees),
-    };
-    let mut eval_curve = match &resume_ck {
-        Some(ck) => ck.eval_curve.clone(),
-        None => Vec::new(),
-    };
-    let mut eval_preds: Vec<f32> = match &eval {
-        Some(ev) => {
-            if ev.dataset.num_features() != num_features {
-                return Err(invalid(
-                    "eval set dimensionality does not match training data",
-                ));
-            }
-            match warm {
-                Some(model) => {
-                    let mut preds = Vec::with_capacity(ev.dataset.num_rows() * k);
-                    for (row, _) in ev.dataset.iter_rows() {
-                        preds.extend(model.predict_scores(&row));
-                    }
-                    preds
-                }
-                None => vec![0.0; ev.dataset.num_rows() * k],
-            }
-        }
-        None => Vec::new(),
-    };
-    let mut best_eval_loss = match &resume_ck {
-        Some(ck) => ck.best_eval_loss,
-        None => f64::INFINITY,
-    };
-    let mut best_iteration: Option<usize> = match &resume_ck {
-        Some(ck) => ck.best_iteration,
-        None => None,
-    };
-
-    let fingerprint = fingerprint_for(config, shards, membership_digest);
-    for round in start_round..config.num_trees {
-        // ---- Scripted faults that fire at round boundaries. ---------------
-        if let Some(session) = &fault_session {
-            // The crash fires only on a fresh (non-resumed) run: the resumed
-            // run is the recovery from exactly this crash.
-            if resumed_from.is_none() && session.plan().crash_round == Some(round) {
-                session.on_crash();
-                ps.recorder()
-                    .fault_event(Phase::NewTree, "crash", SimTime::ZERO, 0, 1);
-                let checkpoint = match checkpoint_opts {
-                    Some(opts) => {
-                        // Force a crash-time checkpoint regardless of the
-                        // cadence, so recovery loses no completed round.
-                        let ck = snapshot_checkpoint(
-                            &fingerprint,
-                            round,
-                            &trees,
-                            config,
-                            num_features,
-                            &workers,
-                            ps.comm_ledger(),
-                            &candidates,
-                            &loss_curve,
-                            &rounds,
-                            &eval_curve,
-                            best_eval_loss,
-                            best_iteration,
-                            session.membership_snapshot(),
-                        );
-                        Some(ck.save_to_dir(&opts.dir)?)
-                    }
-                    None => None,
-                };
-                return Err(TrainError::Crashed { round, checkpoint });
-            }
-            // Scripted membership events for this round: joins first, then
-            // graceful leaves (the same order `replay_membership_to` uses).
-            // Each event bumps the epoch; the PS is retagged so any late
-            // retry from the old placement is rejected, not merged.
-            if membership_on {
-                for spec in session.plan().joins.iter().filter(|j| j.round == round) {
-                    let moves = session.apply_join(spec.worker).map_err(invalid)?;
-                    ps.recorder()
-                        .membership_event(Phase::NewTree, "join", SimTime::ZERO, 0, 1);
-                    charge_moves(&moves, true);
-                    ps.set_epoch(session.membership_epoch());
-                }
-                for spec in session.plan().leaves.iter().filter(|l| l.round == round) {
-                    let moves = session.apply_leave(spec.worker).map_err(invalid)?;
-                    ps.recorder()
-                        .membership_event(Phase::NewTree, "leave", SimTime::ZERO, 0, 1);
-                    charge_moves(&moves, matches!(spec.policy, LeavePolicy::Handoff));
-                    ps.set_epoch(session.membership_epoch());
-                }
-            }
-            for spec in &session.plan().losses {
-                if spec.round == round && !session.is_lost(spec.worker) {
-                    match spec.policy {
-                        LossPolicy::Abort => {
-                            return Err(TrainError::WorkerLost {
-                                worker: spec.worker,
-                                round,
-                            })
-                        }
-                        LossPolicy::Redistribute => {
-                            // The lost shard is re-read by the survivors; the
-                            // logical computation (and so the model) is
-                            // unchanged, but every communication phase
-                            // dilates — see `FaultSession::dilation`.
-                            session.mark_lost(spec.worker);
-                            ps.recorder().fault_event(
-                                Phase::NewTree,
-                                "worker_lost",
-                                SimTime::ZERO,
-                                0,
-                                1,
-                            );
-                            // Under the elastic overlay a dead machine also
-                            // leaves the membership: its stripes cold
-                            // re-shard onto the survivors (no handoff — the
-                            // machine is gone).
-                            if membership_on {
-                                let moves = session.apply_leave(spec.worker).map_err(invalid)?;
-                                ps.recorder().membership_event(
-                                    Phase::NewTree,
-                                    "leave",
-                                    SimTime::ZERO,
-                                    0,
-                                    1,
-                                );
-                                charge_moves(&moves, false);
-                                ps.set_epoch(session.membership_epoch());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        timer.begin_round(round);
-        let mut record = RoundRecord::new(round);
-        // ---- Round gradients for every class (softmax computes each
-        // instance's probability vector once per round). ----------------------
-        timer.phase(Phase::NewTree, &mut workers, |wk| {
-            let shard = &shards[wk.shard_id];
-            match scalar_loss {
-                Some(loss) => {
-                    for i in 0..shard.num_rows() {
-                        wk.grads_all[i] = loss.grad(wk.preds[i], shard.label(i));
-                    }
-                }
-                None => {
-                    for i in 0..shard.num_rows() {
-                        softmax_grads(
-                            &wk.preds[i * k..(i + 1) * k],
-                            shard.label(i) as usize,
-                            &mut wk.grads_all[i * k..(i + 1) * k],
-                        );
-                    }
-                }
-            }
+    /// CREATE_SKETCH: local sketches pushed to the PS.
+    fn create_sketch(&mut self) {
+        let (shards, w) = (self.shards, self.shards.len());
+        let num_features = shards[0].num_features();
+        // Budget the rank error for the PS-side balanced merge of w sketches.
+        let worker_eps = self.config.sketch_eps / ((w as f64).log2() + 2.0).max(2.0);
+        let workers = &mut self.state.workers;
+        let locals = self.timer.phase(Phase::CreateSketch, workers, |wk| {
+            build_local_sketches(&shards[wk.shard_id], num_features, worker_eps)
         });
+        let mut sketch_bytes = 0usize;
+        for (wi, mut local) in locals.into_iter().enumerate() {
+            self.h.set_worker(Some(wi as u32));
+            sketch_bytes += local.iter_mut().map(|s| s.wire_bytes()).sum::<usize>();
+            self.h.ps.push_sketches(local);
+        }
+        self.h.set_worker(None);
+        let servers = self.ps_config.num_servers;
+        self.charge(Phase::CreateSketch, |cost| {
+            cost.t_ps_exchange_p(sketch_bytes / w.max(1), w, servers)
+        });
+    }
 
-        for class in 0..k {
-            let t = round * k + class;
-            // ---- NEW_TREE ------------------------------------------------------
-            let sampled = FeatureMeta::sample_features(
-                num_features,
-                config.feature_sample_ratio,
-                config.seed,
-                t,
-            );
-            ps.publish_sampled(sampled.clone());
-            let meta = FeatureMeta::new(ps.pull_sampled(), &candidates);
-            ps.init_tree(meta.layout().clone());
-            let mut tree = Tree::new(config.max_depth);
-            let capacity = tree.capacity();
+    /// PULL_SKETCH: merged sketches → split candidates per feature.
+    fn pull_sketch(&mut self) {
+        let mut merged = self.h.ps.pull_sketches();
+        // All workers pull in parallel over their own links.
+        self.charge(Phase::PullSketch, |cost| {
+            let merged_bytes: usize = merged.iter_mut().map(|s| s.wire_bytes()).sum();
+            SimTime(cost.alpha + merged_bytes as f64 * cost.beta)
+        });
+        let num_candidates = self.config.num_candidates;
+        let propose = |s: &mut GkSketch| propose_candidates(s, num_candidates);
+        self.state.candidates = merged.iter_mut().map(propose).collect();
+    }
 
-            let subsample = config.instance_sample_ratio < 1.0;
-            timer.phase(Phase::NewTree, &mut workers, |wk| {
-                let shard = &shards[wk.shard_id];
-                for i in 0..shard.num_rows() {
-                    wk.grads[i] = wk.grads_all[i * k + class];
-                }
-                if config.opts.pre_binning || config.opts.fused_layer || config.opts.quantized_hist
-                {
-                    // With sigma = 1 the sampled set (and so the binning) is the
-                    // same for every tree; rebuild only when sampling changes it.
-                    // The fused layer kernel runs over the binned CSR, so
-                    // `fused_layer` implies the binned representation — as does
-                    // `quantized_hist`, whose pair view derives from it.
-                    if wk.binned.is_none() || config.feature_sample_ratio < 1.0 {
-                        wk.binned = Some(crate::binned::BinnedShard::build(shard, &meta));
-                        wk.qbinned = None;
-                    }
-                } else {
-                    wk.binned = None;
-                    wk.qbinned = None;
-                }
-                if config.opts.quantized_hist {
-                    if wk.qbinned.is_none() {
-                        wk.qbinned = Some(crate::hist_build::QuantBinned::build(
-                            wk.binned
-                                .as_ref()
-                                .expect("quantized_hist builds the binned shard above"),
-                            &meta,
-                        ));
-                    }
-                    // Re-quantize this tree's gradients: the codes are fixed for
-                    // the whole tree, so one deterministic rounding pass here
-                    // serves every layer. Bits are demoted per shard so a
-                    // 32-bit accumulator lane can never wrap (DESIGN.md §15).
-                    let bits = crate::hist_build::effective_quant_bits(
-                        config.quant_hist_bits,
-                        shard.num_rows(),
-                    );
-                    wk.qgrads = Some(crate::hist_build::QuantizedGrads::quantize(&wk.grads, bits));
-                } else {
-                    wk.qgrads = None;
-                }
-                if subsample {
-                    // Stochastic gradient boosting: each tree sees a Bernoulli
-                    // subsample of the rows; unsampled rows still receive the
-                    // tree's predictions afterwards.
-                    let mask: Vec<bool> = (0..shard.num_rows())
-                        .map(|_| wk.rng.random::<f64>() < config.instance_sample_ratio)
-                        .collect();
-                    let sampled: Vec<u32> = (0..shard.num_rows() as u32)
-                        .filter(|&i| mask[i as usize])
-                        .collect();
-                    wk.index = NodeIndex::from_instances(sampled, capacity);
-                    wk.sample_mask = Some(mask);
-                } else {
-                    wk.index = NodeIndex::new(shard.num_rows(), capacity);
-                    wk.sample_mask = None;
-                }
-            });
-
-            let mut active: Vec<u32> = vec![0];
-            let row_len = meta.layout().row_len();
-            let scheduler = if config.opts.task_scheduler {
-                RoundRobinScheduler::new(w)
-            } else {
-                RoundRobinScheduler::single_agent(w)
-            };
-
-            // Sibling-subtraction bookkeeping: `(parent, small, big)` triples for
-            // the current layer (extension, see `Optimizations::hist_subtraction`).
-            let mut pairs: Vec<(u32, u32, u32)> = Vec::new();
-
-            for depth in 0..config.max_depth {
-                if active.is_empty() {
+    /// One boosting round: gradients, `k` trees, training loss, evaluation.
+    /// Returns `true` when early stopping ended the run.
+    fn boost_round(&mut self, round: usize) -> bool {
+        self.timer.begin_round(round);
+        let mut record = RoundRecord::new(round);
+        self.round_gradients();
+        for class in 0..self.k {
+            let mut g = self.new_tree(round * self.k + class, class);
+            for depth in 0..self.config.max_depth {
+                if g.active.is_empty() {
                     break;
                 }
-
-                // With subtraction on, only the smaller child of each pair is
-                // built; its sibling is derived on the servers afterwards.
-                let use_subtraction = config.opts.hist_subtraction && !pairs.is_empty();
-                let build_nodes: Vec<u32> = if use_subtraction {
-                    pairs.iter().map(|&(_, small, _)| small).collect()
-                } else {
-                    active.clone()
-                };
-
-                // ---- BUILD_HISTOGRAM -------------------------------------------
-                // Fused layer kernel: one pass over the binned CSR builds every
-                // build node at once, unless the per-thread blocks would blow
-                // the memory budget — then fall back to per-node builds (still
-                // on the binned shard, which `fused_layer` guarantees exists).
-                // The quantized kernel is exempt from the budget: its node
-                // tiling caps each stripe's working set at
-                // `fused::QUANT_TILE_BUDGET_BYTES` regardless of layer width
-                // (and the fallback would be bit-identical anyway — integer
-                // accumulation makes fused ≡ per-node).
-                let use_fused = config.opts.fused_layer
-                    && (config.opts.quantized_hist
-                        || build_nodes
-                            .len()
-                            .saturating_mul(row_len)
-                            .saturating_mul(4)
-                            .saturating_mul(config.num_threads.max(1))
-                            <= config.fused_block_budget);
-                let local_rows: Vec<Vec<(u32, Vec<f32>, u64)>> =
-                    timer.phase(Phase::BuildHistogram, &mut workers, |wk| {
-                        let shard = &shards[wk.shard_id];
-                        if use_fused {
-                            let binned = wk
-                                .binned
-                                .as_ref()
-                                .expect("fused_layer builds the binned shard in NEW_TREE");
-                            let positions = if config.opts.node_index {
-                                crate::fused::positions_from_index(
-                                    &wk.index,
-                                    &build_nodes,
-                                    shard.num_rows(),
-                                )
-                            } else {
-                                crate::fused::positions_from_scan(
-                                    shard,
-                                    &tree,
-                                    &build_nodes,
-                                    wk.sample_mask.as_deref(),
-                                )
-                            };
-                            let block = if config.opts.quantized_hist {
-                                let (block, _stats) = crate::fused::build_layer_quantized(
-                                    binned,
-                                    wk.qbinned
-                                        .as_ref()
-                                        .expect("quantized_hist builds the pair view in NEW_TREE"),
-                                    &positions,
-                                    wk.qgrads
-                                        .as_ref()
-                                        .expect("quantized_hist quantizes grads in NEW_TREE"),
-                                    &meta,
-                                    config.batch_size,
-                                    config.num_threads,
-                                );
-                                block
-                            } else {
-                                crate::fused::build_layer(
-                                    binned,
-                                    &positions,
-                                    &wk.grads,
-                                    &meta,
-                                    config.batch_size,
-                                    config.num_threads,
-                                )
-                            };
-                            return build_nodes
-                                .iter()
-                                .enumerate()
-                                .map(|(slot, &node)| {
-                                    let row = block[slot * row_len..(slot + 1) * row_len].to_vec();
-                                    (node, row, positions.counts[slot])
-                                })
-                                .collect();
-                        }
-                        build_nodes
-                            .iter()
-                            .map(|&node| {
-                                let owned;
-                                let instances: &[u32] = if config.opts.node_index {
-                                    wk.index.instances(node)
-                                } else {
-                                    owned = scan_instances(
-                                        shard,
-                                        &tree,
-                                        node,
-                                        wk.sample_mask.as_deref(),
-                                    );
-                                    &owned
-                                };
-                                let count = instances.len() as u64;
-                                let row = if config.opts.quantized_hist {
-                                    let binned = wk
-                                        .binned
-                                        .as_ref()
-                                        .expect("quantized_hist builds the binned shard");
-                                    let qg = wk
-                                        .qgrads
-                                        .as_ref()
-                                        .expect("quantized_hist quantizes grads in NEW_TREE");
-                                    // Narrow/wide is chosen per node from its own
-                                    // row count; either mode decodes the same
-                                    // exact integer sums, so the choice can never
-                                    // change the output (pinned by tests).
-                                    let mode =
-                                        crate::hist_build::acc_mode_for(count, qg.max_code());
-                                    crate::hist_build::build_quantized(
-                                        binned,
-                                        wk.qbinned.as_ref().expect("pair view built in NEW_TREE"),
-                                        instances,
-                                        qg,
-                                        &meta,
-                                        mode,
-                                    )
-                                } else if let Some(binned) = &wk.binned {
-                                    if config.opts.parallel_batch {
-                                        binned.build_row_batched(
-                                            instances,
-                                            &wk.grads,
-                                            &meta,
-                                            config.batch_size,
-                                            config.num_threads,
-                                        )
-                                    } else {
-                                        let mut out = crate::hist_build::new_row(&meta);
-                                        binned.build_into(instances, &wk.grads, &mut out);
-                                        out
-                                    }
-                                } else if config.opts.parallel_batch {
-                                    let bc = BatchConfig {
-                                        batch_size: config.batch_size,
-                                        threads: config.num_threads,
-                                        sparse: config.opts.sparse_hist,
-                                    };
-                                    build_row_batched(shard, instances, &wk.grads, &meta, &bc)
-                                } else {
-                                    build_row(
-                                        shard,
-                                        instances,
-                                        &wk.grads,
-                                        &meta,
-                                        config.opts.sparse_hist,
-                                    )
-                                };
-                                (node, row, count)
-                            })
-                            .collect()
-                    });
-
-                // ---- FIND_SPLIT: push local histograms. -------------------------
-                let mut pushed_bytes_per_worker = 0usize;
-                // Sparse wire: the t_ps_exchange charge uses the *true*
-                // per-worker frame bytes of the layer (max across workers —
-                // they push concurrently), not the dense row size.
-                let mut sparse_layer_bytes_max = 0u64;
-                let mut node_counts = vec![0u64; build_nodes.len()];
-                for (wk, rows) in workers.iter_mut().zip(local_rows) {
-                    set_worker(Some(wk.shard_id as u32));
-                    let mut worker_frame_bytes = 0u64;
-                    for (pos, (node, row, count)) in rows.into_iter().enumerate() {
-                        node_counts[pos] += count;
-                        record.hist_bytes_raw += 4 * row.len() as u64;
-                        if config.opts.sparse_wire {
-                            // The worker's stripe id keys the server-side
-                            // block staging (ascending-stripe fold).
-                            let stripe = wk.shard_id as u32;
-                            let stats = if config.opts.low_precision {
-                                let q = quantize_row(
-                                    &row,
-                                    meta.layout(),
-                                    config.compress_bits,
-                                    &mut wk.rng,
-                                );
-                                record.max_quant_scale = record.max_quant_scale.max(q.max_scale());
-                                ps.push_histogram_quantized_sparse(stripe, node, &q)
-                            } else {
-                                ps.push_histogram_sparse(stripe, node, &row)
-                            };
-                            worker_frame_bytes += stats.total_bytes();
-                            record.hist_bytes_wire += stats.total_bytes();
-                            record
-                                .sparse_frames
-                                .get_or_insert_with(Default::default)
-                                .merge(&stats);
-                        } else if config.opts.low_precision {
-                            let q = quantize_row(
-                                &row,
-                                meta.layout(),
-                                config.compress_bits,
-                                &mut wk.rng,
-                            );
-                            pushed_bytes_per_worker = pushed_bytes_per_worker.max(q.wire_bytes());
-                            record.hist_bytes_wire += q.wire_bytes() as u64;
-                            record.max_quant_scale = record.max_quant_scale.max(q.max_scale());
-                            ps.push_histogram_quantized(node, &q);
-                        } else {
-                            pushed_bytes_per_worker = pushed_bytes_per_worker.max(4 * row.len());
-                            record.hist_bytes_wire += 4 * row.len() as u64;
-                            ps.push_histogram(node, &row);
-                        }
-                    }
-                    sparse_layer_bytes_max = sparse_layer_bytes_max.max(worker_frame_bytes);
-                }
-                set_worker(None);
-                for (pos, &node) in build_nodes.iter().enumerate() {
-                    record.node_instances.push(NodeInstances {
-                        node,
-                        instances: node_counts[pos],
-                    });
-                }
-                if config.opts.quantized_hist {
-                    // Telemetry only — every field is a pure function of
-                    // (config, shard sizes, layer width), so the record is
-                    // identical across thread counts and batch sizes.
-                    let bits = shards
-                        .iter()
-                        .map(|s| {
-                            crate::hist_build::effective_quant_bits(
-                                config.quant_hist_bits,
-                                s.num_rows(),
-                            )
-                        })
-                        .min()
-                        .unwrap_or(config.quant_hist_bits);
-                    let tile =
-                        crate::fused::quant_tile_nodes(row_len / 2, build_nodes.len()) as u64;
-                    let q = record
-                        .quant_hist
-                        .get_or_insert(crate::report::QuantHistRecord {
-                            bits,
-                            tile_nodes: 0,
-                        });
-                    q.tile_nodes = q.tile_nodes.max(tile);
-                }
-                if w > 1 {
-                    let layer_push_bytes = if config.opts.sparse_wire {
-                        sparse_layer_bytes_max as usize
-                    } else {
-                        pushed_bytes_per_worker * build_nodes.len()
-                    };
-                    charge(
-                        Phase::BuildHistogram,
-                        cost.t_ps_exchange_p(layer_push_bytes, w, ps_config.num_servers),
-                    );
-                }
-                if use_subtraction {
-                    // Server-local: parent − built child = sibling; no traffic.
-                    for &(parent, small, big) in &pairs {
-                        ps.derive_sibling(parent, small, big);
-                        ps.clear_node(parent);
-                    }
-                }
-
-                // ---- FIND_SPLIT: scheduled workers pull splits & publish. -------
-                for (pos, &node) in active.iter().enumerate() {
-                    set_worker(Some(scheduler.worker_for(pos) as u32));
-                    let result: PullSplitResult = if config.opts.two_phase_split {
-                        ps.pull_split(node, &params)
-                    } else {
-                        let row = ps.pull_histogram(node);
-                        best_split_in_range(
-                            &row,
-                            meta.layout(),
-                            0..meta.num_sampled(),
-                            None,
-                            &params,
-                        )
-                    };
-                    let split = result.best.map(|s| FinalSplit {
-                        feature: meta.global_id(s.feature as usize),
-                        threshold: meta.threshold(s.feature as usize, s.bucket as usize),
-                        gain: s.gain,
-                        left_g: s.left_g,
-                        left_h: s.left_h,
-                        default_left: s.default_left,
-                    });
-                    ps.publish_decision(SplitDecision {
-                        node,
-                        split,
-                        total_g: result.total_g,
-                        total_h: result.total_h,
-                    });
-                }
-                set_worker(None);
-                if w > 1 {
-                    let per_node_pull = if config.opts.two_phase_split {
-                        // p O(1)-sized replies fetched in one batch.
-                        SimTime(cost.alpha + (p * 48) as f64 * cost.beta)
-                    } else {
-                        // The whole merged row crosses the wire and is scanned.
-                        SimTime(
-                            cost.alpha * p as f64 + (4 * row_len) as f64 * (cost.beta + cost.gamma),
-                        )
-                    };
-                    let pulls = scheduler.max_load(active.len()) as f64;
-                    charge(Phase::FindSplit, SimTime(pulls * per_node_pull.seconds()));
-                    // Publishing decisions: tiny messages, serialized per worker.
-                    charge(
-                        Phase::FindSplit,
-                        SimTime(pulls * (cost.alpha + 64.0 * cost.beta)),
-                    );
-                }
-
-                // ---- SPLIT_TREE --------------------------------------------------
-                let decisions = ps.pull_decisions(&active);
-                if w > 1 {
-                    charge(
-                        Phase::SplitTree,
-                        SimTime(cost.alpha + (64 * active.len()) as f64 * cost.beta),
-                    );
-                }
-                let mut next_active = Vec::new();
-                let mut next_pairs = Vec::new();
-                for decision in &decisions {
-                    let node = decision.node;
-                    // Parents feeding next layer's sibling subtraction must keep
-                    // their merged rows on the servers until the derive step.
-                    let mut keep_row = false;
-                    match decision.split {
-                        Some(split) => {
-                            record.split_gains.push(split.gain as f32);
-                            tree.set_internal_full(
-                                node,
-                                split.feature,
-                                split.threshold,
-                                split.gain as f32,
-                                split.default_left,
-                            );
-                            let (lc, rc) = (Tree::left_child(node), Tree::right_child(node));
-                            if config.opts.node_index {
-                                timer.phase(Phase::SplitTree, &mut workers, |wk| {
-                                    let shard = &shards[wk.shard_id];
-                                    wk.index.split(node, lc, rc, |i| {
-                                        split.goes_left(shard.row(i as usize).get(split.feature))
-                                    });
-                                });
-                            }
-                            if depth + 1 < config.max_depth {
-                                next_active.push(lc);
-                                next_active.push(rc);
-                                if config.opts.hist_subtraction {
-                                    let right_h = decision.total_h - split.left_h;
-                                    let (small, big) = if split.left_h <= right_h {
-                                        (lc, rc)
-                                    } else {
-                                        (rc, lc)
-                                    };
-                                    next_pairs.push((node, small, big));
-                                    keep_row = true;
-                                }
-                            } else {
-                                // Children at maximal depth become leaves using
-                                // the split's child statistics.
-                                let (gl, hl) = (split.left_g, split.left_h);
-                                let (gr, hr) = (decision.total_g - gl, decision.total_h - hl);
-                                tree.set_leaf(lc, params.leaf_weight(gl, hl) as f32);
-                                tree.set_leaf(rc, params.leaf_weight(gr, hr) as f32);
-                            }
-                        }
-                        None => {
-                            tree.set_leaf(
-                                node,
-                                params.leaf_weight(decision.total_g, decision.total_h) as f32,
-                            );
-                        }
-                    }
-                    if !keep_row {
-                        ps.clear_node(node);
-                    }
-                }
-                ps.clear_decisions();
-                active = next_active;
-                pairs = next_pairs;
+                let rows = self.build_histogram(&g);
+                self.push_histograms(&g, rows, &mut record);
+                self.find_split(&g);
+                self.split_tree(&mut g, depth, &mut record);
             }
-
             debug_assert!(
-                tree.check_consistency().is_ok(),
+                g.tree.check_consistency().is_ok(),
                 "tree inconsistent after build"
             );
+            self.update_scores(&g.tree, class);
+            self.state.trees.push(g.tree);
+        }
+        let elapsed = self.finish_round(round, record);
+        self.evaluate(round, elapsed)
+    }
 
-            // ---- Update this class's score column. -------------------------------
-            let eta = config.learning_rate;
-            timer.phase(Phase::Finish, &mut workers, |wk| {
-                let shard = &shards[wk.shard_id];
-                // With row subsampling the index only covers sampled rows, so
-                // everything routes through the tree instead.
-                if config.opts.node_index && !subsample {
-                    // Leaves have contiguous instance ranges in the index.
-                    for leaf in 0..tree.capacity() as u32 {
-                        if let crate::tree::Node::Leaf { weight } = tree.node(leaf) {
-                            for &i in wk.index.instances(leaf) {
-                                wk.preds[i as usize * k + class] += eta * weight;
-                            }
+    /// Round gradients for every class (softmax computes each instance's
+    /// probability vector once per round). Timed under NEW_TREE.
+    fn round_gradients(&mut self) {
+        let (shards, scalar_loss, k) = (self.shards, self.scalar_loss, self.k);
+        let workers = &mut self.state.workers;
+        self.timer.phase(Phase::NewTree, workers, |wk| {
+            let shard = &shards[wk.shard_id];
+            for i in 0..shard.num_rows() {
+                match scalar_loss {
+                    Some(loss) => wk.grads_all[i] = loss.grad(wk.preds[i], shard.label(i)),
+                    None => softmax_grads(
+                        &wk.preds[i * k..(i + 1) * k],
+                        shard.label(i) as usize,
+                        &mut wk.grads_all[i * k..(i + 1) * k],
+                    ),
+                }
+            }
+        });
+    }
+
+    /// NEW_TREE for tree `t` (class `class` of its round): sample features,
+    /// publish them, lay out the PS histogram table, reset every worker.
+    fn new_tree(&mut self, t: usize, class: usize) -> Growing {
+        let (config, ps) = (self.config, &self.h.ps);
+        let num_features = self.shards[0].num_features();
+        let sampled =
+            FeatureMeta::sample_features(num_features, config.feature_sample_ratio, config.seed, t);
+        ps.publish_sampled(sampled);
+        let meta = FeatureMeta::new(ps.pull_sampled(), &self.state.candidates);
+        ps.init_tree(meta.layout().clone());
+        let tree = Tree::new(config.max_depth);
+        let (shards, plan, k) = (self.shards, &self.plan, self.k);
+        let workers = &mut self.state.workers;
+        self.timer.phase(Phase::NewTree, workers, |wk| {
+            let shard = &shards[wk.shard_id];
+            wk.new_tree(plan, shard, &meta, (class, k), tree.capacity());
+        });
+        Growing {
+            tree,
+            meta,
+            active: vec![0],
+            pairs: Vec::new(),
+            build_nodes: vec![0],
+        }
+    }
+
+    /// BUILD_HISTOGRAM: every worker's local rows for the layer.
+    fn build_histogram(&mut self, g: &Growing) -> Vec<Vec<NodeRow>> {
+        let (shards, plan) = (self.shards, &self.plan);
+        let fused = plan.fuses(g.build_nodes.len(), g.meta.layout().row_len());
+        let workers = &mut self.state.workers;
+        self.timer.phase(Phase::BuildHistogram, workers, |wk| {
+            build_local_rows(plan, wk, &shards[wk.shard_id], g, fused)
+        })
+    }
+
+    /// FIND_SPLIT, first half: push the local rows under the plan's
+    /// exchange, charge the layer (to BUILD_HISTOGRAM's ledger bucket), and
+    /// let the servers derive the unbuilt siblings.
+    fn push_histograms(&mut self, g: &Growing, rows: Vec<Vec<NodeRow>>, record: &mut RoundRecord) {
+        let (plan, ps, meta) = (&self.plan, &self.h.ps, &g.meta);
+        let bits = plan.compress_bits;
+        // Dense exchanges charge `largest row × nodes`; sparse ones the
+        // *true* per-worker frame bytes of the layer. Either way the max
+        // across workers — they push concurrently.
+        let mut dense_row_bytes_max = 0usize;
+        let mut sparse_layer_bytes_max = 0u64;
+        let mut node_counts = vec![0u64; g.build_nodes.len()];
+        for (wk, rows) in self.state.workers.iter_mut().zip(rows) {
+            self.h.set_worker(Some(wk.shard_id as u32));
+            // The worker's stripe id keys the server-side block staging
+            // (ascending-stripe fold).
+            let stripe = wk.shard_id as u32;
+            let mut worker_frame_bytes = 0u64;
+            for (pos, (node, row, count)) in rows.into_iter().enumerate() {
+                node_counts[pos] += count;
+                record.hist_bytes_raw += 4 * row.len() as u64;
+                let frames = match plan.exchange {
+                    Exchange::Dense => {
+                        dense_row_bytes_max = dense_row_bytes_max.max(4 * row.len());
+                        record.hist_bytes_wire += 4 * row.len() as u64;
+                        ps.push_histogram(node, &row);
+                        continue;
+                    }
+                    Exchange::DenseQuantized => {
+                        let q = quantize_for_push(&row, meta, bits, &mut wk.rng, record);
+                        dense_row_bytes_max = dense_row_bytes_max.max(q.wire_bytes());
+                        record.hist_bytes_wire += q.wire_bytes() as u64;
+                        ps.push_histogram_quantized(node, &q);
+                        continue;
+                    }
+                    Exchange::Sparse => ps.push_histogram_sparse(stripe, node, &row),
+                    Exchange::SparseQuantized => {
+                        let q = quantize_for_push(&row, meta, bits, &mut wk.rng, record);
+                        ps.push_histogram_quantized_sparse(stripe, node, &q)
+                    }
+                };
+                worker_frame_bytes += frames.total_bytes();
+                record.hist_bytes_wire += frames.total_bytes();
+                let tally = record.sparse_frames.get_or_insert_with(Default::default);
+                tally.merge(&frames);
+            }
+            sparse_layer_bytes_max = sparse_layer_bytes_max.max(worker_frame_bytes);
+        }
+        self.h.set_worker(None);
+        let counted = g.build_nodes.iter().zip(node_counts);
+        record
+            .node_instances
+            .extend(counted.map(|(&node, instances)| NodeInstances { node, instances }));
+        if plan.kernel == Kernel::Quantized {
+            // Telemetry only — every field is a pure function of (config,
+            // shard sizes, layer width), so the record is identical across
+            // thread counts and batch sizes.
+            let pair_len = meta.layout().row_len() / 2;
+            let tile = fused::quant_tile_nodes(pair_len, g.build_nodes.len()) as u64;
+            let bits = plan.quant_bits_min;
+            let q = record.quant_hist.get_or_insert(QuantHistRecord {
+                bits,
+                tile_nodes: 0,
+            });
+            q.tile_nodes = q.tile_nodes.max(tile);
+        }
+        let (w, servers) = (self.shards.len(), self.ps_config.num_servers);
+        let layer_push_bytes = match plan.exchange {
+            Exchange::Dense | Exchange::DenseQuantized => dense_row_bytes_max * g.build_nodes.len(),
+            Exchange::Sparse | Exchange::SparseQuantized => sparse_layer_bytes_max as usize,
+        };
+        self.charge(Phase::BuildHistogram, |cost| {
+            cost.t_ps_exchange_p(layer_push_bytes, w, servers)
+        });
+        // Server-local: parent − built child = sibling; no traffic.
+        for &(parent, small, big) in &g.pairs {
+            ps.derive_sibling(parent, small, big);
+            ps.clear_node(parent);
+        }
+    }
+
+    /// FIND_SPLIT, second half: scheduled workers pull each active node's
+    /// best split and publish the decision.
+    fn find_split(&self, g: &Growing) {
+        let (ps, scheduler, meta) = (&self.h.ps, self.plan.scheduler, &g.meta);
+        let params = self.config.split_params();
+        for (pos, &node) in g.active.iter().enumerate() {
+            self.h.set_worker(Some(scheduler.worker_for(pos) as u32));
+            let result = match self.plan.split_pull {
+                SplitPull::TwoPhase => ps.pull_split(node, &params),
+                SplitPull::FullRow => {
+                    let (row, layout) = (ps.pull_histogram(node), meta.layout());
+                    best_split_in_range(&row, layout, 0..meta.num_sampled(), None, &params)
+                }
+            };
+            let split = result.best.map(|s| FinalSplit {
+                feature: meta.global_id(s.feature as usize),
+                threshold: meta.threshold(s.feature as usize, s.bucket as usize),
+                gain: s.gain,
+                left_g: s.left_g,
+                left_h: s.left_h,
+                default_left: s.default_left,
+            });
+            ps.publish_decision(SplitDecision {
+                node,
+                split,
+                total_g: result.total_g,
+                total_h: result.total_h,
+            });
+        }
+        self.h.set_worker(None);
+        let p = self.ps_config.partitions() as f64;
+        let row_bytes = (4 * meta.layout().row_len()) as f64;
+        let pulls = scheduler.max_load(g.active.len()) as f64;
+        self.charge(Phase::FindSplit, |cost| {
+            let per_node_pull = match self.plan.split_pull {
+                // p O(1)-sized replies fetched in one batch.
+                SplitPull::TwoPhase => cost.alpha + (p * 48.0) * cost.beta,
+                // The whole merged row crosses the wire and is scanned.
+                SplitPull::FullRow => cost.alpha * p + row_bytes * (cost.beta + cost.gamma),
+            };
+            SimTime(pulls * per_node_pull)
+        });
+        // Publishing decisions: tiny messages, serialized per worker.
+        self.charge(Phase::FindSplit, |cost| {
+            SimTime(pulls * (cost.alpha + 64.0 * cost.beta))
+        });
+    }
+
+    /// SPLIT_TREE: pull the layer's decisions, grow the tree, split the
+    /// node index, and move `g` to the next layer.
+    fn split_tree(&mut self, g: &mut Growing, depth: usize, record: &mut RoundRecord) {
+        let (shards, params) = (self.shards, self.config.split_params());
+        let decisions = self.h.ps.pull_decisions(&g.active);
+        let decision_bytes = (64 * g.active.len()) as f64;
+        self.charge(Phase::SplitTree, |cost| {
+            SimTime(cost.alpha + decision_bytes * cost.beta)
+        });
+        let (mut next_active, mut next_pairs) = (Vec::new(), Vec::new());
+        for decision in &decisions {
+            let node = decision.node;
+            let Some(split) = decision.split else {
+                let weight = params.leaf_weight(decision.total_g, decision.total_h);
+                g.tree.set_leaf(node, weight as f32);
+                self.h.ps.clear_node(node);
+                continue;
+            };
+            let gain = split.gain as f32;
+            record.split_gains.push(gain);
+            g.tree.set_internal_full(
+                node,
+                split.feature,
+                split.threshold,
+                gain,
+                split.default_left,
+            );
+            let (lc, rc) = (Tree::left_child(node), Tree::right_child(node));
+            if self.plan.instances == InstanceSource::Index {
+                let workers = &mut self.state.workers;
+                self.timer.phase(Phase::SplitTree, workers, |wk| {
+                    let shard = &shards[wk.shard_id];
+                    wk.index.split(node, lc, rc, |i| {
+                        split.goes_left(shard.row(i as usize).get(split.feature))
+                    });
+                });
+            }
+            // Parents feeding next layer's sibling subtraction must keep
+            // their merged rows on the servers until the derive step.
+            let mut keep_row = false;
+            if depth + 1 < self.config.max_depth {
+                next_active.extend([lc, rc]);
+                if self.plan.subtraction {
+                    let right_h = decision.total_h - split.left_h;
+                    let (small, big) = if split.left_h <= right_h {
+                        (lc, rc)
+                    } else {
+                        (rc, lc)
+                    };
+                    next_pairs.push((node, small, big));
+                    keep_row = true;
+                }
+            } else {
+                // Children at maximal depth become leaves using the split's
+                // child statistics.
+                let (gl, hl) = (split.left_g, split.left_h);
+                let (gr, hr) = (decision.total_g - gl, decision.total_h - hl);
+                g.tree.set_leaf(lc, params.leaf_weight(gl, hl) as f32);
+                g.tree.set_leaf(rc, params.leaf_weight(gr, hr) as f32);
+            }
+            if !keep_row {
+                self.h.ps.clear_node(node);
+            }
+        }
+        self.h.ps.clear_decisions();
+        g.build_nodes = if next_pairs.is_empty() {
+            next_active.clone()
+        } else {
+            next_pairs.iter().map(|&(_, small, _)| small).collect()
+        };
+        (g.active, g.pairs) = (next_active, next_pairs);
+    }
+
+    /// Adds the finished tree's leaf weights to this class's score column.
+    /// Timed under FINISH.
+    fn update_scores(&mut self, tree: &Tree, class: usize) {
+        let (shards, k, eta) = (self.shards, self.k, self.config.learning_rate);
+        // With row subsampling the index only covers sampled rows, so
+        // everything routes through the tree instead.
+        let by_leaf_ranges = self.plan.index_covers_shard();
+        let workers = &mut self.state.workers;
+        self.timer.phase(Phase::Finish, workers, |wk| {
+            let shard = &shards[wk.shard_id];
+            if by_leaf_ranges {
+                // Leaves have contiguous instance ranges in the index.
+                for leaf in 0..tree.capacity() as u32 {
+                    if let Node::Leaf { weight } = tree.node(leaf) {
+                        for &i in wk.index.instances(leaf) {
+                            wk.preds[i as usize * k + class] += eta * weight;
                         }
                     }
-                } else {
-                    for i in 0..shard.num_rows() {
-                        wk.preds[i * k + class] += eta * tree.predict(&shard.row(i));
-                    }
                 }
-            });
-            trees.push(tree);
-        } // per-class trees of this round
-
-        // ---- Round training loss. --------------------------------------------
-        let eta = config.learning_rate;
-        let worker_losses = timer.phase(Phase::Finish, &mut workers, |wk| {
-            let shard = &shards[wk.shard_id];
-            (0..shard.num_rows())
-                .map(|i| match scalar_loss {
-                    Some(loss) => loss.loss(wk.preds[i], shard.label(i)),
-                    None => softmax_loss(&wk.preds[i * k..(i + 1) * k], shard.label(i) as usize),
-                })
-                .sum::<f64>()
+            } else {
+                for i in 0..shard.num_rows() {
+                    wk.preds[i * k + class] += eta * tree.predict(&shard.row(i));
+                }
+            }
         });
-        let train_loss = worker_losses.iter().sum::<f64>() / total_instances as f64;
-        if w > 1 {
-            // Loss aggregation: w tiny messages.
-            charge(
-                Phase::Finish,
-                SimTime(cost.alpha + 8.0 * w as f64 * cost.beta),
-            );
-        }
+    }
 
-        let comm_now = ps.comm_stats();
-        let elapsed = timer.total_secs() + comm_now.sim_time.seconds();
-        loss_curve.push(LossPoint {
-            tree: trees.len(),
+    /// Round training loss, loss-curve point and round record. Returns the
+    /// modelled elapsed seconds at the end of the round.
+    fn finish_round(&mut self, round: usize, mut record: RoundRecord) -> f64 {
+        let (shards, scalar_loss, k) = (self.shards, self.scalar_loss, self.k);
+        let workers = &mut self.state.workers;
+        let losses = self.timer.phase(Phase::Finish, workers, |wk| {
+            summed_loss(scalar_loss, k, &wk.preds, shards[wk.shard_id].labels())
+        });
+        let total_instances: usize = shards.iter().map(|s| s.num_rows()).sum();
+        let train_loss = losses.iter().sum::<f64>() / total_instances as f64;
+        // Loss aggregation: w tiny messages.
+        let w = shards.len() as f64;
+        self.charge(Phase::Finish, |cost| {
+            SimTime(cost.alpha + 8.0 * w * cost.beta)
+        });
+        let elapsed = self.timer.total_secs() + self.h.ps.comm_stats().sim_time.seconds();
+        let state = &mut self.state;
+        state.loss_curve.push(LossPoint {
+            tree: state.trees.len(),
             train_loss,
             elapsed_secs: elapsed,
         });
-
-        record.trees = trees.len();
+        record.trees = state.trees.len();
         record.train_loss = train_loss;
-        record.compute_secs = timer.round_secs(round);
-        rounds.push(record);
+        record.compute_secs = self.timer.round_secs(round);
+        state.rounds.push(record);
+        elapsed
+    }
 
-        // ---- Evaluation & early stopping (per round). -------------------------
-        if let Some(ev) = &eval {
-            let round_trees = &trees[trees.len() - k..];
-            for (i, (row, _)) in ev.dataset.iter_rows().enumerate() {
-                for (c, tree) in round_trees.iter().enumerate() {
-                    eval_preds[i * k + c] += eta * tree.predict(&row);
-                }
-            }
-            let eval_loss = (0..ev.dataset.num_rows())
-                .map(|i| match scalar_loss {
-                    Some(loss) => loss.loss(eval_preds[i], ev.dataset.label(i)),
-                    None => softmax_loss(
-                        &eval_preds[i * k..(i + 1) * k],
-                        ev.dataset.label(i) as usize,
-                    ),
-                })
-                .sum::<f64>()
-                / ev.dataset.num_rows().max(1) as f64;
-            eval_curve.push(LossPoint {
-                tree: trees.len(),
-                train_loss: eval_loss,
-                elapsed_secs: elapsed,
-            });
-            if eval_loss < best_eval_loss - 1e-12 {
-                best_eval_loss = eval_loss;
-                best_iteration = Some(round);
-            }
-            if let (Some(rounds), Some(best)) = (ev.early_stopping_rounds, best_iteration) {
-                if round - best >= rounds {
-                    trees.truncate(init_trees + (best + 1) * k);
-                    break;
-                }
+    /// Evaluation and early stopping (per round). Returns `true` when the
+    /// run should stop; the ensemble is then already truncated to the best
+    /// round.
+    fn evaluate(&mut self, round: usize, elapsed: f64) -> bool {
+        let Some(ev) = self.eval else {
+            return false;
+        };
+        let state = &mut self.state;
+        let (k, eta) = (self.k, self.config.learning_rate);
+        let round_trees = &state.trees[state.trees.len() - k..];
+        for (i, (row, _)) in ev.dataset.iter_rows().enumerate() {
+            for (c, tree) in round_trees.iter().enumerate() {
+                state.eval_preds[i * k + c] += eta * tree.predict(&row);
             }
         }
-
-        // ---- Rolling checkpoint (atomic tmp + rename). ---------------------
-        if let Some(opts) = checkpoint_opts {
-            if (round + 1) % opts.every.max(1) == 0 {
-                let ck = snapshot_checkpoint(
-                    &fingerprint,
-                    round + 1,
-                    &trees,
-                    config,
-                    num_features,
-                    &workers,
-                    ps.comm_ledger(),
-                    &candidates,
-                    &loss_curve,
-                    &rounds,
-                    &eval_curve,
-                    best_eval_loss,
-                    best_iteration,
-                    fault_session.as_ref().and_then(|s| s.membership_snapshot()),
-                );
-                ck.save_to_dir(&opts.dir)?;
+        let eval_loss = summed_loss(self.scalar_loss, k, &state.eval_preds, ev.dataset.labels())
+            / ev.dataset.num_rows().max(1) as f64;
+        state.eval_curve.push(LossPoint {
+            tree: state.trees.len(),
+            train_loss: eval_loss,
+            elapsed_secs: elapsed,
+        });
+        if eval_loss < state.best_eval_loss - 1e-12 {
+            state.best_eval_loss = eval_loss;
+            state.best_iteration = Some(round);
+        }
+        match (ev.early_stopping_rounds, state.best_iteration) {
+            (Some(patience), Some(best)) if round - best >= patience => {
+                state.trees.truncate(state.init_trees + (best + 1) * k);
+                true
             }
+            _ => false,
         }
     }
 
-    // ---- FINISH -------------------------------------------------------------
-    let model = GbdtModel::new(trees, config.learning_rate, config.loss, num_features);
-    model.check_consistency()?;
-    let ledger = ps.comm_ledger();
-    // Every PS interaction in the plan above is phase-tagged; nothing may
-    // fall through to the legacy `Other` bucket.
-    debug_assert!(
-        ledger.phase(Phase::Other).is_empty(),
-        "trainer left comm in the legacy Other bucket: {:?}",
-        ledger.phase(Phase::Other)
-    );
-    let breakdown = RunBreakdown {
-        compute_secs: timer.total_secs(),
-        comm: ledger.total(),
-    };
-    let mut report = RunReport::assemble_with_metrics(
-        w,
-        ps_config.num_servers,
-        &timer,
-        &ledger,
-        rounds,
-        bus.export_metrics(),
-    );
-    report.faults = fault_session.as_ref().map(|s| s.summary());
-    report.membership = fault_session.as_ref().and_then(|s| s.membership_summary());
-    report.resumed_from_round = resumed_from;
-    let trace = config.collect_trace.then(|| bus.finish());
-    Ok(TrainOutput {
-        model,
-        breakdown,
-        loss_curve,
-        eval_curve,
-        best_iteration,
-        report,
-        trace,
-    })
-}
-
-/// Convenience wrapper: trains on a single machine (one worker, one server,
-/// free network) and returns just the model.
-pub fn train_single_machine(dataset: &Dataset, config: &GbdtConfig) -> Result<GbdtModel, String> {
-    let ps_config = PsConfig {
-        num_servers: 1,
-        num_partitions: 0,
-        cost_model: dimboost_simnet::CostModel::FREE,
-    };
-    Ok(train_distributed(std::slice::from_ref(dataset), config, ps_config)?.model)
+    /// FINISH: the model, the breakdown, and the assembled run report.
+    fn finish(self) -> Result<TrainOutput, TrainError> {
+        let (h, timer, config, state) = (self.h, self.timer, self.config, self.state);
+        let num_features = self.shards[0].num_features();
+        let model = GbdtModel::new(state.trees, config.learning_rate, config.loss, num_features);
+        model.check_consistency()?;
+        let ledger = h.ps.comm_ledger();
+        // Every PS interaction in the stages above is phase-tagged; nothing
+        // may fall through to the legacy `Other` bucket.
+        debug_assert!(
+            ledger.phase(Phase::Other).is_empty(),
+            "trainer left comm in the legacy Other bucket: {:?}",
+            ledger.phase(Phase::Other)
+        );
+        let breakdown = RunBreakdown {
+            compute_secs: timer.total_secs(),
+            comm: ledger.total(),
+        };
+        let mut report = RunReport::assemble_with_metrics(
+            self.shards.len(),
+            self.ps_config.num_servers,
+            &timer,
+            &ledger,
+            state.rounds,
+            h.bus.export_metrics(),
+        );
+        report.faults = h.session.as_ref().map(|s| s.summary());
+        report.membership = h.session.as_ref().and_then(|s| s.membership_summary());
+        report.resumed_from_round = state.resumed_from;
+        let trace = config.collect_trace.then(|| h.bus.finish());
+        Ok(TrainOutput {
+            model,
+            breakdown,
+            loss_curve: state.loss_curve,
+            eval_curve: state.eval_curve,
+            best_iteration: state.best_iteration,
+            report,
+            trace,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -1554,6 +967,26 @@ mod tests {
             num_threads: 2,
             ..GbdtConfig::default()
         }
+    }
+
+    fn eval_opts(ev: EvalOptions<'_>) -> TrainOptions<'_> {
+        TrainOptions {
+            eval: Some(ev),
+            ..TrainOptions::default()
+        }
+    }
+
+    fn continue_from(
+        init: &GbdtModel,
+        shards: &[Dataset],
+        config: &GbdtConfig,
+        ps: PsConfig,
+    ) -> Result<TrainOutput, String> {
+        let options = TrainOptions {
+            init: Some(init),
+            ..TrainOptions::default()
+        };
+        train_with_options(shards, config, ps, &options).map_err(|e| e.to_string())
     }
 
     fn classification_data() -> (Dataset, Dataset) {
@@ -1967,7 +1400,7 @@ mod tests {
             dataset: &test,
             early_stopping_rounds: None,
         };
-        let out = train_distributed_with_eval(&shards, &config, ps, Some(ev)).unwrap();
+        let out = train_with_options(&shards, &config, ps, &eval_opts(ev)).unwrap();
         assert_eq!(out.eval_curve.len(), 10);
         assert!(out.best_iteration.is_some());
         assert!(out.eval_curve.iter().all(|p| p.train_loss.is_finite()));
@@ -1987,7 +1420,7 @@ mod tests {
             dataset: &flipped,
             early_stopping_rounds: Some(2),
         };
-        let out = train_distributed_with_eval(&shards, &config, ps, Some(ev)).unwrap();
+        let out = train_with_options(&shards, &config, ps, &eval_opts(ev)).unwrap();
         assert!(
             out.model.num_trees() < 10,
             "early stopping should truncate: kept {}",
@@ -2010,7 +1443,7 @@ mod tests {
             num_partitions: 0,
             cost_model: CostModel::FREE,
         };
-        assert!(train_distributed_with_eval(&[train], &small_config(), ps, Some(ev)).is_err());
+        assert!(train_with_options(&[train], &small_config(), ps, &eval_opts(ev)).is_err());
     }
 
     #[test]
@@ -2117,7 +1550,7 @@ mod tests {
         let first = train_distributed(&shards, &first_cfg, ps).unwrap();
         let mut cont_cfg = cfg.clone();
         cont_cfg.num_trees = 2;
-        let cont = train_distributed_continue(&first.model, &shards, &cont_cfg, ps, None).unwrap();
+        let cont = continue_from(&first.model, &shards, &cont_cfg, ps).unwrap();
 
         assert_eq!(cont.model.num_trees(), 6);
         assert_eq!(
@@ -2143,34 +1576,24 @@ mod tests {
 
         let mut bad_lr = cfg.clone();
         bad_lr.learning_rate = 0.999;
-        assert!(train_distributed_continue(
-            &base.model,
-            std::slice::from_ref(&train),
-            &bad_lr,
-            ps,
-            None
-        )
-        .unwrap_err()
-        .contains("learning-rate"));
+        assert!(
+            continue_from(&base.model, std::slice::from_ref(&train), &bad_lr, ps)
+                .unwrap_err()
+                .contains("learning-rate")
+        );
 
         let mut bad_loss = cfg.clone();
         bad_loss.loss = LossKind::Square;
-        assert!(train_distributed_continue(
-            &base.model,
-            std::slice::from_ref(&train),
-            &bad_loss,
-            ps,
-            None
-        )
-        .unwrap_err()
-        .contains("loss"));
+        assert!(
+            continue_from(&base.model, std::slice::from_ref(&train), &bad_loss, ps)
+                .unwrap_err()
+                .contains("loss")
+        );
 
         let other = generate(&SparseGenConfig::new(50, 7, 2, 1));
-        assert!(
-            train_distributed_continue(&base.model, &[other], &cfg, ps, None)
-                .unwrap_err()
-                .contains("dimensionality")
-        );
+        assert!(continue_from(&base.model, &[other], &cfg, ps)
+            .unwrap_err()
+            .contains("dimensionality"));
     }
 
     #[test]
@@ -2469,7 +1892,7 @@ mod tests {
             dataset: &test,
             early_stopping_rounds: Some(1),
         };
-        let out = train_distributed_with_eval(&[train], &config, ps, Some(ev)).unwrap();
+        let out = train_with_options(&[train], &config, ps, &eval_opts(ev)).unwrap();
         assert_eq!(
             out.model.num_trees() % 3,
             0,

@@ -13,6 +13,7 @@
 use std::time::Instant;
 
 use dimboost_data::Dataset;
+use dimboost_simnet::emit::{fmt_f64, fnv1a64, push_field};
 use dimboost_simnet::{MetricExport, MetricsRegistry};
 
 use crate::compiled::CompiledModel;
@@ -130,18 +131,6 @@ pub fn run_serving_bench(
     (scores, report)
 }
 
-/// FNV-1a 64 over the little-endian bytes of `scores`.
-fn fnv1a64(scores: &[f32]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for s in scores {
-        for b in s.to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    hash
-}
-
 impl ServingReport {
     /// Serializes to JSON. With `timings`, wall-clock content
     /// (`compute_secs`, `wall/` percentile entries) is included; without,
@@ -224,25 +213,6 @@ impl ServingReport {
             self.compute_secs,
             self.score_checksum,
         )
-    }
-}
-
-fn push_field(out: &mut String, key: &str, value: &str, first: bool) {
-    if !first {
-        out.push(',');
-    }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(value);
-}
-
-/// Shortest round-trip decimal form (`f64` Display), as in `RunReport`.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
     }
 }
 

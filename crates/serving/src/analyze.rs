@@ -28,6 +28,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use dimboost_simnet::emit::{fmt_f64, quantile};
+
 use crate::sim::ServeSimConfig;
 
 /// Fixed window count for the timeline (the last window absorbs the
@@ -192,15 +194,6 @@ fn num<T: std::str::FromStr>(s: &str, key: &str, line: usize) -> Result<T, Serve
         line,
         message: format!("bad {key}={s}"),
     })
-}
-
-/// Exact nearest-rank quantile over an ascending slice.
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = (q * (sorted.len() as f64 - 1.0)).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Overlap of `[a, b]` with the busy intervals (ascending, disjoint),
@@ -543,15 +536,6 @@ pub fn analyze_serve_trace(text: &str) -> Result<ServeProfile, ServeAnalyzeError
         per_tenant,
         timeline,
     })
-}
-
-/// Shortest-round-trip JSON number (non-finite → `null`).
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 impl ServeProfile {

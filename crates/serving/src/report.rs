@@ -14,23 +14,13 @@
 //! uses for array-element identity, so a diff of two serving reports lines
 //! tenants up by name rather than by position.
 
+use dimboost_simnet::emit::{fmt_f64, push_field};
 use dimboost_simnet::MetricExport;
 
-/// FNV-1a 64 offset basis — the checksum of an empty score stream.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Folds one score's little-endian bytes into a running FNV-1a 64 hash.
-/// Seed with [`FNV_OFFSET`]; feeding scores one at a time in completion
-/// order matches hashing the concatenated byte stream, so the per-tenant
-/// checksum pins both the score *bits* and the completion *order*.
-pub fn fnv1a64_extend(mut hash: u64, score: f32) -> u64 {
-    for b in score.to_le_bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
+/// The per-tenant score checksum: seeded with [`FNV_OFFSET`] and extended
+/// one score at a time in completion order, so it pins both the score
+/// *bits* and the completion *order*.
+pub use dimboost_simnet::emit::{fnv1a64_extend, FNV_OFFSET};
 
 /// Per-tenant slice of the serving report.
 #[derive(Debug, Clone, PartialEq)]
@@ -284,54 +274,9 @@ impl ServeSimReport {
     }
 }
 
-fn push_field(out: &mut String, key: &str, value: &str, first: bool) {
-    if !first {
-        out.push(',');
-    }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":");
-    out.push_str(value);
-}
-
-/// Shortest round-trip decimal form (`f64` Display), as in `RunReport`.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn incremental_checksum_matches_stream_hashing() {
-        // Folding scores one at a time must equal hashing the concatenated
-        // byte stream (the serving bench's formulation).
-        let scores = [1.5f32, -0.25, 0.0, f32::from_bits(0x7fc0_1234)];
-        let mut incremental = FNV_OFFSET;
-        for s in scores {
-            incremental = fnv1a64_extend(incremental, s);
-        }
-        let mut stream = FNV_OFFSET;
-        for b in scores.iter().flat_map(|s| s.to_le_bytes()) {
-            stream ^= b as u64;
-            stream = stream.wrapping_mul(FNV_PRIME);
-        }
-        assert_eq!(incremental, stream);
-        // Order- and bit-sensitivity.
-        assert_ne!(
-            fnv1a64_extend(fnv1a64_extend(FNV_OFFSET, 1.0), 2.0),
-            fnv1a64_extend(fnv1a64_extend(FNV_OFFSET, 2.0), 1.0)
-        );
-        assert_ne!(
-            fnv1a64_extend(FNV_OFFSET, 0.0),
-            fnv1a64_extend(FNV_OFFSET, -0.0)
-        );
-    }
 
     fn sample_report() -> ServeSimReport {
         ServeSimReport {

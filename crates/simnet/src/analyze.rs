@@ -55,6 +55,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::emit::fmt_f64;
 use crate::trace::{EventKind, Trace, Track};
 use crate::Phase;
 
@@ -561,16 +562,6 @@ pub fn analyze_trace(trace: &Trace) -> Result<TraceProfile, AnalyzeError> {
         membership,
         stacks: stacks.into_iter().collect(),
     })
-}
-
-/// Shortest-round-trip JSON number (non-finite → `null`), matching every
-/// other canonical artifact in the workspace.
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 impl TraceProfile {

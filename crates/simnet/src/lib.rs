@@ -30,6 +30,7 @@
 pub mod analyze;
 pub mod collectives;
 mod cost;
+pub mod emit;
 pub mod fault;
 pub mod registry;
 mod stats;

@@ -7,7 +7,7 @@
 //! ```
 
 use dimboost::core::metrics::{multiclass_error, multiclass_log_loss};
-use dimboost::core::{train_distributed_with_eval, EvalOptions, GbdtConfig, LossKind};
+use dimboost::core::{train_with_options, EvalOptions, GbdtConfig, LossKind, TrainOptions};
 use dimboost::data::partition::{partition_rows, train_test_split};
 use dimboost::data::synthetic::{generate, LabelKind, SparseGenConfig};
 use dimboost::ps::PsConfig;
@@ -39,11 +39,14 @@ fn main() {
         num_partitions: 0,
         cost_model: CostModel::GIGABIT_LAN,
     };
-    let ev = EvalOptions {
-        dataset: &test,
-        early_stopping_rounds: Some(4),
+    let options = TrainOptions {
+        eval: Some(EvalOptions {
+            dataset: &test,
+            early_stopping_rounds: Some(4),
+        }),
+        ..TrainOptions::default()
     };
-    let out = train_distributed_with_eval(&shards, &config, ps, Some(ev)).expect("training failed");
+    let out = train_with_options(&shards, &config, ps, &options).expect("training failed");
 
     println!(
         "trained {} trees ({} rounds x {} classes), best round {:?}",

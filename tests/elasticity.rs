@@ -9,8 +9,8 @@ use std::sync::OnceLock;
 
 use dimboost::core::model_io::model_to_bytes;
 use dimboost::core::{
-    train_distributed_resilient, CheckpointOptions, FaultPlan, GbdtConfig, RobustOptions,
-    RoundRecord, TrainError, TrainOutput,
+    train_with_options, CheckpointOptions, FaultPlan, GbdtConfig, RobustOptions, RoundRecord,
+    TrainError, TrainOptions, TrainOutput,
 };
 use dimboost::data::partition::partition_rows;
 use dimboost::data::synthetic::{generate, SparseGenConfig};
@@ -44,7 +44,11 @@ fn ps() -> PsConfig {
 }
 
 fn run(robust: &RobustOptions) -> Result<TrainOutput, TrainError> {
-    train_distributed_resilient(&shards(), &config(), ps(), None, robust)
+    let options = TrainOptions {
+        robust: robust.clone(),
+        ..TrainOptions::default()
+    };
+    train_with_options(&shards(), &config(), ps(), &options)
 }
 
 fn run_plan(plan: &str) -> TrainOutput {

@@ -3,8 +3,8 @@
 
 use dimboost::core::metrics::{classification_error, multiclass_error};
 use dimboost::core::{
-    load_model, save_model, train_distributed, train_distributed_continue,
-    train_distributed_with_eval, EvalOptions, GbdtConfig, LossKind, Optimizations,
+    load_model, save_model, train_distributed, train_with_options, EvalOptions, GbdtConfig,
+    LossKind, Optimizations, TrainOptions,
 };
 use dimboost::data::partition::{partition_rows, train_test_split};
 use dimboost::data::synthetic::{generate, LabelKind, SparseGenConfig};
@@ -40,11 +40,14 @@ fn full_extension_stack_trains_and_roundtrips() {
         },
         ..GbdtConfig::default()
     };
-    let ev = EvalOptions {
-        dataset: &test,
-        early_stopping_rounds: Some(4),
+    let options = TrainOptions {
+        eval: Some(EvalOptions {
+            dataset: &test,
+            early_stopping_rounds: Some(4),
+        }),
+        ..TrainOptions::default()
     };
-    let out = train_distributed_with_eval(&shards, &config, ps(4), Some(ev)).unwrap();
+    let out = train_with_options(&shards, &config, ps(4), &options).unwrap();
     let err = classification_error(&out.model.predict_dataset(&test), test.labels());
     assert!(err < 0.42, "extension stack error {err}");
     assert!(out.model.check_consistency().is_ok());
@@ -79,7 +82,11 @@ fn multiclass_distributed_with_warm_start() {
     assert_eq!(first.model.num_trees(), 12); // 4 rounds x 3 classes
 
     // Continue for 4 more rounds and check it helps (or at least not hurts).
-    let cont = train_distributed_continue(&first.model, &shards, &config, ps(3), None).unwrap();
+    let options = TrainOptions {
+        init: Some(&first.model),
+        ..TrainOptions::default()
+    };
+    let cont = train_with_options(&shards, &config, ps(3), &options).unwrap();
     assert_eq!(cont.model.num_trees(), 24);
     let err_first = multiclass_error(&first.model.predict_dataset(&test), test.labels());
     let err_cont = multiclass_error(&cont.model.predict_dataset(&test), test.labels());

@@ -6,8 +6,8 @@
 
 use dimboost::core::model_io::model_to_bytes;
 use dimboost::core::{
-    train_distributed_resilient, CheckpointOptions, FaultPlan, GbdtConfig, RobustOptions,
-    TrainCheckpoint, TrainError, TrainOutput, CHECKPOINT_FILE,
+    train_with_options, CheckpointOptions, FaultPlan, GbdtConfig, RobustOptions, TrainCheckpoint,
+    TrainError, TrainOptions, TrainOutput, CHECKPOINT_FILE,
 };
 use dimboost::data::partition::partition_rows;
 use dimboost::data::synthetic::{generate, SparseGenConfig};
@@ -40,7 +40,11 @@ fn ps() -> PsConfig {
 }
 
 fn run(robust: &RobustOptions) -> Result<TrainOutput, TrainError> {
-    train_distributed_resilient(&shards(), &config(), ps(), None, robust)
+    let options = TrainOptions {
+        robust: robust.clone(),
+        ..TrainOptions::default()
+    };
+    train_with_options(&shards(), &config(), ps(), &options)
 }
 
 /// The chaos plan: message loss in both directions, duplication, a
