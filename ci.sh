@@ -25,6 +25,13 @@ cargo test -q
 echo "==> every test: cargo test --workspace -q"
 cargo test --workspace -q
 
+# The host-wall yardstick is its own package (own [workspace] and lockfile):
+# build it, run its tests, and run every workload once at smoke scale so it
+# cannot rot unbuilt.
+echo "==> benchmark: cargo test + run.sh --smoke"
+(cd benchmark && cargo test --offline -q)
+benchmark/run.sh --smoke
+
 echo "==> observability smoke: determinism gate + trace check"
 cargo build --release -q -p dimboost-cli -p dimboost-bench
 SMOKE=$(mktemp -d)

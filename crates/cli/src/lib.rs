@@ -1693,8 +1693,7 @@ mod tests {
         .unwrap())
         .unwrap();
         let in_process = std::fs::read_to_string(&profile).unwrap();
-        assert!(in_process.starts_with("{\n  \"kind\": \"trace_profile\""));
-        assert!(in_process.contains("\"source\": \"train\""));
+        assert!(in_process.starts_with("{\"kind\":\"trace_profile\",\"source\":\"train\","));
         assert_eq!(in_process, std::fs::read_to_string(&offline).unwrap());
         let stacks = std::fs::read_to_string(&folded).unwrap();
         assert!(stacks.contains("net;build_histogram;"), "{stacks}");
@@ -1727,7 +1726,7 @@ mod tests {
         .unwrap())
         .unwrap();
         let in_process = std::fs::read_to_string(&sprofile).unwrap();
-        assert!(in_process.contains("\"source\": \"serve_sim\""));
+        assert!(in_process.starts_with("{\"kind\":\"trace_profile\",\"source\":\"serve_sim\","));
         assert_eq!(in_process, std::fs::read_to_string(&soffline).unwrap());
 
         // A missing trace file is a runtime error, not a panic.

@@ -79,10 +79,12 @@ impl GbdtModel {
             1,
             "multiclass model: use predict_scores"
         );
+        // Fold from +0.0 like `predict_scores`, the trainer and the compiled
+        // engine: `Iterator::sum::<f32>()` starts from -0.0, which survives
+        // a row routed only to -0.0 leaves.
         self.trees
             .iter()
-            .map(|t| self.learning_rate * t.predict(row))
-            .sum()
+            .fold(0.0f32, |acc, t| acc + self.learning_rate * t.predict(row))
     }
 
     /// Per-class probabilities: sigmoid for logistic (`[1−p, p]` collapsed

@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use dimboost_simnet::emit::{fmt_f64, push_field};
+use dimboost_simnet::emit::JsonWriter;
 use dimboost_simnet::registry::MetricExport;
 use dimboost_simnet::wire::SparseWireStats;
 use dimboost_simnet::{
@@ -385,7 +385,7 @@ impl RunReport {
 
     /// Full JSON document, wall-clock timings included.
     pub fn json(&self) -> String {
-        self.to_json(true)
+        self.emit(JsonWriter::timed())
     }
 
     /// JSON with the wall-clock compute fields omitted: byte counts,
@@ -393,226 +393,72 @@ impl RunReport {
     /// deterministic in `(config, seed, shards)`, so two identical runs
     /// produce byte-identical canonical documents.
     pub fn canonical_json(&self) -> String {
-        self.to_json(false)
+        self.emit(JsonWriter::canonical())
     }
 
-    fn to_json(&self, timings: bool) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push('{');
-        push_field(&mut out, "workers", &self.workers.to_string(), true);
-        push_field(&mut out, "servers", &self.servers.to_string(), false);
-        if timings {
-            push_field(&mut out, "compute_secs", &fmt_f64(self.compute_secs), false);
-        }
-        out.push_str(",\"comm\":");
-        push_comm(&mut out, &self.comm);
-        out.push_str(",\"phases\":[");
-        for (i, p) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            push_field(&mut out, "phase", &format!("\"{}\"", p.phase.name()), true);
-            if timings {
-                push_field(
-                    &mut out,
-                    "compute_max_secs",
-                    &fmt_f64(p.compute_max_secs),
-                    false,
-                );
-                push_field(
-                    &mut out,
-                    "compute_p50_secs",
-                    &fmt_f64(p.compute_p50_secs),
-                    false,
-                );
-                push_field(
-                    &mut out,
-                    "compute_p99_secs",
-                    &fmt_f64(p.compute_p99_secs),
-                    false,
-                );
-                push_field(
-                    &mut out,
-                    "compute_skew_secs",
-                    &fmt_f64(p.compute_skew_secs),
-                    false,
-                );
-            }
-            out.push_str(",\"comm\":");
-            push_comm(&mut out, &p.comm);
-            out.push('}');
-        }
-        out.push_str("],\"rounds\":[");
-        for (i, r) in self.rounds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            push_field(&mut out, "round", &r.round.to_string(), true);
-            push_field(&mut out, "trees", &r.trees.to_string(), false);
-            push_field(&mut out, "train_loss", &fmt_f64(r.train_loss), false);
-            if timings {
-                push_field(&mut out, "compute_secs", &fmt_f64(r.compute_secs), false);
-            }
-            push_field(
-                &mut out,
-                "hist_bytes_raw",
-                &r.hist_bytes_raw.to_string(),
-                false,
-            );
-            push_field(
-                &mut out,
-                "hist_bytes_wire",
-                &r.hist_bytes_wire.to_string(),
-                false,
-            );
-            push_field(
-                &mut out,
-                "max_quant_scale",
-                &fmt_f32(r.max_quant_scale),
-                false,
-            );
-            out.push_str(",\"split_gains\":[");
-            for (j, g) in r.split_gains.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+    fn emit(&self, mut w: JsonWriter) -> String {
+        w.u64("workers", self.workers as u64);
+        w.u64("servers", self.servers as u64);
+        w.wall_f64("compute_secs", self.compute_secs);
+        w.object("comm", |w| self.comm.emit(w));
+        w.array("phases", &self.phases, |w, p| {
+            w.elem_object(|w| {
+                w.str("phase", p.phase.name());
+                w.wall_f64("compute_max_secs", p.compute_max_secs);
+                w.wall_f64("compute_p50_secs", p.compute_p50_secs);
+                w.wall_f64("compute_p99_secs", p.compute_p99_secs);
+                w.wall_f64("compute_skew_secs", p.compute_skew_secs);
+                w.object("comm", |w| p.comm.emit(w));
+            })
+        });
+        w.array("rounds", &self.rounds, |w, r| {
+            w.elem_object(|w| {
+                w.u64("round", r.round as u64);
+                w.u64("trees", r.trees as u64);
+                w.f64("train_loss", r.train_loss);
+                w.wall_f64("compute_secs", r.compute_secs);
+                w.u64("hist_bytes_raw", r.hist_bytes_raw);
+                w.u64("hist_bytes_wire", r.hist_bytes_wire);
+                w.f32("max_quant_scale", r.max_quant_scale);
+                w.array("split_gains", &r.split_gains, |w, g| w.elem_f32(*g));
+                w.array("node_instances", &r.node_instances, |w, n| {
+                    w.elem_object(|w| {
+                        w.u64("node", u64::from(n.node));
+                        w.u64("instances", n.instances);
+                    })
+                });
+                if let Some(s) = &r.sparse_frames {
+                    w.object("sparse_frames", |w| s.emit(w));
                 }
-                out.push_str(&fmt_f32(*g));
-            }
-            out.push_str("],\"node_instances\":[");
-            for (j, n) in r.node_instances.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
+                if let Some(q) = &r.quant_hist {
+                    // Deterministic in (config, shards, layer widths): safe for
+                    // canonical JSON and for cross-thread-count report diffs.
+                    w.object("quant_hist", |w| {
+                        w.u64("bits", u64::from(q.bits));
+                        w.u64("tile_nodes", q.tile_nodes);
+                    });
                 }
-                out.push_str(&format!(
-                    "{{\"node\":{},\"instances\":{}}}",
-                    n.node, n.instances
-                ));
-            }
-            out.push(']');
-            if let Some(s) = &r.sparse_frames {
-                out.push_str(",\"sparse_frames\":");
-                push_sparse_frames(&mut out, s);
-            }
-            if let Some(q) = &r.quant_hist {
-                // Deterministic in (config, shards, layer widths): safe for
-                // canonical JSON and for cross-thread-count report diffs.
-                out.push_str(&format!(
-                    ",\"quant_hist\":{{\"bits\":{},\"tile_nodes\":{}}}",
-                    q.bits, q.tile_nodes
-                ));
-            }
-            out.push('}');
-        }
-        out.push_str("],\"percentiles\":[");
-        let mut first_metric = true;
-        for m in &self.percentiles {
-            if !timings && !m.deterministic {
-                continue;
-            }
-            if !first_metric {
-                out.push(',');
-            }
-            first_metric = false;
-            out.push('{');
-            push_field(&mut out, "name", &format!("\"{}\"", m.name), true);
-            push_field(&mut out, "kind", &format!("\"{}\"", m.kind), false);
-            push_field(&mut out, "count", &m.count.to_string(), false);
-            push_field(&mut out, "value", &fmt_f64(m.value), false);
-            push_field(&mut out, "min", &fmt_f64(m.min), false);
-            push_field(&mut out, "max", &fmt_f64(m.max), false);
-            push_field(&mut out, "p50", &fmt_f64(m.p50), false);
-            push_field(&mut out, "p95", &fmt_f64(m.p95), false);
-            push_field(&mut out, "p99", &fmt_f64(m.p99), false);
-            out.push('}');
-        }
-        out.push(']');
+            })
+        });
+        w.array("percentiles", &self.percentiles, |w, m| m.emit(w));
         if let Some(f) = &self.faults {
-            out.push_str(",\"faults\":{");
-            push_field(&mut out, "plan_seed", &f.plan_seed.to_string(), true);
-            push_field(
-                &mut out,
-                "request_drops",
-                &f.request_drops.to_string(),
-                false,
-            );
-            push_field(&mut out, "ack_drops", &f.ack_drops.to_string(), false);
-            push_field(&mut out, "duplicates", &f.duplicates.to_string(), false);
-            push_field(&mut out, "dedup_hits", &f.dedup_hits.to_string(), false);
-            push_field(&mut out, "retries", &f.retries.to_string(), false);
-            push_field(
-                &mut out,
-                "forced_deliveries",
-                &f.forced_deliveries.to_string(),
-                false,
-            );
-            push_field(&mut out, "backoff_secs", &fmt_f64(f.backoff_secs), false);
-            push_field(
-                &mut out,
-                "straggler_secs",
-                &fmt_f64(f.straggler_secs),
-                false,
-            );
-            push_field(
-                &mut out,
-                "outage_wait_secs",
-                &fmt_f64(f.outage_wait_secs),
-                false,
-            );
-            push_field(&mut out, "crashes", &f.crashes.to_string(), false);
-            push_field(&mut out, "workers_lost", &f.workers_lost.to_string(), false);
-            out.push('}');
+            w.object("faults", |w| f.emit(w));
         }
         if let Some(m) = &self.membership {
-            out.push_str(",\"membership\":{");
-            push_field(&mut out, "joins", &m.joins.to_string(), true);
-            push_field(&mut out, "leaves", &m.leaves.to_string(), false);
-            push_field(
-                &mut out,
-                "stripes_moved",
-                &m.stripes_moved.to_string(),
-                false,
-            );
-            push_field(&mut out, "epoch", &m.epoch.to_string(), false);
-            push_field(
-                &mut out,
-                "speculative_backups",
-                &m.speculative_backups.to_string(),
-                false,
-            );
-            push_field(&mut out, "backup_wins", &m.backup_wins.to_string(), false);
-            push_field(
-                &mut out,
-                "stale_rejects",
-                &m.stale_rejects.to_string(),
-                false,
-            );
-            push_field(&mut out, "handoff_secs", &fmt_f64(m.handoff_secs), false);
-            push_field(&mut out, "reshard_secs", &fmt_f64(m.reshard_secs), false);
-            push_field(&mut out, "elastic_secs", &fmt_f64(m.elastic_secs), false);
-            push_field(
-                &mut out,
-                "speculation_saved_secs",
-                &fmt_f64(m.speculation_saved_secs),
-                false,
-            );
-            out.push('}');
+            w.object("membership", |w| m.emit(w));
         }
         if let Some(s) = &self.sparsity {
-            out.push_str(",\"sparsity\":{");
-            push_field(&mut out, "raw_bytes", &s.raw_bytes.to_string(), true);
-            push_field(&mut out, "wire_bytes", &s.wire_bytes.to_string(), false);
-            push_field(&mut out, "reduction_x", &fmt_f64(s.reduction_x), false);
-            out.push_str(",\"frames\":");
-            push_sparse_frames(&mut out, &s.frames);
-            out.push('}');
+            w.object("sparsity", |w| {
+                w.u64("raw_bytes", s.raw_bytes);
+                w.u64("wire_bytes", s.wire_bytes);
+                w.f64("reduction_x", s.reduction_x);
+                w.object("frames", |w| s.frames.emit(w));
+            });
         }
         if let Some(round) = self.resumed_from_round {
-            push_field(&mut out, "resumed_from_round", &round.to_string(), false);
+            w.u64("resumed_from_round", round as u64);
         }
-        out.push('}');
-        out
+        w.finish()
     }
 
     /// Multi-line human-readable summary (per-phase table), for the CLI.
@@ -658,19 +504,6 @@ impl RunReport {
     }
 }
 
-/// `{"dense":…,"dense_bytes":…,"bitmap":…,…}` — one flat object per
-/// [`SparseWireStats`], shared by the per-round and run-level sections.
-fn push_sparse_frames(out: &mut String, s: &SparseWireStats) {
-    out.push('{');
-    push_field(out, "dense", &s.frames[0].to_string(), true);
-    push_field(out, "dense_bytes", &s.bytes[0].to_string(), false);
-    push_field(out, "bitmap", &s.frames[1].to_string(), false);
-    push_field(out, "bitmap_bytes", &s.bytes[1].to_string(), false);
-    push_field(out, "runs", &s.frames[2].to_string(), false);
-    push_field(out, "runs_bytes", &s.bytes[2].to_string(), false);
-    out.push('}');
-}
-
 /// Sum of the per-phase communication entries (should equal `comm`).
 pub fn sum_phase_comm(report: &RunReport) -> CommStats {
     let mut total = CommStats::new();
@@ -690,23 +523,6 @@ fn worker_percentiles(secs: &[f64]) -> (f64, f64) {
         hist.observe(s.max(0.0));
     }
     (hist.quantile(0.50), hist.quantile(0.99))
-}
-
-fn push_comm(out: &mut String, c: &CommStats) {
-    out.push_str(&format!(
-        "{{\"bytes\":{},\"packages\":{},\"sim_time_secs\":{}}}",
-        c.bytes,
-        c.packages,
-        fmt_f64(c.sim_time.seconds())
-    ));
-}
-
-fn fmt_f32(v: f32) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".into()
-    }
 }
 
 #[cfg(test)]

@@ -13,7 +13,7 @@
 use std::time::Instant;
 
 use dimboost_data::Dataset;
-use dimboost_simnet::emit::{fmt_f64, fnv1a64, push_field};
+use dimboost_simnet::emit::{fnv1a64, JsonWriter};
 use dimboost_simnet::{MetricExport, MetricsRegistry};
 
 use crate::compiled::CompiledModel;
@@ -136,56 +136,26 @@ impl ServingReport {
     /// (`compute_secs`, `wall/` percentile entries) is included; without,
     /// the document is canonical — bit-identical across reruns.
     pub fn json(&self, timings: bool) -> String {
-        let mut out = String::from("{");
-        push_field(&mut out, "kind", "\"serving\"", true);
-        push_field(&mut out, "rows", &self.rows.to_string(), false);
-        push_field(&mut out, "features", &self.features.to_string(), false);
-        push_field(&mut out, "classes", &self.classes.to_string(), false);
-        push_field(&mut out, "trees", &self.trees.to_string(), false);
-        push_field(&mut out, "nodes", &self.nodes.to_string(), false);
-        push_field(&mut out, "threads", &self.threads.to_string(), false);
-        push_field(&mut out, "batch_size", &self.batch_size.to_string(), false);
-        push_field(&mut out, "batches", &self.batches.to_string(), false);
-        push_field(&mut out, "repeats", &self.repeats.to_string(), false);
-        push_field(
-            &mut out,
-            "score_kind",
-            &format!("\"{}\"", self.score_kind),
-            false,
-        );
-        push_field(
-            &mut out,
-            "score_checksum",
-            &self.score_checksum.to_string(),
-            false,
-        );
-        if timings {
-            push_field(&mut out, "compute_secs", &fmt_f64(self.compute_secs), false);
-        }
-        out.push_str(",\"percentiles\":[");
-        let mut first = true;
-        for m in &self.percentiles {
-            if !timings && !m.deterministic {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('{');
-            push_field(&mut out, "name", &format!("\"{}\"", m.name), true);
-            push_field(&mut out, "kind", &format!("\"{}\"", m.kind), false);
-            push_field(&mut out, "count", &m.count.to_string(), false);
-            push_field(&mut out, "value", &fmt_f64(m.value), false);
-            push_field(&mut out, "min", &fmt_f64(m.min), false);
-            push_field(&mut out, "max", &fmt_f64(m.max), false);
-            push_field(&mut out, "p50", &fmt_f64(m.p50), false);
-            push_field(&mut out, "p95", &fmt_f64(m.p95), false);
-            push_field(&mut out, "p99", &fmt_f64(m.p99), false);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let mut w = if timings {
+            JsonWriter::timed()
+        } else {
+            JsonWriter::canonical()
+        };
+        w.str("kind", "serving");
+        w.u64("rows", self.rows as u64);
+        w.u64("features", self.features as u64);
+        w.u64("classes", self.classes as u64);
+        w.u64("trees", self.trees as u64);
+        w.u64("nodes", self.nodes as u64);
+        w.u64("threads", self.threads as u64);
+        w.u64("batch_size", self.batch_size as u64);
+        w.u64("batches", self.batches as u64);
+        w.u64("repeats", self.repeats as u64);
+        w.str("score_kind", self.score_kind);
+        w.u64("score_checksum", self.score_checksum);
+        w.wall_f64("compute_secs", self.compute_secs);
+        w.array("percentiles", &self.percentiles, |w, m| m.emit(w));
+        w.finish()
     }
 
     /// The canonical (rerun-stable) JSON document.
@@ -255,6 +225,51 @@ mod tests {
         assert!(!report_a.canonical_json().contains("compute_secs"));
         assert!(report_a.json(true).contains("compute_secs"));
         assert!(report_a.json(true).contains("wall/serving/batch_secs"));
+    }
+
+    /// Bytes recorded from the hand-written emitter this module had before
+    /// `JsonWriter` (tests/model_pins.rs does not reach this document).
+    #[test]
+    fn json_bytes_are_pinned() {
+        let metric = |name: &str, kind, deterministic, count, value: f64| MetricExport {
+            name: name.into(),
+            kind,
+            deterministic,
+            count,
+            value,
+            min: value / 4.0,
+            max: value,
+            p50: value / 2.0,
+            p95: value * 0.75,
+            p99: value,
+        };
+        let report = ServingReport {
+            rows: 200,
+            features: 30,
+            classes: 1,
+            trees: 3,
+            nodes: 21,
+            threads: 4,
+            batch_size: 16,
+            batches: 13,
+            repeats: 2,
+            score_kind: "transformed",
+            score_checksum: 0xdead_beef_cafe_f00d,
+            compute_secs: 0.0625,
+            percentiles: vec![
+                metric("sim/serving/batch_rows", "histogram", true, 26, 400.0),
+                metric("sim/serving/repeats", "counter", true, 1, 2.0),
+                metric("wall/serving/repeat_secs", "histogram", false, 2, 0.0625),
+            ],
+        };
+        let head = r#"{"kind":"serving","rows":200,"features":30,"classes":1,"trees":3,"nodes":21,"threads":4,"batch_size":16,"batches":13,"repeats":2,"score_kind":"transformed","score_checksum":16045690984503111693,"#;
+        let sim = r#""percentiles":[{"name":"sim/serving/batch_rows","kind":"histogram","count":26,"value":400,"min":100,"max":400,"p50":200,"p95":300,"p99":400},{"name":"sim/serving/repeats","kind":"counter","count":1,"value":2,"min":0.5,"max":2,"p50":1,"p95":1.5,"p99":2}"#;
+        let wall = r#",{"name":"wall/serving/repeat_secs","kind":"histogram","count":2,"value":0.0625,"min":0.015625,"max":0.0625,"p50":0.03125,"p95":0.046875,"p99":0.0625}"#;
+        assert_eq!(
+            report.json(true),
+            format!("{head}\"compute_secs\":0.0625,{sim}{wall}]}}")
+        );
+        assert_eq!(report.canonical_json(), format!("{head}{sim}]}}"));
     }
 
     #[test]

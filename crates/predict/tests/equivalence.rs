@@ -7,7 +7,7 @@
 //! so every assertion is exact `==` on f32 bits — any divergence, down to
 //! one ulp, is a compiler bug.
 
-use dimboost_core::{train_single_machine, GbdtConfig, GbdtModel, LossKind};
+use dimboost_core::{train_single_machine, GbdtConfig, GbdtModel, LossKind, Tree};
 use dimboost_data::synthetic::{generate, LabelKind, SparseGenConfig};
 use dimboost_data::Dataset;
 use dimboost_predict::{score_raw, score_transformed, CompiledModel, EngineConfig};
@@ -84,4 +84,28 @@ fn compiled_agrees_on_unseen_data() {
     let (model, _) = trained(LossKind::Logistic, 24);
     let other = generate(&SparseGenConfig::new(300, 50, 25, 99));
     assert_bit_equal(&model, &other);
+}
+
+#[test]
+fn negative_zero_leaves_score_positive_zero_on_every_path() {
+    // `assert_eq!` on f32 calls -0.0 and +0.0 equal, so this row compares
+    // bits: every tree routes to a -0.0 leaf, each term `η·ω` is -0.0, and a
+    // sum folded from +0.0 is +0.0 (`Iterator::sum::<f32>()` folds from -0.0
+    // and used to leave the interpreter's `predict_raw` at -0.0).
+    let mut tree = Tree::new(1);
+    tree.set_leaf(0, -0.0);
+    let model = GbdtModel::new(vec![tree.clone(), tree], 0.1, LossKind::Square, 50);
+    let ds = generate(&SparseGenConfig::new(8, 50, 10, 25));
+    let compiled = CompiledModel::compile(&model);
+    let zero = 0.0f32.to_bits();
+    let raw = score_raw(&compiled, &ds, &EngineConfig::default());
+    for (i, batch_score) in raw.iter().enumerate() {
+        let row = ds.row(i);
+        assert_eq!(model.predict_raw(&row).to_bits(), zero, "row {i}");
+        assert_eq!(model.predict_scores(&row)[0].to_bits(), zero, "row {i}");
+        assert_eq!(compiled.predict_raw(&row).to_bits(), zero, "row {i}");
+        assert_eq!(batch_score.to_bits(), zero, "row {i}");
+    }
+    let interpreted = model.predict_raw_dataset(&ds);
+    assert!(interpreted.iter().all(|s| s.to_bits() == zero));
 }

@@ -28,7 +28,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use dimboost_simnet::emit::{fmt_f64, quantile};
+use dimboost_simnet::emit::{quantile, JsonWriter};
 
 use crate::sim::ServeSimConfig;
 
@@ -542,84 +542,63 @@ impl ServeProfile {
     /// The canonical `{"kind":"trace_profile","source":"serve_sim"}` JSON
     /// document — byte-identical across reruns, `report_diff`-gateable.
     pub fn canonical_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str("  \"kind\": \"trace_profile\",\n");
-        out.push_str("  \"source\": \"serve_sim\",\n");
-        out.push_str(&format!("  \"tenants\": {},\n", self.tenants));
-        out.push_str(&format!("  \"seed\": {},\n", self.seed));
-        out.push_str(&format!("  \"queue_capacity\": {},\n", self.queue_capacity));
-        out.push_str(&format!("  \"max_batch\": {},\n", self.max_batch));
-        out.push_str(&format!("  \"slo_secs\": {},\n", fmt_f64(self.slo_secs)));
-        out.push_str(&format!("  \"events\": {},\n", self.events));
-        out.push_str(&format!("  \"arrived\": {},\n", self.arrived));
-        out.push_str(&format!("  \"served\": {},\n", self.served));
-        out.push_str(&format!("  \"shed\": {},\n", self.shed));
-        out.push_str(&format!(
-            "  \"in_flight_at_end\": {},\n",
-            self.in_flight_at_end
-        ));
-        out.push_str(&format!("  \"batches\": {},\n", self.batches));
-        out.push_str(&format!("  \"swaps\": {},\n", self.swaps));
-        out.push_str(&format!("  \"end_secs\": {},\n", fmt_f64(self.end_secs)));
-        out.push_str("  \"latency\": {");
-        out.push_str(&format!(
-            "\"queue_wait_secs\": {}, \"formation_wait_secs\": {}, \"service_secs\": {}, \
-             \"p50_secs\": {}, \"p99_secs\": {}, \"max_secs\": {}",
-            fmt_f64(self.queue_wait_secs),
-            fmt_f64(self.formation_wait_secs),
-            fmt_f64(self.service_secs),
-            fmt_f64(self.latency_p50_secs),
-            fmt_f64(self.latency_p99_secs),
-            fmt_f64(self.latency_max_secs)
-        ));
-        out.push_str("},\n");
-        out.push_str("  \"slo\": {");
-        out.push_str(&format!(
-            "\"ok\": {}, \"violations\": {}, \"attainment\": {}",
-            self.slo_ok,
-            self.served - self.slo_ok,
-            fmt_f64(self.slo_attainment)
-        ));
-        out.push_str("},\n  \"per_tenant\": [");
-        for (i, t) in self.per_tenant.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"tenant\": {}, \"arrived\": {}, \"served\": {}, \"shed\": {}, \
-                 \"swaps\": {}, \"queue_wait_secs\": {}, \"formation_wait_secs\": {}, \
-                 \"service_secs\": {}, \"slo_ok\": {}, \"latency_p50_secs\": {}, \
-                 \"latency_p99_secs\": {}, \"latency_max_secs\": {}}}",
-                t.tenant,
-                t.arrived,
-                t.served,
-                t.shed,
-                t.swaps,
-                fmt_f64(t.queue_wait_secs),
-                fmt_f64(t.formation_wait_secs),
-                fmt_f64(t.service_secs),
-                t.slo_ok,
-                fmt_f64(t.latency_p50_secs),
-                fmt_f64(t.latency_p99_secs),
-                fmt_f64(t.latency_max_secs)
-            ));
-        }
-        out.push_str("\n  ],\n  \"timeline\": [");
-        for (i, w) in self.timeline.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"window\": {}, \"begin_secs\": {}, \"end_secs\": {}, \
-                 \"arrived\": {}, \"served\": {}, \"shed\": {}, \"slo_ok\": {}}}",
-                w.window,
-                fmt_f64(w.begin_secs),
-                fmt_f64(w.end_secs),
-                w.arrived,
-                w.served,
-                w.shed,
-                w.slo_ok
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let mut w = JsonWriter::canonical();
+        w.str("kind", "trace_profile");
+        w.str("source", "serve_sim");
+        w.u64("tenants", self.tenants as u64);
+        w.u64("seed", self.seed);
+        w.u64("queue_capacity", self.queue_capacity as u64);
+        w.u64("max_batch", self.max_batch as u64);
+        w.f64("slo_secs", self.slo_secs);
+        w.u64("events", self.events);
+        w.u64("arrived", self.arrived);
+        w.u64("served", self.served);
+        w.u64("shed", self.shed);
+        w.u64("in_flight_at_end", self.in_flight_at_end);
+        w.u64("batches", self.batches);
+        w.u64("swaps", self.swaps);
+        w.f64("end_secs", self.end_secs);
+        w.object("latency", |w| {
+            w.f64("queue_wait_secs", self.queue_wait_secs);
+            w.f64("formation_wait_secs", self.formation_wait_secs);
+            w.f64("service_secs", self.service_secs);
+            w.f64("p50_secs", self.latency_p50_secs);
+            w.f64("p99_secs", self.latency_p99_secs);
+            w.f64("max_secs", self.latency_max_secs);
+        });
+        w.object("slo", |w| {
+            w.u64("ok", self.slo_ok);
+            w.u64("violations", self.served - self.slo_ok);
+            w.f64("attainment", self.slo_attainment);
+        });
+        w.array("per_tenant", &self.per_tenant, |w, t| {
+            w.elem_object(|w| {
+                w.u64("tenant", t.tenant as u64);
+                w.u64("arrived", t.arrived);
+                w.u64("served", t.served);
+                w.u64("shed", t.shed);
+                w.u64("swaps", t.swaps);
+                w.f64("queue_wait_secs", t.queue_wait_secs);
+                w.f64("formation_wait_secs", t.formation_wait_secs);
+                w.f64("service_secs", t.service_secs);
+                w.u64("slo_ok", t.slo_ok);
+                w.f64("latency_p50_secs", t.latency_p50_secs);
+                w.f64("latency_p99_secs", t.latency_p99_secs);
+                w.f64("latency_max_secs", t.latency_max_secs);
+            })
+        });
+        w.array("timeline", &self.timeline, |w, win| {
+            w.elem_object(|w| {
+                w.u64("window", win.window as u64);
+                w.f64("begin_secs", win.begin_secs);
+                w.f64("end_secs", win.end_secs);
+                w.u64("arrived", win.arrived);
+                w.u64("served", win.served);
+                w.u64("shed", win.shed);
+                w.u64("slo_ok", win.slo_ok);
+            })
+        });
+        w.finish()
     }
 
     /// Folded flamegraph stacks for the latency decomposition:
@@ -795,8 +774,7 @@ mod tests {
         assert_eq!(a, b);
         let j = a.canonical_json();
         assert_eq!(j, b.canonical_json());
-        assert!(j.starts_with("{\n  \"kind\": \"trace_profile\""));
-        assert!(j.contains("\"source\": \"serve_sim\""));
+        assert!(j.starts_with("{\"kind\":\"trace_profile\",\"source\":\"serve_sim\","));
         assert!(!j.contains("wall"));
         let folded = a.folded_stacks();
         assert!(folded.contains("tenant0;formation_wait "));

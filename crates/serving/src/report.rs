@@ -14,7 +14,7 @@
 //! uses for array-element identity, so a diff of two serving reports lines
 //! tenants up by name rather than by position.
 
-use dimboost_simnet::emit::{fmt_f64, push_field};
+use dimboost_simnet::emit::JsonWriter;
 use dimboost_simnet::MetricExport;
 
 /// The per-tenant score checksum: seeded with [`FNV_OFFSET`] and extended
@@ -104,148 +104,54 @@ impl ServeSimReport {
     /// `wall_served_per_sec`, `wall/` percentile entries) is included;
     /// without, the document is canonical — bit-identical across reruns.
     pub fn json(&self, timings: bool) -> String {
-        let mut out = String::from("{");
-        push_field(&mut out, "kind", "\"serving_sim\"", true);
-        push_field(&mut out, "seed", &self.seed.to_string(), false);
-        push_field(
-            &mut out,
-            "requests_planned",
-            &self.requests_planned.to_string(),
-            false,
-        );
-        push_field(&mut out, "arrived", &self.arrived.to_string(), false);
-        push_field(&mut out, "admitted", &self.admitted.to_string(), false);
-        push_field(&mut out, "served", &self.served.to_string(), false);
-        push_field(&mut out, "shed", &self.shed.to_string(), false);
-        push_field(
-            &mut out,
-            "in_flight_at_end",
-            &self.in_flight_at_end.to_string(),
-            false,
-        );
-        push_field(&mut out, "batches", &self.batches.to_string(), false);
-        push_field(&mut out, "swaps", &self.swaps.to_string(), false);
-        push_field(
-            &mut out,
-            "slo_violations",
-            &self.slo_violations.to_string(),
-            false,
-        );
-        push_field(
-            &mut out,
-            "queue_capacity",
-            &self.queue_capacity.to_string(),
-            false,
-        );
-        push_field(&mut out, "max_batch", &self.max_batch.to_string(), false);
-        push_field(&mut out, "slo_secs", &fmt_f64(self.slo_secs), false);
-        push_field(
-            &mut out,
-            "service_fixed_secs",
-            &fmt_f64(self.service_fixed_secs),
-            false,
-        );
-        push_field(
-            &mut out,
-            "service_per_row_secs",
-            &fmt_f64(self.service_per_row_secs),
-            false,
-        );
-        push_field(
-            &mut out,
-            "sim_clock_secs",
-            &fmt_f64(self.sim_clock_secs),
-            false,
-        );
-        push_field(
-            &mut out,
-            "throughput_rps",
-            &fmt_f64(self.throughput_rps),
-            false,
-        );
-        push_field(
-            &mut out,
-            "saturation_rps",
-            &fmt_f64(self.saturation_rps),
-            false,
-        );
-        push_field(
-            &mut out,
-            "latency_p50_secs",
-            &fmt_f64(self.latency_p50_secs),
-            false,
-        );
-        push_field(
-            &mut out,
-            "latency_p99_secs",
-            &fmt_f64(self.latency_p99_secs),
-            false,
-        );
-        push_field(
-            &mut out,
-            "latency_p999_secs",
-            &fmt_f64(self.latency_p999_secs),
-            false,
-        );
-        push_field(
-            &mut out,
-            "latency_max_secs",
-            &fmt_f64(self.latency_max_secs),
-            false,
-        );
-        if timings {
-            push_field(&mut out, "wall_secs", &fmt_f64(self.wall_secs), false);
-            let wall_rate = if self.wall_secs > 0.0 {
-                self.served as f64 / self.wall_secs
-            } else {
-                0.0
-            };
-            push_field(&mut out, "wall_served_per_sec", &fmt_f64(wall_rate), false);
-        }
-        out.push_str(",\"tenants\":[");
-        for (i, t) in self.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('{');
-            push_field(&mut out, "name", &format!("\"{}\"", t.name), true);
-            push_field(&mut out, "arrived", &t.arrived.to_string(), false);
-            push_field(&mut out, "served", &t.served.to_string(), false);
-            push_field(&mut out, "shed", &t.shed.to_string(), false);
-            push_field(&mut out, "swaps", &t.swaps.to_string(), false);
-            push_field(&mut out, "final_epoch", &t.final_epoch.to_string(), false);
-            push_field(
-                &mut out,
-                "score_checksum",
-                &t.score_checksum.to_string(),
-                false,
-            );
-            out.push('}');
-        }
-        out.push_str("],\"percentiles\":[");
-        let mut first = true;
-        for m in &self.percentiles {
-            if !timings && !m.deterministic {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push('{');
-            push_field(&mut out, "name", &format!("\"{}\"", m.name), true);
-            push_field(&mut out, "kind", &format!("\"{}\"", m.kind), false);
-            push_field(&mut out, "count", &m.count.to_string(), false);
-            push_field(&mut out, "value", &fmt_f64(m.value), false);
-            push_field(&mut out, "min", &fmt_f64(m.min), false);
-            push_field(&mut out, "max", &fmt_f64(m.max), false);
-            push_field(&mut out, "p50", &fmt_f64(m.p50), false);
-            push_field(&mut out, "p95", &fmt_f64(m.p95), false);
-            push_field(&mut out, "p99", &fmt_f64(m.p99), false);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
+        let mut w = if timings {
+            JsonWriter::timed()
+        } else {
+            JsonWriter::canonical()
+        };
+        w.str("kind", "serving_sim");
+        w.u64("seed", self.seed);
+        w.u64("requests_planned", self.requests_planned);
+        w.u64("arrived", self.arrived);
+        w.u64("admitted", self.admitted);
+        w.u64("served", self.served);
+        w.u64("shed", self.shed);
+        w.u64("in_flight_at_end", self.in_flight_at_end);
+        w.u64("batches", self.batches);
+        w.u64("swaps", self.swaps);
+        w.u64("slo_violations", self.slo_violations);
+        w.u64("queue_capacity", self.queue_capacity as u64);
+        w.u64("max_batch", self.max_batch as u64);
+        w.f64("slo_secs", self.slo_secs);
+        w.f64("service_fixed_secs", self.service_fixed_secs);
+        w.f64("service_per_row_secs", self.service_per_row_secs);
+        w.f64("sim_clock_secs", self.sim_clock_secs);
+        w.f64("throughput_rps", self.throughput_rps);
+        w.f64("saturation_rps", self.saturation_rps);
+        w.f64("latency_p50_secs", self.latency_p50_secs);
+        w.f64("latency_p99_secs", self.latency_p99_secs);
+        w.f64("latency_p999_secs", self.latency_p999_secs);
+        w.f64("latency_max_secs", self.latency_max_secs);
+        let wall_rate = if self.wall_secs > 0.0 {
+            self.served as f64 / self.wall_secs
+        } else {
+            0.0
+        };
+        w.wall_f64("wall_secs", self.wall_secs);
+        w.wall_f64("wall_served_per_sec", wall_rate);
+        w.array("tenants", &self.tenants, |w, t| {
+            w.elem_object(|w| {
+                w.str("name", &t.name);
+                w.u64("arrived", t.arrived);
+                w.u64("served", t.served);
+                w.u64("shed", t.shed);
+                w.u64("swaps", t.swaps);
+                w.u64("final_epoch", t.final_epoch);
+                w.u64("score_checksum", t.score_checksum);
+            })
+        });
+        w.array("percentiles", &self.percentiles, |w, m| m.emit(w));
+        w.finish()
     }
 
     /// The canonical (rerun-stable) JSON document.
@@ -328,5 +234,17 @@ mod tests {
         assert!(timed.contains("wall_served_per_sec"));
         assert!(timed.contains("\"name\":\"tenant0\""));
         assert!(r.summary().contains("8 served"));
+    }
+
+    /// Bytes recorded from the hand-written emitter this module had before
+    /// `JsonWriter` (tests/model_pins.rs does not reach this document).
+    #[test]
+    fn json_bytes_are_pinned() {
+        let head = r#"{"kind":"serving_sim","seed":7,"requests_planned":10,"arrived":10,"admitted":9,"served":8,"shed":1,"in_flight_at_end":1,"batches":3,"swaps":1,"slo_violations":2,"queue_capacity":4,"max_batch":8,"slo_secs":0.05,"service_fixed_secs":0.0001,"service_per_row_secs":0.00001,"sim_clock_secs":0.5,"throughput_rps":16,"saturation_rps":44444.444444444445,"latency_p50_secs":0.01,"latency_p99_secs":0.04,"latency_p999_secs":0.045,"latency_max_secs":0.05,"#;
+        let wall = r#""wall_secs":0.123,"wall_served_per_sec":65.04065040650407,"#;
+        let tail = r#""tenants":[{"name":"tenant0","arrived":10,"served":8,"shed":1,"swaps":1,"final_epoch":1,"score_checksum":42}],"percentiles":[]}"#;
+        let r = sample_report();
+        assert_eq!(r.json(true), format!("{head}{wall}{tail}"));
+        assert_eq!(r.canonical_json(), format!("{head}{tail}"));
     }
 }

@@ -55,7 +55,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::emit::fmt_f64;
+use crate::emit::JsonWriter;
 use crate::trace::{EventKind, Trace, Track};
 use crate::Phase;
 
@@ -569,142 +569,90 @@ impl TraceProfile {
     /// document: pure simulated clock, byte-identical across reruns of the
     /// same configuration, gateable by `report_diff`.
     pub fn canonical_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        out.push_str("  \"kind\": \"trace_profile\",\n");
-        out.push_str("  \"source\": \"train\",\n");
-        out.push_str(&format!("  \"workers\": {},\n", self.workers));
-        out.push_str(&format!("  \"servers\": {},\n", self.servers));
-        out.push_str(&format!("  \"events\": {},\n", self.events));
-        out.push_str(&format!(
-            "  \"sim_end_secs\": {},\n",
-            fmt_f64(self.sim_end_secs)
-        ));
-        out.push_str("  \"critical_path\": {\n");
-        out.push_str(&format!(
-            "    \"total_secs\": {},\n",
-            fmt_f64(self.critical_path.total_secs)
-        ));
-        out.push_str(&format!(
-            "    \"attributed_secs\": {},\n",
-            fmt_f64(self.critical_path.attributed_secs)
-        ));
-        out.push_str(&format!(
-            "    \"segments\": {},\n",
-            self.critical_path.segments
-        ));
-        out.push_str("    \"attribution\": [");
-        for (i, a) in self.critical_path.attribution.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "      {{\"track\": \"{}\", \"phase\": \"{}\", \"secs\": {}, \
-                 \"events\": {}, \"bytes\": {}}}",
-                a.track,
-                a.phase.name(),
-                fmt_f64(a.secs),
-                a.events,
-                a.bytes
-            ));
-        }
-        out.push_str("\n    ],\n    \"entries\": [");
-        for (i, p) in self.critical_path.entries.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "      {{\"round\": {}, \"track\": \"{}\", \"phase\": \"{}\", \
-                 \"begin_secs\": {}, \"secs\": {}, \"events\": {}, \"bytes\": {}}}",
-                p.round,
-                p.track,
-                p.phase.name(),
-                fmt_f64(p.begin_secs),
-                fmt_f64(p.secs),
-                p.events,
-                p.bytes
-            ));
-        }
-        out.push_str("\n    ]\n  },\n  \"rounds\": [");
-        for (i, r) in self.rounds.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"round\": {}, \"begin_secs\": {}, \"end_secs\": {}, \
-                 \"secs\": {}, \"segments\": {}}}",
-                r.round,
-                fmt_f64(r.begin_secs),
-                fmt_f64(r.end_secs),
-                fmt_f64(r.secs),
-                r.segments
-            ));
-        }
-        out.push_str("\n  ],\n  \"utilization\": [");
-        for (i, u) in self.utilization.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            out.push_str(&format!(
-                "    {{\"track\": \"{}\", \"events\": {}, \"busy_secs\": {}, \
-                 \"idle_secs\": {}, \"blocked_secs\": {}, \"bytes\": {}}}",
-                u.track,
-                u.events,
-                fmt_f64(u.busy_secs),
-                fmt_f64(u.idle_secs),
-                fmt_f64(u.blocked_secs),
-                u.bytes
-            ));
-        }
-        out.push_str("\n  ],\n  \"ps\": {");
-        out.push_str(&format!(
-            "\"service_events\": {}, \"service_secs\": {}, \"queue_wait_secs\": {}, \
-             \"max_queue_depth\": {}}}",
-            self.ps.service_events,
-            fmt_f64(self.ps.service_secs),
-            fmt_f64(self.ps.queue_wait_secs),
-            self.ps.max_queue_depth
-        ));
+        let by_name = |w: &mut JsonWriter, kinds: &[FaultKind]| {
+            w.array("by_name", kinds, |w, k| {
+                w.elem_object(|w| {
+                    w.str("name", &k.name);
+                    w.u64("events", k.events);
+                    w.f64("secs", k.secs);
+                })
+            })
+        };
+        let mut w = JsonWriter::canonical();
+        w.str("kind", "trace_profile");
+        w.str("source", "train");
+        w.u64("workers", self.workers as u64);
+        w.u64("servers", self.servers as u64);
+        w.u64("events", self.events);
+        w.f64("sim_end_secs", self.sim_end_secs);
+        w.object("critical_path", |w| {
+            let path = &self.critical_path;
+            w.f64("total_secs", path.total_secs);
+            w.f64("attributed_secs", path.attributed_secs);
+            w.u64("segments", path.segments);
+            w.array("attribution", &path.attribution, |w, a| {
+                w.elem_object(|w| {
+                    w.str("track", &a.track);
+                    w.str("phase", a.phase.name());
+                    w.f64("secs", a.secs);
+                    w.u64("events", a.events);
+                    w.u64("bytes", a.bytes);
+                })
+            });
+            w.array("entries", &path.entries, |w, p| {
+                w.elem_object(|w| {
+                    w.u64("round", p.round);
+                    w.str("track", &p.track);
+                    w.str("phase", p.phase.name());
+                    w.f64("begin_secs", p.begin_secs);
+                    w.f64("secs", p.secs);
+                    w.u64("events", p.events);
+                    w.u64("bytes", p.bytes);
+                })
+            });
+        });
+        w.array("rounds", &self.rounds, |w, r| {
+            w.elem_object(|w| {
+                w.u64("round", r.round);
+                w.f64("begin_secs", r.begin_secs);
+                w.f64("end_secs", r.end_secs);
+                w.f64("secs", r.secs);
+                w.u64("segments", r.segments);
+            })
+        });
+        w.array("utilization", &self.utilization, |w, u| {
+            w.elem_object(|w| {
+                w.str("track", &u.track);
+                w.u64("events", u.events);
+                w.f64("busy_secs", u.busy_secs);
+                w.f64("idle_secs", u.idle_secs);
+                w.f64("blocked_secs", u.blocked_secs);
+                w.u64("bytes", u.bytes);
+            })
+        });
+        w.object("ps", |w| {
+            w.u64("service_events", self.ps.service_events);
+            w.f64("service_secs", self.ps.service_secs);
+            w.f64("queue_wait_secs", self.ps.queue_wait_secs);
+            w.u64("max_queue_depth", self.ps.max_queue_depth);
+        });
         if let Some(f) = &self.faults {
-            out.push_str(",\n  \"faults\": {\n");
-            out.push_str(&format!("    \"events\": {},\n", f.events));
-            out.push_str(&format!(
-                "    \"stretch_secs\": {},\n",
-                fmt_f64(f.stretch_secs)
-            ));
-            out.push_str(&format!(
-                "    \"faultfree_estimate_secs\": {},\n",
-                fmt_f64(f.faultfree_estimate_secs)
-            ));
-            out.push_str("    \"by_name\": [");
-            for (i, k) in f.by_name.iter().enumerate() {
-                out.push_str(if i == 0 { "\n" } else { ",\n" });
-                out.push_str(&format!(
-                    "      {{\"name\": \"{}\", \"events\": {}, \"secs\": {}}}",
-                    k.name,
-                    k.events,
-                    fmt_f64(k.secs)
-                ));
-            }
-            out.push_str("\n    ]\n  }");
+            w.object("faults", |w| {
+                w.u64("events", f.events);
+                w.f64("stretch_secs", f.stretch_secs);
+                w.f64("faultfree_estimate_secs", f.faultfree_estimate_secs);
+                by_name(w, &f.by_name);
+            });
         }
         if let Some(m) = &self.membership {
-            out.push_str(",\n  \"membership\": {\n");
-            out.push_str(&format!("    \"events\": {},\n", m.events));
-            out.push_str(&format!(
-                "    \"stretch_secs\": {},\n",
-                fmt_f64(m.stretch_secs)
-            ));
-            out.push_str(&format!(
-                "    \"fixed_estimate_secs\": {},\n",
-                fmt_f64(m.fixed_estimate_secs)
-            ));
-            out.push_str("    \"by_name\": [");
-            for (i, k) in m.by_name.iter().enumerate() {
-                out.push_str(if i == 0 { "\n" } else { ",\n" });
-                out.push_str(&format!(
-                    "      {{\"name\": \"{}\", \"events\": {}, \"secs\": {}}}",
-                    k.name,
-                    k.events,
-                    fmt_f64(k.secs)
-                ));
-            }
-            out.push_str("\n    ]\n  }");
+            w.object("membership", |w| {
+                w.u64("events", m.events);
+                w.f64("stretch_secs", m.stretch_secs);
+                w.f64("fixed_estimate_secs", m.fixed_estimate_secs);
+                by_name(w, &m.by_name);
+            });
         }
-        out.push_str("\n}\n");
-        out
+        w.finish()
     }
 
     /// Folded flamegraph stacks: one `track;phase;name value` line per
@@ -946,8 +894,7 @@ mod tests {
         assert_eq!(a, b);
         let ja = a.canonical_json();
         assert_eq!(ja, b.canonical_json());
-        assert!(ja.starts_with("{\n  \"kind\": \"trace_profile\""));
-        assert!(ja.contains("\"source\": \"train\""));
+        assert!(ja.starts_with("{\"kind\":\"trace_profile\",\"source\":\"train\","));
         assert!(!ja.contains("wall"), "profiles must stay wall-clock free");
         // The events-text round trip yields the same profile byte for byte:
         // offline analysis == in-process analysis.
@@ -977,7 +924,7 @@ mod tests {
         assert_eq!(profile.critical_path.segments, 0);
         assert!(profile.utilization.is_empty());
         assert!(profile.faults.is_none());
-        assert!(profile.canonical_json().contains("\"events\": 0"));
+        assert!(profile.canonical_json().contains("\"events\":0,"));
     }
 
     #[test]
@@ -1023,7 +970,7 @@ mod tests {
         // No fault lane in this trace; the sections are independent.
         assert!(profile.faults.is_none());
         let json = profile.canonical_json();
-        assert!(json.contains("\"membership\": {"));
+        assert!(json.contains("\"membership\":{\"events\":3,"));
         assert!(json.contains("\"fixed_estimate_secs\""));
         assert!(!json.contains("wall"), "profiles must stay wall-clock free");
         assert!(profile.summary(5).contains("membership: 3 events"));

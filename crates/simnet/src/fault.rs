@@ -31,6 +31,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::emit::JsonWriter;
 use crate::Phase;
 
 /// Retries are capped; after this many attempts the network "heals" and the
@@ -569,6 +570,41 @@ pub struct MembershipSummary {
     pub elastic_secs: f64,
     /// Simulated seconds saved by winning speculative backups.
     pub speculation_saved_secs: f64,
+}
+
+impl FaultSummary {
+    /// Writes the summary's members into the object open on `w`.
+    pub fn emit(&self, w: &mut JsonWriter) {
+        w.u64("plan_seed", self.plan_seed);
+        w.u64("request_drops", self.request_drops);
+        w.u64("ack_drops", self.ack_drops);
+        w.u64("duplicates", self.duplicates);
+        w.u64("dedup_hits", self.dedup_hits);
+        w.u64("retries", self.retries);
+        w.u64("forced_deliveries", self.forced_deliveries);
+        w.f64("backoff_secs", self.backoff_secs);
+        w.f64("straggler_secs", self.straggler_secs);
+        w.f64("outage_wait_secs", self.outage_wait_secs);
+        w.u64("crashes", self.crashes);
+        w.u64("workers_lost", self.workers_lost);
+    }
+}
+
+impl MembershipSummary {
+    /// Writes the summary's members into the object open on `w`.
+    pub fn emit(&self, w: &mut JsonWriter) {
+        w.u64("joins", self.joins);
+        w.u64("leaves", self.leaves);
+        w.u64("stripes_moved", self.stripes_moved);
+        w.u64("epoch", self.epoch);
+        w.u64("speculative_backups", self.speculative_backups);
+        w.u64("backup_wins", self.backup_wins);
+        w.u64("stale_rejects", self.stale_rejects);
+        w.f64("handoff_secs", self.handoff_secs);
+        w.f64("reshard_secs", self.reshard_secs);
+        w.f64("elastic_secs", self.elastic_secs);
+        w.f64("speculation_saved_secs", self.speculation_saved_secs);
+    }
 }
 
 /// One stripe re-homed by a membership event (reported by

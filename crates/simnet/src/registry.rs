@@ -18,6 +18,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::emit::JsonWriter;
+
 /// A histogram over fixed, pre-declared bucket boundaries.
 ///
 /// `bounds` holds ascending upper bounds; values above the last bound land
@@ -197,6 +199,28 @@ pub struct MetricExport {
     pub p95: f64,
     /// 99th percentile (histograms only; 0 otherwise).
     pub p99: f64,
+}
+
+impl MetricExport {
+    /// Writes the metric as the next element of the array open on `w` —
+    /// the one spelling of a `percentiles` entry. A `wall/` metric is left
+    /// out of a canonical document.
+    pub fn emit(&self, w: &mut JsonWriter) {
+        if !self.deterministic && !w.wall {
+            return;
+        }
+        w.elem_object(|w| {
+            w.str("name", &self.name);
+            w.str("kind", self.kind);
+            w.u64("count", self.count);
+            w.f64("value", self.value);
+            w.f64("min", self.min);
+            w.f64("max", self.max);
+            w.f64("p50", self.p50);
+            w.f64("p95", self.p95);
+            w.f64("p99", self.p99);
+        });
+    }
 }
 
 /// Prefix that marks a metric as wall-clock (nondeterministic).

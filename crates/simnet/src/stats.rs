@@ -3,6 +3,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
+use crate::emit::JsonWriter;
 use crate::trace::TraceBus;
 use crate::SimTime;
 
@@ -120,6 +121,13 @@ impl CommStats {
     /// True when nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.bytes == 0 && self.packages == 0 && self.sim_time.seconds() == 0.0
+    }
+
+    /// Writes the record's members into the object open on `w`.
+    pub fn emit(&self, w: &mut JsonWriter) {
+        w.u64("bytes", self.bytes);
+        w.u64("packages", self.packages);
+        w.f64("sim_time_secs", self.sim_time.seconds());
     }
 }
 

@@ -45,6 +45,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::emit::fmt_f64;
 use crate::registry::{FixedHistogram, MetricExport, MetricsRegistry};
 use crate::{CommLedger, CostModel, Phase, SimTime};
 
@@ -651,11 +652,11 @@ impl Trace {
                 e.phase.name(),
                 e.bytes,
                 e.packages,
-                json_num(e.begin.0 * 1e6),
-                json_num(e.sim_dur.0 * 1e6),
+                fmt_f64(e.begin.0 * 1e6),
+                fmt_f64(e.sim_dur.0 * 1e6),
             );
             if with_wall && e.kind == EventKind::Compute {
-                args.push_str(&format!(",\"wall_ms\":{}", json_num(e.wall_secs * 1e3)));
+                args.push_str(&format!(",\"wall_ms\":{}", fmt_f64(e.wall_secs * 1e3)));
             }
             emit(
                 format!(
@@ -664,7 +665,7 @@ impl Trace {
                     e.name,
                     e.phase.name(),
                     tid,
-                    json_num(begin_us),
+                    fmt_f64(begin_us),
                     args
                 ),
                 &mut out,
@@ -673,7 +674,7 @@ impl Trace {
                 format!(
                     "{{\"ph\":\"E\",\"pid\":0,\"tid\":{},\"ts\":{}}}",
                     tid,
-                    json_num(end_us)
+                    fmt_f64(end_us)
                 ),
                 &mut out,
             );
@@ -989,15 +990,6 @@ fn intern_name(name: &str) -> &'static str {
     let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
     table.push(leaked);
     leaked
-}
-
-/// Shortest-round-trip JSON number (non-finite values become `null`).
-fn json_num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Structural well-formedness of an event stream:

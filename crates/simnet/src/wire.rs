@@ -112,6 +112,17 @@ impl SparseWireStats {
         self.bytes.iter().sum()
     }
 
+    /// Writes the tallies as flat members (`dense`, `dense_bytes`,
+    /// `bitmap`, …) into the object open on `w`.
+    pub fn emit(&self, w: &mut crate::emit::JsonWriter) {
+        w.u64("dense", self.frames[0]);
+        w.u64("dense_bytes", self.bytes[0]);
+        w.u64("bitmap", self.frames[1]);
+        w.u64("bitmap_bytes", self.bytes[1]);
+        w.u64("runs", self.frames[2]);
+        w.u64("runs_bytes", self.bytes[2]);
+    }
+
     /// Total frames across all encodings.
     pub fn total_frames(&self) -> u64 {
         self.frames.iter().sum()
