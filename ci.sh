@@ -65,9 +65,9 @@ echo "==> analyze: trace profile must be byte-stable and self-checking"
 # The offline profiler over the exported events text must reproduce the
 # in-process --profile artifact byte for byte, stay byte-identical across
 # reruns, and pass report_diff like every other canonical report.
-"$BIN/trace_analyze" --out "$SMOKE/profile_a.json" \
-  --folded "$SMOKE/profile_a.folded" "$SMOKE/train_a.events" > /dev/null
-"$BIN/trace_analyze" --out "$SMOKE/profile_b.json" "$SMOKE/train_b.events" > /dev/null
+"$BIN/dimboost" analyze --trace "$SMOKE/train_a.events" --out "$SMOKE/profile_a.json" \
+  --folded "$SMOKE/profile_a.folded" > /dev/null
+"$BIN/dimboost" analyze --trace "$SMOKE/train_b.events" --out "$SMOKE/profile_b.json" > /dev/null
 cmp "$SMOKE/profile_a.json" "$SMOKE/profile_b.json"
 cmp "$SMOKE/profile_a.json" "$SMOKE/train_a.profile.json"
 "$BIN/report_diff" "$SMOKE/profile_a.json" "$SMOKE/profile_b.json"
@@ -77,11 +77,11 @@ grep -q '^net;' "$SMOKE/profile_a.folded"
 # collective's duration breaks the critical-path tiling identity, and
 # inflating the last service's duration breaks busy + idle == span
 # conservation. Both corrupted fixtures still parse — the failures must
-# come from the analyzer (exit 1), not the parser (exit 2).
+# come from the analyzer (exit 1, naming the broken law), not from usage (2).
 awk '/ kind=collective / && !(/ dur=0 /) { n++; if (n == 2) sub(/ dur=[^ ]*/, " dur=0") } { print }' \
   "$SMOKE/train_a.events" > "$SMOKE/corrupt_path.events"
 set +e
-"$BIN/trace_analyze" "$SMOKE/corrupt_path.events" > /dev/null 2> "$SMOKE/corrupt_path.err"
+"$BIN/dimboost" analyze --trace "$SMOKE/corrupt_path.events" > /dev/null 2> "$SMOKE/corrupt_path.err"
 status=$?
 set -e
 if [ "$status" -ne 1 ] || ! grep -q 'tile' "$SMOKE/corrupt_path.err"; then
@@ -92,7 +92,7 @@ fi
 line=$(grep -n ' kind=service ' "$SMOKE/train_a.events" | tail -1 | cut -d: -f1)
 sed "${line}s/ dur=/ dur=9/" "$SMOKE/train_a.events" > "$SMOKE/corrupt_busy.events"
 set +e
-"$BIN/trace_analyze" "$SMOKE/corrupt_busy.events" > /dev/null 2> "$SMOKE/corrupt_busy.err"
+"$BIN/dimboost" analyze --trace "$SMOKE/corrupt_busy.events" > /dev/null 2> "$SMOKE/corrupt_busy.err"
 status=$?
 set -e
 if [ "$status" -ne 1 ] || ! grep -q 'conserv' "$SMOKE/corrupt_busy.err"; then
@@ -129,32 +129,7 @@ cmp "$SMOKE/serving_a.canonical.json" "$SMOKE/serving_b.canonical.json"
   --threads 2 --batch-size 100 --output "$SMOKE/predict.txt"
 cmp "$SMOKE/scores_a.txt" "$SMOKE/predict.txt"
 
-echo "==> fused kernel: perf gates + canonical identity + bit-identical training"
-# Two small hist_kernel_bench runs: the first gates the fused kernel at 1.5x
-# the per-node binned path's wall time and the quantized kernel at 1.1x
-# *faster* than f32 fused at every thread count (both on the wide preset,
-# where kernel throughput rather than per-call overhead dominates); the pair
-# must be canonical-report identical (all throughput fields and the
-# quantized_speedup ratios are wall-only and ignored by report_diff's
-# built-in rules — structure and checksums must match).
-HIST_SIZES="--rows 4000 --features 80 --nnz 10 --nodes 8 \
-  --wide-rows 40000 --wide-features 200 --wide-nnz 16 --wide-nodes 16"
-"$BIN/hist_kernel_bench" $HIST_SIZES \
-  --rounds 8 --batch-size 256 --seed 5 --threads-list 1,4 \
-  --out "$SMOKE/hist_a.json" --assert-fused-ratio 1.5 \
-  --assert-quantized-ratio 1.1 > /dev/null
-"$BIN/hist_kernel_bench" $HIST_SIZES \
-  --rounds 8 --batch-size 256 --seed 5 --threads-list 1,4 \
-  --out "$SMOKE/hist_b.json" > /dev/null
-"$BIN/report_diff" "$SMOKE/hist_a.json" "$SMOKE/hist_b.json"
-# The quantized kernel's cross-thread-count bit-equality verdict must be
-# recorded — and true — for every problem in the report (the bench also
-# hard-fails on inequality; this guards the report plumbing itself).
-if [ "$(grep -o '"quantized_checksums_equal":true' "$SMOKE/hist_a.json" | wc -l)" -ne 2 ] \
-  || grep -q '"quantized_checksums_equal":false' "$SMOKE/hist_a.json"; then
-  echo "hist bench did not record quantized checksum equality for both problems" >&2
-  exit 1
-fi
+echo "==> fused kernel: bit-identical training"
 # Multi-threaded --fused-layer training must be bit-identical across reruns:
 # same model bytes, same canonical report, and report_diff-clean.
 for run in a b; do
@@ -270,8 +245,8 @@ cmp "$SMOKE/serve_a.profile.json" "$SMOKE/serve_b.profile.json"
 "$BIN/report_diff" "$SMOKE/serve_a.json" "$SMOKE/serve_b.json"
 # The offline profiler sniffs the serve trace header and must reproduce the
 # in-process --profile artifact byte for byte, report_diff-clean.
-"$BIN/trace_analyze" --out "$SMOKE/serve_offline.profile.json" \
-  "$SMOKE/serve_a.trace.txt" > /dev/null
+"$BIN/dimboost" analyze --trace "$SMOKE/serve_a.trace.txt" \
+  --out "$SMOKE/serve_offline.profile.json" > /dev/null
 cmp "$SMOKE/serve_offline.profile.json" "$SMOKE/serve_a.profile.json"
 "$BIN/report_diff" "$SMOKE/serve_offline.profile.json" "$SMOKE/serve_b.profile.json"
 # Overload leg: offered load far beyond saturation against a tiny queue must

@@ -123,9 +123,8 @@ pub struct Rule {
 }
 
 /// Built-in rules: skip wall-clock fields, which differ on every run
-/// (elapsed seconds, the throughput rates derived from them, the
-/// `serving_sim` report's `wall_secs` measurement, and the hist-kernel
-/// bench's `quantized_speedup` ratios, which are quotients of wall times).
+/// (elapsed seconds, the throughput rates derived from them, and the
+/// `serving_sim` report's `wall_secs` measurement).
 pub fn default_rules() -> Vec<Rule> {
     [
         "*compute_secs",
@@ -136,7 +135,6 @@ pub fn default_rules() -> Vec<Rule> {
         "*_per_sec",
         "*wall_secs",
         "percentiles.wall/*",
-        "*quantized_speedup*",
     ]
     .into_iter()
     .map(|p| Rule {
@@ -541,34 +539,6 @@ mod tests {
         let r = diff_reports(&a, &c, &default_rules());
         assert_eq!(r.differences.len(), 1);
         assert_eq!(r.differences[0].path, "served");
-    }
-
-    #[test]
-    fn quantized_speedup_ratios_are_skipped_by_default() {
-        // The hist-kernel bench's quantized/f32 speedups are quotients of
-        // wall times, so two runs disagree on them; the structural
-        // checksum-equality flag next to them must still be compared.
-        let a = parse(
-            r#"{"kind":"hist_kernel","quantized_speedup":{"wide/t1":1.61,"wide/t8":1.48},
-                "problems":[{"name":"wide","quantized_checksums_equal":true}]}"#,
-        )
-        .unwrap();
-        let b = parse(
-            r#"{"kind":"hist_kernel","quantized_speedup":{"wide/t1":1.34,"wide/t8":1.92},
-                "problems":[{"name":"wide","quantized_checksums_equal":true}]}"#,
-        )
-        .unwrap();
-        let r = diff_reports(&a, &b, &default_rules());
-        assert!(r.is_match(), "{:?}", r.differences);
-        assert_eq!(r.ignored, 2);
-        let c = parse(
-            r#"{"kind":"hist_kernel","quantized_speedup":{"wide/t1":1.61,"wide/t8":1.48},
-                "problems":[{"name":"wide","quantized_checksums_equal":false}]}"#,
-        )
-        .unwrap();
-        let r = diff_reports(&a, &c, &default_rules());
-        assert_eq!(r.differences.len(), 1);
-        assert!(r.differences[0].path.contains("quantized_checksums_equal"));
     }
 
     #[test]

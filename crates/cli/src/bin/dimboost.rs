@@ -5,7 +5,7 @@ fn main() {
     let command = match dimboost_cli::parse_args(&args) {
         Ok(cmd) => cmd,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", dimboost_cli::USAGE);
+            eprintln!("error: {e}\n\n{}", dimboost_cli::usage());
             std::process::exit(2);
         }
     };

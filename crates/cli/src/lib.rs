@@ -17,11 +17,16 @@
 //! * `evaluate` — report error / log-loss / AUC of a model on a file.
 //! * `gen` — write a synthetic dataset in LibSVM format.
 //!
-//! Argument parsing is hand-rolled (`--flag value` pairs) to stay within the
-//! workspace's dependency allowlist; [`parse_args`] is a pure function so
-//! the whole surface is unit-testable.
+//! Each subcommand has one flag table (`*_flags`, read through the
+//! `flags` module) from which parsing, range checks and the [`usage`]
+//! synopsis all derive; [`parse_args`] is a pure function so the whole
+//! surface is unit-testable.
 
-use std::path::PathBuf;
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
+mod flags;
+
+use std::path::{Display, Path, PathBuf};
 
 use dimboost_core::metrics::{
     auc, classification_error, log_loss, multiclass_error, multiclass_log_loss, rmse,
@@ -38,10 +43,10 @@ use dimboost_data::Dataset;
 use dimboost_predict::{score_raw, score_transformed, BenchOptions, CompiledModel, EngineConfig};
 use dimboost_ps::PsConfig;
 use dimboost_serving::{
-    analyze_serve_trace, is_serve_trace, poisson_arrivals, run_serve_sim, ModelSwap,
-    ServeSimConfig, TenantSpec,
+    analyze_serve_trace, is_serve_trace, poisson_arrivals, ModelSwap, ServeSimConfig, TenantSpec,
 };
 use dimboost_simnet::{analyze_trace, CostModel, Trace};
+use flags::{Flags, ANY, FINITE, NON_NEGATIVE, POSITIVE, UNIT_INTERVAL};
 
 /// A fully-parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -263,43 +268,45 @@ pub struct GenArgs {
     pub seed: u64,
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-dimboost — DimBoost (SIGMOD'18) GBDT trainer
+/// A subcommand's flag table: a function that reads each flag of the
+/// subcommand through [`Flags`] (see [`flags`]), then applies the cross-flag
+/// rules no single flag can declare.
+type Build = fn(&mut Flags) -> Result<Command, String>;
 
-USAGE:
-  dimboost train --data <libsvm> --model <out> [--trees N] [--depth D]
-                 [--lr F] [--workers W] [--servers P] [--candidates K]
-                 [--feature-sample F] [--row-sample F] [--bits N]
-                 [--loss logistic|square|softmax --classes K] [--seed N] [--test-fraction F]
-                 [--zero-based] [--default-direction] [--pre-binning]
-                 [--hist-subtraction] [--fused-layer] [--sparse-wire]
-                 [--quantized-hist] [--quant-hist-bits N]
-                 [--early-stop R] [--report <json>]
-                 [--report-canonical <json>] [--trace <json>]
-                 [--trace-canonical <json>] [--trace-events <path>]
-                 [--profile <json>] [--fault-plan <file>]
-                 [--checkpoint-dir <dir>] [--checkpoint-every N] [--resume]
-                 [--threads Q] [--batch-size B]
-  dimboost predict --data <libsvm|csv> --model <file> [--output <path>] [--raw]
-                 [--zero-based] [--csv] [--threads Q] [--batch-size B]
-  dimboost bench --data <libsvm|csv> --model <file> [--threads Q]
-                 [--batch-size B] [--repeats R] [--raw] [--zero-based] [--csv]
-                 [--scores <path>] [--report <json>] [--report-canonical <json>]
-  dimboost serve-sim --data <libsvm|csv> --model <file> [--model <file> ...]
-                 [--requests N] [--rate RPS] [--seed N] [--queue-cap N]
-                 [--max-batch N] [--slo SECS] [--service-fixed SECS]
-                 [--service-per-row SECS] [--horizon SECS]
-                 [--swap-at SECS (--swap-model <file> | --swap-checkpoint <dir>)]
-                 [--swap-tenant I] [--zero-based] [--csv] [--report <json>]
-                 [--report-canonical <json>] [--trace <path>]
-                 [--profile <json>]
-  dimboost analyze --trace <path> [--out <json>] [--folded <path>] [--top N]
-  dimboost evaluate --data <libsvm> --model <file> [--zero-based]
-  dimboost gen --out <path> --rows N --features M --nnz Z [--seed N]
-  dimboost inspect --model <file> [--top N] [--dump-tree I]
-  dimboost help
+const SUBCOMMANDS: [(&str, Build); 8] = [
+    ("train", train_flags),
+    ("predict", predict_flags),
+    ("bench", bench_flags),
+    ("serve-sim", serve_sim_flags),
+    ("analyze", analyze_flags),
+    ("evaluate", evaluate_flags),
+    ("gen", gen_flags),
+    ("inspect", inspect_flags),
+];
 
+/// Parses a raw argument list (without the program name).
+pub fn parse_args(args: &[String]) -> Result<Command, String> {
+    let name = match args.first().map(String::as_str) {
+        None | Some("help" | "--help" | "-h") => return Ok(Command::Help),
+        Some(name) => name,
+    };
+    let (sub, build) = SUBCOMMANDS
+        .iter()
+        .find(|(sub, _)| *sub == name)
+        .ok_or_else(|| format!("unknown subcommand {name:?} (try `dimboost help`)"))?;
+    flags::parse(sub, *build, &args[1..])
+}
+
+/// Usage text: a synopsis generated from the flag tables, then the prose.
+pub fn usage() -> String {
+    let mut out = String::from("dimboost — DimBoost (SIGMOD'18) GBDT trainer\n\nUSAGE:\n");
+    for (sub, build) in SUBCOMMANDS {
+        out += &flags::synopsis(&format!("dimboost {sub}"), &flags::table(build));
+    }
+    out + "  dimboost help\n\n" + USAGE_PROSE
+}
+
+const USAGE_PROSE: &str = "\
 `predict` and `bench` score through the compiled inference engine
 (struct-of-arrays trees, statically striped batches): output bytes are
 bit-identical across reruns for any `--threads`/`--batch-size`, and equal
@@ -355,468 +362,180 @@ to the fixed-membership run — only simulated time stretches, reported
 under `membership` in the report and on the membership trace track.
 ";
 
-fn take_value<'a>(flag: &str, iter: &mut std::slice::Iter<'a, String>) -> Result<&'a str, String> {
-    iter.next()
-        .map(|s| s.as_str())
-        .ok_or_else(|| format!("missing value for {flag}"))
-}
-
-fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("invalid value {value:?} for {flag}"))
-}
-
-/// Parses a raw argument list (without the program name).
-pub fn parse_args(args: &[String]) -> Result<Command, String> {
-    let Some(sub) = args.first() else {
-        return Ok(Command::Help);
-    };
-    let rest = &args[1..];
-    match sub.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "train" => parse_train(rest).map(|args| Command::Train(Box::new(args))),
-        "predict" => parse_predict(rest).map(Command::Predict),
-        "bench" => parse_bench(rest).map(Command::Bench),
-        "serve-sim" => parse_serve_sim(rest).map(Command::ServeSim),
-        "analyze" => parse_analyze(rest).map(Command::Analyze),
-        "evaluate" => parse_evaluate(rest).map(Command::Evaluate),
-        "gen" => parse_gen(rest).map(Command::Gen),
-        "inspect" => parse_inspect(rest).map(Command::Inspect),
-        other => Err(format!(
-            "unknown subcommand {other:?} (try `dimboost help`)"
-        )),
-    }
-}
-
-fn parse_train(args: &[String]) -> Result<TrainArgs, String> {
-    let mut data = None;
-    let mut model = None;
-    let mut workers = 1usize;
-    let mut servers = 0usize;
-    let mut test_fraction = 0.0f64;
-    let mut zero_based = false;
-    let mut early_stop: Option<usize> = None;
-    let mut report: Option<PathBuf> = None;
-    let mut report_canonical: Option<PathBuf> = None;
-    let mut trace: Option<PathBuf> = None;
-    let mut trace_canonical: Option<PathBuf> = None;
-    let mut trace_events: Option<PathBuf> = None;
-    let mut profile: Option<PathBuf> = None;
-    let mut fault_plan: Option<PathBuf> = None;
-    let mut checkpoint_dir: Option<PathBuf> = None;
-    let mut checkpoint_every = 1usize;
-    let mut resume = false;
+fn train_flags(f: &mut Flags) -> Result<Command, String> {
     let mut config = GbdtConfig::default();
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--data" => data = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--model" => model = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--trees" => config.num_trees = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--depth" => config.max_depth = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--lr" => config.learning_rate = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--workers" => workers = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--servers" => servers = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--candidates" => {
-                config.num_candidates = parse_num(flag, take_value(flag, &mut iter)?)?
-            }
-            "--feature-sample" => {
-                config.feature_sample_ratio = parse_num(flag, take_value(flag, &mut iter)?)?
-            }
-            "--row-sample" => {
-                config.instance_sample_ratio = parse_num(flag, take_value(flag, &mut iter)?)?
-            }
-            "--bits" => config.compress_bits = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--loss" => {
-                config.loss = match take_value(flag, &mut iter)? {
-                    "logistic" => LossKind::Logistic,
-                    "square" => LossKind::Square,
-                    "softmax" => LossKind::Softmax { classes: 0 },
-                    other => return Err(format!("unknown loss {other:?}")),
-                }
-            }
-            "--classes" => {
-                let classes: u32 = parse_num(flag, take_value(flag, &mut iter)?)?;
-                config.loss = LossKind::Softmax { classes };
-            }
-            "--seed" => config.seed = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--test-fraction" => test_fraction = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--zero-based" => zero_based = true,
-            "--default-direction" => config.learn_default_direction = true,
-            "--pre-binning" => config.opts.pre_binning = true,
-            "--hist-subtraction" => config.opts.hist_subtraction = true,
-            "--fused-layer" => config.opts.fused_layer = true,
-            "--sparse-wire" => config.opts.sparse_wire = true,
-            "--quantized-hist" => config.opts.quantized_hist = true,
-            "--quant-hist-bits" => {
-                config.quant_hist_bits = parse_num(flag, take_value(flag, &mut iter)?)?
-            }
-            "--early-stop" => early_stop = Some(parse_num(flag, take_value(flag, &mut iter)?)?),
-            "--report" => report = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--report-canonical" => {
-                report_canonical = Some(PathBuf::from(take_value(flag, &mut iter)?))
-            }
-            "--trace" => trace = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--trace-canonical" => {
-                trace_canonical = Some(PathBuf::from(take_value(flag, &mut iter)?))
-            }
-            "--trace-events" => trace_events = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--profile" => profile = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--fault-plan" => fault_plan = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--checkpoint-dir" => {
-                checkpoint_dir = Some(PathBuf::from(take_value(flag, &mut iter)?))
-            }
-            "--checkpoint-every" => {
-                checkpoint_every = parse_num(flag, take_value(flag, &mut iter)?)?
-            }
-            "--resume" => resume = true,
-            "--threads" => config.num_threads = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--batch-size" => config.batch_size = parse_num(flag, take_value(flag, &mut iter)?)?,
-            other => return Err(format!("unknown flag {other:?} for train")),
+    config.num_trees = f.value_or("--trees N", ANY, config.num_trees);
+    config.max_depth = f.value_or("--depth D", ANY, config.max_depth);
+    config.learning_rate = f.value_or("--lr F", ANY, config.learning_rate);
+    config.num_candidates = f.value_or("--candidates K", ANY, config.num_candidates);
+    config.feature_sample_ratio =
+        f.value_or("--feature-sample F", ANY, config.feature_sample_ratio);
+    config.instance_sample_ratio = f.value_or("--row-sample F", ANY, config.instance_sample_ratio);
+    config.compress_bits = f.value_or("--bits N", ANY, config.compress_bits);
+    let loss: Option<String> = f.optional("--loss logistic|square|softmax", ANY);
+    let classes: Option<u32> = f.optional("--classes K", &[POSITIVE]);
+    config.seed = f.value_or("--seed N", ANY, config.seed);
+    config.learn_default_direction = f.switch("--default-direction");
+    config.opts.pre_binning = f.switch("--pre-binning");
+    config.opts.hist_subtraction = f.switch("--hist-subtraction");
+    config.opts.fused_layer = f.switch("--fused-layer");
+    config.opts.sparse_wire = f.switch("--sparse-wire");
+    config.opts.quantized_hist = f.switch("--quantized-hist");
+    config.quant_hist_bits = f.value_or("--quant-hist-bits N", ANY, config.quant_hist_bits);
+    config.num_threads = f.value_or("--threads Q", &[POSITIVE], config.num_threads);
+    config.batch_size = f.value_or("--batch-size B", &[POSITIVE], config.batch_size);
+    let mut args = TrainArgs {
+        data: f.required("--data <libsvm>"),
+        model: f.required("--model <out>"),
+        workers: f.value_or("--workers W", &[POSITIVE], 1),
+        servers: f.value_or("--servers P", ANY, 0),
+        test_fraction: f.value_or("--test-fraction F", &[UNIT_INTERVAL], 0.0),
+        zero_based: f.switch("--zero-based"),
+        early_stop: f.optional("--early-stop R", ANY),
+        report: f.optional("--report <json>", ANY),
+        report_canonical: f.optional("--report-canonical <json>", ANY),
+        trace: f.optional("--trace <json>", ANY),
+        trace_canonical: f.optional("--trace-canonical <json>", ANY),
+        trace_events: f.optional("--trace-events <path>", ANY),
+        profile: f.optional("--profile <json>", ANY),
+        fault_plan: f.optional("--fault-plan <file>", ANY),
+        checkpoint_dir: f.optional("--checkpoint-dir <dir>", ANY),
+        checkpoint_every: f.value_or("--checkpoint-every N", &[POSITIVE], 1),
+        resume: f.switch("--resume"),
+        config,
+    };
+    // Resolved here, after both were read, so their order cannot matter.
+    args.config.loss = match (loss.as_deref(), classes) {
+        (None | Some("softmax"), Some(classes)) => LossKind::Softmax { classes },
+        (Some("softmax"), None) => return Err("--loss softmax requires --classes K".into()),
+        (None | Some("logistic"), None) => LossKind::Logistic,
+        (Some("square"), None) => LossKind::Square,
+        (Some(binary @ ("logistic" | "square")), Some(_)) => {
+            return Err(format!("--loss {binary} conflicts with --classes"))
         }
-    }
-    config.collect_trace =
-        trace.is_some() || trace_canonical.is_some() || trace_events.is_some() || profile.is_some();
-    if matches!(config.loss, LossKind::Softmax { classes: 0 }) {
-        return Err("--loss softmax requires --classes K".into());
-    }
-    if early_stop.is_some() && test_fraction <= 0.0 {
+        (Some(other), _) => return Err(format!("unknown loss {other:?}")),
+    };
+    args.config.collect_trace = args.trace.is_some()
+        || args.trace_canonical.is_some()
+        || args.trace_events.is_some()
+        || args.profile.is_some();
+    if args.early_stop.is_some() && args.test_fraction <= 0.0 {
         return Err("--early-stop requires --test-fraction > 0".into());
     }
-    if checkpoint_dir.is_none() && (resume || checkpoint_every != 1) {
+    if args.checkpoint_dir.is_none() && (args.resume || args.checkpoint_every != 1) {
         return Err("--resume and --checkpoint-every require --checkpoint-dir".into());
     }
-    if checkpoint_every == 0 {
-        return Err("--checkpoint-every must be at least 1".into());
-    }
-    // Catch `--threads 0` / `--batch-size 0` here, at parse time, like
-    // `predict` and `bench` do — not as a downstream config error.
-    if config.num_threads == 0 || config.batch_size == 0 {
-        return Err("--threads and --batch-size must be positive".into());
-    }
-    Ok(TrainArgs {
-        data: data.ok_or("train requires --data")?,
-        model: model.ok_or("train requires --model")?,
-        workers: workers.max(1),
-        servers,
-        test_fraction,
-        zero_based,
-        early_stop,
-        report,
-        report_canonical,
-        trace,
-        trace_canonical,
-        trace_events,
-        profile,
-        fault_plan,
-        checkpoint_dir,
-        checkpoint_every,
-        resume,
-        config,
-    })
+    Ok(Command::Train(Box::new(args)))
 }
 
-fn parse_predict(args: &[String]) -> Result<PredictArgs, String> {
-    let mut data = None;
-    let mut model = None;
-    let mut output = None;
-    let mut raw = false;
-    let mut zero_based = false;
-    let mut csv = false;
+fn predict_flags(f: &mut Flags) -> Result<Command, String> {
     let engine = EngineConfig::default();
-    let mut threads = engine.threads;
-    let mut batch_size = engine.batch_size;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--data" => data = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--model" => model = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--output" => output = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--raw" => raw = true,
-            "--zero-based" => zero_based = true,
-            "--csv" => csv = true,
-            "--threads" => threads = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--batch-size" => batch_size = parse_num(flag, take_value(flag, &mut iter)?)?,
-            other => return Err(format!("unknown flag {other:?} for predict")),
-        }
-    }
-    if threads == 0 || batch_size == 0 {
-        return Err("--threads and --batch-size must be positive".into());
-    }
-    Ok(PredictArgs {
-        data: data.ok_or("predict requires --data")?,
-        model: model.ok_or("predict requires --model")?,
-        output,
-        raw,
-        zero_based,
-        csv,
-        threads,
-        batch_size,
-    })
+    Ok(Command::Predict(PredictArgs {
+        data: f.required("--data <libsvm|csv>"),
+        model: f.required("--model <file>"),
+        output: f.optional("--output <path>", ANY),
+        raw: f.switch("--raw"),
+        zero_based: f.switch("--zero-based"),
+        csv: f.switch("--csv"),
+        threads: f.value_or("--threads Q", &[POSITIVE], engine.threads),
+        batch_size: f.value_or("--batch-size B", &[POSITIVE], engine.batch_size),
+    }))
 }
 
-fn parse_bench(args: &[String]) -> Result<BenchArgs, String> {
-    let mut data = None;
-    let mut model = None;
-    let mut raw = false;
-    let mut zero_based = false;
-    let mut csv = false;
+fn bench_flags(f: &mut Flags) -> Result<Command, String> {
     let engine = EngineConfig::default();
-    let mut threads = engine.threads;
-    let mut batch_size = engine.batch_size;
-    let mut repeats = 3usize;
-    let mut scores = None;
-    let mut report = None;
-    let mut report_canonical = None;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--data" => data = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--model" => model = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--threads" => threads = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--batch-size" => batch_size = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--repeats" => repeats = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--raw" => raw = true,
-            "--zero-based" => zero_based = true,
-            "--csv" => csv = true,
-            "--scores" => scores = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--report" => report = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--report-canonical" => {
-                report_canonical = Some(PathBuf::from(take_value(flag, &mut iter)?))
-            }
-            other => return Err(format!("unknown flag {other:?} for bench")),
-        }
-    }
-    if threads == 0 || batch_size == 0 || repeats == 0 {
-        return Err("--threads, --batch-size, and --repeats must be positive".into());
-    }
-    Ok(BenchArgs {
-        data: data.ok_or("bench requires --data")?,
-        model: model.ok_or("bench requires --model")?,
-        threads,
-        batch_size,
-        repeats,
-        raw,
-        zero_based,
-        csv,
-        scores,
-        report,
-        report_canonical,
-    })
+    Ok(Command::Bench(BenchArgs {
+        data: f.required("--data <libsvm|csv>"),
+        model: f.required("--model <file>"),
+        threads: f.value_or("--threads Q", &[POSITIVE], engine.threads),
+        batch_size: f.value_or("--batch-size B", &[POSITIVE], engine.batch_size),
+        repeats: f.value_or("--repeats R", &[POSITIVE], 3),
+        raw: f.switch("--raw"),
+        zero_based: f.switch("--zero-based"),
+        csv: f.switch("--csv"),
+        scores: f.optional("--scores <path>", ANY),
+        report: f.optional("--report <json>", ANY),
+        report_canonical: f.optional("--report-canonical <json>", ANY),
+    }))
 }
 
-fn parse_serve_sim(args: &[String]) -> Result<ServeSimArgs, String> {
-    let mut data = None;
-    let mut models: Vec<PathBuf> = Vec::new();
-    let mut requests = 1_000usize;
-    let mut rate = 500.0f64;
-    let mut seed = 42u64;
-    let mut queue_cap = 256usize;
-    let mut max_batch = 16usize;
-    let mut slo = 0.05f64;
-    let mut service_fixed = 1e-4f64;
-    let mut service_per_row = 1e-5f64;
-    let mut horizon: Option<f64> = None;
-    let mut swap_at: Option<f64> = None;
-    let mut swap_tenant = 0usize;
-    let mut swap_model: Option<PathBuf> = None;
-    let mut swap_checkpoint: Option<PathBuf> = None;
-    let mut zero_based = false;
-    let mut csv = false;
-    let mut report = None;
-    let mut report_canonical = None;
-    let mut trace = None;
-    let mut profile = None;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--data" => data = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--model" => models.push(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--requests" => requests = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--rate" => rate = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--seed" => seed = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--queue-cap" => queue_cap = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--max-batch" => max_batch = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--slo" => slo = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--service-fixed" => service_fixed = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--service-per-row" => service_per_row = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--horizon" => horizon = Some(parse_num(flag, take_value(flag, &mut iter)?)?),
-            "--swap-at" => swap_at = Some(parse_num(flag, take_value(flag, &mut iter)?)?),
-            "--swap-tenant" => swap_tenant = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--swap-model" => swap_model = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--swap-checkpoint" => {
-                swap_checkpoint = Some(PathBuf::from(take_value(flag, &mut iter)?))
-            }
-            "--zero-based" => zero_based = true,
-            "--csv" => csv = true,
-            "--report" => report = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--report-canonical" => {
-                report_canonical = Some(PathBuf::from(take_value(flag, &mut iter)?))
-            }
-            "--trace" => trace = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--profile" => profile = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            other => return Err(format!("unknown flag {other:?} for serve-sim")),
-        }
+fn serve_sim_flags(f: &mut Flags) -> Result<Command, String> {
+    let args = ServeSimArgs {
+        data: f.required("--data <libsvm|csv>"),
+        models: f.repeated("--model <file>"),
+        requests: f.value_or("--requests N", &[POSITIVE], 1_000),
+        rate: f.value_or("--rate RPS", &[POSITIVE, FINITE], 500.0),
+        seed: f.value_or("--seed N", ANY, 42),
+        queue_cap: f.value_or("--queue-cap N", &[POSITIVE], 256),
+        max_batch: f.value_or("--max-batch N", &[POSITIVE], 16),
+        slo: f.value_or("--slo SECS", &[POSITIVE, FINITE], 0.05),
+        service_fixed: f.value_or("--service-fixed SECS", &[FINITE, NON_NEGATIVE], 1e-4),
+        service_per_row: f.value_or("--service-per-row SECS", &[FINITE, NON_NEGATIVE], 1e-5),
+        horizon: f.optional("--horizon SECS", &[POSITIVE]),
+        swap_at: f.optional("--swap-at SECS", &[FINITE, NON_NEGATIVE]),
+        swap_tenant: f.value_or("--swap-tenant I", ANY, 0),
+        swap_model: f.optional("--swap-model <file>", ANY),
+        swap_checkpoint: f.optional("--swap-checkpoint <dir>", ANY),
+        zero_based: f.switch("--zero-based"),
+        csv: f.switch("--csv"),
+        report: f.optional("--report <json>", ANY),
+        report_canonical: f.optional("--report-canonical <json>", ANY),
+        trace: f.optional("--trace <path>", ANY),
+        profile: f.optional("--profile <json>", ANY),
+    };
+    // A swap needs a time and exactly one model source, and must name a
+    // loaded tenant.
+    let sources =
+        usize::from(args.swap_model.is_some()) + usize::from(args.swap_checkpoint.is_some());
+    if args.swap_at.is_some() && sources != 1 {
+        return Err("--swap-at requires exactly one of --swap-model or --swap-checkpoint".into());
     }
-    // Degenerate knobs are caught here, at parse time, with the flag named
-    // in the message — never as a downstream simulation assert.
-    if models.is_empty() {
-        return Err("serve-sim requires at least one --model".into());
+    if args.swap_at.is_none() && sources != 0 {
+        return Err("--swap-model/--swap-checkpoint requires --swap-at".into());
     }
-    if requests == 0 {
-        return Err("--requests must be positive".into());
-    }
-    if rate <= 0.0 || !rate.is_finite() {
-        return Err("--rate must be positive".into());
-    }
-    if queue_cap == 0 || max_batch == 0 {
-        return Err("--queue-cap and --max-batch must be positive".into());
-    }
-    if slo <= 0.0 || !slo.is_finite() {
-        return Err("--slo must be positive".into());
-    }
-    if service_fixed < 0.0 || service_per_row < 0.0 {
-        return Err("--service-fixed and --service-per-row must not be negative".into());
-    }
-    if let Some(h) = horizon {
-        if h.is_nan() || h <= 0.0 {
-            return Err("--horizon must be positive".into());
-        }
-    }
-    let swap_sources = usize::from(swap_model.is_some()) + usize::from(swap_checkpoint.is_some());
-    match (swap_at, swap_sources) {
-        (Some(_), 1) | (None, 0) => {}
-        (Some(_), _) => {
-            return Err(
-                "--swap-at requires exactly one of --swap-model or --swap-checkpoint".into(),
-            )
-        }
-        (None, _) => {
-            return Err("--swap-model/--swap-checkpoint requires --swap-at".into());
-        }
-    }
-    if swap_at.is_some() && swap_tenant >= models.len() {
+    if args.swap_at.is_some() && args.swap_tenant >= args.models.len() {
         return Err(format!(
-            "--swap-tenant {swap_tenant} out of range for {} model(s)",
-            models.len()
+            "--swap-tenant {} out of range for {} model(s)",
+            args.swap_tenant,
+            args.models.len()
         ));
     }
-    Ok(ServeSimArgs {
-        data: data.ok_or("serve-sim requires --data")?,
-        models,
-        requests,
-        rate,
-        seed,
-        queue_cap,
-        max_batch,
-        slo,
-        service_fixed,
-        service_per_row,
-        horizon,
-        swap_at,
-        swap_tenant,
-        swap_model,
-        swap_checkpoint,
-        zero_based,
-        csv,
-        report,
-        report_canonical,
-        trace,
-        profile,
-    })
+    Ok(Command::ServeSim(args))
 }
 
-fn parse_analyze(args: &[String]) -> Result<AnalyzeArgs, String> {
-    let mut trace = None;
-    let mut out = None;
-    let mut folded = None;
-    let mut top = 10usize;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--trace" => trace = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--out" => out = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--folded" => folded = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--top" => top = parse_num(flag, take_value(flag, &mut iter)?)?,
-            other => return Err(format!("unknown flag {other:?} for analyze")),
-        }
-    }
-    if top == 0 {
-        return Err("--top must be positive".into());
-    }
-    Ok(AnalyzeArgs {
-        trace: trace.ok_or("analyze requires --trace")?,
-        out,
-        folded,
-        top,
-    })
+fn analyze_flags(f: &mut Flags) -> Result<Command, String> {
+    Ok(Command::Analyze(AnalyzeArgs {
+        trace: f.required("--trace <path>"),
+        out: f.optional("--out <json>", ANY),
+        folded: f.optional("--folded <path>", ANY),
+        top: f.value_or("--top N", &[POSITIVE], 10),
+    }))
 }
 
-fn parse_evaluate(args: &[String]) -> Result<EvalArgs, String> {
-    let mut data = None;
-    let mut model = None;
-    let mut zero_based = false;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--data" => data = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--model" => model = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--zero-based" => zero_based = true,
-            other => return Err(format!("unknown flag {other:?} for evaluate")),
-        }
-    }
-    Ok(EvalArgs {
-        data: data.ok_or("evaluate requires --data")?,
-        model: model.ok_or("evaluate requires --model")?,
-        zero_based,
-    })
+fn evaluate_flags(f: &mut Flags) -> Result<Command, String> {
+    Ok(Command::Evaluate(EvalArgs {
+        data: f.required("--data <libsvm>"),
+        model: f.required("--model <file>"),
+        zero_based: f.switch("--zero-based"),
+    }))
 }
 
-fn parse_gen(args: &[String]) -> Result<GenArgs, String> {
-    let mut out = None;
-    let mut rows = 1_000usize;
-    let mut features = 100usize;
-    let mut nnz = 10usize;
-    let mut seed = 42u64;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--out" => out = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--rows" => rows = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--features" => features = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--nnz" => nnz = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--seed" => seed = parse_num(flag, take_value(flag, &mut iter)?)?,
-            other => return Err(format!("unknown flag {other:?} for gen")),
-        }
-    }
-    Ok(GenArgs {
-        out: out.ok_or("gen requires --out")?,
-        rows,
-        features,
-        nnz,
-        seed,
-    })
+fn gen_flags(f: &mut Flags) -> Result<Command, String> {
+    Ok(Command::Gen(GenArgs {
+        out: f.required("--out <path>"),
+        rows: f.value_or("--rows N", ANY, 1_000),
+        features: f.value_or("--features M", &[POSITIVE], 100),
+        nnz: f.value_or("--nnz Z", ANY, 10),
+        seed: f.value_or("--seed N", ANY, 42),
+    }))
 }
 
-fn parse_inspect(args: &[String]) -> Result<InspectArgs, String> {
-    let mut model = None;
-    let mut top = 10usize;
-    let mut dump_tree = None;
-    let mut iter = args.iter();
-    while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--model" => model = Some(PathBuf::from(take_value(flag, &mut iter)?)),
-            "--top" => top = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--dump-tree" => dump_tree = Some(parse_num(flag, take_value(flag, &mut iter)?)?),
-            other => return Err(format!("unknown flag {other:?} for inspect")),
-        }
-    }
-    Ok(InspectArgs {
-        model: model.ok_or("inspect requires --model")?,
-        top,
-        dump_tree,
-    })
+fn inspect_flags(f: &mut Flags) -> Result<Command, String> {
+    Ok(Command::Inspect(InspectArgs {
+        model: f.required("--model <file>"),
+        top: f.value_or("--top N", ANY, 10),
+        dump_tree: f.optional("--dump-tree I", ANY),
+    }))
 }
 
 fn libsvm_opts(zero_based: bool, num_features: Option<usize>) -> LibsvmOptions {
@@ -830,7 +549,7 @@ fn libsvm_opts(zero_based: bool, num_features: Option<usize>) -> LibsvmOptions {
 /// Loads a scoring input (LibSVM by default, CSV with `csv`). Labels are
 /// kept as-is — scoring ignores them.
 fn read_scoring_data(
-    path: &std::path::Path,
+    path: &Path,
     csv: bool,
     zero_based: bool,
     num_features: usize,
@@ -905,460 +624,459 @@ impl From<String> for CliError {
 pub fn run(command: Command) -> Result<(), CliError> {
     match command {
         Command::Help => {
-            println!("{USAGE}");
+            println!("{}", usage());
             Ok(())
         }
-        Command::Inspect(args) => {
-            let model = load_model_file(&args.model).map_err(|e| e.to_string())?;
-            println!(
-                "model: {} trees (depth <= {}), {} features, {} classes, lr {}, loss {:?}",
-                model.num_trees(),
-                model
-                    .trees()
-                    .iter()
-                    .map(|t| t.max_depth())
-                    .max()
-                    .unwrap_or(0),
-                model.num_features(),
-                model.num_classes(),
-                model.learning_rate(),
-                model.loss()
-            );
-            let leaves: usize = model.trees().iter().map(|t| t.num_leaves()).sum();
-            let splits: usize = model.trees().iter().map(|t| t.num_internal()).sum();
-            println!("totals: {splits} splits, {leaves} leaves");
-            println!("top features by gain:");
-            for (f, g) in model.top_features(args.top) {
-                println!("  f{f:<8} gain {g:.4}");
-            }
-            if let Some(i) = args.dump_tree {
-                let tree = model
-                    .trees()
-                    .get(i)
-                    .ok_or_else(|| format!("tree {i} out of {}", model.num_trees()))?;
-                println!(
-                    "
-tree {i}:
-{}",
-                    tree.dump()
-                );
-            }
-            Ok(())
+        Command::Inspect(args) => run_inspect(&args),
+        Command::Gen(args) => run_gen(&args),
+        Command::Train(args) => run_train(&args),
+        Command::Predict(args) => run_predict(&args),
+        Command::Bench(args) => run_bench(&args),
+        Command::ServeSim(args) => run_serve_sim(&args),
+        Command::Analyze(args) => run_analyze(&args),
+        Command::Evaluate(args) => run_evaluate(&args),
+    }
+}
+
+/// Writes one output file (`what` names it if that fails) and hands back
+/// its path for the caller's announcement, so nothing is announced before
+/// it is on disk.
+fn write_artifact<'p>(path: &'p Path, what: &str, text: &str) -> Result<Display<'p>, CliError> {
+    std::fs::write(path, text).map_err(|e| format!("write {what}: {e}"))?;
+    Ok(path.display())
+}
+
+/// Compiled-engine scores are bit-equal to the interpreted path, so
+/// scoring through it changes no output byte.
+fn load_compiled(path: &Path) -> Result<CompiledModel, CliError> {
+    let model = load_model_file(path).map_err(|e| e.to_string())?;
+    Ok(CompiledModel::compile(&model))
+}
+
+fn run_inspect(args: &InspectArgs) -> Result<(), CliError> {
+    let model = load_model_file(&args.model).map_err(|e| e.to_string())?;
+    println!(
+        "model: {} trees (depth <= {}), {} features, {} classes, lr {}, loss {:?}",
+        model.num_trees(),
+        model
+            .trees()
+            .iter()
+            .map(|t| t.max_depth())
+            .max()
+            .unwrap_or(0),
+        model.num_features(),
+        model.num_classes(),
+        model.learning_rate(),
+        model.loss()
+    );
+    let leaves: usize = model.trees().iter().map(|t| t.num_leaves()).sum();
+    let splits: usize = model.trees().iter().map(|t| t.num_internal()).sum();
+    println!("totals: {splits} splits, {leaves} leaves");
+    println!("top features by gain:");
+    for (f, g) in model.top_features(args.top) {
+        println!("  f{f:<8} gain {g:.4}");
+    }
+    if let Some(i) = args.dump_tree {
+        let tree = model
+            .trees()
+            .get(i)
+            .ok_or_else(|| format!("tree {i} out of {}", model.num_trees()))?;
+        println!("\ntree {i}:\n{}", tree.dump());
+    }
+    Ok(())
+}
+
+fn run_gen(args: &GenArgs) -> Result<(), CliError> {
+    let ds = generate(&SparseGenConfig::new(
+        args.rows,
+        args.features,
+        args.nnz,
+        args.seed,
+    ));
+    let file = std::fs::File::create(&args.out).map_err(|e| format!("create output: {e}"))?;
+    write_libsvm(file, &ds).map_err(|e| e.to_string())?;
+    println!(
+        "wrote {} rows x {} features ({} nonzeros) to {}",
+        ds.num_rows(),
+        ds.num_features(),
+        ds.nnz(),
+        args.out.display()
+    );
+    Ok(())
+}
+
+fn run_train(args: &TrainArgs) -> Result<(), CliError> {
+    let mut opts = libsvm_opts(args.zero_based, None);
+    if !matches!(args.config.loss, LossKind::Logistic) {
+        // Square keeps raw targets; softmax keeps class indices.
+        opts.binarize_labels = false;
+    }
+    let full = read_libsvm_file(&args.data, opts).map_err(|e| e.to_string())?;
+    println!(
+        "loaded {} rows x {} features from {}",
+        full.num_rows(),
+        full.num_features(),
+        args.data.display()
+    );
+    let (train, test) = if args.test_fraction > 0.0 {
+        let (tr, te) = train_test_split(&full, args.test_fraction, args.config.seed)
+            .map_err(|e| e.to_string())?;
+        (tr, Some(te))
+    } else {
+        (full, None)
+    };
+    let shards = partition_rows(&train, args.workers).map_err(|e| e.to_string())?;
+    let servers = if args.servers == 0 {
+        args.workers
+    } else {
+        args.servers
+    };
+    let ps = PsConfig {
+        num_servers: servers,
+        num_partitions: 0,
+        cost_model: CostModel::GIGABIT_LAN,
+    };
+    let fault_plan = match &args.fault_plan {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| format!("read fault plan {}: {e}", path.display()))?;
+            let plan = FaultPlan::parse(&text);
+            Some(plan.map_err(|e| format!("fault plan {}: {e}", path.display()))?)
         }
-        Command::Gen(args) => {
-            let ds = generate(&SparseGenConfig::new(
-                args.rows,
-                args.features,
-                args.nnz,
-                args.seed,
-            ));
-            let file =
-                std::fs::File::create(&args.out).map_err(|e| format!("create output: {e}"))?;
-            write_libsvm(file, &ds).map_err(|e| e.to_string())?;
-            println!(
-                "wrote {} rows x {} features ({} nonzeros) to {}",
-                ds.num_rows(),
-                ds.num_features(),
-                ds.nnz(),
-                args.out.display()
-            );
-            Ok(())
-        }
-        Command::Train(args) => {
-            let mut opts = libsvm_opts(args.zero_based, None);
-            if !matches!(args.config.loss, LossKind::Logistic) {
-                // Square keeps raw targets; softmax keeps class indices.
-                opts.binarize_labels = false;
-            }
-            let full = read_libsvm_file(&args.data, opts).map_err(|e| e.to_string())?;
-            println!(
-                "loaded {} rows x {} features from {}",
-                full.num_rows(),
-                full.num_features(),
-                args.data.display()
-            );
-            let (train, test) = if args.test_fraction > 0.0 {
-                let (tr, te) = train_test_split(&full, args.test_fraction, args.config.seed)
-                    .map_err(|e| e.to_string())?;
-                (tr, Some(te))
-            } else {
-                (full, None)
-            };
-            let shards = partition_rows(&train, args.workers).map_err(|e| e.to_string())?;
-            let servers = if args.servers == 0 {
-                args.workers
-            } else {
-                args.servers
-            };
-            let ps = PsConfig {
-                num_servers: servers,
-                num_partitions: 0,
-                cost_model: CostModel::GIGABIT_LAN,
-            };
-            let fault_plan = match &args.fault_plan {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("read fault plan {}: {e}", path.display()))?;
-                    Some(
-                        FaultPlan::parse(&text)
-                            .map_err(|e| format!("fault plan {}: {e}", path.display()))?,
-                    )
-                }
-                None => None,
-            };
-            let checkpoint = args.checkpoint_dir.as_ref().map(|dir| {
-                let mut ck = CheckpointOptions::new(dir.clone());
-                ck.every = args.checkpoint_every;
-                ck
-            });
-            let options = TrainOptions {
-                eval: match (&test, args.early_stop) {
-                    (Some(test), Some(rounds)) => Some(dimboost_core::EvalOptions {
-                        dataset: test,
-                        early_stopping_rounds: Some(rounds),
-                    }),
-                    _ => None,
+        None => None,
+    };
+    let checkpoint = args.checkpoint_dir.as_ref().map(|dir| {
+        let mut ck = CheckpointOptions::new(dir.clone());
+        ck.every = args.checkpoint_every;
+        ck
+    });
+    let options = TrainOptions {
+        eval: match (&test, args.early_stop) {
+            (Some(test), Some(rounds)) => Some(dimboost_core::EvalOptions {
+                dataset: test,
+                early_stopping_rounds: Some(rounds),
+            }),
+            _ => None,
+        },
+        init: None,
+        robust: RobustOptions {
+            fault_plan,
+            checkpoint,
+            resume: args.resume,
+        },
+    };
+    let out =
+        dimboost_core::train_with_options(&shards, &args.config, ps, &options).map_err(|e| {
+            CliError {
+                message: e.to_string(),
+                exit_code: match e {
+                    TrainError::Crashed { .. } => 3,
+                    _ => 1,
                 },
-                init: None,
-                robust: RobustOptions {
-                    fault_plan,
-                    checkpoint,
-                    resume: args.resume,
-                },
-            };
-            let out = dimboost_core::train_with_options(&shards, &args.config, ps, &options)
-                .map_err(|e| CliError {
-                    message: e.to_string(),
-                    exit_code: match e {
-                        TrainError::Crashed { .. } => 3,
-                        _ => 1,
-                    },
-                })?;
-            if let Some(round) = out.report.resumed_from_round {
-                println!("resumed from checkpoint at round {round}");
             }
-            if let Some(best) = out.best_iteration {
-                println!(
-                    "early stopping: best round {best}, kept {} trees",
-                    out.model.num_trees()
-                );
-            }
-            println!(
-                "trained {} trees; compute {:.2}s, simulated comm {:.2}s ({} bytes)",
-                out.model.num_trees(),
-                out.breakdown.compute_secs,
-                out.breakdown.comm.sim_time.seconds(),
-                out.breakdown.comm.bytes
-            );
-            print!("{}", out.report.summary());
-            if let Some(f) = &out.report.faults {
-                println!(
-                    "faults (plan seed {}): {} retries, {} request drops, {} ack drops, \
-                     {} duplicates ({} deduplicated), {} forced deliveries",
-                    f.plan_seed,
-                    f.retries,
-                    f.request_drops,
-                    f.ack_drops,
-                    f.duplicates,
-                    f.dedup_hits,
-                    f.forced_deliveries
-                );
-            }
-            if let Some(m) = &out.report.membership {
-                println!(
-                    "membership: {} joins, {} leaves, {} stripes moved (epoch {}); \
-                     handoff {:.2}s, re-shard {:.2}s, dilation {:.2}s; \
-                     {} backups ({} wins, {:.2}s saved), {} stale pushes rejected",
-                    m.joins,
-                    m.leaves,
-                    m.stripes_moved,
-                    m.epoch,
-                    m.handoff_secs,
-                    m.reshard_secs,
-                    m.elastic_secs,
-                    m.speculative_backups,
-                    m.backup_wins,
-                    m.speculation_saved_secs,
-                    m.stale_rejects
-                );
-            }
-            // Save the model before the (optional) report: an unwritable
-            // report path must not discard the training run's primary
-            // artifact.
-            save_model_file(&out.model, &args.model).map_err(|e| e.to_string())?;
-            println!("model saved to {}", args.model.display());
-            if let Some(path) = &args.report {
-                std::fs::write(path, out.report.json())
-                    .map_err(|e| format!("write report: {e}"))?;
-                println!("run report written to {}", path.display());
-            }
-            if let Some(path) = &args.report_canonical {
-                std::fs::write(path, out.report.canonical_json())
-                    .map_err(|e| format!("write canonical report: {e}"))?;
-                println!("canonical report written to {}", path.display());
-            }
-            if let Some(trace) = &out.trace {
-                print!("{}", trace.timeline());
-                if let Some(path) = &args.trace {
-                    std::fs::write(path, trace.chrome_json())
-                        .map_err(|e| format!("write trace: {e}"))?;
-                    println!("trace written to {} (load in Perfetto)", path.display());
-                }
-                if let Some(path) = &args.trace_canonical {
-                    std::fs::write(path, trace.canonical_chrome_json())
-                        .map_err(|e| format!("write canonical trace: {e}"))?;
-                    println!("canonical trace written to {}", path.display());
-                }
-                if let Some(path) = &args.trace_events {
-                    std::fs::write(path, trace.events_text())
-                        .map_err(|e| format!("write events trace: {e}"))?;
-                    println!("events trace written to {}", path.display());
-                }
-                if let Some(path) = &args.profile {
-                    // Same analyzer `analyze` runs offline, so the two
-                    // paths produce byte-identical profiles.
-                    let profile =
-                        analyze_trace(trace).map_err(|e| format!("profile trace: {e}"))?;
-                    std::fs::write(path, profile.canonical_json())
-                        .map_err(|e| format!("write profile: {e}"))?;
-                    println!("trace profile written to {}", path.display());
-                }
-            }
-            if let Some(last) = out.loss_curve.last() {
-                println!("final train loss: {:.5}", last.train_loss);
-            }
-            if let Some(test) = test {
-                let probs = out.model.predict_dataset(&test);
-                match args.config.loss {
-                    LossKind::Logistic => println!(
-                        "held-out: error {:.4}, logloss {:.4}, auc {:.4}",
-                        classification_error(&probs, test.labels()),
-                        log_loss(&probs, test.labels()),
-                        auc(&probs, test.labels())
-                    ),
-                    LossKind::Square => {
-                        println!("held-out rmse: {:.4}", rmse(&probs, test.labels()))
-                    }
-                    LossKind::Softmax { .. } => {
-                        let probas = out.model.predict_proba_dataset(&test);
-                        println!(
-                            "held-out: error {:.4}, mlogloss {:.4}",
-                            multiclass_error(&probs, test.labels()),
-                            multiclass_log_loss(&probas, test.labels())
-                        );
-                    }
-                }
-            }
-            Ok(())
+        })?;
+    if let Some(round) = out.report.resumed_from_round {
+        println!("resumed from checkpoint at round {round}");
+    }
+    if let Some(best) = out.best_iteration {
+        println!(
+            "early stopping: best round {best}, kept {} trees",
+            out.model.num_trees()
+        );
+    }
+    println!(
+        "trained {} trees; compute {:.2}s, simulated comm {:.2}s ({} bytes)",
+        out.model.num_trees(),
+        out.breakdown.compute_secs,
+        out.breakdown.comm.sim_time.seconds(),
+        out.breakdown.comm.bytes
+    );
+    print!("{}", out.report.summary());
+    if let Some(f) = &out.report.faults {
+        println!(
+            "faults (plan seed {}): {} retries, {} request drops, {} ack drops, \
+             {} duplicates ({} deduplicated), {} forced deliveries",
+            f.plan_seed,
+            f.retries,
+            f.request_drops,
+            f.ack_drops,
+            f.duplicates,
+            f.dedup_hits,
+            f.forced_deliveries
+        );
+    }
+    if let Some(m) = &out.report.membership {
+        println!(
+            "membership: {} joins, {} leaves, {} stripes moved (epoch {}); \
+             handoff {:.2}s, re-shard {:.2}s, dilation {:.2}s; \
+             {} backups ({} wins, {:.2}s saved), {} stale pushes rejected",
+            m.joins,
+            m.leaves,
+            m.stripes_moved,
+            m.epoch,
+            m.handoff_secs,
+            m.reshard_secs,
+            m.elastic_secs,
+            m.speculative_backups,
+            m.backup_wins,
+            m.speculation_saved_secs,
+            m.stale_rejects
+        );
+    }
+    // Save the model before the (optional) report: an unwritable report
+    // path must not discard the training run's primary artifact.
+    save_model_file(&out.model, &args.model).map_err(|e| e.to_string())?;
+    println!("model saved to {}", args.model.display());
+    if let Some(path) = &args.report {
+        let path = write_artifact(path, "report", &out.report.json())?;
+        println!("run report written to {path}");
+    }
+    if let Some(path) = &args.report_canonical {
+        let path = write_artifact(path, "canonical report", &out.report.canonical_json())?;
+        println!("canonical report written to {path}");
+    }
+    if let Some(trace) = &out.trace {
+        print!("{}", trace.timeline());
+        if let Some(path) = &args.trace {
+            let path = write_artifact(path, "trace", &trace.chrome_json())?;
+            println!("trace written to {path} (load in Perfetto)");
         }
-        Command::Predict(args) => {
-            let model = load_model_file(&args.model).map_err(|e| e.to_string())?;
-            let ds =
-                read_scoring_data(&args.data, args.csv, args.zero_based, model.num_features())?;
-            // Compiled-engine scores are bit-equal to the interpreted path,
-            // so swapping the predict implementation changes no output byte.
-            let compiled = CompiledModel::compile(&model);
-            let engine = EngineConfig {
-                threads: args.threads,
-                batch_size: args.batch_size,
-            };
-            let (preds, width) = if args.raw {
-                let k = compiled.num_classes();
-                (score_raw(&compiled, &ds, &engine), k)
-            } else {
-                (score_transformed(&compiled, &ds, &engine), 1)
-            };
-            let text = scores_text(&preds, width);
-            match args.output {
-                Some(path) => {
-                    std::fs::write(&path, text).map_err(|e| format!("write output: {e}"))?;
-                    println!(
-                        "wrote {} predictions to {}",
-                        preds.len() / width,
-                        path.display()
-                    );
-                }
-                None => print!("{text}"),
-            }
-            Ok(())
+        if let Some(path) = &args.trace_canonical {
+            let path = write_artifact(path, "canonical trace", &trace.canonical_chrome_json())?;
+            println!("canonical trace written to {path}");
         }
-        Command::Bench(args) => {
-            let model = load_model_file(&args.model).map_err(|e| e.to_string())?;
-            let ds =
-                read_scoring_data(&args.data, args.csv, args.zero_based, model.num_features())?;
-            let compiled = CompiledModel::compile(&model);
-            let opts = BenchOptions {
-                engine: EngineConfig {
-                    threads: args.threads,
-                    batch_size: args.batch_size,
-                },
-                repeats: args.repeats,
-                raw: args.raw,
-            };
-            let (scores, report) = dimboost_predict::run_serving_bench(&compiled, &ds, &opts);
-            println!("{}", report.summary());
-            if let Some(path) = &args.scores {
-                let width = if args.raw { compiled.num_classes() } else { 1 };
-                std::fs::write(path, scores_text(&scores, width))
-                    .map_err(|e| format!("write scores: {e}"))?;
-                println!("scores written to {}", path.display());
-            }
-            if let Some(path) = &args.report {
-                std::fs::write(path, report.json(true))
-                    .map_err(|e| format!("write serving report: {e}"))?;
-                println!("serving report written to {}", path.display());
-            }
-            if let Some(path) = &args.report_canonical {
-                std::fs::write(path, report.canonical_json())
-                    .map_err(|e| format!("write canonical serving report: {e}"))?;
-                println!("canonical serving report written to {}", path.display());
-            }
-            Ok(())
+        if let Some(path) = &args.trace_events {
+            let path = write_artifact(path, "events trace", &trace.events_text())?;
+            println!("events trace written to {path}");
         }
-        Command::ServeSim(args) => {
-            let mut compiled: Vec<CompiledModel> = Vec::new();
-            for path in &args.models {
-                let model = load_model_file(path).map_err(|e| e.to_string())?;
-                compiled.push(CompiledModel::compile(&model));
-            }
-            let swap_replacement = match (&args.swap_model, &args.swap_checkpoint) {
-                (Some(path), None) => {
-                    let model = load_model_file(path).map_err(|e| e.to_string())?;
-                    Some((CompiledModel::compile(&model), path.display().to_string()))
-                }
-                (None, Some(dir)) => {
-                    // The hot-swap source can be a live training checkpoint:
-                    // the checkpointed model loads and swaps in mid-stream.
-                    let ck = TrainCheckpoint::load_from_dir(dir)
-                        .map_err(|e| format!("load swap checkpoint: {e}"))?;
-                    Some((
-                        CompiledModel::compile(&ck.model),
-                        format!("checkpoint:{}@round{}", dir.display(), ck.next_round),
-                    ))
-                }
-                _ => None,
-            };
-            let num_features = compiled
-                .iter()
-                .chain(swap_replacement.iter().map(|(m, _)| m))
-                .map(|m| m.num_features())
-                .max()
-                .unwrap_or(0);
-            let ds = read_scoring_data(&args.data, args.csv, args.zero_based, num_features)?;
-            if ds.num_rows() == 0 {
-                return Err(format!("{} has no rows to serve", args.data.display()).into());
-            }
-            let tenants: Vec<TenantSpec> = compiled
-                .into_iter()
-                .enumerate()
-                .map(|(i, model)| TenantSpec {
-                    name: format!("tenant{i}"),
-                    model,
-                })
-                .collect();
-            let swaps: Vec<ModelSwap> = match (args.swap_at, swap_replacement) {
-                (Some(at_secs), Some((model, label))) => vec![ModelSwap {
-                    at_secs,
-                    tenant: args.swap_tenant,
-                    label,
-                    model,
-                }],
-                _ => Vec::new(),
-            };
-            let config = ServeSimConfig {
-                seed: args.seed,
-                queue_capacity: args.queue_cap,
-                max_batch: args.max_batch,
-                slo_secs: args.slo,
-                service_fixed_secs: args.service_fixed,
-                service_per_row_secs: args.service_per_row,
-                horizon_secs: args.horizon,
-            };
-            let arrivals = poisson_arrivals(
-                args.seed,
-                args.requests,
-                args.rate,
-                tenants.len(),
-                ds.num_rows(),
-            );
-            let result = run_serve_sim(&tenants, &swaps, &ds, &arrivals, &config);
-            println!("{}", result.report.summary());
-            if let Some(path) = &args.report {
-                std::fs::write(path, result.report.json(true))
-                    .map_err(|e| format!("write serve-sim report: {e}"))?;
-                println!("serve-sim report written to {}", path.display());
-            }
-            if let Some(path) = &args.report_canonical {
-                std::fs::write(path, result.report.canonical_json())
-                    .map_err(|e| format!("write canonical serve-sim report: {e}"))?;
-                println!("canonical serve-sim report written to {}", path.display());
-            }
-            if let Some(path) = &args.trace {
-                std::fs::write(path, &result.trace)
-                    .map_err(|e| format!("write serve-sim trace: {e}"))?;
-                println!("serve-sim trace written to {}", path.display());
-            }
-            if let Some(path) = &args.profile {
-                // Profile the run's own trace text — the same analyzer
-                // `analyze` runs offline, so the bytes match exactly.
-                let profile = analyze_serve_trace(&result.trace)
-                    .map_err(|e| format!("profile serve-sim trace: {e}"))?;
-                std::fs::write(path, profile.canonical_json())
-                    .map_err(|e| format!("write serve-sim profile: {e}"))?;
-                println!("serve-sim profile written to {}", path.display());
-            }
-            Ok(())
-        }
-        Command::Analyze(args) => {
-            let text = std::fs::read_to_string(&args.trace)
-                .map_err(|e| format!("read trace {}: {e}", args.trace.display()))?;
-            // The header line says which analyzer owns the trace.
-            let (json, stacks, summary) = if is_serve_trace(&text) {
-                let p = analyze_serve_trace(&text).map_err(|e| e.to_string())?;
-                (p.canonical_json(), p.folded_stacks(), p.summary(args.top))
-            } else {
-                let trace = Trace::parse_events_text(&text)
-                    .map_err(|e| format!("{}: {e}", args.trace.display()))?;
-                let p = analyze_trace(&trace).map_err(|e| e.to_string())?;
-                (p.canonical_json(), p.folded_stacks(), p.summary(args.top))
-            };
-            if let Some(path) = &args.out {
-                std::fs::write(path, &json).map_err(|e| format!("write profile: {e}"))?;
-                println!("trace profile written to {}", path.display());
-            }
-            if let Some(path) = &args.folded {
-                std::fs::write(path, &stacks).map_err(|e| format!("write folded stacks: {e}"))?;
-                println!("folded stacks written to {}", path.display());
-            }
-            print!("{summary}");
-            Ok(())
-        }
-        Command::Evaluate(args) => {
-            let model = load_model_file(&args.model).map_err(|e| e.to_string())?;
-            let mut opts = libsvm_opts(args.zero_based, Some(model.num_features()));
-            if !matches!(model.loss(), LossKind::Logistic) {
-                opts.binarize_labels = false;
-            }
-            let ds = read_libsvm_file(&args.data, opts).map_err(|e| e.to_string())?;
-            let probs = model.predict_dataset(&ds);
-            match model.loss() {
-                LossKind::Logistic => {
-                    println!("error:   {:.4}", classification_error(&probs, ds.labels()));
-                    println!("logloss: {:.4}", log_loss(&probs, ds.labels()));
-                    println!("auc:     {:.4}", auc(&probs, ds.labels()));
-                }
-                LossKind::Square => {
-                    println!("rmse: {:.4}", rmse(&probs, ds.labels()));
-                }
-                LossKind::Softmax { .. } => {
-                    let probas = model.predict_proba_dataset(&ds);
-                    println!("error:    {:.4}", multiclass_error(&probs, ds.labels()));
-                    println!("mlogloss: {:.4}", multiclass_log_loss(&probas, ds.labels()));
-                }
-            }
-            Ok(())
+        if let Some(path) = &args.profile {
+            // Same analyzer `analyze` runs offline, so the two paths
+            // produce byte-identical profiles.
+            let profile = analyze_trace(trace).map_err(|e| format!("profile trace: {e}"))?;
+            let path = write_artifact(path, "profile", &profile.canonical_json())?;
+            println!("trace profile written to {path}");
         }
     }
+    if let Some(last) = out.loss_curve.last() {
+        println!("final train loss: {:.5}", last.train_loss);
+    }
+    if let Some(test) = test {
+        let probs = out.model.predict_dataset(&test);
+        match args.config.loss {
+            LossKind::Logistic => println!(
+                "held-out: error {:.4}, logloss {:.4}, auc {:.4}",
+                classification_error(&probs, test.labels()),
+                log_loss(&probs, test.labels()),
+                auc(&probs, test.labels())
+            ),
+            LossKind::Square => {
+                println!("held-out rmse: {:.4}", rmse(&probs, test.labels()))
+            }
+            LossKind::Softmax { .. } => {
+                let probas = out.model.predict_proba_dataset(&test);
+                println!(
+                    "held-out: error {:.4}, mlogloss {:.4}",
+                    multiclass_error(&probs, test.labels()),
+                    multiclass_log_loss(&probas, test.labels())
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+fn run_predict(args: &PredictArgs) -> Result<(), CliError> {
+    let compiled = load_compiled(&args.model)?;
+    let num_features = compiled.num_features();
+    let ds = read_scoring_data(&args.data, args.csv, args.zero_based, num_features)?;
+    let engine = EngineConfig {
+        threads: args.threads,
+        batch_size: args.batch_size,
+    };
+    let (preds, width) = if args.raw {
+        let k = compiled.num_classes();
+        (score_raw(&compiled, &ds, &engine), k)
+    } else {
+        (score_transformed(&compiled, &ds, &engine), 1)
+    };
+    let text = scores_text(&preds, width);
+    match &args.output {
+        Some(path) => {
+            let path = write_artifact(path, "output", &text)?;
+            println!("wrote {} predictions to {path}", preds.len() / width);
+        }
+        None => print!("{text}"),
+    }
+    Ok(())
+}
+
+fn run_bench(args: &BenchArgs) -> Result<(), CliError> {
+    let compiled = load_compiled(&args.model)?;
+    let num_features = compiled.num_features();
+    let ds = read_scoring_data(&args.data, args.csv, args.zero_based, num_features)?;
+    let opts = BenchOptions {
+        engine: EngineConfig {
+            threads: args.threads,
+            batch_size: args.batch_size,
+        },
+        repeats: args.repeats,
+        raw: args.raw,
+    };
+    let (scores, report) = dimboost_predict::run_serving_bench(&compiled, &ds, &opts);
+    println!("{}", report.summary());
+    if let Some(path) = &args.scores {
+        let width = if args.raw { compiled.num_classes() } else { 1 };
+        let path = write_artifact(path, "scores", &scores_text(&scores, width))?;
+        println!("scores written to {path}");
+    }
+    if let Some(path) = &args.report {
+        let path = write_artifact(path, "serving report", &report.json(true))?;
+        println!("serving report written to {path}");
+    }
+    if let Some(path) = &args.report_canonical {
+        let path = write_artifact(path, "canonical serving report", &report.canonical_json())?;
+        println!("canonical serving report written to {path}");
+    }
+    Ok(())
+}
+
+fn run_serve_sim(args: &ServeSimArgs) -> Result<(), CliError> {
+    let mut compiled: Vec<CompiledModel> = Vec::new();
+    for path in &args.models {
+        compiled.push(load_compiled(path)?);
+    }
+    let swap_replacement = match (&args.swap_model, &args.swap_checkpoint) {
+        (Some(path), None) => Some((load_compiled(path)?, path.display().to_string())),
+        (None, Some(dir)) => {
+            // The hot-swap source can be a live training checkpoint: the
+            // checkpointed model loads and swaps in mid-stream.
+            let ck = TrainCheckpoint::load_from_dir(dir)
+                .map_err(|e| format!("load swap checkpoint: {e}"))?;
+            Some((
+                CompiledModel::compile(&ck.model),
+                format!("checkpoint:{}@round{}", dir.display(), ck.next_round),
+            ))
+        }
+        _ => None,
+    };
+    let num_features = compiled
+        .iter()
+        .chain(swap_replacement.iter().map(|(m, _)| m))
+        .map(|m| m.num_features())
+        .max()
+        .unwrap_or(0);
+    let ds = read_scoring_data(&args.data, args.csv, args.zero_based, num_features)?;
+    if ds.num_rows() == 0 {
+        return Err(format!("{} has no rows to serve", args.data.display()).into());
+    }
+    let tenants: Vec<TenantSpec> = compiled
+        .into_iter()
+        .enumerate()
+        .map(|(i, model)| TenantSpec {
+            name: format!("tenant{i}"),
+            model,
+        })
+        .collect();
+    let swaps: Vec<ModelSwap> = match (args.swap_at, swap_replacement) {
+        (Some(at_secs), Some((model, label))) => vec![ModelSwap {
+            at_secs,
+            tenant: args.swap_tenant,
+            label,
+            model,
+        }],
+        _ => Vec::new(),
+    };
+    let config = ServeSimConfig {
+        seed: args.seed,
+        queue_capacity: args.queue_cap,
+        max_batch: args.max_batch,
+        slo_secs: args.slo,
+        service_fixed_secs: args.service_fixed,
+        service_per_row_secs: args.service_per_row,
+        horizon_secs: args.horizon,
+    };
+    let arrivals = poisson_arrivals(
+        args.seed,
+        args.requests,
+        args.rate,
+        tenants.len(),
+        ds.num_rows(),
+    );
+    let result = dimboost_serving::run_serve_sim(&tenants, &swaps, &ds, &arrivals, &config);
+    println!("{}", result.report.summary());
+    if let Some(path) = &args.report {
+        let path = write_artifact(path, "serve-sim report", &result.report.json(true))?;
+        println!("serve-sim report written to {path}");
+    }
+    if let Some(path) = &args.report_canonical {
+        let json = result.report.canonical_json();
+        let path = write_artifact(path, "canonical serve-sim report", &json)?;
+        println!("canonical serve-sim report written to {path}");
+    }
+    if let Some(path) = &args.trace {
+        let path = write_artifact(path, "serve-sim trace", &result.trace)?;
+        println!("serve-sim trace written to {path}");
+    }
+    if let Some(path) = &args.profile {
+        // Profile the run's own trace text — the same analyzer `analyze`
+        // runs offline, so the bytes match exactly.
+        let profile = analyze_serve_trace(&result.trace)
+            .map_err(|e| format!("profile serve-sim trace: {e}"))?;
+        let path = write_artifact(path, "serve-sim profile", &profile.canonical_json())?;
+        println!("serve-sim profile written to {path}");
+    }
+    Ok(())
+}
+
+fn run_analyze(args: &AnalyzeArgs) -> Result<(), CliError> {
+    let text = std::fs::read_to_string(&args.trace)
+        .map_err(|e| format!("read trace {}: {e}", args.trace.display()))?;
+    // The header line says which analyzer owns the trace.
+    let (json, stacks, summary) = if is_serve_trace(&text) {
+        let p = analyze_serve_trace(&text).map_err(|e| e.to_string())?;
+        (p.canonical_json(), p.folded_stacks(), p.summary(args.top))
+    } else {
+        let trace = Trace::parse_events_text(&text)
+            .map_err(|e| format!("{}: {e}", args.trace.display()))?;
+        let p = analyze_trace(&trace).map_err(|e| e.to_string())?;
+        (p.canonical_json(), p.folded_stacks(), p.summary(args.top))
+    };
+    if let Some(path) = &args.out {
+        let path = write_artifact(path, "profile", &json)?;
+        println!("trace profile written to {path}");
+    }
+    if let Some(path) = &args.folded {
+        let path = write_artifact(path, "folded stacks", &stacks)?;
+        println!("folded stacks written to {path}");
+    }
+    print!("{summary}");
+    Ok(())
+}
+
+fn run_evaluate(args: &EvalArgs) -> Result<(), CliError> {
+    let model = load_model_file(&args.model).map_err(|e| e.to_string())?;
+    let mut opts = libsvm_opts(args.zero_based, Some(model.num_features()));
+    if !matches!(model.loss(), LossKind::Logistic) {
+        opts.binarize_labels = false;
+    }
+    let ds = read_libsvm_file(&args.data, opts).map_err(|e| e.to_string())?;
+    let probs = model.predict_dataset(&ds);
+    match model.loss() {
+        LossKind::Logistic => {
+            println!("error:   {:.4}", classification_error(&probs, ds.labels()));
+            println!("logloss: {:.4}", log_loss(&probs, ds.labels()));
+            println!("auc:     {:.4}", auc(&probs, ds.labels()));
+        }
+        LossKind::Square => {
+            println!("rmse: {:.4}", rmse(&probs, ds.labels()));
+        }
+        LossKind::Softmax { .. } => {
+            let probas = model.predict_proba_dataset(&ds);
+            println!("error:    {:.4}", multiclass_error(&probs, ds.labels()));
+            println!("mlogloss: {:.4}", multiclass_log_loss(&probas, ds.labels()));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -1902,6 +1620,106 @@ mod tests {
             "train", "--data", "d", "--model", "m", "--loss", "softmax"
         ]))
         .is_err());
+        // The two flags resolve after the walk, so either order gives the
+        // same arguments...
+        let base = ["train", "--data", "d", "--model", "m"];
+        let with = |extra: &[&str]| {
+            let mut argv: Vec<&str> = base.to_vec();
+            argv.extend_from_slice(extra);
+            parse_args(&strs(&argv))
+        };
+        let loss_first = with(&["--loss", "softmax", "--classes", "3"]).unwrap();
+        let classes_first = with(&["--classes", "3", "--loss", "softmax"]).unwrap();
+        assert_eq!(loss_first, classes_first);
+        let Command::Train(args) = classes_first else {
+            panic!()
+        };
+        assert_eq!(args.config.loss, LossKind::Softmax { classes: 3 });
+        // ...and a binary loss never silently becomes softmax (or the
+        // reverse): the conflict is a usage error naming both flags.
+        for extra in [
+            &["--loss", "square", "--classes", "2"],
+            &["--classes", "2", "--loss", "square"],
+            &["--loss", "logistic", "--classes", "2"],
+        ] {
+            let err = with(extra).unwrap_err();
+            assert!(err.contains("--loss") && err.contains("--classes"), "{err}");
+        }
+        assert!(with(&["--classes", "0"]).is_err());
+    }
+
+    #[test]
+    fn flag_tables_synopsis_and_parser_agree() {
+        use flags::Need;
+        // A value the flag accepts, derived from its synopsis placeholder.
+        fn sample(placeholder: &str) -> &str {
+            match placeholder {
+                p if p.starts_with('<') => "x",
+                p if p.contains('|') => p.split('|').next().unwrap(),
+                "F" | "SECS" => "0.5",
+                _ => "1",
+            }
+        }
+        let text = usage();
+        let tables: Vec<_> = SUBCOMMANDS
+            .iter()
+            .map(|(sub, build)| (*sub, flags::table(*build)))
+            .collect();
+        for (sub, specs) in &tables {
+            // This subcommand's block of the synopsis: its header line up
+            // to the next one.
+            let start = text.find(&format!("  dimboost {sub} ")).unwrap();
+            let end = text[start + 1..].find("\n  dimboost ").unwrap() + start + 1;
+            let block = &text[start..end];
+            // The shortest valid invocation: every required flag, sampled.
+            let mut base = vec![*sub];
+            for spec in specs.iter().filter(|s| s.need != Need::Optional) {
+                base.extend([spec.name, sample(spec.value.unwrap())]);
+            }
+            let parse_with = |extra: &[&str]| {
+                let mut argv = base.clone();
+                argv.extend_from_slice(extra);
+                parse_args(&strs(&argv))
+            };
+            assert!(parse_with(&[]).is_ok(), "{sub}: {base:?}");
+            for spec in specs {
+                let token = match spec.value {
+                    Some(placeholder) => format!("{} {placeholder}", spec.name),
+                    None => format!("[{}]", spec.name),
+                };
+                assert!(block.contains(&token), "{sub}: {token:?} not in\n{block}");
+                // The walk and the flag's own reader accept the sample; only
+                // a cross-flag rule (`--early-stop` alone, say) may object.
+                let extra: Vec<&str> = [spec.name]
+                    .into_iter()
+                    .chain(spec.value.map(sample))
+                    .collect();
+                if let Err(e) = parse_with(&extra) {
+                    let from_walk = ["unknown flag", "missing value", "invalid value", " must "]
+                        .iter()
+                        .any(|needle| e.contains(needle));
+                    assert!(
+                        !from_walk && !e.starts_with(&format!("{sub} requires")),
+                        "{sub} {extra:?}: {e}"
+                    );
+                }
+                if spec.value.is_some() {
+                    let err = parse_with(&[spec.name]).unwrap_err();
+                    assert_eq!(err, format!("missing value for {}", spec.name));
+                }
+            }
+            // Flags of other subcommands, and flags of none, are rejected.
+            let foreign = tables
+                .iter()
+                .flat_map(|(_, other)| other.iter().map(|spec| spec.name))
+                .filter(|name| specs.iter().all(|spec| spec.name != *name));
+            for name in foreign.chain(["--nope"]) {
+                let err = parse_with(&[name]).unwrap_err();
+                assert_eq!(err, format!("unknown flag {name:?} for {sub}"));
+            }
+        }
+        // `gen --rows 0` writes an empty dataset today and keeps doing so.
+        assert!(parse_args(&strs(&["gen", "--out", "x", "--rows", "0"])).is_ok());
     }
 
     #[test]

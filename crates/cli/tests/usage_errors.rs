@@ -31,6 +31,10 @@ fn assert_usage_error(args: &[&str], needle: &str) {
         stderr.contains("USAGE"),
         "{args:?} stderr should include the usage text: {stderr}"
     );
+    assert!(
+        !stderr.contains("panicked at"),
+        "{args:?} must not reach a panic: {stderr}"
+    );
 }
 
 #[test]
@@ -170,4 +174,90 @@ fn runtime_errors_still_exit_one() {
         "definitely_missing.json",
     ]);
     assert_eq!(out.status.code(), Some(1));
+}
+
+#[test]
+fn degenerate_numbers_are_usage_errors_naming_the_flag() {
+    // Each of these used to slip past parsing: into an engine assert
+    // (`--service-fixed nan`, `gen --features 0`), a simulation that never
+    // serves or never swaps, a silently ignored hold-out, or a silent clamp.
+    let serve = ["serve-sim", "--data", "d.libsvm", "--model", "m.json"];
+    let train = ["train", "--data", "d.libsvm", "--model", "m.json"];
+    for (base, extra, needle) in [
+        (
+            &serve[..],
+            &["--service-fixed", "nan"][..],
+            "--service-fixed must be finite",
+        ),
+        (
+            &serve[..],
+            &["--service-per-row", "inf"][..],
+            "--service-per-row must be finite",
+        ),
+        (
+            &serve[..],
+            &["--swap-at", "nan", "--swap-model", "b.json"][..],
+            "--swap-at must be finite",
+        ),
+        (
+            &train[..],
+            &["--test-fraction", "nan"][..],
+            "--test-fraction must be in [0, 1)",
+        ),
+        (
+            &train[..],
+            &["--test-fraction", "1"][..],
+            "--test-fraction must be in [0, 1)",
+        ),
+        (
+            &train[..],
+            &["--workers", "0"][..],
+            "--workers must be positive",
+        ),
+        (
+            &["gen", "--out", "x.libsvm"][..],
+            &["--features", "0"][..],
+            "--features must be positive",
+        ),
+    ] {
+        let mut args: Vec<&str> = base.to_vec();
+        args.extend_from_slice(extra);
+        assert_usage_error(&args, needle);
+    }
+}
+
+#[test]
+fn loss_and_classes_do_not_depend_on_their_order() {
+    let train = [
+        "train",
+        "--data",
+        "definitely_missing.libsvm",
+        "--model",
+        "m",
+    ];
+    // `--classes K --loss softmax` used to exit 2 asking for `--classes`;
+    // now both orders parse and get as far as the missing input (exit 1).
+    for extra in [
+        ["--classes", "3", "--loss", "softmax"],
+        ["--loss", "softmax", "--classes", "3"],
+    ] {
+        let mut args: Vec<&str> = train.to_vec();
+        args.extend(extra);
+        assert_eq!(dimboost(&args).status.code(), Some(1), "{args:?}");
+    }
+    // `--loss square --classes 2` used to train softmax silently.
+    for (extra, needle) in [
+        (
+            ["--loss", "square", "--classes", "2"],
+            "--loss square conflicts with --classes",
+        ),
+        (
+            ["--classes", "2", "--loss", "logistic"],
+            "--loss logistic conflicts with --classes",
+        ),
+    ] {
+        let mut args: Vec<&str> = train.to_vec();
+        args.extend(extra);
+        assert_usage_error(&args, needle);
+    }
 }

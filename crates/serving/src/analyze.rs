@@ -686,8 +686,8 @@ impl ServeProfile {
     }
 }
 
-/// True when `text` looks like a serve-sim trace (used by `trace_analyze`
-/// and the CLI to dispatch between the train and serving analyzers).
+/// True when `text` looks like a serve-sim trace (used by `dimboost
+/// analyze` to dispatch between the train and serving analyzers).
 pub fn is_serve_trace(text: &str) -> bool {
     text.starts_with("# serve-sim-trace v1 ")
 }

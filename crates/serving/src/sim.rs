@@ -231,8 +231,8 @@ pub fn run_serve_sim(
     let mut registry = MetricsRegistry::new();
     let mut records: Vec<ServedRecord> = Vec::new();
 
-    // Self-describing header so offline analysis (`trace_analyze`,
-    // `dimboost analyze`) needs nothing but the trace file. f64s print with
+    // Self-describing header so offline analysis (`dimboost analyze`)
+    // needs nothing but the trace file. f64s print with
     // shortest-round-trip `Display`, so parsing them back is bit-exact.
     let mut trace = crate::analyze::trace_header(tenants.len(), config);
 

@@ -1,5 +1,5 @@
-//! Deterministic trace analytics: the profiler behind the `trace_analyze`
-//! binary and the CLI `analyze` subcommand.
+//! Deterministic trace analytics: the profiler behind `train --profile`
+//! and the CLI `analyze` subcommand.
 //!
 //! The trace ([`crate::trace`]) records *what happened*; this module
 //! explains *why the run took as long as it did*. [`analyze_trace`] is a

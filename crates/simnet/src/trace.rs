@@ -766,7 +766,7 @@ impl Trace {
     /// [`Trace::parse_events_text`] reconstructs the stream **bit-exactly**.
     /// Wall-clock annotations are omitted (they are nondeterministic), which
     /// makes this artifact byte-identical across reruns — it is the
-    /// interchange format between a run and the offline `trace_analyze`
+    /// interchange format between a run and the offline `dimboost analyze`
     /// profiler.
     pub fn events_text(&self) -> String {
         let mut out = String::with_capacity(64 + self.events.len() * 96);
