@@ -30,13 +30,14 @@
 
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use dimboost_data::Dataset;
 use dimboost_simnet::{CommLedger, Phase, SimTime};
 use dimboost_sketch::SplitCandidates;
 
 use crate::config::GbdtConfig;
+use crate::cursor::{Cursor, ReadError};
 use crate::model::GbdtModel;
 use crate::model_io::{self, ModelIoError};
 use crate::report::{NodeInstances, RoundRecord};
@@ -106,6 +107,12 @@ impl From<std::io::Error> for CheckpointError {
 impl From<ModelIoError> for CheckpointError {
     fn from(e: ModelIoError) -> Self {
         CheckpointError::Model(e)
+    }
+}
+
+impl From<ReadError> for CheckpointError {
+    fn from(e: ReadError) -> Self {
+        CheckpointError::Corrupt(e.to_string())
     }
 }
 
@@ -238,25 +245,6 @@ pub struct TrainCheckpoint {
     pub membership: Option<(Vec<u32>, Vec<u32>, u64)>,
 }
 
-fn need(bytes: &Bytes, n: usize) -> Result<(), CheckpointError> {
-    if bytes.remaining() < n {
-        Err(CheckpointError::Corrupt("unexpected end of input".into()))
-    } else {
-        Ok(())
-    }
-}
-
-fn get_len(bytes: &mut Bytes, what: &str, cap: usize) -> Result<usize, CheckpointError> {
-    need(bytes, 8)?;
-    let n = bytes.get_u64_le();
-    if n as usize > cap {
-        return Err(CheckpointError::Corrupt(format!(
-            "implausible {what} count {n}"
-        )));
-    }
-    Ok(n as usize)
-}
-
 impl TrainCheckpoint {
     /// Serializes the checkpoint to bytes.
     pub fn to_bytes(&self) -> Bytes {
@@ -366,74 +354,49 @@ impl TrainCheckpoint {
     }
 
     /// Deserializes a checkpoint, validating structure (including the
-    /// embedded model).
-    pub fn from_bytes(mut bytes: Bytes) -> Result<Self, CheckpointError> {
-        need(&bytes, 8)?;
-        let mut magic = [0u8; 8];
-        bytes.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+    /// embedded model). Every count passes the cursor's count rule before
+    /// anything is allocated for it, so a hostile length word costs an
+    /// error, not memory.
+    pub fn from_bytes(bytes: Bytes) -> Result<Self, CheckpointError> {
+        let c = &mut Cursor::new(&bytes);
+        if c.take(8)? != MAGIC {
             return Err(CheckpointError::BadMagic);
         }
-        need(&bytes, 4)?;
-        let version = bytes.get_u32_le();
+        let version = c.u32()?;
         if !(MIN_VERSION..=VERSION).contains(&version) {
             return Err(CheckpointError::UnsupportedVersion(version));
         }
 
-        need(&bytes, 8 + 8 + 1 + 4 + 4 + 8 + 4)?;
-        let seed = bytes.get_u64_le();
-        let num_trees = bytes.get_u64_le();
-        let loss_tag = bytes.get_u8();
-        let loss_classes = bytes.get_u32_le();
-        let learning_rate_bits = bytes.get_u32_le();
-        let num_features = bytes.get_u64_le();
-        let workers = bytes.get_u32_le();
-        let n_shards = get_len(&mut bytes, "shard", 1 << 20)?;
-        need(&bytes, n_shards * 8)?;
-        let shard_rows = (0..n_shards).map(|_| bytes.get_u64_le()).collect();
-        let membership_digest = if version >= 2 {
-            need(&bytes, 8)?;
-            bytes.get_u64_le()
-        } else {
-            0
-        };
         let fingerprint = CheckpointFingerprint {
-            seed,
-            num_trees,
-            loss_tag,
-            loss_classes,
-            learning_rate_bits,
-            num_features,
-            workers,
-            shard_rows,
-            membership_digest,
+            seed: c.u64()?,
+            num_trees: c.u64()?,
+            loss_tag: c.u8()?,
+            loss_classes: c.u32()?,
+            learning_rate_bits: c.u32()?,
+            num_features: c.u64()?,
+            workers: c.u32()?,
+            shard_rows: {
+                let n = c.count(Cursor::u64, "shard", 8)?;
+                (0..n).map(|_| c.u64()).collect::<Result<_, _>>()?
+            },
+            membership_digest: if version >= 2 { c.u64()? } else { 0 },
         };
 
-        need(&bytes, 8)?;
-        let next_round = bytes.get_u64_le() as usize;
-        need(&bytes, 8)?;
-        let model_len = bytes.get_u64_le() as usize;
-        need(&bytes, model_len)?;
-        let model = model_io::model_from_bytes(bytes.split_to(model_len))?;
+        let next_round = c.u64()? as usize;
+        let model_len = c.u64()?;
+        let model = model_io::read_model(&mut Cursor::new(c.take(model_len)?))?;
 
-        let n_rng = get_len(&mut bytes, "rng state", 1 << 20)?;
-        need(&bytes, n_rng * 32)?;
-        let rng_states = (0..n_rng)
-            .map(|_| {
-                let mut s = [0u64; 4];
-                for w in &mut s {
-                    *w = bytes.get_u64_le();
-                }
-                s
-            })
-            .collect();
+        let n_rng = c.count(Cursor::u64, "rng state", 32)?;
+        let mut rng_states = Vec::with_capacity(n_rng);
+        for _ in 0..n_rng {
+            rng_states.push([c.u64()?, c.u64()?, c.u64()?, c.u64()?]);
+        }
 
         let mut ledger = CommLedger::new();
         for phase in Phase::ALL {
-            need(&bytes, 8 + 8 + 8)?;
-            let b = bytes.get_u64_le();
-            let p = bytes.get_u64_le();
-            let t = bytes.get_f64_le();
+            let b = c.u64()?;
+            let p = c.u64()?;
+            let t = c.f64()?;
             if !t.is_finite() || t < 0.0 {
                 return Err(CheckpointError::Corrupt(format!(
                     "bad sim time {t} for phase {}",
@@ -443,58 +406,48 @@ impl TrainCheckpoint {
             ledger.record(phase, b, p, SimTime(t));
         }
 
-        let n_cand = get_len(&mut bytes, "candidate", 1 << 28)?;
+        // A candidate set is at least its length word.
+        let n_cand = c.count(Cursor::u64, "candidate", 4)?;
         let mut candidates = Vec::with_capacity(n_cand);
         for _ in 0..n_cand {
-            need(&bytes, 4)?;
-            let n = bytes.get_u32_le() as usize;
-            need(&bytes, n * 4)?;
-            let splits: Vec<f32> = (0..n).map(|_| bytes.get_f32_le()).collect();
+            let n = c.count(Cursor::u32, "split", 4)?;
+            let splits = (0..n).map(|_| c.f32()).collect::<Result<_, _>>()?;
             // `from_boundaries` re-derives the zero bucket from the splits,
             // so the rebuilt candidates are identical to the originals.
             candidates.push(SplitCandidates::from_boundaries(splits));
         }
 
-        let n_loss = get_len(&mut bytes, "loss point", 1 << 24)?;
-        let mut loss_curve = Vec::with_capacity(n_loss);
-        for _ in 0..n_loss {
-            loss_curve.push(get_loss_point(&mut bytes)?);
-        }
+        let loss_curve = get_loss_curve(c, "loss point")?;
 
-        let n_rounds = get_len(&mut bytes, "round", 1 << 24)?;
+        // A round is at least its fixed words and two length words.
+        let n_rounds = c.count(Cursor::u64, "round", 60)?;
         let mut rounds = Vec::with_capacity(n_rounds);
         for _ in 0..n_rounds {
-            need(&bytes, 8 + 8 + 8 + 8 + 8 + 8 + 4 + 4)?;
-            let mut r = RoundRecord::new(bytes.get_u64_le() as usize);
-            r.trees = bytes.get_u64_le() as usize;
-            r.train_loss = bytes.get_f64_le();
-            r.compute_secs = bytes.get_f64_le();
-            r.hist_bytes_raw = bytes.get_u64_le();
-            r.hist_bytes_wire = bytes.get_u64_le();
-            r.max_quant_scale = bytes.get_f32_le();
-            let n_gains = bytes.get_u32_le() as usize;
-            need(&bytes, n_gains * 4 + 4)?;
-            r.split_gains = (0..n_gains).map(|_| bytes.get_f32_le()).collect();
-            let n_nodes = bytes.get_u32_le() as usize;
-            need(&bytes, n_nodes * 12)?;
+            let mut r = RoundRecord::new(c.u64()? as usize);
+            r.trees = c.u64()? as usize;
+            r.train_loss = c.f64()?;
+            r.compute_secs = c.f64()?;
+            r.hist_bytes_raw = c.u64()?;
+            r.hist_bytes_wire = c.u64()?;
+            r.max_quant_scale = c.f32()?;
+            let n_gains = c.count(Cursor::u32, "split gain", 4)?;
+            r.split_gains = (0..n_gains).map(|_| c.f32()).collect::<Result<_, _>>()?;
+            let n_nodes = c.count(Cursor::u32, "node instance", 12)?;
             r.node_instances = (0..n_nodes)
-                .map(|_| NodeInstances {
-                    node: bytes.get_u32_le(),
-                    instances: bytes.get_u64_le(),
+                .map(|_| {
+                    Ok(NodeInstances {
+                        node: c.u32()?,
+                        instances: c.u64()?,
+                    })
                 })
-                .collect();
+                .collect::<Result<_, ReadError>>()?;
             rounds.push(r);
         }
 
-        let n_eval = get_len(&mut bytes, "eval point", 1 << 24)?;
-        let mut eval_curve = Vec::with_capacity(n_eval);
-        for _ in 0..n_eval {
-            eval_curve.push(get_loss_point(&mut bytes)?);
-        }
-        need(&bytes, 8 + 1 + 8)?;
-        let best_eval_loss = bytes.get_f64_le();
-        let has_best = bytes.get_u8();
-        let best_round = bytes.get_u64_le() as usize;
+        let eval_curve = get_loss_curve(c, "eval point")?;
+        let best_eval_loss = c.f64()?;
+        let has_best = c.u8()?;
+        let best_round = c.u64()? as usize;
         let best_iteration = match has_best {
             0 => None,
             1 => Some(best_round),
@@ -506,18 +459,14 @@ impl TrainCheckpoint {
         };
 
         let membership = if version >= 2 {
-            need(&bytes, 1)?;
-            match bytes.get_u8() {
+            match c.u8()? {
                 0 => None,
                 1 => {
-                    let n_assign = get_len(&mut bytes, "stripe assignment", 1 << 20)?;
-                    need(&bytes, n_assign * 4)?;
-                    let assignment = (0..n_assign).map(|_| bytes.get_u32_le()).collect();
-                    let n_live = get_len(&mut bytes, "live machine", 1 << 20)?;
-                    need(&bytes, n_live * 4 + 8)?;
-                    let live = (0..n_live).map(|_| bytes.get_u32_le()).collect();
-                    let epoch = bytes.get_u64_le();
-                    Some((assignment, live, epoch))
+                    let n_assign = c.count(Cursor::u64, "stripe assignment", 4)?;
+                    let assignment = (0..n_assign).map(|_| c.u32()).collect::<Result<_, _>>()?;
+                    let n_live = c.count(Cursor::u64, "live machine", 4)?;
+                    let live = (0..n_live).map(|_| c.u32()).collect::<Result<_, _>>()?;
+                    Some((assignment, live, c.u64()?))
                 }
                 t => {
                     return Err(CheckpointError::Corrupt(format!(
@@ -591,13 +540,17 @@ fn put_loss_point(buf: &mut BytesMut, p: &LossPoint) {
     buf.put_f64_le(p.elapsed_secs);
 }
 
-fn get_loss_point(bytes: &mut Bytes) -> Result<LossPoint, CheckpointError> {
-    need(bytes, 8 + 8 + 8)?;
-    Ok(LossPoint {
-        tree: bytes.get_u64_le() as usize,
-        train_loss: bytes.get_f64_le(),
-        elapsed_secs: bytes.get_f64_le(),
-    })
+fn get_loss_curve(c: &mut Cursor<'_>, what: &'static str) -> Result<Vec<LossPoint>, ReadError> {
+    let n = c.count(Cursor::u64, what, 24)?;
+    let mut curve = Vec::with_capacity(n);
+    for _ in 0..n {
+        curve.push(LossPoint {
+            tree: c.u64()? as usize,
+            train_loss: c.f64()?,
+            elapsed_secs: c.f64()?,
+        });
+    }
+    Ok(curve)
 }
 
 #[cfg(test)]

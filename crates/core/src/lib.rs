@@ -26,6 +26,8 @@ pub mod binned;
 #[cfg_attr(not(test), deny(clippy::unwrap_used))]
 pub mod checkpoint;
 pub mod config;
+#[cfg_attr(not(test), deny(clippy::unwrap_used))]
+mod cursor;
 pub mod cv;
 pub mod fused;
 pub mod hist_build;

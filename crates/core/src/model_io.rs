@@ -10,9 +10,10 @@
 use std::io::{Read, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 
 use crate::config::LossKind;
+use crate::cursor::{Cursor, ReadError};
 use crate::model::GbdtModel;
 use crate::tree::{Node, Tree};
 
@@ -55,6 +56,12 @@ impl std::error::Error for ModelIoError {
 impl From<std::io::Error> for ModelIoError {
     fn from(e: std::io::Error) -> Self {
         ModelIoError::Io(e)
+    }
+}
+
+impl From<ReadError> for ModelIoError {
+    fn from(e: ReadError) -> Self {
+        ModelIoError::Corrupt(e.to_string())
     }
 }
 
@@ -132,59 +139,47 @@ pub fn model_to_bytes(model: &GbdtModel) -> Bytes {
 }
 
 /// Deserializes a model from bytes, validating structure.
-pub fn model_from_bytes(mut bytes: Bytes) -> Result<GbdtModel, ModelIoError> {
-    let need = |bytes: &Bytes, n: usize| -> Result<(), ModelIoError> {
-        if bytes.remaining() < n {
-            Err(ModelIoError::Corrupt("unexpected end of input".into()))
-        } else {
-            Ok(())
-        }
-    };
-    need(&bytes, 8)?;
-    let mut magic = [0u8; 8];
-    bytes.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+pub fn model_from_bytes(bytes: Bytes) -> Result<GbdtModel, ModelIoError> {
+    read_model(&mut Cursor::new(&bytes))
+}
+
+/// Reads one model off `c` (a model file, or the blob a checkpoint embeds).
+pub(crate) fn read_model(c: &mut Cursor<'_>) -> Result<GbdtModel, ModelIoError> {
+    if c.take(8)? != MAGIC {
         return Err(ModelIoError::BadMagic);
     }
-    need(&bytes, 4 + 1 + 4 + 4 + 8 + 4)?;
-    let version = bytes.get_u32_le();
+    let version = c.u32()?;
     if version != VERSION {
         return Err(ModelIoError::UnsupportedVersion(version));
     }
-    let tag = bytes.get_u8();
-    let classes = bytes.get_u32_le();
+    let tag = c.u8()?;
+    let classes = c.u32()?;
     let loss = loss_from_tag(tag, classes)?;
-    let learning_rate = bytes.get_f32_le();
+    let learning_rate = c.f32()?;
     if !learning_rate.is_finite() || learning_rate <= 0.0 {
         return Err(ModelIoError::Corrupt(format!(
             "bad learning rate {learning_rate}"
         )));
     }
-    let num_features = bytes.get_u64_le() as usize;
-    let num_trees = bytes.get_u32_le() as usize;
-    if num_trees > 1_000_000 {
-        return Err(ModelIoError::Corrupt(format!(
-            "implausible tree count {num_trees}"
-        )));
-    }
+    let num_features = c.u64()? as usize;
+    // A tree is at least its two header words; a node is 13 bytes.
+    let num_trees = c.count(Cursor::u32, "tree", 8)?;
 
     let mut trees = Vec::with_capacity(num_trees);
     for t in 0..num_trees {
-        need(&bytes, 8)?;
-        let max_depth = bytes.get_u32_le() as usize;
-        let capacity = bytes.get_u32_le() as usize;
+        let max_depth = c.u32()? as usize;
         if max_depth > 30 {
             return Err(ModelIoError::Corrupt(format!(
                 "tree {t}: depth {max_depth} too large"
             )));
         }
-        need(&bytes, capacity * 13)?;
+        let capacity = c.count(Cursor::u32, "node", 13)?;
         let mut nodes = Vec::with_capacity(capacity);
         for i in 0..capacity {
-            let tag = bytes.get_u8();
-            let feature = bytes.get_u32_le();
-            let value = bytes.get_f32_le();
-            let gain = bytes.get_f32_le();
+            let tag = c.u8()?;
+            let feature = c.u32()?;
+            let value = c.f32()?;
+            let gain = c.f32()?;
             nodes.push(match tag {
                 0 => Node::Unused,
                 1 | 3 => {

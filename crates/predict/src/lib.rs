@@ -30,6 +30,8 @@
 //!
 //! [`GbdtModel`]: dimboost_core::GbdtModel
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod compiled;
 pub mod engine;
 pub mod report;

@@ -28,6 +28,8 @@
 //! closed forms (see `dimboost-simnet`), so overlapping worker pushes are
 //! not double-counted.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 mod layout;
 mod partition;
 pub mod quantize;

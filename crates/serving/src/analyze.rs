@@ -26,9 +26,10 @@
 //! JSON document, byte-identical across reruns of the same configuration,
 //! gated by `report_diff` in ci.sh next to the training profile.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use dimboost_simnet::emit::{quantile, JsonWriter};
+use dimboost_simnet::kv::{self, Fields, LineError};
 
 use crate::sim::ServeSimConfig;
 
@@ -68,6 +69,15 @@ impl std::fmt::Display for ServeAnalyzeError {
 }
 
 impl std::error::Error for ServeAnalyzeError {}
+
+impl From<LineError> for ServeAnalyzeError {
+    fn from(e: LineError) -> Self {
+        ServeAnalyzeError::Line {
+            line: e.line,
+            message: e.message,
+        }
+    }
+}
 
 /// Per-tenant latency decomposition and SLO attainment.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,33 +179,6 @@ pub struct ServeProfile {
     pub timeline: Vec<TimelineWindow>,
 }
 
-fn parse_kv<'a>(
-    pairs: &'a HashMap<&str, &str>,
-    key: &str,
-    line: usize,
-) -> Result<&'a str, ServeAnalyzeError> {
-    pairs
-        .get(key)
-        .copied()
-        .ok_or_else(|| ServeAnalyzeError::Line {
-            line,
-            message: format!("missing {key}="),
-        })
-}
-
-fn kv_map(rest: &str) -> HashMap<&str, &str> {
-    rest.split_whitespace()
-        .filter_map(|tok| tok.split_once('='))
-        .collect()
-}
-
-fn num<T: std::str::FromStr>(s: &str, key: &str, line: usize) -> Result<T, ServeAnalyzeError> {
-    s.parse().map_err(|_| ServeAnalyzeError::Line {
-        line,
-        message: format!("bad {key}={s}"),
-    })
-}
-
 /// Overlap of `[a, b]` with the busy intervals (ascending, disjoint),
 /// starting the scan at `*cursor` (monotone across calls in arrival order
 /// is not guaranteed, so the cursor only skips intervals ending before the
@@ -234,30 +217,19 @@ pub fn analyze_serve_trace(text: &str) -> Result<ServeProfile, ServeAnalyzeError
     let rest = header
         .strip_prefix("# serve-sim-trace v1 ")
         .ok_or(ServeAnalyzeError::MissingHeader)?;
-    let hv = kv_map(rest);
-    let want = |key: &str| -> Result<&str, ServeAnalyzeError> {
-        hv.get(key)
-            .copied()
-            .ok_or_else(|| ServeAnalyzeError::Header(format!("missing {key}=")))
-    };
-    let hnum = |key: &str| -> Result<f64, ServeAnalyzeError> {
-        want(key)?
-            .parse()
-            .map_err(|_| ServeAnalyzeError::Header(format!("bad {key}")))
-    };
-    let tenants: usize = want("tenants")?
-        .parse()
-        .map_err(|_| ServeAnalyzeError::Header("bad tenants".into()))?;
-    let seed: u64 = want("seed")?
-        .parse()
-        .map_err(|_| ServeAnalyzeError::Header("bad seed".into()))?;
-    let queue_capacity: usize = want("queue_cap")?
-        .parse()
-        .map_err(|_| ServeAnalyzeError::Header("bad queue_cap".into()))?;
-    let max_batch: usize = want("max_batch")?
-        .parse()
-        .map_err(|_| ServeAnalyzeError::Header("bad max_batch".into()))?;
-    let slo_secs = hnum("slo")?;
+    // The header also carries the service-cost knobs, which the replay
+    // does not need: a subset read, like every event line below.
+    let (tenants, seed, queue_capacity, max_batch, slo_secs) = Fields::parse(1, rest)
+        .and_then(|mut h| {
+            Ok((
+                h.get::<usize>("tenants")?,
+                h.get("seed")?,
+                h.get("queue_cap")?,
+                h.get("max_batch")?,
+                h.get::<f64>("slo")?,
+            ))
+        })
+        .map_err(|e| ServeAnalyzeError::Header(e.message))?;
     if tenants == 0 {
         return Err(ServeAnalyzeError::Header("tenants must be positive".into()));
     }
@@ -270,6 +242,7 @@ pub fn analyze_serve_trace(text: &str) -> Result<ServeProfile, ServeAnalyzeError
         dispatched_at: f64,
         arrivals: Vec<f64>,
     }
+    #[derive(Default)]
     struct TenantAcc {
         arrived: u64,
         served: u64,
@@ -282,20 +255,14 @@ pub fn analyze_serve_trace(text: &str) -> Result<ServeProfile, ServeAnalyzeError
         latencies: Vec<f64>,
         queue: VecDeque<Queued>,
     }
-    let mut ts: Vec<TenantAcc> = (0..tenants)
-        .map(|_| TenantAcc {
-            arrived: 0,
-            served: 0,
-            shed: 0,
-            swaps: 0,
-            queue_wait: 0.0,
-            formation_wait: 0.0,
-            service: 0.0,
-            slo_ok: 0,
-            latencies: Vec::new(),
-            queue: VecDeque::new(),
-        })
-        .collect();
+    // The profile lists every tenant the header declares, idle ones too, so
+    // the count has no bound in the text — ask the allocator instead of
+    // assuming it says yes.
+    let mut ts: Vec<TenantAcc> = Vec::new();
+    ts.try_reserve_exact(tenants).map_err(|_| {
+        ServeAnalyzeError::Header(format!("tenants={tenants} is more than memory can hold"))
+    })?;
+    ts.resize_with(tenants, TenantAcc::default);
 
     let mut events = 0u64;
     let (mut arrived, mut served, mut shed) = (0u64, 0u64, 0u64);
@@ -312,42 +279,40 @@ pub fn analyze_serve_trace(text: &str) -> Result<ServeProfile, ServeAnalyzeError
 
     for (i, raw) in lines {
         let line = i + 1;
-        let Some((kind, rest)) = raw.split_once(' ') else {
-            return Err(ServeAnalyzeError::Line {
-                line,
-                message: "expected `<kind> key=value ...`".into(),
-            });
-        };
-        let kv = kv_map(rest);
-        let t: f64 = num(parse_kv(&kv, "t", line)?, "t", line)?;
-        if !t.is_finite() || t < end_secs {
-            return Err(ServeAnalyzeError::Line {
-                line,
-                message: format!("time goes backwards: t={t} after {end_secs}"),
-            });
+        let err = |message: String| ServeAnalyzeError::Line { line, message };
+        let (kind, mut rest) = kv::keyword(raw);
+        if kind == "swap" {
+            // A swap's `label=` is free text to the end of the line.
+            rest = rest
+                .split_once(" label=")
+                .map_or(rest, |(fields, _)| fields);
+        }
+        let mut f = Fields::parse(line, rest)?;
+        let t: f64 = f.get("t")?;
+        if t < end_secs {
+            return Err(err(format!("time goes backwards: t={t} after {end_secs}")));
         }
         end_secs = t;
         events += 1;
-        let tenant_of = |kv: &HashMap<&str, &str>| -> Result<usize, ServeAnalyzeError> {
-            let idx: usize = num(parse_kv(kv, "tenant", line)?, "tenant", line)?;
+        let tenant_of = |f: &mut Fields<'_>| -> Result<usize, ServeAnalyzeError> {
+            let idx: usize = f.get("tenant")?;
             if idx >= tenants {
-                return Err(ServeAnalyzeError::Line {
-                    line,
-                    message: format!("tenant={idx} out of range (header says {tenants})"),
-                });
+                return Err(err(format!(
+                    "tenant={idx} out of range (header says {tenants})"
+                )));
             }
             Ok(idx)
         };
         match kind {
             "arrive" => {
-                let tenant = tenant_of(&kv)?;
+                let tenant = tenant_of(&mut f)?;
                 arrived += 1;
                 ts[tenant].arrived += 1;
                 ts[tenant].queue.push_back(Queued { arrival: t });
                 ticks.push((t, 0, false));
             }
             "shed" => {
-                let tenant = tenant_of(&kv)?;
+                let tenant = tenant_of(&mut f)?;
                 arrived += 1;
                 shed += 1;
                 ts[tenant].arrived += 1;
@@ -357,21 +322,15 @@ pub fn analyze_serve_trace(text: &str) -> Result<ServeProfile, ServeAnalyzeError
             }
             "dispatch" => {
                 if in_flight.is_some() {
-                    return Err(ServeAnalyzeError::Line {
-                        line,
-                        message: "dispatch while a batch is already in flight".into(),
-                    });
+                    return Err(err("dispatch while a batch is already in flight".into()));
                 }
-                let tenant = tenant_of(&kv)?;
-                let rows: usize = num(parse_kv(&kv, "rows", line)?, "rows", line)?;
+                let tenant = tenant_of(&mut f)?;
+                let rows: usize = f.get("rows")?;
                 if rows == 0 || rows > ts[tenant].queue.len() {
-                    return Err(ServeAnalyzeError::Line {
-                        line,
-                        message: format!(
-                            "dispatch of {rows} rows but tenant {tenant} has {} queued",
-                            ts[tenant].queue.len()
-                        ),
-                    });
+                    return Err(err(format!(
+                        "dispatch of {rows} rows but tenant {tenant} has {} queued",
+                        ts[tenant].queue.len()
+                    )));
                 }
                 let arrivals = ts[tenant].queue.drain(..rows).map(|q| q.arrival).collect();
                 batches += 1;
@@ -382,30 +341,24 @@ pub fn analyze_serve_trace(text: &str) -> Result<ServeProfile, ServeAnalyzeError
                 });
             }
             "complete" => {
-                let Some(f) = in_flight.take() else {
-                    return Err(ServeAnalyzeError::Line {
-                        line,
-                        message: "complete without a batch in flight".into(),
-                    });
+                let Some(flight) = in_flight.take() else {
+                    return Err(err("complete without a batch in flight".into()));
                 };
-                let tenant = tenant_of(&kv)?;
-                if tenant != f.tenant {
-                    return Err(ServeAnalyzeError::Line {
-                        line,
-                        message: format!(
-                            "complete for tenant {tenant} but tenant {} is in flight",
-                            f.tenant
-                        ),
-                    });
+                let tenant = tenant_of(&mut f)?;
+                if tenant != flight.tenant {
+                    return Err(err(format!(
+                        "complete for tenant {tenant} but tenant {} is in flight",
+                        flight.tenant
+                    )));
                 }
-                let service = t - f.dispatched_at;
+                let service = t - flight.dispatched_at;
                 let acc = &mut ts[tenant];
-                for &arrival in &f.arrivals {
-                    let wait = f.dispatched_at - arrival;
+                for &arrival in &flight.arrivals {
+                    let wait = flight.dispatched_at - arrival;
                     // The server-busy share of the wait is queue wait; the
                     // remainder is batch formation. The request's own batch
                     // starts at dispatch, so it never self-counts.
-                    let queued = busy_overlap(&busy, arrival, f.dispatched_at);
+                    let queued = busy_overlap(&busy, arrival, flight.dispatched_at);
                     let latency = t - arrival;
                     acc.served += 1;
                     served += 1;
@@ -419,19 +372,14 @@ pub fn analyze_serve_trace(text: &str) -> Result<ServeProfile, ServeAnalyzeError
                     all_latencies.push(latency);
                     ticks.push((t, 1, latency <= slo_secs));
                 }
-                busy.push((f.dispatched_at, t));
+                busy.push((flight.dispatched_at, t));
             }
             "swap" => {
-                let tenant = tenant_of(&kv)?;
+                let tenant = tenant_of(&mut f)?;
                 swaps += 1;
                 ts[tenant].swaps += 1;
             }
-            other => {
-                return Err(ServeAnalyzeError::Line {
-                    line,
-                    message: format!("unknown event kind `{other}`"),
-                });
-            }
+            other => return Err(err(format!("unknown event kind `{other}`"))),
         }
     }
 

@@ -30,6 +30,8 @@
 //! canonical form is byte-identical across reruns and gated by
 //! `report_diff` in ci.sh.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod analyze;
 pub mod arrival;
 pub mod report;

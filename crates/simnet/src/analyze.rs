@@ -276,8 +276,14 @@ pub fn analyze_trace(trace: &Trace) -> Result<TraceProfile, AnalyzeError> {
     // --- Sequence-order replay state -----------------------------------
     let mut clock = 0.0f64; // replicates BusState::now
     let mut last_arrival = 0.0f64; // clock when the last request was issued
-    let mut cursors = vec![0.0f64; trace.servers]; // replicates server_busy
-    let mut pending = vec![0u64; trace.servers]; // replicates server_pending
+
+    // Replicates server_busy / server_pending: one `(busy, pending, barrier
+    // seen)` entry per server, created on first use, so the header's
+    // server count is a bound to check and never an allocation size.
+    // `barrier` is the clock and ordinal of the last charge; an entry that
+    // predates it is drained before use.
+    let mut queues: BTreeMap<u32, (f64, u64, u64)> = BTreeMap::new();
+    let mut barrier = (0.0f64, 0u64);
 
     let mut segments = 0u64;
     let mut round = 0u64;
@@ -396,10 +402,7 @@ pub fn analyze_trace(trace: &Trace) -> Result<TraceProfile, AnalyzeError> {
                 clock += dur; // replicates `st.now += time.0`
                 if e.kind == EventKind::Collective {
                     // The barrier drains every server queue.
-                    for s in 0..cursors.len() {
-                        cursors[s] = cursors[s].max(clock);
-                        pending[s] = 0;
-                    }
+                    barrier = (clock, barrier.1 + 1);
                 }
             }
             EventKind::Service => {
@@ -409,16 +412,20 @@ pub fn analyze_trace(trace: &Trace) -> Result<TraceProfile, AnalyzeError> {
                         e.seq
                     )));
                 };
-                let s = s as usize;
-                if s >= cursors.len() {
+                if s as usize >= trace.servers {
                     return Err(AnalyzeError::Invalid(format!(
                         "service event seq {} on server {s} but the trace declares {}",
-                        e.seq,
-                        cursors.len()
+                        e.seq, trace.servers
                     )));
                 }
+                let (busy, pending, seen) = queues.entry(s).or_insert((0.0, 0, 0));
+                if *seen != barrier.1 {
+                    // The clock never runs backwards, so the latest barrier
+                    // subsumes every earlier one this queue slept through.
+                    (*busy, *pending, *seen) = (busy.max(barrier.0), 0, barrier.1);
+                }
                 // Replay the bus arithmetic exactly: start = busy.max(arrival).
-                let expected = cursors[s].max(last_arrival);
+                let expected = busy.max(last_arrival);
                 if e.begin.0.to_bits() != expected.to_bits() {
                     return Err(AnalyzeError::Conservation(format!(
                         "service seq {} on s{s} begins at {} but the replayed cursor \
@@ -428,15 +435,15 @@ pub fn analyze_trace(trace: &Trace) -> Result<TraceProfile, AnalyzeError> {
                 }
                 let wait = e.begin.0 - last_arrival;
                 if e.begin.0 > last_arrival {
-                    pending[s] += 1;
+                    *pending += 1;
                 } else {
-                    pending[s] = 0;
+                    *pending = 0;
                 }
-                ps.max_queue_depth = ps.max_queue_depth.max(pending[s]);
+                ps.max_queue_depth = ps.max_queue_depth.max(*pending);
                 ps.service_events += 1;
                 ps.service_secs += dur;
                 ps.queue_wait_secs += wait;
-                cursors[s] = e.begin.0 + dur;
+                *busy = e.begin.0 + dur;
                 let entry = tracks.get_mut(&e.track.tid()).expect("inserted above");
                 entry.3 += wait;
             }
@@ -456,7 +463,7 @@ pub fn analyze_trace(trace: &Trace) -> Result<TraceProfile, AnalyzeError> {
                 kind.0 += 1;
                 kind.1 += dur;
             }
-            EventKind::Compute | EventKind::Step => {}
+            EventKind::Compute => {}
         }
     }
 

@@ -11,18 +11,7 @@
 
 use std::ops::Range;
 
-use crate::trace::TraceBus;
-use crate::{CommStats, CostModel, Phase};
-
-/// Optional trace hook for the `*_traced` collective variants: the bus to
-/// emit step annotations on, and the phase to attribute them to.
-pub type TraceHook<'a> = Option<(&'a TraceBus, Phase)>;
-
-fn step(trace: &TraceHook<'_>, name: &'static str, bytes: u64, packages: u64) {
-    if let Some((bus, phase)) = trace {
-        bus.on_step(*phase, name, bytes, packages);
-    }
-}
+use crate::{CommStats, CostModel};
 
 /// Result of a scatter-style aggregation: each participating node owns a
 /// contiguous, fully-reduced segment of the histogram.
@@ -98,17 +87,6 @@ pub fn reduce_to_one(
     root: usize,
     model: &CostModel,
 ) -> (Vec<f32>, CommStats) {
-    reduce_to_one_traced(buffers, root, model, None)
-}
-
-/// [`reduce_to_one`] with a per-transfer trace annotation for each worker's
-/// send to the root.
-pub fn reduce_to_one_traced(
-    buffers: &[Vec<f32>],
-    root: usize,
-    model: &CostModel,
-    trace: TraceHook<'_>,
-) -> (Vec<f32>, CommStats) {
     let len = check_uniform(buffers);
     assert!(root < buffers.len(), "root {root} out of range");
     let w = buffers.len();
@@ -121,7 +99,6 @@ pub fn reduce_to_one_traced(
         elementwise_add(&mut acc, buf);
         stats.bytes += (len * 4) as u64;
         stats.packages += 1;
-        step(&trace, "reduce_send", (len * 4) as u64, 1);
     }
     if w > 1 {
         stats.sim_time = model.t_reduce_to_one(len * 4, w);
@@ -138,16 +115,6 @@ pub fn reduce_to_one_traced(
 /// need it, which matches XGBoost computing the split at the root and
 /// broadcasting only the tiny split decision).
 pub fn allreduce_binomial(buffers: &[Vec<f32>], model: &CostModel) -> (Vec<f32>, CommStats) {
-    allreduce_binomial_traced(buffers, model, None)
-}
-
-/// [`allreduce_binomial`] with one trace annotation per distance-doubling
-/// round of the binomial tree.
-pub fn allreduce_binomial_traced(
-    buffers: &[Vec<f32>],
-    model: &CostModel,
-    trace: TraceHook<'_>,
-) -> (Vec<f32>, CommStats) {
     let len = check_uniform(buffers);
     let w = buffers.len();
     let mut work: Vec<Vec<f32>> = buffers.to_vec();
@@ -157,7 +124,6 @@ pub fn allreduce_binomial_traced(
     // partial sum to r - d.
     let mut d = 1;
     while d < w {
-        let (round_bytes, round_packages) = (stats.bytes, stats.packages);
         for r in (0..w).rev() {
             if r % (2 * d) == d {
                 let (low, high) = work.split_at_mut(r);
@@ -166,12 +132,6 @@ pub fn allreduce_binomial_traced(
                 stats.packages += 1;
             }
         }
-        step(
-            &trace,
-            "allreduce_round",
-            stats.bytes - round_bytes,
-            stats.packages - round_packages,
-        );
         d *= 2;
     }
     if w > 1 {
@@ -193,16 +153,6 @@ pub fn allreduce_binomial_traced(
 /// Simulated time: `(w−1)/w·h·β + (α + h·γ)·log₂ w`, ×2 off powers of two
 /// (Table 1).
 pub fn reduce_scatter_halving(buffers: &[Vec<f32>], model: &CostModel) -> (Scattered, CommStats) {
-    reduce_scatter_halving_traced(buffers, model, None)
-}
-
-/// [`reduce_scatter_halving`] with trace annotations for the preliminary
-/// non-power-of-two fold and for each recursive-halving level.
-pub fn reduce_scatter_halving_traced(
-    buffers: &[Vec<f32>],
-    model: &CostModel,
-    trace: TraceHook<'_>,
-) -> (Scattered, CommStats) {
     let len = check_uniform(buffers);
     let w = buffers.len();
     let mut stats = CommStats::new();
@@ -237,9 +187,6 @@ pub fn reduce_scatter_halving_traced(
         stats.bytes += (len * 4) as u64;
         stats.packages += 1;
     }
-    if extra > 0 {
-        step(&trace, "fold_extra_ranks", stats.bytes, stats.packages);
-    }
     work.truncate(pow2);
 
     // Recursive halving among the first pow2 ranks. Each rank tracks the
@@ -248,7 +195,6 @@ pub fn reduce_scatter_halving_traced(
     let mut group = pow2;
     while group > 1 {
         let half = group / 2;
-        let (level_bytes, level_packages) = (stats.bytes, stats.packages);
         for base in (0..pow2).step_by(group) {
             for i in 0..half {
                 let lo_rank = base + i;
@@ -274,12 +220,6 @@ pub fn reduce_scatter_halving_traced(
                 ranges[hi_rank] = mid..range.end;
             }
         }
-        step(
-            &trace,
-            "halving_level",
-            stats.bytes - level_bytes,
-            stats.packages - level_packages,
-        );
         group = half;
     }
 
@@ -307,17 +247,6 @@ pub fn ps_batch_exchange(
     servers: usize,
     model: &CostModel,
 ) -> (Scattered, CommStats) {
-    ps_batch_exchange_traced(buffers, servers, model, None)
-}
-
-/// [`ps_batch_exchange`] with one trace annotation per server's inbound
-/// batch.
-pub fn ps_batch_exchange_traced(
-    buffers: &[Vec<f32>],
-    servers: usize,
-    model: &CostModel,
-    trace: TraceHook<'_>,
-) -> (Scattered, CommStats) {
     let len = check_uniform(buffers);
     assert!(servers > 0, "need at least one server");
     let w = buffers.len();
@@ -329,7 +258,6 @@ pub fn ps_batch_exchange_traced(
         .enumerate()
         .map(|(server, range)| {
             let mut data = vec![0.0f32; range.end - range.start];
-            let (batch_bytes, batch_packages) = (stats.bytes, stats.packages);
             for (rank, buf) in buffers.iter().enumerate() {
                 elementwise_add(&mut data, &buf[range.clone()]);
                 // Co-located worker -> server transfers are local.
@@ -338,12 +266,6 @@ pub fn ps_batch_exchange_traced(
                     stats.packages += 1;
                 }
             }
-            step(
-                &trace,
-                "server_batch",
-                stats.bytes - batch_bytes,
-                stats.packages - batch_packages,
-            );
             Segment {
                 owner: server,
                 range: range.clone(),
@@ -497,67 +419,6 @@ mod tests {
     fn rejects_ragged_buffers() {
         let buffers = vec![vec![1.0; 3], vec![1.0; 4]];
         reduce_to_one(&buffers, 0, &CostModel::FREE);
-    }
-
-    #[test]
-    fn traced_variants_emit_steps_and_match_untraced() {
-        use crate::trace::{EventKind, TraceBus};
-
-        let (buffers, _) = make_buffers(6, 64);
-        let m = CostModel::GIGABIT_LAN;
-        let bus = TraceBus::new(6, 3, m, true);
-
-        let (plain, plain_stats) = allreduce_binomial(&buffers, &m);
-        let (traced, traced_stats) =
-            allreduce_binomial_traced(&buffers, &m, Some((&bus, Phase::BuildHistogram)));
-        assert_eq!(plain, traced);
-        assert_eq!(plain_stats, traced_stats);
-        // ⌈log₂ 6⌉ = 3 rounds.
-        let rounds: Vec<_> = bus
-            .snapshot_events()
-            .iter()
-            .filter(|e| e.kind == EventKind::Step && e.name == "allreduce_round")
-            .map(|e| (e.bytes, e.packages))
-            .collect();
-        assert_eq!(rounds.len(), 3);
-        assert_eq!(
-            rounds.iter().map(|&(b, _)| b).sum::<u64>(),
-            traced_stats.bytes
-        );
-
-        let (s_plain, s_stats) = reduce_scatter_halving(&buffers, &m);
-        let (s_traced, s_traced_stats) =
-            reduce_scatter_halving_traced(&buffers, &m, Some((&bus, Phase::BuildHistogram)));
-        assert_eq!(s_plain, s_traced);
-        assert_eq!(s_stats, s_traced_stats);
-
-        let (p_plain, p_stats) = ps_batch_exchange(&buffers, 3, &m);
-        let (p_traced, p_traced_stats) =
-            ps_batch_exchange_traced(&buffers, 3, &m, Some((&bus, Phase::BuildHistogram)));
-        assert_eq!(p_plain, p_traced);
-        assert_eq!(p_stats, p_traced_stats);
-        let batches = bus
-            .snapshot_events()
-            .iter()
-            .filter(|e| e.name == "server_batch")
-            .count();
-        assert_eq!(batches, 3);
-
-        let (r_plain, r_stats) = reduce_to_one(&buffers, 0, &m);
-        let (r_traced, r_traced_stats) =
-            reduce_to_one_traced(&buffers, 0, &m, Some((&bus, Phase::BuildHistogram)));
-        assert_eq!(r_plain, r_traced);
-        assert_eq!(r_stats, r_traced_stats);
-
-        // Step annotations carry no simulated time and never pollute the
-        // ledger-relevant fold.
-        let events = bus.snapshot_events();
-        crate::trace::validate_events(&events).unwrap();
-        assert!(events
-            .iter()
-            .filter(|e| e.kind == EventKind::Step)
-            .all(|e| e.sim_dur == crate::SimTime::ZERO));
-        assert!(crate::trace::comm_totals(&events).total().is_empty());
     }
 
     #[test]

@@ -32,6 +32,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::emit::JsonWriter;
+use crate::kv::{self, Fields, LineError};
 use crate::Phase;
 
 /// Retries are capped; after this many attempts the network "heals" and the
@@ -235,10 +236,6 @@ pub fn unit(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-fn phase_by_name(name: &str) -> Option<Phase> {
-    Phase::from_name(name)
-}
-
 impl FaultPlan {
     /// The fate of `attempt` (0-based) of message `seq` from `worker`.
     /// Pure in `(self.seed, worker, seq, attempt)`.
@@ -335,8 +332,8 @@ impl FaultPlan {
         h
     }
 
-    /// Parses the line-based plan format. Blank lines and `#` comments are
-    /// ignored. Directives:
+    /// Parses the line-based plan format. Blank lines and `#` comments —
+    /// whole-line or trailing — are ignored. Directives:
     ///
     /// ```text
     /// seed 42
@@ -356,152 +353,15 @@ impl FaultPlan {
     /// speculate threshold=1.5        # backup when > 1.5× median
     /// ```
     ///
-    /// Unknown `key=value` tokens on a known directive are rejected with a
-    /// line-numbered error (`crash round=2 typo=1` does not parse).
+    /// The `key=value` directives follow [`crate::kv`]'s reading rules: an
+    /// unknown or repeated key, a bare token and a non-finite number are
+    /// each a line-numbered error (`crash round=2 typo=1` does not parse).
     pub fn parse(text: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
-        for (ln, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |msg: String| format!("fault plan line {}: {msg}", ln + 1);
-            let mut toks = line.split_ascii_whitespace();
-            let Some(keyword) = toks.next() else { continue };
-            let rest: Vec<&str> = toks.collect();
-            // Structured directives accept only their declared keys: an
-            // unknown or malformed token is an error, not a silent no-op.
-            let allowed: Option<&[&str]> = match keyword {
-                "straggler" => Some(&["worker", "factor", "phase"]),
-                "outage" => Some(&["server", "start", "dur"]),
-                "crash" => Some(&["round"]),
-                "lose" | "leave" => Some(&["worker", "round", "policy"]),
-                "join" => Some(&["worker", "round"]),
-                "speed" => Some(&["worker", "factor"]),
-                "speculate" => Some(&["threshold"]),
-                _ => None,
-            };
-            if let Some(allowed) = allowed {
-                for t in &rest {
-                    let Some((key, _)) = t.split_once('=') else {
-                        return Err(err(format!("expected key=value, got {t:?}")));
-                    };
-                    if !allowed.contains(&key) {
-                        return Err(err(format!("unknown key {key:?} for {keyword}")));
-                    }
-                }
-            }
-            // `key=value` field lookup for the structured directives.
-            let field = |name: &str| -> Option<&str> {
-                rest.iter()
-                    .find_map(|t| t.strip_prefix(name).and_then(|t| t.strip_prefix('=')))
-            };
-            let req = |name: &str| -> Result<&str, String> {
-                field(name).ok_or_else(|| err(format!("missing {name}= field")))
-            };
-            let scalar = || -> Result<&str, String> {
-                match rest.as_slice() {
-                    [v] => Ok(v),
-                    _ => Err(err(format!("expected exactly one value after {keyword}"))),
-                }
-            };
-            fn num<T: std::str::FromStr>(s: &str, what: &str, ln: usize) -> Result<T, String> {
-                s.parse()
-                    .map_err(|_| format!("fault plan line {}: bad {what} {s:?}", ln + 1))
-            }
-            let prob = |s: &str, what: &str| -> Result<f64, String> {
-                let v: f64 = num(s, what, ln)?;
-                if !(0.0..=1.0).contains(&v) {
-                    return Err(err(format!("{what} must be in [0, 1], got {v}")));
-                }
-                Ok(v)
-            };
-            match keyword {
-                "seed" => plan.seed = num(scalar()?, "seed", ln)?,
-                "drop" => plan.drop_p = prob(scalar()?, "drop probability")?,
-                "ack_drop" => plan.ack_drop_p = prob(scalar()?, "ack_drop probability")?,
-                "dup" => plan.dup_p = prob(scalar()?, "dup probability")?,
-                "timeout_secs" => plan.timeout_secs = num(scalar()?, "timeout_secs", ln)?,
-                "backoff_base_secs" => {
-                    plan.backoff_base_secs = num(scalar()?, "backoff_base_secs", ln)?
-                }
-                "backoff_max_secs" => {
-                    plan.backoff_max_secs = num(scalar()?, "backoff_max_secs", ln)?
-                }
-                "straggler" => {
-                    let factor: f64 = num(req("factor")?, "factor", ln)?;
-                    if factor < 1.0 {
-                        return Err(err(format!("straggler factor must be ≥ 1, got {factor}")));
-                    }
-                    let phase = match field("phase") {
-                        Some(name) => Some(
-                            phase_by_name(name)
-                                .ok_or_else(|| err(format!("unknown phase {name:?}")))?,
-                        ),
-                        None => None,
-                    };
-                    plan.stragglers.push(StragglerSpec {
-                        worker: num(req("worker")?, "worker", ln)?,
-                        factor,
-                        phase,
-                    });
-                }
-                "outage" => plan.outages.push(OutageSpec {
-                    server: num(req("server")?, "server", ln)?,
-                    start: num(req("start")?, "start", ln)?,
-                    duration: num(req("dur")?, "dur", ln)?,
-                }),
-                "crash" => plan.crash_round = Some(num(req("round")?, "round", ln)?),
-                "lose" => plan.losses.push(LossSpec {
-                    worker: num(req("worker")?, "worker", ln)?,
-                    round: num(req("round")?, "round", ln)?,
-                    policy: match req("policy")? {
-                        "redistribute" => LossPolicy::Redistribute,
-                        "abort" => LossPolicy::Abort,
-                        other => return Err(err(format!("unknown loss policy {other:?}"))),
-                    },
-                }),
-                "join" => plan.joins.push(JoinSpec {
-                    worker: num(req("worker")?, "worker", ln)?,
-                    round: num(req("round")?, "round", ln)?,
-                }),
-                "leave" => plan.leaves.push(LeaveSpec {
-                    worker: num(req("worker")?, "worker", ln)?,
-                    round: num(req("round")?, "round", ln)?,
-                    policy: match req("policy")? {
-                        "handoff" => LeavePolicy::Handoff,
-                        "redistribute" => LeavePolicy::Redistribute,
-                        other => return Err(err(format!("unknown leave policy {other:?}"))),
-                    },
-                }),
-                "speed" => {
-                    let factor: f64 = num(req("factor")?, "factor", ln)?;
-                    if factor < 1.0 {
-                        return Err(err(format!("speed factor must be ≥ 1, got {factor}")));
-                    }
-                    plan.speeds.push(SpeedSpec {
-                        worker: num(req("worker")?, "worker", ln)?,
-                        factor,
-                    });
-                }
-                "speculate" => {
-                    let threshold: f64 = num(req("threshold")?, "threshold", ln)?;
-                    if threshold < 1.0 {
-                        return Err(err(format!(
-                            "speculate threshold must be ≥ 1, got {threshold}"
-                        )));
-                    }
-                    plan.speculate_threshold = Some(threshold);
-                }
-                other => return Err(err(format!("unknown directive {other:?}"))),
-            }
-            // Guard against sign errors on durations.
-            if plan.timeout_secs < 0.0
-                || plan.backoff_base_secs < 0.0
-                || plan.backoff_max_secs < 0.0
-            {
-                return Err(err("timeout/backoff durations must be non-negative".into()));
-            }
+        for (i, raw) in text.lines().enumerate() {
+            let line = raw.split('#').next().unwrap_or(raw);
+            plan.directive(i + 1, line)
+                .map_err(|e| format!("fault plan {e}"))?;
         }
         let total = plan.drop_p + plan.ack_drop_p + plan.dup_p;
         if total > 1.0 {
@@ -510,6 +370,115 @@ impl FaultPlan {
             ));
         }
         Ok(plan)
+    }
+
+    /// Applies one comment-stripped plan line.
+    fn directive(&mut self, line: usize, text: &str) -> Result<(), LineError> {
+        let (keyword, rest) = kv::keyword(text);
+        let err = |message: String| LineError { line, message };
+        // `keyword value` directives carry one bare number.
+        let scalar = || {
+            let mut tokens = rest.split_whitespace();
+            match (tokens.next(), tokens.next()) {
+                (Some(raw), None) => Ok(raw),
+                _ => Err(err(format!("expected exactly one value after {keyword}"))),
+            }
+        };
+        let prob = || {
+            let p: f64 = kv::value(line, keyword, scalar()?)?;
+            if !(0.0..=1.0).contains(&p) {
+                return Err(err(format!(
+                    "{keyword} probability must be in [0, 1], got {p}"
+                )));
+            }
+            Ok(p)
+        };
+        let secs = || {
+            let secs: f64 = kv::value(line, keyword, scalar()?)?;
+            if secs < 0.0 {
+                return Err(err("timeout/backoff durations must be non-negative".into()));
+            }
+            Ok(secs)
+        };
+        // A stretch factor: `key`'s value, which must be at least 1.
+        let stretch = |f: &mut Fields<'_>, key: &str| {
+            let factor: f64 = f.get(key)?;
+            if factor < 1.0 {
+                return Err(f.error(format!("{keyword} {key} must be ≥ 1, got {factor}")));
+            }
+            Ok(factor)
+        };
+        match keyword {
+            "" => {}
+            "seed" => self.seed = kv::value(line, keyword, scalar()?)?,
+            "drop" => self.drop_p = prob()?,
+            "ack_drop" => self.ack_drop_p = prob()?,
+            "dup" => self.dup_p = prob()?,
+            "timeout_secs" => self.timeout_secs = secs()?,
+            "backoff_base_secs" => self.backoff_base_secs = secs()?,
+            "backoff_max_secs" => self.backoff_max_secs = secs()?,
+            "straggler" => self.stragglers.push(Fields::strict(line, rest, |f| {
+                Ok(StragglerSpec {
+                    worker: f.get("worker")?,
+                    factor: stretch(f, "factor")?,
+                    phase: match f.take("phase") {
+                        Some(name) => Some(
+                            Phase::from_name(name)
+                                .ok_or_else(|| f.error(format!("unknown phase {name:?}")))?,
+                        ),
+                        None => None,
+                    },
+                })
+            })?),
+            "outage" => self.outages.push(Fields::strict(line, rest, |f| {
+                Ok(OutageSpec {
+                    server: f.get("server")?,
+                    start: f.get("start")?,
+                    duration: f.get("dur")?,
+                })
+            })?),
+            "crash" => self.crash_round = Some(Fields::strict(line, rest, |f| f.get("round"))?),
+            "lose" => self.losses.push(Fields::strict(line, rest, |f| {
+                Ok(LossSpec {
+                    worker: f.get("worker")?,
+                    round: f.get("round")?,
+                    policy: f.named("policy", |p| match p {
+                        "redistribute" => Some(LossPolicy::Redistribute),
+                        "abort" => Some(LossPolicy::Abort),
+                        _ => None,
+                    })?,
+                })
+            })?),
+            "join" => self.joins.push(Fields::strict(line, rest, |f| {
+                Ok(JoinSpec {
+                    worker: f.get("worker")?,
+                    round: f.get("round")?,
+                })
+            })?),
+            "leave" => self.leaves.push(Fields::strict(line, rest, |f| {
+                Ok(LeaveSpec {
+                    worker: f.get("worker")?,
+                    round: f.get("round")?,
+                    policy: f.named("policy", |p| match p {
+                        "handoff" => Some(LeavePolicy::Handoff),
+                        "redistribute" => Some(LeavePolicy::Redistribute),
+                        _ => None,
+                    })?,
+                })
+            })?),
+            "speed" => self.speeds.push(Fields::strict(line, rest, |f| {
+                Ok(SpeedSpec {
+                    worker: f.get("worker")?,
+                    factor: stretch(f, "factor")?,
+                })
+            })?),
+            "speculate" => {
+                self.speculate_threshold =
+                    Some(Fields::strict(line, rest, |f| stretch(f, "threshold"))?)
+            }
+            other => return Err(err(format!("unknown directive {other:?}"))),
+        }
+        Ok(())
     }
 }
 

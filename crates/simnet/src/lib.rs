@@ -27,11 +27,14 @@
 //! [`registry`] collects counters/gauges/histograms with deterministic
 //! percentile exports.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod analyze;
 pub mod collectives;
 mod cost;
 pub mod emit;
 pub mod fault;
+pub mod kv;
 pub mod registry;
 mod stats;
 pub mod trace;

@@ -29,9 +29,6 @@
 //! * **Compute** events mark worker phase slices at `now` with zero
 //!   simulated duration and the measured wall seconds attached as an
 //!   annotation (wall time is nondeterministic and never moves the clock).
-//! * **Step** events annotate the internal rounds of a collective
-//!   (halving levels, binomial rounds, per-server batches); like service
-//!   events they carry no ledger cost.
 //!
 //! # Invariants (enforced by [`validate_events`] and proptests)
 //!
@@ -46,6 +43,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::emit::fmt_f64;
+use crate::kv::{self, Fields, LineError};
 use crate::registry::{FixedHistogram, MetricExport, MetricsRegistry};
 use crate::{CommLedger, CostModel, Phase, SimTime};
 
@@ -56,7 +54,7 @@ pub enum Track {
     Worker(u32),
     /// A server's lane: derived service events with queueing.
     Server(u32),
-    /// The shared network lane: barrier charges and collective steps.
+    /// The shared network lane: barrier charges.
     Net,
     /// The fault-injection lane: drops, retries, backoff waits, stragglers,
     /// outages, crashes (see [`crate::fault`]).
@@ -140,8 +138,6 @@ pub enum EventKind {
     Service,
     /// A simulated-time charge: a barrier on the net track.
     Collective,
-    /// An internal round of a collective (annotation only).
-    Step,
     /// An injected fault or its recovery cost (drop, retry backoff,
     /// straggler dilation, outage wait, crash). The matching simulated time
     /// is charged separately through the ledger, so fault events never count
@@ -163,7 +159,6 @@ impl EventKind {
             EventKind::Request => "request",
             EventKind::Service => "service",
             EventKind::Collective => "collective",
-            EventKind::Step => "step",
             EventKind::Fault => "fault",
             EventKind::Membership => "membership",
         }
@@ -182,7 +177,6 @@ impl EventKind {
             "request" => EventKind::Request,
             "service" => EventKind::Service,
             "collective" => EventKind::Collective,
-            "step" => EventKind::Step,
             "fault" => EventKind::Fault,
             "membership" => EventKind::Membership,
             _ => return None,
@@ -206,7 +200,7 @@ pub struct TraceEvent {
     pub kind: EventKind,
     /// Execution-plan phase the event is attributed to.
     pub phase: Phase,
-    /// Operation name (e.g. `push_histogram`, `allreduce_round`).
+    /// Operation name (e.g. `push_histogram`, `pull_split`).
     pub name: &'static str,
     /// Begin time on the simulated clock.
     pub begin: SimTime,
@@ -440,23 +434,6 @@ impl TraceBus {
             st.server_pending[s] = 0;
         }
         st.metrics.gauge_set("sim/clock_secs", now);
-    }
-
-    /// An internal collective round (annotation only; no ledger cost).
-    pub fn on_step(&self, phase: Phase, name: &'static str, bytes: u64, packages: u64) {
-        let mut st = self.inner.lock();
-        let begin = st.now;
-        st.push(
-            Track::Net,
-            EventKind::Step,
-            phase,
-            name,
-            begin,
-            0.0,
-            bytes,
-            packages,
-            0.0,
-        );
     }
 
     /// An injected fault or its recovery cost. Emitted *before* the charge
@@ -797,96 +774,53 @@ impl Trace {
     ///
     /// Because the export uses shortest-round-trip `f64` formatting, the
     /// parsed event stream is bit-identical to the one exported (wall-clock
-    /// annotations, which the export drops, come back as zero). Every
-    /// malformed input — missing or corrupt header, an unknown field,
-    /// a truncated file whose header promises more events than follow (a
+    /// annotations, which the export drops, come back as zero). Lines follow
+    /// [`crate::kv`]'s reading rules, so every malformed input — missing or
+    /// corrupt header, an unknown or repeated field, a non-finite time, a
+    /// truncated file whose header promises more events than follow (a
     /// trace ending with an open span) — is a typed [`TraceParseError`],
     /// never a panic.
     pub fn parse_events_text(text: &str) -> Result<Trace, TraceParseError> {
-        let mut lines = text.lines().enumerate();
-        let (_, header) = lines.next().ok_or(TraceParseError::MissingHeader)?;
-        let mut fields = header.split_whitespace();
-        if (fields.next(), fields.next(), fields.next())
-            != (Some("#"), Some("dimboost-trace-events"), Some("v1"))
-        {
-            return Err(TraceParseError::MissingHeader);
-        }
-        let (mut workers, mut servers, mut expected) = (None, None, None);
-        for field in fields {
-            let (key, value) = field
-                .split_once('=')
-                .ok_or_else(|| TraceParseError::Header(format!("bad header field {field:?}")))?;
-            let parsed: usize = value
-                .parse()
-                .map_err(|_| TraceParseError::Header(format!("bad header value {field:?}")))?;
-            match key {
-                "workers" => workers = Some(parsed),
-                "servers" => servers = Some(parsed),
-                "events" => expected = Some(parsed),
-                _ => {
-                    return Err(TraceParseError::Header(format!(
-                        "unknown header key {key:?}"
-                    )))
-                }
-            }
-        }
-        let missing = |what: &str| TraceParseError::Header(format!("header lacks {what}"));
-        let workers = workers.ok_or_else(|| missing("workers"))?;
-        let servers = servers.ok_or_else(|| missing("servers"))?;
-        let expected = expected.ok_or_else(|| missing("events"))?;
+        let mut lines = text.lines();
+        let header = lines
+            .next()
+            .and_then(|h| h.strip_prefix("# dimboost-trace-events v1"))
+            .filter(|rest| rest.is_empty() || rest.starts_with(char::is_whitespace))
+            .ok_or(TraceParseError::MissingHeader)?;
+        let (workers, servers, expected): (usize, usize, usize) = Fields::strict(1, header, |f| {
+            Ok((f.get("workers")?, f.get("servers")?, f.get("events")?))
+        })
+        .map_err(|e| TraceParseError::Header(e.message))?;
 
-        let mut events = Vec::with_capacity(expected);
-        for (i, line) in lines {
-            let line = line.trim();
-            if line.is_empty() {
+        // The header's count is a promise to check, not a size to allocate:
+        // no more events can follow than lines do.
+        let mut events = Vec::with_capacity(expected.min(lines.clone().count()));
+        for (i, line) in lines.enumerate() {
+            let lineno = i + 2;
+            let (keyword, rest) = kv::keyword(line);
+            if keyword.is_empty() {
                 continue;
             }
-            let lineno = i + 1;
-            let err = |message: String| TraceParseError::Line {
-                line: lineno,
-                message,
-            };
-            let mut fields = line.split_whitespace();
-            if fields.next() != Some("event") {
-                return Err(err(format!("expected an `event` line, got {line:?}")));
+            if keyword != "event" {
+                return Err(TraceParseError::Line {
+                    line: lineno,
+                    message: format!("expected an `event` line, got {:?}", line.trim()),
+                });
             }
-            let mut kv = std::collections::HashMap::new();
-            for field in fields {
-                let (key, value) = field
-                    .split_once('=')
-                    .ok_or_else(|| err(format!("bad field {field:?}")))?;
-                kv.insert(key, value);
-            }
-            let get = |key: &str| {
-                kv.get(key)
-                    .copied()
-                    .ok_or_else(|| err(format!("missing field {key:?}")))
-            };
-            let num = |key: &str| -> Result<u64, TraceParseError> {
-                get(key)?
-                    .parse()
-                    .map_err(|_| err(format!("bad integer for {key:?}")))
-            };
-            let secs = |key: &str| -> Result<f64, TraceParseError> {
-                get(key)?
-                    .parse()
-                    .map_err(|_| err(format!("bad number for {key:?}")))
-            };
-            events.push(TraceEvent {
-                seq: num("seq")?,
-                track: Track::from_code(get("track")?)
-                    .ok_or_else(|| err(format!("unknown track {:?}", kv["track"])))?,
-                kind: EventKind::from_name(get("kind")?)
-                    .ok_or_else(|| err(format!("unknown kind {:?}", kv["kind"])))?,
-                phase: Phase::from_name(get("phase")?)
-                    .ok_or_else(|| err(format!("unknown phase {:?}", kv["phase"])))?,
-                name: intern_name(get("name")?),
-                begin: SimTime(secs("begin")?),
-                sim_dur: SimTime(secs("dur")?),
-                bytes: num("bytes")?,
-                packages: num("pkgs")?,
-                wall_secs: 0.0,
-            });
+            events.push(Fields::strict(lineno, rest, |f| {
+                Ok(TraceEvent {
+                    seq: f.get("seq")?,
+                    track: f.named("track", Track::from_code)?,
+                    kind: f.named("kind", EventKind::from_name)?,
+                    phase: f.named("phase", Phase::from_name)?,
+                    name: intern_name(f.str("name")?),
+                    begin: SimTime(f.get("begin")?),
+                    sim_dur: SimTime(f.get("dur")?),
+                    bytes: f.get("bytes")?,
+                    packages: f.get("pkgs")?,
+                    wall_secs: 0.0,
+                })
+            })?);
         }
         if events.len() != expected {
             return Err(TraceParseError::Truncated {
@@ -950,6 +884,15 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
+impl From<LineError> for TraceParseError {
+    fn from(e: LineError) -> Self {
+        TraceParseError::Line {
+            line: e.line,
+            message: e.message,
+        }
+    }
+}
+
 /// Interns an operation name so parsed events can carry the `&'static str`
 /// the in-memory representation uses. Each distinct name leaks once, which
 /// is bounded by the small fixed vocabulary of operation names.
@@ -962,8 +905,6 @@ fn intern_name(name: &str) -> &'static str {
         "push_sketches",
         "pull_sketches",
         "push_gradients",
-        "allreduce_round",
-        "server_batch",
         "join",
         "leave",
         "stripe_handoff",

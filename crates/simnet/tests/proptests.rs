@@ -3,8 +3,7 @@
 //! ordering claims.
 
 use dimboost_simnet::collectives::{
-    allreduce_binomial, allreduce_binomial_traced, partition_ranges, ps_batch_exchange,
-    ps_batch_exchange_traced, reduce_scatter_halving, reduce_scatter_halving_traced, reduce_to_one,
+    allreduce_binomial, partition_ranges, ps_batch_exchange, reduce_scatter_halving, reduce_to_one,
 };
 use dimboost_simnet::trace::{comm_totals, validate_events};
 use dimboost_simnet::{CommLedger, CostModel, Phase, SimTime, TraceBus};
@@ -26,8 +25,6 @@ enum BusOp {
     Request(Option<u32>, usize, u64, u64, f64),
     /// `(phase index, sim seconds)` — a barrier charge.
     Charge(usize, f64),
-    /// `(phase index, bytes)` — a zero-cost collective annotation.
-    Step(usize, u64),
     /// `(worker, phase index, wall seconds)` — a compute slice.
     Compute(u32, usize, f64),
 }
@@ -36,7 +33,7 @@ fn arb_bus_ops() -> impl Strategy<Value = Vec<BusOp>> {
     // `(kind, origin, phase, bytes, packages, secs)` flattened into one
     // tuple (the shim has no `prop_oneof`): `origin` 0 means "no worker".
     let op = (
-        0usize..4,
+        0usize..3,
         0usize..WORKERS + 1,
         0usize..Phase::COUNT,
         0u64..1 << 20,
@@ -52,7 +49,6 @@ fn arb_bus_ops() -> impl Strategy<Value = Vec<BusOp>> {
                 secs,
             ),
             1 => BusOp::Charge(p, secs),
-            2 => BusOp::Step(p, bytes),
             _ => BusOp::Compute((origin % WORKERS) as u32, p, secs),
         });
     vec(op, 0..60)
@@ -79,7 +75,6 @@ fn apply_ops(bus: &TraceBus, ops: &[BusOp], mut mirror: Option<&mut CommLedger>)
                     ledger.record(phase, 0, 0, SimTime(secs));
                 }
             }
-            BusOp::Step(p, bytes) => bus.on_step(Phase::ALL[p], "step", bytes, 1),
             BusOp::Compute(w, p, secs) => bus.on_compute(w, Phase::ALL[p], secs),
         }
     }
@@ -182,21 +177,6 @@ proptest! {
         prop_assert_eq!(render(), render());
     }
 
-    /// The traced collective variants only add annotation events — the
-    /// resulting stream still validates and charges nothing to the ledger.
-    #[test]
-    fn traced_collectives_are_well_formed(buffers in arb_buffers(), servers in 1usize..6) {
-        let m = CostModel::GIGABIT_LAN;
-        let bus = TraceBus::new(buffers.len(), servers, m, true);
-        let hook = Some((&bus, Phase::BuildHistogram));
-        allreduce_binomial_traced(&buffers, &m, hook);
-        reduce_scatter_halving_traced(&buffers, &m, hook);
-        ps_batch_exchange_traced(&buffers, servers, &m, hook);
-        let trace = bus.finish();
-        prop_assert!(validate_events(&trace.events).is_ok());
-        prop_assert!(comm_totals(&trace.events).total().is_empty());
-    }
-
     /// The recursive-halving ReduceScatter charges exactly Table 1's closed
     /// form, `(w−1)/w·h·β + (α + h·γ)·⌈log₂ w⌉`, doubled when `w` is not a
     /// power of two — for arbitrary worker counts, buffer lengths, and cost
@@ -213,9 +193,7 @@ proptest! {
     ) {
         let m = CostModel { alpha, beta, gamma };
         let buffers = vec![vec![1.0f32; len]; w];
-        let bus = TraceBus::new(w, 1, m, true);
-        let (_, stats) =
-            reduce_scatter_halving_traced(&buffers, &m, Some((&bus, Phase::BuildHistogram)));
+        let (_, stats) = reduce_scatter_halving(&buffers, &m);
         if w == 1 {
             // Degenerate case: nothing moves, nothing is charged.
             prop_assert_eq!(stats.sim_time.seconds(), 0.0);

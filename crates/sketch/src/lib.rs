@@ -8,6 +8,8 @@
 //! (Section 2.2, \[18\]) and provides the same mergeable ε-approximate
 //! quantile guarantees.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 mod candidates;
 mod gk;
 
