@@ -25,6 +25,14 @@ cargo test -q
 echo "==> every test: cargo test --workspace -q"
 cargo test --workspace -q
 
+# Everything above ran unoptimised. The row kernels (quantize, dequantize-add,
+# bucket count, the streamed build) only vectorise in release, so the suites
+# that pin them bit for bit — and the cross-commit model pins — run once more
+# against release codegen; the artefacts tier-1 built are reused.
+echo "==> release codegen: model pins + kernel suites"
+cargo test --release -q --test model_pins --test determinism --test fused
+cargo test --release -q -p dimboost-ps -p dimboost-sketch
+
 # The host-wall yardstick is its own package (own [workspace] and lockfile):
 # build it, run its tests, and run every workload once at smoke scale so it
 # cannot rot unbuilt.

@@ -11,7 +11,8 @@ use dimboost_bench::{fmt_bytes, fmt_secs, print_table, run_dimboost, Scale};
 use dimboost_core::GbdtConfig;
 use dimboost_data::partition::{partition_rows, train_test_split};
 use dimboost_data::synthetic::{gender_like, generate};
-use dimboost_ps::quantize::quantize;
+use dimboost_ps::quantize::quantize_row;
+use dimboost_ps::HistogramLayout;
 use dimboost_simnet::CostModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,13 +66,16 @@ fn main() {
     );
 
     // ---- Appendix A.1 empirical unbiasedness check. -----------------------
+    // One feature of 32 buckets: its G and H blocks are the two scaled
+    // blocks, each with an exact zero bucket first.
+    let layout = HistogramLayout::new(vec![32]);
     let values: Vec<f32> = (0..64).map(|i| (i as f32 - 32.0) / 13.0).collect();
     let mut rng = StdRng::seed_from_u64(1);
     let trials = 50_000;
     let mut sums = vec![0.0f64; values.len()];
     for _ in 0..trials {
-        let q = quantize(&values, 8, &mut rng);
-        for (s, v) in sums.iter_mut().zip(q.dequantize()) {
+        let q = quantize_row(&values, &layout, 8, &mut rng);
+        for (s, v) in sums.iter_mut().zip(q.dequantize(&layout)) {
             *s += v as f64;
         }
     }

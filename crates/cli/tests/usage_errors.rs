@@ -177,6 +177,31 @@ fn runtime_errors_still_exit_one() {
 }
 
 #[test]
+fn analyze_reports_overflowing_trace_counters_instead_of_panicking() {
+    // A trace that parses but whose byte counters sum past u64 used to
+    // panic the analyzer in debug builds and wrap silently in release.
+    let path = std::env::temp_dir().join("dimboost_cli_hostile_counters.events");
+    let event = |seq: u32, begin: &str| {
+        format!(
+            "event seq={seq} track=net kind=collective phase=finish name=finish \
+             begin={begin} dur=0.5 bytes=18446744073709551615 pkgs=18446744073709551615\n"
+        )
+    };
+    let text = format!(
+        "# dimboost-trace-events v1 workers=1 servers=1 events=2\n{}{}",
+        event(0, "0"),
+        event(1, "0.5")
+    );
+    std::fs::write(&path, text).unwrap();
+    let out = dimboost(&["analyze", "--trace", path.to_str().unwrap()]);
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("byte total overflows u64"), "{stderr}");
+    assert!(!stderr.contains("panicked at"), "{stderr}");
+}
+
+#[test]
 fn degenerate_numbers_are_usage_errors_naming_the_flag() {
     // Each of these used to slip past parsing: into an engine assert
     // (`--service-fixed nan`, `gen --features 0`), a simulation that never

@@ -15,9 +15,10 @@
 
 use dimboost_data::Dataset;
 
-use crate::hist_build::new_row;
+use crate::hist_build::{new_row, reset_row};
 use crate::loss::GradPair;
 use crate::meta::FeatureMeta;
+use crate::parallel::merge_partials;
 
 /// A shard with every nonzero entry pre-resolved to histogram offsets.
 ///
@@ -154,14 +155,29 @@ impl BinnedShard {
         batch_size: usize,
         threads: usize,
     ) -> Vec<f32> {
+        let mut out = Vec::new();
+        self.build_row_batched_into(instances, grads, meta, batch_size, threads, &mut out);
+        out
+    }
+
+    /// [`BinnedShard::build_row_batched`] into a kept buffer (see
+    /// [`reset_row`]).
+    pub fn build_row_batched_into(
+        &self,
+        instances: &[u32],
+        grads: &[GradPair],
+        meta: &FeatureMeta,
+        batch_size: usize,
+        threads: usize,
+        out: &mut Vec<f32>,
+    ) {
         assert!(batch_size > 0, "batch_size must be positive");
         assert!(threads > 0, "threads must be positive");
         let num_batches = instances.len().div_ceil(batch_size);
         let threads = threads.min(num_batches.max(1));
         if threads <= 1 {
-            let mut out = new_row(meta);
-            self.build_into(instances, grads, &mut out);
-            return out;
+            reset_row(meta, out);
+            return self.build_into(instances, grads, out);
         }
         // Static round-robin striping, same rule as
         // `parallel::build_row_batched`, executed on the persistent pool.
@@ -176,14 +192,7 @@ impl BinnedShard {
             }
             partial
         });
-        let mut iter = partials.into_iter();
-        let mut out = iter.next().expect("at least one partial");
-        for p in iter {
-            for (o, v) in out.iter_mut().zip(&p) {
-                *o += v;
-            }
-        }
-        out
+        merge_partials(partials, out);
     }
 }
 

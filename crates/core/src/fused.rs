@@ -58,6 +58,7 @@ use crate::hist_build::{
 use crate::loss::GradPair;
 use crate::meta::FeatureMeta;
 use crate::node_index::NodeIndex;
+use crate::parallel::merge_partials;
 use crate::pool;
 use crate::tree::Tree;
 
@@ -150,6 +151,24 @@ pub fn build_layer(
     batch_size: usize,
     threads: usize,
 ) -> Vec<f32> {
+    let mut block = Vec::new();
+    build_layer_into(
+        binned, positions, grads, meta, batch_size, threads, &mut block,
+    );
+    block
+}
+
+/// [`build_layer`] into a kept buffer, which is cleared, resized to
+/// `num_slots × row_len` and zeroed first.
+pub fn build_layer_into(
+    binned: &BinnedShard,
+    positions: &LayerPositions,
+    grads: &[GradPair],
+    meta: &FeatureMeta,
+    batch_size: usize,
+    threads: usize,
+    block: &mut Vec<f32>,
+) {
     assert!(batch_size > 0, "batch_size must be positive");
     assert!(threads > 0, "threads must be positive");
     assert_eq!(
@@ -160,8 +179,9 @@ pub fn build_layer(
     let num_slots = positions.counts.len();
     let row_len = meta.layout().row_len();
     let num_rows = positions.slots.len();
+    block.clear();
     if num_slots == 0 {
-        return Vec::new();
+        return;
     }
     let num_batches = num_rows.div_ceil(batch_size);
     let threads = threads.min(num_batches.max(1));
@@ -170,7 +190,7 @@ pub fn build_layer(
         // Single whole-shard pass with one zero-bucket deposit per node at
         // the end: for each build node this is exactly `build_into` over
         // its (ascending) instance list — the bit-equality anchor.
-        let mut block = vec![0.0f32; num_slots * row_len];
+        block.resize(num_slots * row_len, 0.0);
         let mut sums = vec![(0.0f64, 0.0f64); num_slots];
         let mut touched = vec![false; num_slots];
         accumulate(
@@ -180,12 +200,12 @@ pub fn build_layer(
             0,
             num_rows,
             row_len,
-            &mut block,
+            block,
             &mut sums,
             &mut touched,
         );
-        deposit(binned, row_len, &mut block, &sums, &touched);
-        return block;
+        deposit(binned, row_len, block, &sums, &touched);
+        return;
     }
 
     // Static striping on the persistent pool: stripe `t` owns batches
@@ -220,14 +240,7 @@ pub fn build_layer(
         }
         block
     });
-    let mut iter = partials.into_iter();
-    let mut out = iter.next().expect("at least one partial block");
-    for partial in iter {
-        for (o, v) in out.iter_mut().zip(&partial) {
-            *o += v;
-        }
-    }
-    out
+    merge_partials(partials, block);
 }
 
 /// Accumulates rows `lo..hi` into `block`, tracking per-slot f64 gradient
@@ -343,6 +356,27 @@ pub fn build_layer_quantized(
     batch_size: usize,
     threads: usize,
 ) -> (Vec<f32>, QuantLayerStats) {
+    let mut block = Vec::new();
+    let stats = build_layer_quantized_into(
+        binned, qb, positions, grads, meta, batch_size, threads, &mut block,
+    );
+    (block, stats)
+}
+
+/// [`build_layer_quantized`] into a kept buffer, which is cleared and
+/// resized to `num_slots × row_len` first (every element is then written by
+/// the dequantize pass).
+#[allow(clippy::too_many_arguments)]
+pub fn build_layer_quantized_into(
+    binned: &BinnedShard,
+    qb: &QuantBinned,
+    positions: &LayerPositions,
+    grads: &QuantizedGrads,
+    meta: &FeatureMeta,
+    batch_size: usize,
+    threads: usize,
+    block: &mut Vec<f32>,
+) -> QuantLayerStats {
     assert!(batch_size > 0, "batch_size must be positive");
     assert!(threads > 0, "threads must be positive");
     assert_eq!(
@@ -352,26 +386,25 @@ pub fn build_layer_quantized(
     );
     let num_slots = positions.counts.len();
     let tile_nodes = quant_tile_nodes(qb.pair_len(), num_slots);
+    block.clear();
     if num_slots == 0 {
-        return (
-            Vec::new(),
-            QuantLayerStats {
-                tile_nodes: 0,
-                mode: AccMode::Wide,
-            },
-        );
+        return QuantLayerStats {
+            tile_nodes: 0,
+            mode: AccMode::Wide,
+        };
     }
+    block.resize(num_slots * meta.layout().row_len(), 0.0);
     let max_rows = positions.counts.iter().copied().max().unwrap_or(0);
     let mode = acc_mode_for(max_rows, grads.max_code());
-    let block = match mode {
+    match mode {
         AccMode::Narrow => quantized_block::<i32>(
-            binned, qb, positions, grads, meta, batch_size, threads, tile_nodes,
+            binned, qb, positions, grads, meta, batch_size, threads, tile_nodes, block,
         ),
         AccMode::Wide => quantized_block::<i64>(
-            binned, qb, positions, grads, meta, batch_size, threads, tile_nodes,
+            binned, qb, positions, grads, meta, batch_size, threads, tile_nodes, block,
         ),
     };
-    (block, QuantLayerStats { tile_nodes, mode })
+    QuantLayerStats { tile_nodes, mode }
 }
 
 /// Generic tiled sweep. Each tile covers node slots `[tile_lo, tile_hi)`;
@@ -388,14 +421,15 @@ fn quantized_block<C: PairCell>(
     batch_size: usize,
     threads: usize,
     tile_nodes: usize,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     let num_slots = positions.counts.len();
     let row_len = meta.layout().row_len();
     let pair_len = qb.pair_len();
     let num_rows = positions.slots.len();
     let num_batches = num_rows.div_ceil(batch_size);
     let threads = threads.min(num_batches.max(1));
-    let mut out = vec![0.0f32; num_slots * row_len];
+    debug_assert_eq!(out.len(), num_slots * row_len);
 
     let mut tile_lo = 0usize;
     while tile_lo < num_slots {
@@ -456,7 +490,6 @@ fn quantized_block<C: PairCell>(
         }
         tile_lo = tile_hi;
     }
-    out
 }
 
 /// Accumulates rows `lo..hi` whose slot falls inside the current tile.
@@ -504,6 +537,26 @@ mod tests {
     use crate::hist_build::new_row;
     use dimboost_data::synthetic::{generate, SparseGenConfig};
     use dimboost_sketch::SplitCandidates;
+
+    /// The tiled sweep into a block allocated here, for tests that call it
+    /// with a tile size of their own.
+    #[allow(clippy::too_many_arguments)]
+    fn quantized_block<C: PairCell>(
+        binned: &BinnedShard,
+        qb: &QuantBinned,
+        positions: &LayerPositions,
+        grads: &QuantizedGrads,
+        meta: &FeatureMeta,
+        batch_size: usize,
+        threads: usize,
+        tile_nodes: usize,
+    ) -> Vec<f32> {
+        let mut out = vec![0.0f32; positions.counts.len() * meta.layout().row_len()];
+        super::quantized_block::<C>(
+            binned, qb, positions, grads, meta, batch_size, threads, tile_nodes, &mut out,
+        );
+        out
+    }
 
     fn setup(n: usize, m: usize) -> (Dataset, FeatureMeta, Vec<GradPair>) {
         let ds = generate(&SparseGenConfig::new(n, m, 9, 41));

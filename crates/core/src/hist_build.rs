@@ -32,6 +32,16 @@ pub fn new_row(meta: &FeatureMeta) -> Vec<f32> {
     vec![0.0f32; meta.layout().row_len()]
 }
 
+/// Makes a kept buffer a zeroed row for `meta`'s layout — what [`new_row`]
+/// would return, without the allocation once the buffer has grown to size.
+/// Every `_into` builder starts with this, so a buffer carried from node to
+/// node (and from a tree with one sampled feature set to a tree with
+/// another) can never leak a stale or short row into a histogram.
+pub fn reset_row(meta: &FeatureMeta, out: &mut Vec<f32>) {
+    out.clear();
+    out.resize(meta.layout().row_len(), 0.0);
+}
+
 /// Traditional dense construction: for each instance, walk **all** sampled
 /// features (materializing the dense view of the row once) and bin each
 /// value. `out` must be a zeroed row of `meta.layout().row_len()`;
@@ -73,6 +83,12 @@ pub fn build_dense(
 
 /// Sparsity-aware construction (Algorithm 2): only nonzero entries are
 /// binned individually; the zero mass is handled in aggregate.
+///
+/// Each nonzero is resolved through [`FeatureMeta`]'s flat binning table
+/// (one record load, then a counted compare over the feature's boundaries)
+/// instead of through the per-feature candidate objects and the layout;
+/// the cells updated, their order and the f32 operations on them are the
+/// same, so the row is too (pinned against the object walk in the tests).
 pub fn build_sparse(
     shard: &Dataset,
     instances: &[u32],
@@ -80,8 +96,7 @@ pub fn build_sparse(
     meta: &FeatureMeta,
     out: &mut [f32],
 ) {
-    let layout = meta.layout();
-    debug_assert_eq!(out.len(), layout.row_len());
+    debug_assert_eq!(out.len(), meta.layout().row_len());
 
     let mut sum_g = 0.0f64;
     let mut sum_h = 0.0f64;
@@ -92,23 +107,19 @@ pub fn build_sparse(
         sum_h += gp.h as f64;
         // Lines 4-10: handle nonzero entries individually.
         for (f, v) in shard.row(i as usize).iter() {
-            let Some(sf) = meta.sampled_index(f) else {
+            let Some(cells) = meta.cells(f, v) else {
                 continue;
             };
-            let cand = meta.candidates(sf);
-            let bucket = cand.bucket(v);
-            let zero = cand.zero_bucket();
-            out[layout.g_index(sf, bucket)] += gp.g;
-            out[layout.h_index(sf, bucket)] += gp.h;
-            out[layout.g_index(sf, zero)] -= gp.g;
-            out[layout.h_index(sf, zero)] -= gp.h;
+            out[cells.g] += gp.g;
+            out[cells.h] += gp.h;
+            out[cells.zero_g] -= gp.g;
+            out[cells.zero_h] -= gp.h;
         }
     }
     // Lines 12-15: deposit the total mass into every zero bucket.
-    for sf in 0..meta.num_sampled() {
-        let zero = meta.candidates(sf).zero_bucket();
-        out[layout.g_index(sf, zero)] += sum_g as f32;
-        out[layout.h_index(sf, zero)] += sum_h as f32;
+    for (zero_g, zero_h) in meta.zero_cells() {
+        out[zero_g] += sum_g as f32;
+        out[zero_h] += sum_h as f32;
     }
 }
 
@@ -120,14 +131,27 @@ pub fn build_row(
     meta: &FeatureMeta,
     sparse: bool,
 ) -> Vec<f32> {
-    let mut out = new_row(meta);
+    let mut out = Vec::new();
+    build_row_into(shard, instances, grads, meta, sparse, &mut out);
+    out
+}
+
+/// [`build_row`] into a kept buffer (see [`reset_row`]).
+pub fn build_row_into(
+    shard: &Dataset,
+    instances: &[u32],
+    grads: &[GradPair],
+    meta: &FeatureMeta,
+    sparse: bool,
+    out: &mut Vec<f32>,
+) {
+    reset_row(meta, out);
     if sparse {
-        build_sparse(shard, instances, grads, meta, &mut out);
+        build_sparse(shard, instances, grads, meta, out);
     } else {
         let mut scratch = Vec::new();
-        build_dense(shard, instances, grads, meta, &mut out, &mut scratch);
+        build_dense(shard, instances, grads, meta, out, &mut scratch);
     }
-    out
 }
 
 // ---------------------------------------------------------------------------
@@ -485,7 +509,22 @@ pub fn build_quantized(
     meta: &FeatureMeta,
     mode: AccMode,
 ) -> Vec<f32> {
-    let mut out = new_row(meta);
+    let mut out = Vec::new();
+    build_quantized_into(binned, qb, instances, grads, meta, mode, &mut out);
+    out
+}
+
+/// [`build_quantized`] into a kept buffer (see [`reset_row`]).
+pub fn build_quantized_into(
+    binned: &BinnedShard,
+    qb: &QuantBinned,
+    instances: &[u32],
+    grads: &QuantizedGrads,
+    meta: &FeatureMeta,
+    mode: AccMode,
+    out: &mut Vec<f32>,
+) {
+    reset_row(meta, out);
     match mode {
         AccMode::Narrow => {
             debug_assert_eq!(
@@ -493,11 +532,10 @@ pub fn build_quantized(
                 AccMode::Narrow,
                 "narrow mode requested past the overflow bound"
             );
-            quantized_into::<i32>(binned, qb, instances, grads, meta, &mut out);
+            quantized_into::<i32>(binned, qb, instances, grads, meta, out);
         }
-        AccMode::Wide => quantized_into::<i64>(binned, qb, instances, grads, meta, &mut out),
+        AccMode::Wide => quantized_into::<i64>(binned, qb, instances, grads, meta, out),
     }
-    out
 }
 
 fn quantized_into<C: PairCell>(
@@ -530,6 +568,86 @@ mod tests {
 
     fn uniform_grads(n: usize, g: f32, h: f32) -> Vec<GradPair> {
         vec![GradPair { g, h }; n]
+    }
+
+    /// Algorithm 2 as it was written before the flat binning table: every
+    /// nonzero walks `sampled_index` → `candidates` → `layout`. Kept as the
+    /// reference `build_sparse` is pinned against.
+    fn build_sparse_reference(
+        shard: &Dataset,
+        instances: &[u32],
+        grads: &[GradPair],
+        meta: &FeatureMeta,
+        out: &mut [f32],
+    ) {
+        let layout = meta.layout();
+        let mut sum_g = 0.0f64;
+        let mut sum_h = 0.0f64;
+        for &i in instances {
+            let gp = grads[i as usize];
+            sum_g += gp.g as f64;
+            sum_h += gp.h as f64;
+            for (f, v) in shard.row(i as usize).iter() {
+                let Some(sf) = meta.sampled_index(f) else {
+                    continue;
+                };
+                let cand = meta.candidates(sf);
+                let bucket = cand.splits().partition_point(|&s| s < v);
+                let zero = cand.zero_bucket();
+                out[layout.g_index(sf, bucket)] += gp.g;
+                out[layout.h_index(sf, bucket)] += gp.h;
+                out[layout.g_index(sf, zero)] -= gp.g;
+                out[layout.h_index(sf, zero)] -= gp.h;
+            }
+        }
+        for sf in 0..meta.num_sampled() {
+            let zero = meta.candidates(sf).zero_bucket();
+            out[layout.g_index(sf, zero)] += sum_g as f32;
+            out[layout.h_index(sf, zero)] += sum_h as f32;
+        }
+    }
+
+    #[test]
+    fn flat_table_build_matches_object_walk_bitwise_in_a_reused_buffer() {
+        let ds = generate(&SparseGenConfig::new(400, 60, 9, 17));
+        let grads = varied_grads(400);
+        let cands: Vec<SplitCandidates> = (0..60)
+            .map(|f| {
+                let k = 1 + f % 5;
+                SplitCandidates::from_boundaries(
+                    (0..k)
+                        .map(|i| (i as f32 - 1.0) * 0.4 + f as f32 * 0.01)
+                        .collect(),
+                )
+            })
+            .collect();
+        // One buffer through metas of different width (σ < 1 changes the
+        // row length every tree) and instance sets of different size.
+        let mut buf = vec![f32::NAN; 7];
+        for sampled in [
+            (0..60).collect::<Vec<u32>>(),
+            (0..60).filter(|f| f % 3 != 0).collect(),
+            vec![5, 59],
+            (0..60).collect(),
+        ] {
+            let meta = FeatureMeta::new(sampled, &cands);
+            for instances in [
+                (0..400).collect::<Vec<u32>>(),
+                (0..400).filter(|i| i % 7 == 2).collect(),
+                Vec::new(),
+            ] {
+                let mut want = new_row(&meta);
+                build_sparse_reference(&ds, &instances, &grads, &meta, &mut want);
+                build_row_into(&ds, &instances, &grads, &meta, true, &mut buf);
+                assert_eq!(buf.len(), want.len());
+                for (a, b) in buf.iter().zip(&want) {
+                    assert_eq!(a.to_bits(), b.to_bits());
+                }
+                let mut fresh = new_row(&meta);
+                build_sparse(&ds, &instances, &grads, &meta, &mut fresh);
+                assert_eq!(fresh, buf, "reused, re-zeroed buffer == new_row");
+            }
+        }
     }
 
     #[test]

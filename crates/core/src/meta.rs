@@ -2,7 +2,7 @@
 //! candidates, and the histogram layout derived from them.
 
 use dimboost_ps::HistogramLayout;
-use dimboost_sketch::SplitCandidates;
+use dimboost_sketch::{bucket_in, SplitCandidates};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -10,6 +10,16 @@ use rand::SeedableRng;
 /// Feature metadata for one tree: the σ-sampled feature subset (Section 2.2,
 /// "feature sampling"), each sampled feature's split candidates, and the
 /// [`HistogramLayout`] describing one `GradHist` row over them.
+///
+/// Next to the per-feature objects the metadata keeps a **flat binning
+/// table** for the raw sparse builder, which looks a feature up once per
+/// nonzero of the shard: one 16-byte [`BinRecord`] per *global* feature id
+/// and every sampled feature's boundaries back to back in one array. Going
+/// through `map` → `candidates[sf]` → its `Vec`'s heap block → `layout`'s
+/// offset and bucket arrays is four dependent loads per nonzero; the record
+/// is one, and the boundaries it points at are the only other memory the
+/// lookup touches. The table is derived from `candidates`/`layout` in
+/// [`FeatureMeta::new`] and says nothing they do not.
 #[derive(Debug, Clone)]
 pub struct FeatureMeta {
     /// Sorted global ids of the sampled features.
@@ -20,6 +30,47 @@ pub struct FeatureMeta {
     layout: HistogramLayout,
     /// Dense map: global feature id → sampled index (`u32::MAX` = absent).
     map: Vec<u32>,
+    /// Per global feature id; `buckets == 0` marks a feature not sampled.
+    records: Vec<BinRecord>,
+    /// Boundaries of all sampled features, in sampled order.
+    splits: Vec<f32>,
+}
+
+/// Where one feature's buckets live: `[row offset, buckets, zero bucket,
+/// splits offset]`. Its G cells start at `row_offset`, its H cells
+/// `buckets` later; its `buckets − 1` boundaries start at `splits_offset`.
+#[derive(Debug, Clone, Copy, Default)]
+struct BinRecord {
+    row_offset: u32,
+    buckets: u32,
+    zero_bucket: u32,
+    splits_offset: u32,
+}
+
+/// The four row elements Algorithm 2 updates for one nonzero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Cells {
+    pub g: usize,
+    pub h: usize,
+    pub zero_g: usize,
+    pub zero_h: usize,
+}
+
+impl BinRecord {
+    #[inline]
+    fn cells(self, bucket: usize) -> Cells {
+        let (g0, nb, zero) = (
+            self.row_offset as usize,
+            self.buckets as usize,
+            self.zero_bucket as usize,
+        );
+        Cells {
+            g: g0 + bucket,
+            h: g0 + nb + bucket,
+            zero_g: g0 + zero,
+            zero_h: g0 + nb + zero,
+        }
+    }
 }
 
 impl FeatureMeta {
@@ -27,7 +78,8 @@ impl FeatureMeta {
     /// candidates from the global per-feature candidate table.
     ///
     /// # Panics
-    /// Panics if a sampled id is out of range of the candidate table.
+    /// Panics if a sampled id is out of range of the candidate table, or if
+    /// the row would not be addressable with 32-bit offsets.
     pub fn new(mut sampled: Vec<u32>, global_candidates: &[SplitCandidates]) -> Self {
         sampled.sort_unstable();
         sampled.dedup();
@@ -39,15 +91,30 @@ impl FeatureMeta {
             candidates.iter().map(|c| c.num_buckets() as u32).collect(),
             candidates.iter().map(|c| c.zero_bucket() as u32).collect(),
         );
+        assert!(
+            u32::try_from(layout.row_len()).is_ok(),
+            "histogram row too long for 32-bit offsets"
+        );
         let mut map = vec![u32::MAX; global_candidates.len()];
-        for (i, &f) in sampled.iter().enumerate() {
+        let mut records = vec![BinRecord::default(); global_candidates.len()];
+        let mut splits = Vec::with_capacity(layout.row_len() / 2);
+        for (i, (&f, cand)) in sampled.iter().zip(&candidates).enumerate() {
             map[f as usize] = i as u32;
+            records[f as usize] = BinRecord {
+                row_offset: layout.g_index(i, 0) as u32,
+                buckets: cand.num_buckets() as u32,
+                zero_bucket: cand.zero_bucket() as u32,
+                splits_offset: splits.len() as u32,
+            };
+            splits.extend_from_slice(cand.splits());
         }
         Self {
             sampled,
             candidates,
             layout,
             map,
+            records,
+            splits,
         }
     }
 
@@ -114,6 +181,30 @@ impl FeatureMeta {
         }
     }
 
+    /// Bins one nonzero `(global feature, value)` through the flat table:
+    /// the row elements its gradient is added to and subtracted from, or
+    /// `None` when the feature is not sampled. Same bucket as
+    /// `candidates(sf).bucket(v)`, same offsets as `layout()`.
+    #[inline]
+    pub(crate) fn cells(&self, global: u32, v: f32) -> Option<Cells> {
+        let rec = *self.records.get(global as usize)?;
+        if rec.buckets == 0 {
+            return None;
+        }
+        let start = rec.splits_offset as usize;
+        let splits = &self.splits[start..start + rec.buckets as usize - 1];
+        Some(rec.cells(bucket_in(splits, v)))
+    }
+
+    /// Each sampled feature's zero-bucket `(G, H)` elements, in sampled
+    /// order (Algorithm 2's closing deposit).
+    pub(crate) fn zero_cells(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.sampled.iter().map(|&f| {
+            let c = self.records[f as usize].cells(0);
+            (c.zero_g, c.zero_h)
+        })
+    }
+
     /// Maps a sampled index back to the global feature id.
     pub fn global_id(&self, sf: usize) -> u32 {
         self.sampled[sf]
@@ -157,6 +248,44 @@ mod tests {
         assert_eq!(meta.sampled_index(4), None);
         assert_eq!(meta.sampled_index(99), None);
         assert_eq!(meta.global_id(1), 3);
+    }
+
+    #[test]
+    fn flat_binning_table_agrees_with_candidates_and_layout() {
+        let cands: Vec<SplitCandidates> = (0..6)
+            .map(|f| {
+                let lo = -(f as f32);
+                SplitCandidates::from_boundaries(vec![lo, lo / 2.0, 1.0, f as f32 + 1.5])
+            })
+            .collect();
+        let meta = FeatureMeta::new(vec![4, 0, 3], &cands);
+        let layout = meta.layout();
+        for f in 0..7u32 {
+            for v in [-9.0f32, -1.5, -0.0, 0.0, 0.5, 1.0, 4.5, 99.0, f32::NAN] {
+                let Some(sf) = meta.sampled_index(f) else {
+                    assert_eq!(meta.cells(f, v), None, "feature {f} is not sampled");
+                    continue;
+                };
+                let (bucket, zero) = (
+                    meta.candidates(sf).bucket(v),
+                    meta.candidates(sf).zero_bucket(),
+                );
+                let want = Cells {
+                    g: layout.g_index(sf, bucket),
+                    h: layout.h_index(sf, bucket),
+                    zero_g: layout.g_index(sf, zero),
+                    zero_h: layout.h_index(sf, zero),
+                };
+                assert_eq!(meta.cells(f, v), Some(want), "feature {f} value {v}");
+            }
+        }
+        let zeros: Vec<(usize, usize)> = (0..meta.num_sampled())
+            .map(|sf| {
+                let zero = layout.zero_bucket(sf);
+                (layout.g_index(sf, zero), layout.h_index(sf, zero))
+            })
+            .collect();
+        assert_eq!(meta.zero_cells().collect::<Vec<_>>(), zeros);
     }
 
     #[test]

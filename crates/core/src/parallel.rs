@@ -35,7 +35,7 @@
 
 use dimboost_data::Dataset;
 
-use crate::hist_build::{build_dense, build_sparse, new_row};
+use crate::hist_build::{build_dense, build_row_into, build_sparse, new_row};
 use crate::loss::GradPair;
 use crate::meta::FeatureMeta;
 use crate::pool;
@@ -70,6 +70,23 @@ pub fn build_row_batched(
     meta: &FeatureMeta,
     config: &BatchConfig,
 ) -> Vec<f32> {
+    let mut out = Vec::new();
+    build_row_batched_into(shard, instances, grads, meta, config, &mut out);
+    out
+}
+
+/// [`build_row_batched`] into a kept buffer (see
+/// [`reset_row`](crate::hist_build::reset_row)). A node that fits one batch
+/// or one thread — every node of a high-dimensional shard — builds straight
+/// into `out`; only a multi-stripe build allocates partial rows.
+pub fn build_row_batched_into(
+    shard: &Dataset,
+    instances: &[u32],
+    grads: &[GradPair],
+    meta: &FeatureMeta,
+    config: &BatchConfig,
+    out: &mut Vec<f32>,
+) {
     assert!(config.batch_size > 0, "batch_size must be positive");
     assert!(config.threads > 0, "threads must be positive");
 
@@ -77,14 +94,7 @@ pub fn build_row_batched(
     let threads = config.threads.min(num_batches.max(1));
     if threads <= 1 {
         // Single batch or single thread: no parallel machinery.
-        let mut out = new_row(meta);
-        if config.sparse {
-            build_sparse(shard, instances, grads, meta, &mut out);
-        } else {
-            let mut scratch = Vec::new();
-            build_dense(shard, instances, grads, meta, &mut out, &mut scratch);
-        }
-        return out;
+        return build_row_into(shard, instances, grads, meta, config.sparse, out);
     }
 
     // Static round-robin striping: stripe `t` owns batches t, t+threads, …
@@ -108,17 +118,21 @@ pub fn build_row_batched(
         }
         partial
     });
+    merge_partials(partials, out);
+}
 
-    // Merge partials in stripe-index order (the "send once all threads are
-    // finished" step). The order is fixed, so the merged row is bit-stable.
+/// Merges per-stripe partial rows in stripe-index order (the "send once all
+/// threads are finished" step): stripe 0's row becomes `out`, the rest are
+/// added to it elementwise. The order is fixed, so the merged row is
+/// bit-stable.
+pub(crate) fn merge_partials(partials: Vec<Vec<f32>>, out: &mut Vec<f32>) {
     let mut iter = partials.into_iter();
-    let mut out = iter.next().expect("at least one partial row");
+    *out = iter.next().expect("at least one partial row");
     for p in iter {
         for (o, v) in out.iter_mut().zip(&p) {
             *o += v;
         }
     }
-    out
 }
 
 #[cfg(test)]

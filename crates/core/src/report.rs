@@ -82,16 +82,37 @@ impl SpanTimer {
         workers: &mut [W],
         mut f: impl FnMut(&mut W) -> T,
     ) -> Vec<T> {
+        self.phase_booked(phase, workers, |w| {
+            let start = Instant::now();
+            let out = f(w);
+            (out, start.elapsed().as_secs_f64())
+        })
+    }
+
+    /// [`SpanTimer::phase`] for a stage whose per-worker closure does more
+    /// than the phase's compute (BUILD_HISTOGRAM streams each row from the
+    /// builder through the quantizer to the push): `f` returns, next to its
+    /// output, the seconds to book — the compute it measured itself. Still
+    /// one span per worker per call; the trace slices of all workers open
+    /// before the first closure runs, so whatever the closures emit lands
+    /// after them.
+    pub fn phase_booked<W, T>(
+        &mut self,
+        phase: Phase,
+        workers: &mut [W],
+        mut f: impl FnMut(&mut W) -> (T, f64),
+    ) -> Vec<T> {
         debug_assert_eq!(workers.len(), self.num_workers);
+        let open = |slot: usize| Some(self.trace.as_ref()?.open_compute(slot as u32, phase));
+        let slices: Vec<_> = (0..workers.len()).map(open).collect();
         let mut max = 0.0f64;
         let mut outs = Vec::with_capacity(workers.len());
-        for (slot, w) in workers.iter_mut().enumerate() {
-            let start = Instant::now();
-            outs.push(f(w));
-            let secs = start.elapsed().as_secs_f64();
+        for ((slot, w), slice) in workers.iter_mut().enumerate().zip(slices) {
+            let (out, secs) = f(w);
+            outs.push(out);
             self.per_phase_worker[phase.index()][slot] += secs;
-            if let Some(bus) = &self.trace {
-                bus.on_compute(slot as u32, phase, secs);
+            if let (Some(bus), Some(slice)) = (&self.trace, slice) {
+                bus.close_compute(slice, secs);
             }
             max = max.max(secs);
         }

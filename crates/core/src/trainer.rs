@@ -20,30 +20,31 @@ mod plan;
 mod state;
 
 use std::path::PathBuf;
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 
 use dimboost_data::Dataset;
-use dimboost_ps::quantize::{quantize_row, QuantizedRow};
+use dimboost_ps::quantize::{quantize_row_into, QuantizedRow};
 use dimboost_ps::split::{best_split_in_range, FinalSplit, SplitDecision};
-use dimboost_ps::PsConfig;
+use dimboost_ps::{ParameterServer, PsConfig};
 use dimboost_simnet::{CommStats, CostModel, FaultPlan, Phase, SimTime, Trace};
 use dimboost_sketch::{propose_candidates, GkSketch};
 
 use crate::checkpoint::{CheckpointError, CheckpointOptions};
 use crate::config::{GbdtConfig, LossKind};
-use crate::fused::{self, LayerPositions};
-use crate::hist_build::{acc_mode_for, build_quantized, build_row, new_row};
-use crate::loss::{loss_for, softmax_grads, summed_loss, Loss};
+use crate::fused;
+use crate::hist_build::{acc_mode_for, build_quantized_into, build_row_into, reset_row};
+use crate::loss::{loss_for, softmax_grads, summed_loss, GradPair, Loss};
 use crate::meta::FeatureMeta;
 use crate::model::GbdtModel;
-use crate::parallel::{build_row_batched, BatchConfig};
+use crate::parallel::{build_row_batched_into, BatchConfig};
 use crate::report::{NodeInstances, QuantHistRecord, RoundRecord, RunReport, SpanTimer};
 use crate::tree::{Node, Tree};
 
 use harness::Harness;
 use plan::{Exchange, InstanceSource, Kernel, SplitPull, TrainPlan};
-use state::{HistData, TrainState, Worker};
+use state::{HistData, RowScratch, TrainState};
 
 /// Errors from [`train_with_options`].
 ///
@@ -280,6 +281,7 @@ pub fn train_with_options(
             Some(ck) => TrainState::from_checkpoint(ck, shards, config, eval),
             None => TrainState::fresh(shards, config, eval, options.init),
         },
+        scratch: RowScratch::default(),
         scalar_loss: match config.loss {
             LossKind::Softmax { .. } => None,
             kind => Some(loss_for(kind)),
@@ -357,23 +359,6 @@ fn build_local_sketches(shard: &Dataset, num_features: usize, eps: f64) -> Vec<G
     sketches
 }
 
-/// §6.1 stochastic quantization of one row, tracking the round's largest
-/// scale.
-fn quantize_for_push(
-    row: &[f32],
-    meta: &FeatureMeta,
-    bits: u8,
-    rng: &mut StdRng,
-    record: &mut RoundRecord,
-) -> QuantizedRow {
-    let q = quantize_row(row, meta.layout(), bits, rng);
-    record.max_quant_scale = record.max_quant_scale.max(q.max_scale());
-    q
-}
-
-/// One worker's local histogram of one build node: `(node, row, instances)`.
-type NodeRow = (u32, Vec<f32>, u64);
-
 /// The tree being grown and the nodes its current layer works on.
 struct Growing {
     tree: Tree,
@@ -386,84 +371,112 @@ struct Growing {
     build_nodes: Vec<u32>,
 }
 
-/// BUILD_HISTOGRAM on one worker: the layer's local rows under the kernel
-/// whose data NEW_TREE made resident — in one pass over the binned CSR when
-/// `fused`, else node by node.
-fn build_local_rows(
+/// One build node's local row into `out`, under the kernel whose data
+/// NEW_TREE made resident.
+fn build_node_row(
     plan: &TrainPlan,
-    wk: &Worker,
+    hist: &HistData,
     shard: &Dataset,
-    g: &Growing,
-    fused: bool,
-) -> Vec<NodeRow> {
-    let (meta, nodes) = (&g.meta, &g.build_nodes[..]);
+    grads: &[GradPair],
+    meta: &FeatureMeta,
+    instances: &[u32],
+    out: &mut Vec<f32>,
+) {
     let (batch_size, threads) = (plan.batch_size, plan.threads);
-    let positions = || match plan.instances {
-        InstanceSource::Index => fused::positions_from_index(&wk.index, nodes, shard.num_rows()),
-        InstanceSource::Scan => {
-            fused::positions_from_scan(shard, &g.tree, nodes, wk.sample_mask.as_deref())
-        }
-    };
-    let rows_of_block = |block: Vec<f32>, positions: LayerPositions| {
-        let row_len = meta.layout().row_len();
-        let row = |slot: usize| block[slot * row_len..(slot + 1) * row_len].to_vec();
-        let slots = nodes.iter().enumerate();
-        slots
-            .map(|(slot, &node)| (node, row(slot), positions.counts[slot]))
-            .collect()
-    };
-    match &wk.hist {
-        HistData::Binned(binned) if fused => {
-            let p = positions();
-            let block = fused::build_layer(binned, &p, &wk.grads, meta, batch_size, threads);
-            return rows_of_block(block, p);
-        }
-        HistData::Quantized(binned, pairs, grads) if fused => {
-            let p = positions();
-            let (block, _stats) =
-                fused::build_layer_quantized(binned, pairs, &p, grads, meta, batch_size, threads);
-            return rows_of_block(block, p);
-        }
-        _ => {}
-    }
-    let row_of = |instances: &[u32]| match &wk.hist {
-        HistData::Quantized(binned, pairs, grads) => {
+    match hist {
+        HistData::Quantized(binned, pairs, qgrads) => {
             // Narrow/wide is chosen per node from its own row count; either
             // mode decodes the same exact integer sums, so the choice can
             // never change the output (pinned by tests).
-            let mode = acc_mode_for(instances.len() as u64, grads.max_code());
-            build_quantized(binned, pairs, instances, grads, meta, mode)
+            let mode = acc_mode_for(instances.len() as u64, qgrads.max_code());
+            build_quantized_into(binned, pairs, instances, qgrads, meta, mode, out);
         }
         HistData::Binned(binned) if plan.batched => {
-            binned.build_row_batched(instances, &wk.grads, meta, batch_size, threads)
+            binned.build_row_batched_into(instances, grads, meta, batch_size, threads, out);
         }
         HistData::Binned(binned) => {
-            let mut out = new_row(meta);
-            binned.build_into(instances, &wk.grads, &mut out);
-            out
+            reset_row(meta, out);
+            binned.build_into(instances, grads, out);
         }
         HistData::Raw if plan.batched => {
-            let sparse = plan.sparse_rows;
             let bc = BatchConfig {
                 batch_size,
                 threads,
-                sparse,
+                sparse: plan.sparse_rows,
             };
-            build_row_batched(shard, instances, &wk.grads, meta, &bc)
+            build_row_batched_into(shard, instances, grads, meta, &bc, out);
         }
-        HistData::Raw => build_row(shard, instances, &wk.grads, meta, plan.sparse_rows),
-    };
-    let node_row = |&node: &u32| match plan.instances {
-        InstanceSource::Index => {
-            let instances = wk.index.instances(node);
-            (node, row_of(instances), instances.len() as u64)
+        HistData::Raw => build_row_into(shard, instances, grads, meta, plan.sparse_rows, out),
+    }
+}
+
+/// One layer's push accounting, filled worker by worker.
+struct LayerPush<'a> {
+    plan: &'a TrainPlan,
+    ps: &'a ParameterServer,
+    meta: &'a FeatureMeta,
+    record: &'a mut RoundRecord,
+    /// Instances per build node, summed over workers.
+    node_counts: Vec<u64>,
+    /// Dense exchanges charge `largest row × nodes`; sparse ones the *true*
+    /// per-worker frame bytes of the layer. Either way the max across
+    /// workers — they push concurrently.
+    dense_row_bytes_max: usize,
+    sparse_layer_bytes_max: u64,
+    /// The worker now pushing: its stripe id keys the server-side block
+    /// staging (ascending-stripe fold).
+    stripe: u32,
+    stripe_frame_bytes: u64,
+}
+
+impl LayerPush<'_> {
+    /// The pushes that follow come from worker `stripe`.
+    fn begin_worker(&mut self, stripe: u32) {
+        (self.stripe, self.stripe_frame_bytes) = (stripe, 0);
+    }
+
+    /// Pushes the current worker's local `row` of the `pos`-th build node
+    /// under the plan's exchange, quantizing it into the kept code vector
+    /// `q` first when the exchange is low-precision (§6.1).
+    fn push(
+        &mut self,
+        q: &mut QuantizedRow,
+        rng: &mut StdRng,
+        (pos, node): (usize, u32),
+        instances: u64,
+        row: &[f32],
+    ) {
+        let (ps, record, stripe) = (self.ps, &mut *self.record, self.stripe);
+        debug_assert_eq!(row.len(), self.meta.layout().row_len());
+        self.node_counts[pos] += instances;
+        record.hist_bytes_raw += 4 * row.len() as u64;
+        if matches!(
+            self.plan.exchange,
+            Exchange::DenseQuantized | Exchange::SparseQuantized
+        ) {
+            quantize_row_into(row, self.meta.layout(), self.plan.compress_bits, rng, q);
+            record.max_quant_scale = record.max_quant_scale.max(q.max_scale());
         }
-        InstanceSource::Scan => {
-            let instances = scan_instances(shard, &g.tree, node, wk.sample_mask.as_deref());
-            (node, row_of(&instances), instances.len() as u64)
-        }
-    };
-    nodes.iter().map(node_row).collect()
+        let frames = match self.plan.exchange {
+            Exchange::Dense => {
+                self.dense_row_bytes_max = self.dense_row_bytes_max.max(4 * row.len());
+                record.hist_bytes_wire += 4 * row.len() as u64;
+                return ps.push_histogram(node, row);
+            }
+            Exchange::DenseQuantized => {
+                self.dense_row_bytes_max = self.dense_row_bytes_max.max(q.wire_bytes());
+                record.hist_bytes_wire += q.wire_bytes() as u64;
+                return ps.push_histogram_quantized(node, q);
+            }
+            Exchange::Sparse => ps.push_histogram_sparse(stripe, node, row),
+            Exchange::SparseQuantized => ps.push_histogram_quantized_sparse(stripe, node, q),
+        };
+        record.hist_bytes_wire += frames.total_bytes();
+        let tally = record.sparse_frames.get_or_insert_with(Default::default);
+        tally.merge(&frames);
+        self.stripe_frame_bytes += frames.total_bytes();
+        self.sparse_layer_bytes_max = self.sparse_layer_bytes_max.max(self.stripe_frame_bytes);
+    }
 }
 
 /// One run: its inputs, the plan, the two instruments (harness, timer) and
@@ -477,6 +490,8 @@ struct Run<'a> {
     h: Harness<'a>,
     timer: SpanTimer,
     state: TrainState,
+    /// Working memory of the build → quantize → push stage; not state.
+    scratch: RowScratch,
     /// `None` for softmax, which is vector-valued.
     scalar_loss: Option<&'static dyn Loss>,
     /// Trees per boosting round: 1 for scalar losses, `classes` for softmax
@@ -542,8 +557,7 @@ impl Run<'_> {
                 if g.active.is_empty() {
                     break;
                 }
-                let rows = self.build_histogram(&g);
-                self.push_histograms(&g, rows, &mut record);
+                self.build_and_push(&g, &mut record);
                 self.find_split(&g);
                 self.split_tree(&mut g, depth, &mut record);
             }
@@ -604,65 +618,105 @@ impl Run<'_> {
         }
     }
 
-    /// BUILD_HISTOGRAM: every worker's local rows for the layer.
-    fn build_histogram(&mut self, g: &Growing) -> Vec<Vec<NodeRow>> {
-        let (shards, plan) = (self.shards, &self.plan);
-        let fused = plan.fuses(g.build_nodes.len(), g.meta.layout().row_len());
+    /// BUILD_HISTOGRAM and the push half of FIND_SPLIT as one worker-major
+    /// stage: each worker builds a node's local row into the kept buffer (a
+    /// fused kernel: the whole layer into that buffer, as a block of slot
+    /// rows), quantizes it into the kept code vector, pushes it, and the
+    /// next node reuses both. Pushes leave in the same order — worker-major,
+    /// node-minor — and draw from `wk.rng` in the same order as when all
+    /// rows were built first, so nothing downstream can tell; what changes
+    /// is that a layer holds one row at a time, not `workers × nodes`. The
+    /// span booked per worker is its builder seconds only. Then the layer is
+    /// charged (to BUILD_HISTOGRAM's ledger bucket) and the servers derive
+    /// the unbuilt siblings.
+    fn build_and_push(&mut self, g: &Growing, record: &mut RoundRecord) {
+        let (shards, plan, h, meta) = (self.shards, &self.plan, &self.h, &g.meta);
+        let (nodes, row_len) = (&g.build_nodes[..], meta.layout().row_len());
+        let fused = plan.fuses(nodes.len(), row_len);
+        let mut layer = LayerPush {
+            plan,
+            ps: &h.ps,
+            meta,
+            record,
+            node_counts: vec![0u64; nodes.len()],
+            dense_row_bytes_max: 0,
+            sparse_layer_bytes_max: 0,
+            stripe: 0,
+            stripe_frame_bytes: 0,
+        };
         let workers = &mut self.state.workers;
-        self.timer.phase(Phase::BuildHistogram, workers, |wk| {
-            build_local_rows(plan, wk, &shards[wk.shard_id], g, fused)
-        })
-    }
-
-    /// FIND_SPLIT, first half: push the local rows under the plan's
-    /// exchange, charge the layer (to BUILD_HISTOGRAM's ledger bucket), and
-    /// let the servers derive the unbuilt siblings.
-    fn push_histograms(&mut self, g: &Growing, rows: Vec<Vec<NodeRow>>, record: &mut RoundRecord) {
-        let (plan, ps, meta) = (&self.plan, &self.h.ps, &g.meta);
-        let bits = plan.compress_bits;
-        // Dense exchanges charge `largest row × nodes`; sparse ones the
-        // *true* per-worker frame bytes of the layer. Either way the max
-        // across workers — they push concurrently.
-        let mut dense_row_bytes_max = 0usize;
-        let mut sparse_layer_bytes_max = 0u64;
-        let mut node_counts = vec![0u64; g.build_nodes.len()];
-        for (wk, rows) in self.state.workers.iter_mut().zip(rows) {
-            self.h.set_worker(Some(wk.shard_id as u32));
-            // The worker's stripe id keys the server-side block staging
-            // (ascending-stripe fold).
-            let stripe = wk.shard_id as u32;
-            let mut worker_frame_bytes = 0u64;
-            for (pos, (node, row, count)) in rows.into_iter().enumerate() {
-                node_counts[pos] += count;
-                record.hist_bytes_raw += 4 * row.len() as u64;
-                let frames = match plan.exchange {
-                    Exchange::Dense => {
-                        dense_row_bytes_max = dense_row_bytes_max.max(4 * row.len());
-                        record.hist_bytes_wire += 4 * row.len() as u64;
-                        ps.push_histogram(node, &row);
-                        continue;
+        let RowScratch {
+            row: buf,
+            quantized,
+        } = &mut self.scratch;
+        self.timer
+            .phase_booked(Phase::BuildHistogram, workers, |wk| {
+                let (shard, stripe) = (&shards[wk.shard_id], wk.shard_id as u32);
+                h.set_worker(Some(stripe));
+                layer.begin_worker(stripe);
+                let mut build_secs = 0.0f64;
+                if fused {
+                    let start = Instant::now();
+                    let positions = match plan.instances {
+                        InstanceSource::Index => {
+                            fused::positions_from_index(&wk.index, nodes, shard.num_rows())
+                        }
+                        InstanceSource::Scan => fused::positions_from_scan(
+                            shard,
+                            &g.tree,
+                            nodes,
+                            wk.sample_mask.as_deref(),
+                        ),
+                    };
+                    let (batch_size, threads) = (plan.batch_size, plan.threads);
+                    match &wk.hist {
+                        HistData::Binned(binned) => fused::build_layer_into(
+                            binned, &positions, &wk.grads, meta, batch_size, threads, buf,
+                        ),
+                        HistData::Quantized(binned, pairs, qgrads) => {
+                            fused::build_layer_quantized_into(
+                                binned, pairs, &positions, qgrads, meta, batch_size, threads, buf,
+                            );
+                        }
+                        HistData::Raw => unreachable!("the plan fuses only over a binned shard"),
                     }
-                    Exchange::DenseQuantized => {
-                        let q = quantize_for_push(&row, meta, bits, &mut wk.rng, record);
-                        dense_row_bytes_max = dense_row_bytes_max.max(q.wire_bytes());
-                        record.hist_bytes_wire += q.wire_bytes() as u64;
-                        ps.push_histogram_quantized(node, &q);
-                        continue;
+                    build_secs += start.elapsed().as_secs_f64();
+                    debug_assert_eq!(buf.len(), nodes.len() * row_len);
+                    for (slot, &node) in nodes.iter().enumerate() {
+                        let row = &buf[slot * row_len..(slot + 1) * row_len];
+                        let count = positions.counts[slot];
+                        layer.push(quantized, &mut wk.rng, (slot, node), count, row);
                     }
-                    Exchange::Sparse => ps.push_histogram_sparse(stripe, node, &row),
-                    Exchange::SparseQuantized => {
-                        let q = quantize_for_push(&row, meta, bits, &mut wk.rng, record);
-                        ps.push_histogram_quantized_sparse(stripe, node, &q)
+                } else {
+                    for (pos, &node) in nodes.iter().enumerate() {
+                        let start = Instant::now();
+                        let scanned;
+                        let instances = match plan.instances {
+                            InstanceSource::Index => wk.index.instances(node),
+                            InstanceSource::Scan => {
+                                let mask = wk.sample_mask.as_deref();
+                                scanned = scan_instances(shard, &g.tree, node, mask);
+                                &scanned[..]
+                            }
+                        };
+                        build_node_row(plan, &wk.hist, shard, &wk.grads, meta, instances, buf);
+                        build_secs += start.elapsed().as_secs_f64();
+                        debug_assert_eq!(buf.len(), row_len);
+                        let count = instances.len() as u64;
+                        layer.push(quantized, &mut wk.rng, (pos, node), count, buf);
                     }
-                };
-                worker_frame_bytes += frames.total_bytes();
-                record.hist_bytes_wire += frames.total_bytes();
-                let tally = record.sparse_frames.get_or_insert_with(Default::default);
-                tally.merge(&frames);
-            }
-            sparse_layer_bytes_max = sparse_layer_bytes_max.max(worker_frame_bytes);
-        }
-        self.h.set_worker(None);
+                }
+                ((), build_secs)
+            });
+        h.set_worker(None);
+        let LayerPush {
+            record,
+            node_counts,
+            dense_row_bytes_max,
+            sparse_layer_bytes_max,
+            ..
+        } = layer;
+        let ps = &h.ps;
         let counted = g.build_nodes.iter().zip(node_counts);
         record
             .node_instances

@@ -6,6 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use dimboost_data::Dataset;
+use dimboost_ps::quantize::QuantizedRow;
 use dimboost_simnet::CommLedger;
 use dimboost_sketch::SplitCandidates;
 
@@ -57,6 +58,21 @@ impl HistData {
             }
         }
     }
+}
+
+/// A worker's histogram working memory: the one row (or fused layer block)
+/// BUILD_HISTOGRAM builds into and the one code vector §6.1 quantizes into,
+/// both reused for every node the worker builds — resized when a tree's
+/// sampled feature set or a layer's width changes their size. The simulator
+/// runs its workers one after another, so a single scratch beside them (in
+/// `Run`) stands for each machine's own in turn: a run's peak is
+/// `max(row, fused block)` however many workers, nodes, layers and trees it
+/// has. Contents never outlive the push that follows the build, so none of
+/// it is state, and none of it belongs in a checkpoint.
+#[derive(Default)]
+pub(super) struct RowScratch {
+    pub row: Vec<f32>,
+    pub quantized: QuantizedRow,
 }
 
 /// Per-worker training state (one per simulated machine).

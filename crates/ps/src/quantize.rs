@@ -14,78 +14,6 @@ use serde::{Deserialize, Serialize};
 
 use crate::HistogramLayout;
 
-/// A quantized histogram row: the scale `c` plus one `d`-bit code per value.
-/// Codes are materialized as `u16` in memory; [`QuantizedHistogram::wire_bytes`]
-/// reports the honest on-the-wire size with codes packed at `d` bits each
-/// (`⌈len·d/8⌉` bytes — e.g. two codes per byte for `d = 4`, one for
-/// `d = 8`), plus the 8-byte scale+length header.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QuantizedHistogram {
-    bits: u8,
-    scale: f32,
-    codes: Vec<u16>,
-}
-
-impl QuantizedHistogram {
-    /// Number of encoded values.
-    pub fn len(&self) -> usize {
-        self.codes.len()
-    }
-
-    /// True when no values are encoded.
-    pub fn is_empty(&self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// The bit width `d`.
-    pub fn bits(&self) -> u8 {
-        self.bits
-    }
-
-    /// The max-abs scale `c` shipped alongside the codes.
-    pub fn scale(&self) -> f32 {
-        self.scale
-    }
-
-    /// Raw codes (zero-point offset encoding).
-    pub fn codes(&self) -> &[u16] {
-        &self.codes
-    }
-
-    /// Serialized size in bytes: header (scale + length) plus codes packed
-    /// at `d` bits each.
-    pub fn wire_bytes(&self) -> usize {
-        8 + (self.codes.len() * self.bits as usize).div_ceil(8)
-    }
-
-    /// Decodes the full row back to floats.
-    pub fn dequantize(&self) -> Vec<f32> {
-        self.dequantize_range(0, self.codes.len())
-    }
-
-    /// Decodes `codes[start..end]` (the parameter server decodes only the
-    /// shard slice it owns).
-    pub fn dequantize_range(&self, start: usize, end: usize) -> Vec<f32> {
-        let levels = levels(self.bits) as f32;
-        let zero = levels as u16;
-        self.codes[start..end]
-            .iter()
-            .map(|&code| (code as i32 - zero as i32) as f32 / levels * self.scale)
-            .collect()
-    }
-
-    /// Decodes `codes[start..end]` and adds the values into `acc` (the
-    /// server-side push UDF: "add received local histograms to the global
-    /// one").
-    pub fn add_range_into(&self, start: usize, end: usize, acc: &mut [f32]) {
-        let levels_f = levels(self.bits) as f32;
-        let zero = levels(self.bits) as i32;
-        for (a, &code) in acc.iter_mut().zip(&self.codes[start..end]) {
-            *a += (code as i32 - zero) as f32 / levels_f * self.scale;
-        }
-    }
-}
-
 /// Number of positive quantization levels for a `d`-bit signed code:
 /// `2^(d−1) − 1`.
 ///
@@ -108,6 +36,15 @@ pub fn levels(bits: u8) -> u32 {
 /// `scales`/`zero_values` are block-relative (2 entries per feature of
 /// `features`, G then H); `codes` covers exactly
 /// `layout.elem_range(features)`.
+///
+/// Every accumulator element receives exactly one add, so the order inside
+/// a block is free: the zero bucket's exact value is added first, then the
+/// two code runs either side of it as plain loops with no per-element
+/// branch. A block whose scale is zero is skipped whole — each of its
+/// elements would decode to `x / levels · 0 = ±0.0`, and adding a zero of
+/// either sign leaves every accumulator the server can hold unchanged:
+/// they start at `+0.0` and only ever take sums and `parent − child`
+/// differences, none of which yields `-0.0` (DESIGN.md §14.3).
 pub(crate) fn add_quantized_slice_into(
     bits: u8,
     scales: &[f32],
@@ -120,66 +57,29 @@ pub(crate) fn add_quantized_slice_into(
     let base = layout.elem_range(features.clone()).start;
     let levels_f = levels(bits) as f32;
     let zero_pt = levels(bits) as i32;
+    let decode_add = |acc: &mut [f32], codes: &[u16], scale: f32| {
+        for (a, &code) in acc.iter_mut().zip(codes) {
+            *a += (code as i32 - zero_pt) as f32 / levels_f * scale;
+        }
+    };
     for f in features.clone() {
-        let nb = layout.num_buckets(f);
         let zb = layout.zero_bucket(f);
-        for (block, block_start) in [layout.g_index(f, 0), layout.h_index(f, 0)]
+        for (block, range) in [layout.g_range(f), layout.h_range(f)]
             .into_iter()
             .enumerate()
         {
             let block_id = 2 * (f - features.start) + block;
+            let range = range.start - base..range.end - base;
+            let (acc, codes) = (&mut acc[range.clone()], &codes[range]);
+            acc[zb] += zero_values[block_id];
             let scale = scales[block_id];
-            for k in 0..nb {
-                let idx = block_start + k;
-                let v = if k == zb {
-                    zero_values[block_id]
-                } else {
-                    (codes[idx - base] as i32 - zero_pt) as f32 / levels_f * scale
-                };
-                acc[idx - base] += v;
+            if scale == 0.0 {
+                continue;
             }
+            decode_add(&mut acc[..zb], &codes[..zb], scale);
+            decode_add(&mut acc[zb + 1..], &codes[zb + 1..], scale);
         }
     }
-}
-
-/// Encodes a histogram row with `bits`-bit stochastic fixed-point
-/// quantization. `bits` must be in `2..=16` and every value must be finite.
-///
-/// # Panics
-/// Panics on a bit width outside `2..=16`. Debug builds also panic on
-/// non-finite input: `f32::max` skips NaN when computing the scale and
-/// `NaN as i32 == 0` would otherwise map a NaN gradient silently to the
-/// zero-point code (decoding as `0.0`). Release builds keep that laundering
-/// behavior (NaN → zero point, `±inf` saturates the scale) for speed — a
-/// non-finite gradient is a caller bug, not a data condition.
-pub fn quantize<R: Rng + ?Sized>(values: &[f32], bits: u8, rng: &mut R) -> QuantizedHistogram {
-    assert!(
-        (2..=16).contains(&bits),
-        "bit width must be in 2..=16, got {bits}"
-    );
-    debug_assert!(
-        values.iter().all(|v| v.is_finite()),
-        "quantize: non-finite histogram value"
-    );
-    let scale = values.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    let levels_f = levels(bits) as f32;
-    let zero = levels(bits) as i32;
-    let codes = if scale == 0.0 {
-        vec![zero as u16; values.len()]
-    } else {
-        values
-            .iter()
-            .map(|&v| {
-                let scaled = v / scale * levels_f;
-                let floor = scaled.floor();
-                let frac = scaled - floor;
-                let phi = i32::from(rng.random::<f32>() < frac);
-                let code = (floor as i32 + phi + zero).clamp(0, 2 * zero);
-                code as u16
-            })
-            .collect()
-    };
-    QuantizedHistogram { bits, scale, codes }
 }
 
 /// A low-precision histogram **row** with sparsity-aware scaling.
@@ -195,7 +95,11 @@ pub fn quantize<R: Rng + ?Sized>(values: &[f32], bits: u8, rng: &mut R) -> Quant
 /// full precision. Per feature the overhead is two scales and two zero
 /// values (16 bytes), preserving a ~`32/d`-ish compression ratio while
 /// keeping the small buckets' signal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// `QuantizedRow::default()` is the empty row: the value a caller keeps
+/// and hands to [`quantize_row_into`] again and again, so that one code
+/// vector serves every row it pushes.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct QuantizedRow {
     bits: u8,
     /// Per block (2 per feature: G then H): the quantization scale.
@@ -285,18 +189,60 @@ impl QuantizedRow {
 
 /// Encodes a histogram row with per-feature-block stochastic quantization
 /// (see [`QuantizedRow`]). `row.len()` must equal `layout.row_len()` and
-/// every value must be finite.
+/// every value must be finite. Allocates the result; a caller quantizing
+/// row after row keeps one [`QuantizedRow`] and calls [`quantize_row_into`].
 ///
 /// # Panics
 /// Panics on a bad bit width or length mismatch. Debug builds also panic on
-/// non-finite input (same NaN-laundering hazard as [`quantize`]: in release
-/// a NaN bucket silently becomes the zero-point code and decodes as `0.0`).
+/// non-finite input: `f32::max` skips NaN when computing the scale and
+/// `NaN as i32 == 0` would otherwise map a NaN bucket silently to the
+/// zero-point code (decoding as `0.0`). Release builds keep that laundering
+/// behaviour (NaN → zero point, `±inf` saturates the scale) for speed — a
+/// non-finite gradient is a caller bug, not a data condition.
 pub fn quantize_row<R: Rng + ?Sized>(
     row: &[f32],
     layout: &HistogramLayout,
     bits: u8,
     rng: &mut R,
 ) -> QuantizedRow {
+    let mut q = QuantizedRow::default();
+    quantize_row_into(row, layout, bits, rng, &mut q);
+    q
+}
+
+/// [`quantize_row`] into a caller-kept `q`, whose vectors are reused (and
+/// resized when the layout changed). Everything `q` held is overwritten.
+///
+/// Per block (one feature's G or H buckets) the scale `c` is the max-abs of
+/// the buckets other than the zero bucket, and each of those buckets takes
+/// **one draw** from `rng`, in bucket order, when `c > 0` — so the stream
+/// position after a row depends only on which blocks have a nonzero scale.
+/// How the loop earns the same bits as the plain formulation
+/// (`floor(v / c · levels)` plus a Bernoulli on the fraction; kept as the
+/// test reference below) while doing less per element:
+///
+/// * the max-abs is taken over the two slices either side of the zero
+///   bucket in eight lanes with a compare-select — `max` over non-NaN
+///   values is exact and associative, so any grouping gives `c`;
+/// * an element that is `±0.0` draws and then stores the zero point
+///   directly: `±0 / c · levels = ±0`, its floor is itself, the fraction is
+///   `+0.0`, no draw is below that, and `0 + 0 + zero_pt` is the zero
+///   point — the divide, floor and clamp are skipped, the draw is not;
+/// * `floor` is truncation toward zero corrected by one when it overshot
+///   (`|v / c · levels| ≤ levels ≤ 2¹⁵`, far inside `i32` and exact in
+///   `f32`), which is the same integer and the same `f32` as `floorf`
+///   without the library call. A NaN element truncates to `0`, compares
+///   false everywhere and lands on the zero point, as before.
+///
+/// # Panics
+/// As [`quantize_row`].
+pub fn quantize_row_into<R: Rng + ?Sized>(
+    row: &[f32],
+    layout: &HistogramLayout,
+    bits: u8,
+    rng: &mut R,
+    q: &mut QuantizedRow,
+) {
     assert!(
         (2..=16).contains(&bits),
         "bit width must be in 2..=16, got {bits}"
@@ -311,42 +257,153 @@ pub fn quantize_row<R: Rng + ?Sized>(
     let zero_pt = levels(bits) as i32;
     let max_code = 2 * zero_pt;
 
-    let mut scales = Vec::with_capacity(2 * nf);
-    let mut zero_values = Vec::with_capacity(2 * nf);
-    let mut codes = vec![zero_pt as u16; row.len()];
+    q.bits = bits;
+    q.scales.clear();
+    q.scales.reserve(2 * nf);
+    q.zero_values.clear();
+    q.zero_values.reserve(2 * nf);
+    // Every element is stored below, so the fill value only matters for
+    // slots a longer layout adds.
+    q.codes.resize(row.len(), zero_pt as u16);
+
+    let abs_max = |xs: &[f32]| {
+        let greater = |c: f32, v: &f32| if v.abs() > c { v.abs() } else { c };
+        let chunks = xs.chunks_exact(8);
+        let tail = chunks.remainder().iter().fold(0.0f32, greater);
+        let mut lanes = [0.0f32; 8];
+        for chunk in chunks {
+            for (lane, v) in lanes.iter_mut().zip(chunk) {
+                *lane = greater(*lane, v);
+            }
+        }
+        lanes.iter().fold(tail, greater)
+    };
+    let mut encode = |xs: &[f32], codes: &mut [u16], c: f32| {
+        for (&v, code) in xs.iter().zip(codes) {
+            let draw = rng.random::<f32>();
+            *code = if v == 0.0 {
+                zero_pt as u16
+            } else {
+                let scaled = v / c * levels_f;
+                let trunc = scaled as i32;
+                let floor = trunc - i32::from(trunc as f32 > scaled);
+                let phi = i32::from(draw < scaled - floor as f32);
+                (floor + phi + zero_pt).clamp(0, max_code) as u16
+            };
+        }
+    };
 
     for f in 0..nf {
-        let nb = layout.num_buckets(f);
         let zb = layout.zero_bucket(f);
-        for block_start in [layout.g_index(f, 0), layout.h_index(f, 0)] {
-            // Scale from the non-zero-bucket values only.
-            let mut c = 0.0f32;
-            for k in 0..nb {
-                if k != zb {
-                    c = c.max(row[block_start + k].abs());
-                }
-            }
-            scales.push(c);
-            zero_values.push(row[block_start + zb]);
+        for range in [layout.g_range(f), layout.h_range(f)] {
+            let (block, codes) = (&row[range.clone()], &mut q.codes[range]);
+            let (left, right) = (&block[..zb], &block[zb + 1..]);
+            let c = abs_max(left).max(abs_max(right));
+            q.scales.push(c);
+            q.zero_values.push(block[zb]);
+            codes[zb] = zero_pt as u16;
+            let (codes_left, codes_right) = codes.split_at_mut(zb);
+            let codes_right = &mut codes_right[1..];
             if c > 0.0 {
+                encode(left, codes_left, c);
+                encode(right, codes_right, c);
+            } else {
+                codes_left.fill(zero_pt as u16);
+                codes_right.fill(zero_pt as u16);
+            }
+        }
+    }
+}
+
+/// The loops [`add_quantized_slice_into`] and [`quantize_row_into`] replaced,
+/// kept verbatim as what the tests pin the rewritten kernels against, bit
+/// for bit.
+#[cfg(test)]
+pub(crate) mod reference {
+    use super::*;
+
+    pub(crate) fn add_quantized_slice_into(
+        bits: u8,
+        scales: &[f32],
+        zero_values: &[f32],
+        codes: &[u16],
+        layout: &HistogramLayout,
+        features: std::ops::Range<usize>,
+        acc: &mut [f32],
+    ) {
+        let base = layout.elem_range(features.clone()).start;
+        let levels_f = levels(bits) as f32;
+        let zero_pt = levels(bits) as i32;
+        for f in features.clone() {
+            let nb = layout.num_buckets(f);
+            let zb = layout.zero_bucket(f);
+            for (block, block_start) in [layout.g_index(f, 0), layout.h_index(f, 0)]
+                .into_iter()
+                .enumerate()
+            {
+                let block_id = 2 * (f - features.start) + block;
+                let scale = scales[block_id];
                 for k in 0..nb {
-                    if k == zb {
-                        continue;
-                    }
                     let idx = block_start + k;
-                    let scaled = row[idx] / c * levels_f;
-                    let floor = scaled.floor();
-                    let phi = i32::from(rng.random::<f32>() < scaled - floor);
-                    codes[idx] = (floor as i32 + phi + zero_pt).clamp(0, max_code) as u16;
+                    let v = if k == zb {
+                        zero_values[block_id]
+                    } else {
+                        (codes[idx - base] as i32 - zero_pt) as f32 / levels_f * scale
+                    };
+                    acc[idx - base] += v;
                 }
             }
         }
     }
-    QuantizedRow {
-        bits,
-        scales,
-        zero_values,
-        codes,
+
+    pub(crate) fn quantize_row<R: Rng + ?Sized>(
+        row: &[f32],
+        layout: &HistogramLayout,
+        bits: u8,
+        rng: &mut R,
+    ) -> QuantizedRow {
+        let nf = layout.num_features();
+        let levels_f = levels(bits) as f32;
+        let zero_pt = levels(bits) as i32;
+        let max_code = 2 * zero_pt;
+
+        let mut scales = Vec::with_capacity(2 * nf);
+        let mut zero_values = Vec::with_capacity(2 * nf);
+        let mut codes = vec![zero_pt as u16; row.len()];
+
+        for f in 0..nf {
+            let nb = layout.num_buckets(f);
+            let zb = layout.zero_bucket(f);
+            for block_start in [layout.g_index(f, 0), layout.h_index(f, 0)] {
+                // Scale from the non-zero-bucket values only.
+                let mut c = 0.0f32;
+                for k in 0..nb {
+                    if k != zb {
+                        c = c.max(row[block_start + k].abs());
+                    }
+                }
+                scales.push(c);
+                zero_values.push(row[block_start + zb]);
+                if c > 0.0 {
+                    for k in 0..nb {
+                        if k == zb {
+                            continue;
+                        }
+                        let idx = block_start + k;
+                        let scaled = row[idx] / c * levels_f;
+                        let floor = scaled.floor();
+                        let phi = i32::from(rng.random::<f32>() < scaled - floor);
+                        codes[idx] = (floor as i32 + phi + zero_pt).clamp(0, max_code) as u16;
+                    }
+                }
+            }
+        }
+        QuantizedRow {
+            bits,
+            scales,
+            zero_values,
+            codes,
+        }
     }
 }
 
@@ -355,103 +412,6 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn roundtrip_error_bounded_by_one_level() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let values: Vec<f32> = (0..1000).map(|i| ((i * 37) % 200) as f32 - 100.0).collect();
-        for bits in [2u8, 4, 8, 16] {
-            let q = quantize(&values, bits, &mut rng);
-            let back = q.dequantize();
-            let step = q.scale() / ((1u32 << (bits - 1)) - 1) as f32;
-            for (v, b) in values.iter().zip(&back) {
-                assert!(
-                    (v - b).abs() <= step + 1e-4,
-                    "bits={bits} v={v} back={b} step={step}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn stochastic_rounding_is_unbiased() {
-        // Statistical test, but not flaky: the shim RNG pins the generator
-        // family, so seed 7 replays the same 20k trials on every platform.
-        // Tolerance derivation: each dequantized sample deviates from its
-        // value by at most one step with Var ≤ step²/4 (Popoviciu), so the
-        // standard error of the mean is ≤ (step/2)/√trials; `5·step/√trials`
-        // is a ≥10σ bound. A biased rounder (e.g. round-to-nearest) misses
-        // it by orders of magnitude.
-        let mut rng = StdRng::seed_from_u64(7);
-        let values = vec![0.37f32, -0.61, 0.94, -0.08, 0.5];
-        let trials = 20_000;
-        let mut sums = vec![0.0f64; values.len()];
-        for _ in 0..trials {
-            let q = quantize(&values, 4, &mut rng);
-            for (s, b) in sums.iter_mut().zip(q.dequantize()) {
-                *s += b as f64;
-            }
-        }
-        let step = 0.94 / 7.0; // scale / levels for bits=4
-        for (v, s) in values.iter().zip(&sums) {
-            let mean = s / trials as f64;
-            // Standard error of the mean is ~step/2/sqrt(trials); allow 5 sigma.
-            let tol = 5.0 * step / (trials as f64).sqrt();
-            assert!(
-                (mean - *v as f64).abs() < tol,
-                "value {v}: mean {mean} (tol {tol})"
-            );
-        }
-    }
-
-    #[test]
-    fn zero_row_stays_zero() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let q = quantize(&[0.0; 16], 8, &mut rng);
-        assert_eq!(q.scale(), 0.0);
-        assert!(q.dequantize().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn wire_bytes_reflect_compression() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let values = vec![1.0f32; 1000];
-        let q8 = quantize(&values, 8, &mut rng);
-        let q16 = quantize(&values, 16, &mut rng);
-        assert_eq!(q8.wire_bytes(), 8 + 1000);
-        assert_eq!(q16.wire_bytes(), 8 + 2000);
-        // ~4x smaller than f32 for d=8, matching the paper's 32/d ratio.
-        assert!(q8.wire_bytes() * 3 < values.len() * 4);
-    }
-
-    #[test]
-    fn wire_bytes_pack_at_d_bits() {
-        // Satellite regression for the doc/impl mismatch: the formula packs
-        // at `d` bits, not whole bytes — bits = 4 fits two codes per byte.
-        let mut rng = StdRng::seed_from_u64(11);
-        let q4 = quantize(&vec![1.0f32; 1000], 4, &mut rng);
-        assert_eq!(q4.wire_bytes(), 8 + 500);
-        let q4_odd = quantize(&[1.0f32; 7], 4, &mut rng);
-        assert_eq!(q4_odd.wire_bytes(), 8 + 4); // ⌈7·4/8⌉ = 4
-        let q2 = quantize(&vec![1.0f32; 1000], 2, &mut rng);
-        assert_eq!(q2.wire_bytes(), 8 + 250);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "non-finite")]
-    fn quantize_rejects_nan_in_debug() {
-        let mut rng = StdRng::seed_from_u64(0);
-        quantize(&[1.0, f32::NAN, 2.0], 8, &mut rng);
-    }
-
-    #[cfg(debug_assertions)]
-    #[test]
-    #[should_panic(expected = "non-finite")]
-    fn quantize_rejects_infinity_in_debug() {
-        let mut rng = StdRng::seed_from_u64(0);
-        quantize(&[1.0, f32::INFINITY], 8, &mut rng);
-    }
 
     #[cfg(debug_assertions)]
     #[test]
@@ -465,31 +425,151 @@ mod tests {
     }
 
     #[test]
-    fn add_range_into_matches_dequantize() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let values: Vec<f32> = (0..64).map(|i| (i as f32 - 32.0) / 8.0).collect();
-        let q = quantize(&values, 8, &mut rng);
-        let mut acc = vec![1.0f32; 16];
-        q.add_range_into(8, 24, &mut acc);
-        let expected: Vec<f32> = q.dequantize_range(8, 24).iter().map(|v| v + 1.0).collect();
-        assert_eq!(acc, expected);
-    }
-
-    #[test]
-    fn extremes_map_to_extreme_codes() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let q = quantize(&[-2.0, 0.0, 2.0], 8, &mut rng);
-        let back = q.dequantize();
-        assert!((back[0] + 2.0).abs() < 1e-5);
-        assert!(back[1].abs() < 2.0 / 127.0 + 1e-6);
-        assert!((back[2] - 2.0).abs() < 1e-5);
-    }
-
-    #[test]
     #[should_panic(expected = "bit width")]
     fn rejects_bad_bits() {
         let mut rng = StdRng::seed_from_u64(0);
-        quantize(&[1.0], 1, &mut rng);
+        quantize_row(&[1.0, 1.0], &HistogramLayout::new(vec![1]), 1, &mut rng);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "non-finite")]
+    fn quantize_row_rejects_infinity_in_debug() {
+        let layout = sparse_layout();
+        let mut row = vec![0.0f32; layout.row_len()];
+        row[5] = f32::NEG_INFINITY;
+        let mut rng = StdRng::seed_from_u64(0);
+        quantize_row(&row, &layout, 8, &mut rng);
+    }
+
+    // ---- rewritten kernels == the loops they replaced, bit for bit --------
+
+    /// Layouts with the zero bucket first / in the middle / last, one- and
+    /// two-bucket features, and blocks long enough to fill whole lanes.
+    fn pin_layouts() -> Vec<HistogramLayout> {
+        vec![
+            HistogramLayout::new(vec![21; 6]),
+            HistogramLayout::with_zero_buckets(
+                vec![4, 1, 7, 2, 19, 1, 5],
+                vec![3, 0, 2, 1, 18, 0, 0],
+            ),
+            HistogramLayout::with_zero_buckets(vec![1, 1], vec![0, 0]),
+            HistogramLayout::with_zero_buckets(vec![12, 33, 9], vec![11, 16, 4]),
+            HistogramLayout::new(vec![]),
+        ]
+    }
+
+    /// Rows mixing every value class the quantizer treats specially: exact
+    /// zeros of both signs, subnormals, `±c`, a scale near
+    /// `f32::MIN_POSITIVE`, whole all-zero features, ordinary values.
+    fn pin_rows(layout: &HistogramLayout) -> Vec<Vec<f32>> {
+        let n = layout.row_len();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut rows = vec![vec![0.0f32; n], vec![-0.0f32; n]];
+        for variant in 0..6u64 {
+            let mut row = vec![0.0f32; n];
+            for f in 0..layout.num_features() {
+                // Every third feature stays an all-zero block pair.
+                if (f as u64 + variant).is_multiple_of(3) {
+                    continue;
+                }
+                let c = match variant % 3 {
+                    0 => 3.75f32,
+                    1 => f32::MIN_POSITIVE * 3.0,
+                    _ => 1.0e-3,
+                };
+                for idx in layout.g_range(f).chain(layout.h_range(f)) {
+                    let r = next();
+                    row[idx] = match r % 8 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => c,
+                        3 => -c,
+                        4 => f32::from_bits((r >> 40) as u32 & 0x007F_FFFF), // subnormal
+                        5 => -f32::from_bits((r >> 40) as u32 & 0x007F_FFFF),
+                        _ => ((r >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) as f32 * c,
+                    };
+                }
+            }
+            rows.push(row);
+        }
+        rows
+    }
+
+    #[test]
+    fn quantize_row_matches_reference_loop_bitwise_including_rng_state() {
+        for layout in pin_layouts() {
+            for (r, row) in pin_rows(&layout).iter().enumerate() {
+                for bits in [2u8, 4, 8, 16] {
+                    let seed = 1000 * r as u64 + bits as u64;
+                    let (mut rng_new, mut rng_ref) =
+                        (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                    // `q` arrives dirty and of the wrong size: everything in
+                    // it must be overwritten.
+                    let mut q = quantize_row(
+                        &[7.0; 6],
+                        &HistogramLayout::new(vec![3]),
+                        5,
+                        &mut StdRng::seed_from_u64(1),
+                    );
+                    quantize_row_into(row, &layout, bits, &mut rng_new, &mut q);
+                    let want = reference::quantize_row(row, &layout, bits, &mut rng_ref);
+                    let bits_of = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(q.bits(), want.bits());
+                    assert_eq!(
+                        bits_of(q.scales()),
+                        bits_of(want.scales()),
+                        "row {r} bits {bits}"
+                    );
+                    assert_eq!(bits_of(q.zero_values()), bits_of(want.zero_values()));
+                    assert_eq!(q.codes(), want.codes(), "row {r} bits {bits}");
+                    // Same stream position: the draw happens before the
+                    // zero-value shortcut, never instead of it.
+                    assert_eq!(rng_new.state(), rng_ref.state(), "row {r} bits {bits}");
+                    // A second row through the same `q` and the same stream.
+                    quantize_row_into(row, &layout, bits, &mut rng_new, &mut q);
+                    assert_eq!(q, reference::quantize_row(row, &layout, bits, &mut rng_ref));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dequantize_add_matches_reference_loop_bitwise() {
+        for layout in pin_layouts() {
+            let nf = layout.num_features();
+            let mut acc_new = vec![0.0f32; layout.row_len()];
+            let mut acc_ref = acc_new.clone();
+            // Push after push into the same accumulators: the first lands on
+            // `+0.0`, the rest on what earlier pushes left.
+            for (r, row) in pin_rows(&layout).iter().enumerate() {
+                for bits in [2u8, 8, 16] {
+                    let q = quantize_row(row, &layout, bits, &mut StdRng::seed_from_u64(r as u64));
+                    for features in [0..nf, 0..nf / 2, nf / 2..nf] {
+                        let elems = layout.elem_range(features.clone());
+                        q.add_features_into(&layout, features.clone(), &mut acc_new[elems.clone()]);
+                        reference::add_quantized_slice_into(
+                            bits,
+                            &q.scales()[2 * features.start..2 * features.end],
+                            &q.zero_values()[2 * features.start..2 * features.end],
+                            &q.codes()[elems.clone()],
+                            &layout,
+                            features,
+                            &mut acc_ref[elems],
+                        );
+                        for (a, b) in acc_new.iter().zip(&acc_ref) {
+                            assert_eq!(a.to_bits(), b.to_bits(), "row {r} bits {bits}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     // ---- QuantizedRow (layout-aware, sparsity-aware scaling) -------------
@@ -541,16 +621,6 @@ mod tests {
                 }
             }
         }
-        // The naive whole-row quantizer would have destroyed those buckets:
-        let naive = quantize(&row, 8, &mut rng);
-        let naive_back = naive.dequantize();
-        let idx = layout.g_index(0, 2);
-        let naive_err = (naive_back[idx] - row[idx]).abs();
-        let row_err = (back[idx] - row[idx]).abs();
-        assert!(
-            naive_err > 5.0 * row_err.max(1e-4),
-            "naive {naive_err} vs row {row_err}"
-        );
     }
 
     #[test]

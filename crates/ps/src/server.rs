@@ -58,6 +58,14 @@ impl PsConfig {
 /// ascending order too, the fold reproduces the dense add sequence exactly
 /// — this is half of the sparse path's bit-identity argument (the other
 /// half is that decoded frames reproduce every nonzero f32 verbatim).
+///
+/// Accumulators are not allocated per node: [`PartitionState::lend`] hands
+/// out a zeroed buffer from the partition's free list, and
+/// [`PartitionState::retire`] puts a finished node's buffer back (at
+/// `clear_node`, after a staged delta is folded, and wholesale at the next
+/// `init_tree`). `lent + free.len()` grows only when `lend` finds the list
+/// empty, so a partition allocates as many buffers as it ever holds at once
+/// — a few tree layers' worth — however many trees and layers the run has.
 #[derive(Default)]
 struct PartitionState {
     /// `node → merged accumulator` (the flushed global shard).
@@ -65,22 +73,69 @@ struct PartitionState {
     /// `node → stripe → pending sparse delta`, awaiting the deterministic
     /// ascending-stripe fold.
     staged: HashMap<u32, BTreeMap<u32, Vec<f32>>>,
+    /// Retired buffers awaiting reuse.
+    free: Vec<Vec<f32>>,
+    /// Buffers handed out by `lend` and not retired yet.
+    lent: usize,
 }
 
 impl PartitionState {
+    /// A `+0.0`-filled buffer of `len` elements, reused when one is free.
+    fn lend(&mut self, len: usize) -> Vec<f32> {
+        self.lent += 1;
+        match self.free.pop() {
+            Some(mut buf) => {
+                buf.clear();
+                buf.resize(len, 0.0);
+                buf
+            }
+            None => vec![0.0f32; len],
+        }
+    }
+
+    /// Takes back a buffer nothing refers to any more. Buffers that did not
+    /// come from `lend` (a delta decoded off the wire) are accepted only in
+    /// place of one that did, so the list never outgrows what was lent.
+    fn retire(&mut self, buf: Vec<f32>) {
+        if self.lent > 0 {
+            self.lent -= 1;
+            self.free.push(buf);
+        }
+    }
+
+    /// The merged accumulator of `node` over `len` elements, lent on first
+    /// touch.
+    fn accumulator(&mut self, node: u32, len: usize) -> &mut Vec<f32> {
+        if !self.merged.contains_key(&node) {
+            let acc = self.lend(len);
+            self.merged.insert(node, acc);
+        }
+        let acc = self.merged.get_mut(&node).expect("inserted above");
+        debug_assert_eq!(acc.len(), len, "accumulator/partition length mismatch");
+        acc
+    }
+
     /// Folds all staged stripe deltas into the merged accumulators
     /// (ascending stripe order per node; nodes are independent).
     fn flush(&mut self, elems_len: usize) {
         for (node, stripes) in std::mem::take(&mut self.staged) {
-            let acc = self
-                .merged
-                .entry(node)
-                .or_insert_with(|| vec![0.0f32; elems_len]);
             for (_stripe, delta) in stripes {
+                let acc = self.accumulator(node, elems_len);
                 for (a, &v) in acc.iter_mut().zip(&delta) {
                     *a += v;
                 }
+                self.retire(delta);
             }
+        }
+    }
+
+    /// Retires every buffer the partition holds (the tree is over).
+    fn retire_all(&mut self) {
+        let merged = std::mem::take(&mut self.merged);
+        let staged = std::mem::take(&mut self.staged);
+        let staged = staged.into_values().flat_map(BTreeMap::into_values);
+        for buf in merged.into_values().chain(staged) {
+            self.retire(buf);
         }
     }
 }
@@ -407,14 +462,21 @@ impl ParameterServer {
             self.config.partitions(),
             self.config.num_servers,
         );
-        let partitions = (0..partitioner.num_partitions())
-            .map(|_| Mutex::new(PartitionState::default()))
-            .collect();
-        *self.hist.write() = Some(HistState {
+        let mut hist = self.hist.write();
+        // The finished tree's buffers seed the new tree's free lists,
+        // partition by partition (`lend` resizes them to the new layout).
+        let mut retired = hist.take().map_or_else(Vec::new, |old| old.partitions);
+        retired.resize_with(partitioner.num_partitions(), Default::default);
+        for partition in &mut retired {
+            let part = partition.get_mut();
+            part.retire_all();
+        }
+        *hist = Some(HistState {
             layout,
             partitioner,
-            partitions,
+            partitions: retired,
         });
+        drop(hist);
         self.decisions.lock().clear();
         // Sequence ids are monotone per worker and never reused, so entries
         // from finished trees can never be hit again — drop them to keep the
@@ -495,10 +557,7 @@ impl ParameterServer {
                 }
                 let slice = &row[elems.clone()];
                 let mut part = state.partitions[p].lock();
-                let acc = part
-                    .merged
-                    .entry(node)
-                    .or_insert_with(|| vec![0.0f32; elems.len()]);
+                let acc = part.accumulator(node, elems.len());
                 for (a, &v) in acc.iter_mut().zip(slice) {
                     *a += v;
                 }
@@ -537,10 +596,7 @@ impl ParameterServer {
                     continue;
                 }
                 let mut part = state.partitions[p].lock();
-                let acc = part
-                    .merged
-                    .entry(node)
-                    .or_insert_with(|| vec![0.0f32; elems.len()]);
+                let acc = part.accumulator(node, elems.len());
                 q.add_features_into(&state.layout, features, acc);
                 bytes += wire * elems.len() as u64 / row_len as u64;
             }
@@ -639,7 +695,7 @@ impl ParameterServer {
                     sparse::encode_quantized_block(q, &state.layout, features.clone());
                 stats.merge(&frame_stats);
                 let block = sparse::decode_quantized_block(frame, &state.layout, features.clone());
-                let mut delta = vec![0.0f32; elems.len()];
+                let mut delta = state.partitions[p].lock().lend(elems.len());
                 block.add_into(&state.layout, features, &mut delta);
                 Self::stage_delta(&state.partitions[p], node, stripe, delta);
             }
@@ -667,6 +723,7 @@ impl ParameterServer {
                 for (a, &v) in slot.get_mut().iter_mut().zip(&delta) {
                     *a += v;
                 }
+                part.retire(delta);
             }
         }
     }
@@ -766,17 +823,18 @@ impl ParameterServer {
                 }
                 let mut part = state.partitions[p].lock();
                 part.flush(elems.len());
-                let mut out = part
-                    .merged
-                    .get(&parent)
-                    .cloned()
-                    .unwrap_or_else(|| vec![0.0f32; elems.len()]);
+                let mut out = part.lend(elems.len());
+                if let Some(parent) = part.merged.get(&parent) {
+                    out.copy_from_slice(parent);
+                }
                 if let Some(child) = part.merged.get(&built_child) {
                     for (o, c) in out.iter_mut().zip(child) {
                         *o -= c;
                     }
                 }
-                part.merged.insert(sibling, out);
+                if let Some(replaced) = part.merged.insert(sibling, out) {
+                    part.retire(replaced);
+                }
             }
         });
     }
@@ -786,8 +844,11 @@ impl ParameterServer {
         self.with_hist(|state| {
             for p in &state.partitions {
                 let mut part = p.lock();
-                part.merged.remove(&node);
-                part.staged.remove(&node);
+                let merged = part.merged.remove(&node);
+                let staged = part.staged.remove(&node).unwrap_or_default();
+                for buf in merged.into_iter().chain(staged.into_values()) {
+                    part.retire(buf);
+                }
             }
         });
     }
@@ -989,6 +1050,98 @@ mod tests {
         // Each 4-element block is fully dense → dense layout, 5 + 16 bytes.
         assert_eq!(stats.total_bytes(), 2 * (5 + 16));
         assert_eq!(ps.pull_histogram(0).as_slice(), &row);
+    }
+
+    /// Buffers the partitions have allocated so far (`lend` misses).
+    fn buffers_allocated(ps: &ParameterServer) -> usize {
+        ps.with_hist(|state| {
+            let held = |p: &Mutex<PartitionState>| {
+                let part = p.lock();
+                part.free.len() + part.lent
+            };
+            state.partitions.iter().map(held).sum()
+        })
+    }
+
+    #[test]
+    fn accumulators_are_recycled_across_layers_and_trees() {
+        // A depth-3 tree under sibling subtraction keeps at most a layer's
+        // parents, built children and derived siblings alive at once. The
+        // push-path mix repeats every four trees; once each mix has been
+        // seen, further trees must not allocate at all.
+        let buckets = vec![6u32; 24];
+        let layout = HistogramLayout::new(buckets.clone());
+        let rows = sparse_rows(layout.row_len(), 3);
+        let ps = ps_with_layout(buckets.clone(), 3);
+        let mut after_warm_up = 0;
+        for tree in 0..12u64 {
+            if tree > 0 {
+                // Alternate layouts: recycled buffers are resized, not leaked.
+                let nb = if tree % 2 == 0 { 6 } else { 4 };
+                ps.init_tree(HistogramLayout::new(vec![nb; 24]));
+            }
+            let width = if tree % 2 == 0 { 6 } else { 4 } * 2 * 24;
+            let mut parents: Vec<u32> = Vec::new();
+            for depth in 0..3u32 {
+                let first = (1u32 << depth) - 1;
+                let nodes: Vec<u32> = (first..2 * first + 1).collect();
+                let built: Vec<u32> = match depth {
+                    0 => nodes.clone(),
+                    _ => nodes.iter().copied().filter(|n| n % 2 == 1).collect(),
+                };
+                for &node in &built {
+                    for (w, row) in rows.iter().enumerate() {
+                        let row = &row[..width];
+                        let layout = HistogramLayout::new(vec![width as u32 / 48; 24]);
+                        let mut rng = StdRng::seed_from_u64(tree * 100 + w as u64);
+                        let q = crate::quantize::quantize_row(row, &layout, 8, &mut rng);
+                        match (tree + w as u64) % 4 {
+                            0 => ps.push_histogram(node, row),
+                            1 => ps.push_histogram_quantized(node, &q),
+                            2 => {
+                                ps.push_histogram_sparse(w as u32, node, row);
+                            }
+                            _ => {
+                                ps.push_histogram_quantized_sparse(w as u32, node, &q);
+                            }
+                        }
+                    }
+                }
+                for &parent in &parents {
+                    ps.derive_sibling(parent, 2 * parent + 1, 2 * parent + 2);
+                    ps.clear_node(parent);
+                }
+                let params = SplitParams::default();
+                for &node in &nodes {
+                    ps.pull_split(node, &params);
+                }
+                parents = nodes;
+            }
+            for &leaf_parent in &parents {
+                ps.clear_node(leaf_parent);
+            }
+            if tree == 3 {
+                after_warm_up = buffers_allocated(&ps);
+                // Per partition at most 5 nodes hold a merged row at once
+                // (2 parents + 2 built children + the sibling being
+                // derived), plus 2 built nodes × 3 staged stripe deltas.
+                assert!(after_warm_up <= 3 * (5 + 6), "{after_warm_up}");
+            }
+        }
+        assert_eq!(buffers_allocated(&ps), after_warm_up);
+    }
+
+    #[test]
+    fn recycled_accumulators_start_from_positive_zero() {
+        let ps = ps_with_layout(vec![2, 2], 2);
+        ps.push_histogram(0, &[1.0, -2.0, 3.0, -4.0, 5.0, -6.0, 7.0, -8.0]);
+        ps.clear_node(0);
+        // Node 1 reuses node 0's buffers: it must see zeros, not leftovers.
+        ps.push_histogram(1, &[-0.0; 8]);
+        for v in ps.pull_histogram(1) {
+            assert_eq!(v.to_bits(), 0.0f32.to_bits());
+        }
+        assert_eq!(buffers_allocated(&ps), 2);
     }
 
     #[test]

@@ -305,6 +305,40 @@ mod tests {
     }
 
     #[test]
+    fn decoded_block_add_matches_reference_loop_bitwise() {
+        // The sparse entry into the shared dequantize-add kernel, pinned
+        // against the loop the kernel replaced: from `+0.0`, then on top of
+        // what the first push left.
+        let layout = layout();
+        let row = sparse_row(&layout);
+        for bits in [2u8, 8, 16] {
+            let mut rng = StdRng::seed_from_u64(bits as u64);
+            let q = quantize_row(&row, &layout, bits, &mut rng);
+            for features in [0..layout.num_features(), 1..4] {
+                let (frame, _) = encode_quantized_block(&q, &layout, features.clone());
+                let block = decode_quantized_block(frame, &layout, features.clone());
+                let mut acc = vec![0.0f32; layout.elem_range(features.clone()).len()];
+                let mut want = acc.clone();
+                for _push in 0..2 {
+                    block.add_into(&layout, features.clone(), &mut acc);
+                    crate::quantize::reference::add_quantized_slice_into(
+                        block.bits,
+                        &block.scales,
+                        &block.zero_values,
+                        &block.codes,
+                        &layout,
+                        features.clone(),
+                        &mut want,
+                    );
+                    for (a, w) in acc.iter().zip(&want) {
+                        assert_eq!(a.to_bits(), w.to_bits(), "bits={bits} {features:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn all_zero_block_is_tiny() {
         let layout = layout();
         let row = vec![0.0f32; layout.row_len()];

@@ -1,7 +1,7 @@
 //! Property-based tests for the parameter server: quantization soundness and
 //! two-phase split exactness on arbitrary histograms.
 
-use dimboost_ps::quantize::quantize;
+use dimboost_ps::quantize::{levels, quantize_row};
 use dimboost_ps::split::best_split_in_range;
 use dimboost_ps::{HistogramLayout, NodeSplit, ParameterServer, PsConfig, SplitParams};
 use dimboost_simnet::CostModel;
@@ -104,28 +104,51 @@ proptest! {
         }
     }
 
-    /// Quantization error is bounded by one quantization step per element.
+    /// Quantization error is bounded by one step of the element's own block
+    /// scale; zero buckets come back exactly.
     #[test]
-    fn quantize_error_bound(values in vec(-100.0f32..100.0, 1..200), bits in 2u8..12, seed in any::<u64>()) {
+    fn quantize_error_bound((layout, row) in arb_quantizer_input(100.0), bits in 2u8..12, seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let q = quantize(&values, bits, &mut rng);
-        let back = q.dequantize();
-        let step = q.scale() / ((1u32 << (bits - 1)) - 1) as f32;
-        for (v, b) in values.iter().zip(&back) {
-            prop_assert!((v - b).abs() <= step + 1e-4, "v={} b={} step={}", v, b, step);
+        let q = quantize_row(&row, &layout, bits, &mut rng);
+        let back = q.dequantize(&layout);
+        for f in 0..layout.num_features() {
+            for (block, range) in [layout.g_range(f), layout.h_range(f)].into_iter().enumerate() {
+                let zero = range.start + layout.zero_bucket(f);
+                let step = q.scales()[2 * f + block] / levels(bits) as f32;
+                for idx in range {
+                    let (v, b) = (row[idx], back[idx]);
+                    if idx == zero {
+                        prop_assert_eq!(v.to_bits(), b.to_bits());
+                    } else {
+                        prop_assert!((v - b).abs() <= step + 1e-4, "v={} b={} step={}", v, b, step);
+                    }
+                }
+            }
         }
     }
 
     /// Quantized codes always fit the declared bit width.
     #[test]
-    fn quantize_codes_in_range(values in vec(-10.0f32..10.0, 1..100), bits in 2u8..16, seed in any::<u64>()) {
+    fn quantize_codes_in_range((layout, row) in arb_quantizer_input(10.0), bits in 2u8..16, seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let q = quantize(&values, bits, &mut rng);
-        let max_code = 2 * ((1u32 << (bits - 1)) - 1);
+        let q = quantize_row(&row, &layout, bits, &mut rng);
+        prop_assert_eq!(q.codes().len(), layout.row_len());
         for &c in q.codes() {
-            prop_assert!((c as u32) <= max_code);
+            prop_assert!((c as u32) <= 2 * levels(bits));
         }
     }
+}
+
+/// A generated layout (1–5 features of 1–8 buckets, the zero bucket anywhere)
+/// and a row over it with values in `±span`.
+fn arb_quantizer_input(span: f32) -> impl Strategy<Value = (HistogramLayout, Vec<f32>)> {
+    (vec((1u32..9, any::<u32>()), 1..6), vec(-span..span, 80)).prop_map(|(features, values)| {
+        let buckets: Vec<u32> = features.iter().map(|&(b, _)| b).collect();
+        let zeros: Vec<u32> = features.iter().map(|&(b, pick)| pick % b).collect();
+        let layout = HistogramLayout::with_zero_buckets(buckets, zeros);
+        let row = values[..layout.row_len()].to_vec();
+        (layout, row)
+    })
 }
 
 use dimboost_simnet::fault::OutageSpec;

@@ -260,6 +260,16 @@ pub struct TraceProfile {
 /// Relative tolerance for the regrouped attribution fold (see module docs).
 const REGROUP_TOL: f64 = 1e-9;
 
+/// `total += add` for a count read from the trace: a parsed-but-hostile
+/// events file can carry counters whose sum leaves `u64` (a panic in debug
+/// builds, a silent wrap in release), so every such sum is checked.
+fn checked_total(total: &mut u64, add: u64, what: &str, seq: u64) -> Result<(), AnalyzeError> {
+    *total = total.checked_add(add).ok_or_else(|| {
+        AnalyzeError::Invalid(format!("event seq {seq}: {what} total overflows u64"))
+    })?;
+    Ok(())
+}
+
 /// Analyzes a finished trace. Pure and deterministic: equal traces produce
 /// equal profiles, and [`TraceProfile::canonical_json`] is byte-identical
 /// across reruns of the same configuration.
@@ -313,15 +323,16 @@ pub fn analyze_trace(trace: &Trace) -> Result<TraceProfile, AnalyzeError> {
                 .or_insert_with(|| (code.clone(), 0, 0.0, 0.0, 0));
             entry.1 += 1;
             entry.2 += dur;
-            entry.4 += e.bytes;
+            checked_total(&mut entry.4, e.bytes, "per-track byte", e.seq)?;
         }
 
         // Folded stacks: simulated time by (track, phase, name).
         if dur > 0.0 {
             let ns = (dur * 1e9).round() as u64;
-            *stacks
+            let stack = stacks
                 .entry(format!("{};{};{}", code, e.phase.name(), e.name))
-                .or_insert(0) += ns;
+                .or_insert(0);
+            checked_total(stack, ns, "folded-stack nanosecond", e.seq)?;
         }
 
         match e.kind {
@@ -353,7 +364,7 @@ pub fn analyze_trace(trace: &Trace) -> Result<TraceProfile, AnalyzeError> {
                     let p = entries.last_mut().expect("just checked");
                     p.secs += dur;
                     p.events += 1;
-                    p.bytes += e.bytes;
+                    checked_total(&mut p.bytes, e.bytes, "critical-path byte", e.seq)?;
                 } else {
                     entries.push(PathEntry {
                         round,
@@ -394,7 +405,7 @@ pub fn analyze_trace(trace: &Trace) -> Result<TraceProfile, AnalyzeError> {
                     .or_insert((0.0, 0, 0));
                 bucket.0 += dur;
                 bucket.1 += 1;
-                bucket.2 += e.bytes;
+                checked_total(&mut bucket.2, e.bytes, "attribution byte", e.seq)?;
 
                 if e.kind == EventKind::Request {
                     last_arrival = clock;
@@ -921,6 +932,26 @@ mod tests {
             assert_eq!(stack.split(';').count(), 3, "{line}");
             let _: u64 = value.parse().unwrap();
         }
+    }
+
+    #[test]
+    fn hostile_byte_counters_are_an_error_not_an_overflow() {
+        // Well-formed text, counters no run could produce: two segments of
+        // one (round, phase) whose bytes sum past u64.
+        let text = "# dimboost-trace-events v1 workers=1 servers=1 events=2\n\
+            event seq=0 track=net kind=collective phase=finish name=finish begin=0 dur=0.5 bytes=18446744073709551615 pkgs=18446744073709551615\n\
+            event seq=1 track=net kind=collective phase=finish name=finish begin=0.5 dur=0.5 bytes=18446744073709551615 pkgs=18446744073709551615\n";
+        let trace = Trace::parse_events_text(text).unwrap();
+        match analyze_trace(&trace) {
+            Err(AnalyzeError::Invalid(m)) => {
+                assert!(m.contains("byte total overflows u64"), "{m}")
+            }
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        // One such event alone is merely odd.
+        let one = text.replace("events=2", "events=1");
+        let one = one.lines().take(2).collect::<Vec<_>>().join("\n") + "\n";
+        assert!(analyze_trace(&Trace::parse_events_text(&one).unwrap()).is_ok());
     }
 
     #[test]

@@ -496,13 +496,19 @@ impl TraceBus {
 
     /// A worker phase slice measured on the wall clock.
     pub fn on_compute(&self, worker: u32, phase: Phase, wall_secs: f64) {
+        let slot = self.open_compute(worker, phase);
+        self.close_compute(slot, wall_secs);
+    }
+
+    /// Places a worker's phase slice at `now` before its seconds are known.
+    /// A stage that interleaves a worker's compute with its requests opens
+    /// every worker's slice first and closes each with the compute seconds
+    /// it measured, so the slices keep the sequence numbers and begin times
+    /// they have when compute and requests are separate stages.
+    pub fn open_compute(&self, worker: u32, phase: Phase) -> ComputeSlot {
         let mut st = self.inner.lock();
         let begin = st.now;
-        st.metrics.observe_with(
-            &format!("wall/phase_secs/{}", phase.name()),
-            wall_secs,
-            secs_buckets,
-        );
+        let event = st.capture.then_some(st.events.len());
         st.push(
             Track::Worker(worker),
             EventKind::Compute,
@@ -512,8 +518,23 @@ impl TraceBus {
             0.0,
             0,
             0,
-            wall_secs,
+            0.0,
         );
+        ComputeSlot { phase, event }
+    }
+
+    /// Books the measured wall seconds of a slice opened by
+    /// [`TraceBus::open_compute`].
+    pub fn close_compute(&self, slot: ComputeSlot, wall_secs: f64) {
+        let mut st = self.inner.lock();
+        st.metrics.observe_with(
+            &format!("wall/phase_secs/{}", slot.phase.name()),
+            wall_secs,
+            secs_buckets,
+        );
+        if let Some(event) = slot.event.and_then(|i| st.events.get_mut(i)) {
+            event.wall_secs = wall_secs;
+        }
     }
 
     /// Flat export of the metrics registry (sorted by name).
@@ -535,6 +556,15 @@ impl TraceBus {
             events: std::mem::take(&mut st.events),
         }
     }
+}
+
+/// A Compute event placed by [`TraceBus::open_compute`], waiting for its
+/// wall seconds.
+#[derive(Debug)]
+pub struct ComputeSlot {
+    phase: Phase,
+    /// Index of the event on a capturing bus.
+    event: Option<usize>,
 }
 
 /// A finished event trace for one training run.

@@ -68,13 +68,36 @@ impl SplitCandidates {
     /// split predicate "goes left iff `v <= splits[k]`" matches bucket
     /// prefix sums exactly.
     pub fn bucket(&self, v: f32) -> usize {
-        self.splits.partition_point(|&s| s < v)
+        bucket_in(&self.splits, v)
     }
 
     /// The split value tested when splitting between buckets `k` and `k+1`
     /// (i.e. instances go left iff `value <= threshold`).
     pub fn threshold(&self, k: usize) -> f32 {
         self.splits[k]
+    }
+}
+
+/// Tables up to this long are counted linearly by [`bucket_in`]; longer ones
+/// are binary-searched. The paper's `K = 20` candidates (21 boundaries with
+/// the mandatory `0.0`) sit well inside it.
+const LINEAR_BUCKET_MAX: usize = 32;
+
+/// The bucket of `v` in the sorted, NaN-free boundary table `splits`: the
+/// number of boundaries strictly below `v` (what [`SplitCandidates::bucket`]
+/// returns, exposed for callers that keep many tables in one flat array).
+///
+/// Short tables are *counted* — one compare per boundary, no data-dependent
+/// branch, so the loop vectorises and never mispredicts. On a sorted table
+/// `s < v` is true for a prefix and false after it, so the count equals
+/// `partition_point(|s| s < v)`; a NaN `v` compares false everywhere and
+/// both give `0`.
+#[inline]
+pub fn bucket_in(splits: &[f32], v: f32) -> usize {
+    if splits.len() <= LINEAR_BUCKET_MAX {
+        splits.iter().map(|&s| usize::from(s < v)).sum()
+    } else {
+        splits.partition_point(|&s| s < v)
     }
 }
 
@@ -172,6 +195,32 @@ mod tests {
         let c = propose_candidates(&mut s, 10);
         assert_eq!(c.splits(), &[0.0]);
         assert_eq!(c.num_buckets(), 2);
+    }
+
+    #[test]
+    fn counted_bucket_equals_partition_point() {
+        // Short (counted) and long (searched) tables, with and without
+        // negative boundaries, probed on every boundary, just beside each
+        // one, both zeros, both infinities and NaN.
+        let short: Vec<f32> = vec![-2.5, -1.0, 0.5, 1.0, 7.25];
+        let long: Vec<f32> = (0..(LINEAR_BUCKET_MAX as i32 + 9))
+            .map(|i| (i - 11) as f32 * 0.75)
+            .collect();
+        for table in [short, long, Vec::new()] {
+            let c = SplitCandidates::from_boundaries(table);
+            let splits = c.splits();
+            let mut probes = vec![0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+            for &s in splits {
+                probes.extend([s, f32::from_bits(s.to_bits() + 1), s - 1e-3, s + 1e-3]);
+            }
+            for v in probes {
+                let reference = splits.partition_point(|&s| s < v);
+                assert_eq!(c.bucket(v), reference, "v={v} in {splits:?}");
+                assert_eq!(bucket_in(splits, v), reference);
+            }
+            assert_eq!(c.bucket(0.0), c.zero_bucket());
+            assert_eq!(c.bucket(-0.0), c.zero_bucket());
+        }
     }
 
     #[test]

@@ -13,5 +13,5 @@
 mod candidates;
 mod gk;
 
-pub use candidates::{propose_candidates, SplitCandidates};
+pub use candidates::{bucket_in, propose_candidates, SplitCandidates};
 pub use gk::GkSketch;

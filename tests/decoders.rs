@@ -23,7 +23,7 @@ use dimboost::serving::{
 };
 use dimboost::simnet::fault::mix64;
 use dimboost::simnet::trace::TraceParseError;
-use dimboost::simnet::{analyze_trace, CostModel, Phase, Trace};
+use dimboost::simnet::{analyze_trace, AnalyzeError, CostModel, Phase, Trace};
 
 const MUTATIONS: usize = 300;
 
@@ -205,6 +205,23 @@ fn mutate_text(text: &str, g: &mut Gen) -> String {
     }
 }
 
+/// `text` with one counter key (`bytes=` or `pkgs=`) set to `u64::MAX` on two
+/// of its event lines — each value is legal alone, their sum is not.
+fn hostile_counters(text: &str, g: &mut Gen) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    let key = ["bytes=", "pkgs="][g.below(2)];
+    for _ in 0..2 {
+        // Line 0 is the header.
+        let line = 1 + g.below(lines.len() - 1);
+        let tokens = lines[line].split(' ').map(|token| match token {
+            t if t.starts_with(key) => format!("{key}{}", u64::MAX),
+            t => t.to_string(),
+        });
+        lines[line] = tokens.collect::<Vec<_>>().join(" ");
+    }
+    lines.join("\n") + "\n"
+}
+
 /// Says which input was being decoded if the decoder panics.
 struct Decoding<'a>(&'a str, usize);
 
@@ -311,9 +328,21 @@ fn text_decoders_survive_truncation_and_mutation() {
         events: trace.events[..30].to_vec(),
         ..trace
     };
-    let decode = |t: &str| drop(Trace::parse_events_text(t));
+    // What parses goes on to the analyzer, which must answer every trace
+    // the parser lets through with a profile or a typed error.
+    let decode = |t: &str| drop(Trace::parse_events_text(t).map(|t| analyze_trace(&t)));
     truncated_text("events text", &head.events_text(), decode);
     mutated_text("events text", &text, decode);
+    // Counters that parse but cannot be summed: `u64::MAX` on the byte or
+    // package field of two events at once.
+    let mut g = Gen {
+        seed: mix64(text.len() as u64 ^ 0xC0),
+        draws: 0,
+    };
+    for i in 0..MUTATIONS / 3 {
+        let _ctx = Decoding("events text counters", i);
+        decode(&hostile_counters(&text, &mut g));
+    }
 
     let serve = serve_trace();
     let profile = analyze_serve_trace(&serve).unwrap();
@@ -369,6 +398,31 @@ fn header_counts_are_checked_not_allocated() {
             ),
             "{bad}"
         );
+    }
+}
+
+#[test]
+fn overflowing_trace_counters_are_an_analyzer_error() {
+    // ROADMAP 5(c): two events that each parse, on one (round, phase), whose
+    // bytes sum past u64 — a debug-build panic and a silent release-build
+    // wrap before the analyzer's sums were checked.
+    let event = |seq: u32, begin: &str| {
+        format!(
+            "event seq={seq} track=net kind=collective phase=finish name=finish \
+             begin={begin} dur=0.5 bytes={max} pkgs={max}\n",
+            max = u64::MAX
+        )
+    };
+    let text = format!(
+        "# dimboost-trace-events v1 workers=1 servers=1 events=2\n{}{}",
+        event(0, "0"),
+        event(1, "0.5")
+    );
+    let trace = Trace::parse_events_text(&text).unwrap();
+    assert_eq!(trace.events[1].bytes, u64::MAX);
+    match analyze_trace(&trace) {
+        Err(AnalyzeError::Invalid(m)) => assert!(m.contains("byte total overflows u64"), "{m}"),
+        other => panic!("expected an Invalid error, got {other:?}"),
     }
 }
 

@@ -179,6 +179,41 @@ fn budget_fallback_is_transparent() {
     assert_eq!(a.report.canonical_json(), b.report.canonical_json());
 }
 
+/// The trainer streams every local row through one kept buffer and one kept
+/// code vector per worker. This run makes both change size as often as a
+/// run can: σ < 1 gives every tree a different row length, and a block
+/// budget that admits narrow layers but not wide ones makes the buffer
+/// alternate between a fused layer block and a single row inside each
+/// tree — with 8-bit pushes on, so a stale or short buffer would reach the
+/// quantizer and the model. One thread, so the fused kernel is bit-equal to
+/// the per-node binned path, which is the reference.
+#[test]
+fn streamed_buffers_survive_resizing_rows_blocks_and_trees() {
+    let ds = generate(&SparseGenConfig::new(1_000, 90, 10, 71));
+    let shards = partition_rows(&ds, 3).unwrap();
+    let mut fused = fused_config(1);
+    fused.num_trees = 4;
+    fused.max_depth = 4;
+    fused.feature_sample_ratio = 0.6;
+    fused.opts.low_precision = true;
+    fused.compress_bits = 8;
+    // A row is at most 4.3 KB here (54 sampled features × ≤ 10 buckets):
+    // the one- and two-node layers fit the budget as a block, the eight-node
+    // layer never does, the four-node layer depends on the tree's features.
+    fused.fused_block_budget = 9_000;
+    let mut per_node = fused.clone();
+    per_node.opts.fused_layer = false;
+    per_node.opts.pre_binning = true;
+
+    let a = train_distributed(&shards, &fused, ps_config(2)).unwrap();
+    let b = train_distributed(&shards, &per_node, ps_config(2)).unwrap();
+    assert_eq!(model_to_bytes(&a.model), model_to_bytes(&b.model));
+    assert_eq!(a.report.canonical_json(), b.report.canonical_json());
+    // The rows really did change size from tree to tree.
+    let raw: Vec<u64> = a.report.rounds.iter().map(|r| r.hist_bytes_raw).collect();
+    assert!(raw.windows(2).any(|w| w[0] != w[1]), "{raw:?}");
+}
+
 /// The acceptance pin for "no per-call thread spawns on hot paths": a full
 /// multi-threaded training run plus a batch scoring run may construct at
 /// most one pool (the shared global); repeating both adds zero.

@@ -85,6 +85,43 @@ fn trace_is_well_formed_and_sums_to_the_ledger() {
 }
 
 #[test]
+fn build_histogram_is_one_measured_span_per_layer_and_worker() {
+    // BUILD_HISTOGRAM streams each row from the builder through the
+    // quantizer to the push, but its report line still means "builder
+    // seconds": one compute slice per (layer, worker), every slice of a
+    // layer ahead of the layer's first push, each carrying measured time.
+    let out = traced_run();
+    let build = out.report.phase(Phase::BuildHistogram).unwrap();
+    assert!(build.compute_max_secs > 0.0, "{build:?}");
+    assert!(build.compute_max_secs < out.report.compute_secs);
+
+    let events = &out.trace.as_ref().unwrap().events;
+    let in_build = |e: &&dimboost::simnet::TraceEvent| e.phase == Phase::BuildHistogram;
+    // A layer ends with the barrier that charges its pushes.
+    let layers = events
+        .iter()
+        .filter(in_build)
+        .filter(|e| e.kind == EventKind::Collective)
+        .count();
+    let slices: Vec<_> = events
+        .iter()
+        .filter(in_build)
+        .filter(|e| e.kind == EventKind::Compute)
+        .collect();
+    assert_eq!(slices.len(), layers * 3, "one slice per layer per worker");
+    assert!(slices.iter().all(|e| e.wall_secs > 0.0));
+    let mut open = 0;
+    for e in events.iter().filter(in_build) {
+        match e.kind {
+            EventKind::Compute => open += 1,
+            EventKind::Request => assert_eq!(open, 3, "a push overtook a slice (seq {})", e.seq),
+            EventKind::Collective => open = 0,
+            _ => {}
+        }
+    }
+}
+
+#[test]
 fn trace_profile_explains_a_real_training_run() {
     // The analyzer must hold its structural identities on a genuine
     // multi-round distributed run, not just hand-built fixtures: the
