@@ -28,9 +28,11 @@ cargo test --workspace -q
 # Everything above ran unoptimised. The row kernels (quantize, dequantize-add,
 # bucket count, the streamed build) only vectorise in release, so the suites
 # that pin them bit for bit — and the cross-commit model pins — run once more
-# against release codegen; the artefacts tier-1 built are reused.
+# against release codegen; the artefacts tier-1 built are reused. The
+# baselines sum f32 in plain loops the optimiser may reorder only if it is
+# wrong to, so their pins run here too.
 echo "==> release codegen: model pins + kernel suites"
-cargo test --release -q --test model_pins --test determinism --test fused
+cargo test --release -q --test model_pins --test baseline_pins --test determinism --test fused
 cargo test --release -q -p dimboost-ps -p dimboost-sketch
 
 # The host-wall yardstick is its own package (own [workspace] and lockfile):
@@ -45,6 +47,11 @@ cargo build --release -q -p dimboost-cli -p dimboost-bench
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 BIN=target/release
+# The two experiment binaries whose verdict is deterministic exit 1 unless
+# it reads REPRODUCED (Table 5: test error falls with the feature prefix;
+# precision sweep: stochastic rounding is unbiased).
+"$BIN/table5_feature_dim" > /dev/null
+"$BIN/precision_sweep" > /dev/null
 "$BIN/dimboost" gen --out "$SMOKE/train.libsvm" --rows 600 --features 60 --nnz 12 --seed 7
 
 # Two identical runs must agree byte for byte: canonical reports, canonical

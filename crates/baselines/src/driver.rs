@@ -1,16 +1,19 @@
+use std::ops::Range;
 use std::time::Instant;
 
 use dimboost_core::hist_build::build_row;
 use dimboost_core::loss::{loss_for, GradPair};
 use dimboost_core::{
-    FeatureMeta, GbdtConfig, GbdtModel, LossPoint, NodeIndex, Optimizations, RunBreakdown, Tree,
+    local_sketches, worker_eps, FeatureMeta, GbdtConfig, GbdtModel, LossKind, LossPoint, NodeIndex,
+    Optimizations, RunBreakdown, SplitDecision, SplitParams, Tree,
 };
 use dimboost_data::Dataset;
-use dimboost_ps::split::{best_split_in_range, FinalSplit};
 use dimboost_ps::PsConfig;
 use dimboost_simnet::collectives::{allreduce_binomial, reduce_scatter_halving, reduce_to_one};
 use dimboost_simnet::{CommStats, CostModel, SimTime};
 use dimboost_sketch::{propose_candidates, GkSketch, SplitCandidates};
+
+use crate::feature_parallel;
 
 /// Which baseline aggregation strategy to emulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,26 +58,259 @@ fn aggregate(
     cost: &CostModel,
     stats: &mut CommStats,
 ) -> Vec<f32> {
-    match kind {
-        BaselineKind::Mllib => {
-            let (row, s) = reduce_to_one(buffers, root, cost);
-            stats.absorb(&s);
-            row
-        }
-        BaselineKind::Xgboost => {
-            let (row, s) = allreduce_binomial(buffers, cost);
-            stats.absorb(&s);
-            row
-        }
+    let (row, s) = match kind {
+        BaselineKind::Mllib => reduce_to_one(buffers, root, cost),
+        BaselineKind::Xgboost => allreduce_binomial(buffers, cost),
         BaselineKind::Lightgbm => {
-            let (scattered, s) = reduce_scatter_halving(buffers, cost);
-            stats.absorb(&s);
             // Each owner scans its own features; the winners are exchanged
-            // in O(1)-sized messages (charged below by the caller). For the
-            // data path the assembled row is equivalent.
-            scattered.assemble()
+            // in O(1)-sized messages (charged by the caller). For the data
+            // path the assembled row is equivalent.
+            let (scattered, s) = reduce_scatter_halving(buffers, cost);
+            (scattered.assemble(), s)
         }
+    };
+    stats.absorb(&s);
+    row
+}
+
+/// What the systems differ in: how candidates are proposed and how a
+/// layer's active nodes become split decisions — construction, aggregation
+/// and their cost. A strategy returns `SplitDecision`s and never touches the
+/// tree, the index or the scores; the split rule, leaf weights, score update
+/// and loss are `dimboost-core`'s, shared with the DimBoost trainer.
+pub(crate) enum Strategy {
+    /// Row-partitioned workers build dense local rows; `BaselineKind`'s
+    /// collective merges them per node.
+    DataParallel(BaselineKind),
+    /// Column-partitioned workers, each holding every row: worker `i` builds
+    /// and scans only its feature slice and ships its local winner.
+    FeatureParallel(Vec<Range<usize>>),
+}
+
+/// One row partition while a tree grows (a feature-parallel run has one).
+pub(crate) struct Part<'a> {
+    pub data: &'a Dataset,
+    pub index: NodeIndex,
+    pub grads: Vec<GradPair>,
+}
+
+/// Runs `work` for each of `n` workers and books the slowest one's wall
+/// time: real workers are separate machines working at once.
+pub(crate) fn concurrently<T>(
+    spent: &mut RunBreakdown,
+    n: usize,
+    mut work: impl FnMut(usize) -> T,
+) -> Vec<T> {
+    let mut slowest = 0.0f64;
+    let timed = |wk| {
+        let start = Instant::now();
+        let out = work(wk);
+        slowest = slowest.max(start.elapsed().as_secs_f64());
+        out
+    };
+    let out = (0..n).map(timed).collect();
+    spent.compute_secs += slowest;
+    out
+}
+
+/// Quantile sketches per shard, merged per feature with a balanced tree and
+/// charged as one exchange over the system's own collective.
+fn merged_candidates(
+    kind: BaselineKind,
+    shards: &[Dataset],
+    config: &GbdtConfig,
+    cost: &CostModel,
+    spent: &mut RunBreakdown,
+) -> Vec<SplitCandidates> {
+    let (w, num_features) = (shards.len(), shards[0].num_features());
+    let eps = worker_eps(config.sketch_eps, w);
+    let sketch = |wk: usize| local_sketches(&shards[wk], 0..num_features, eps);
+    let mut sketch_sets = concurrently(spent, w, sketch);
+    let mut sketch_bytes = 0usize;
+    let merge = |f: usize| {
+        let of_feature =
+            |set: &mut Vec<GkSketch>| std::mem::replace(&mut set[f], GkSketch::new(0.1));
+        let per_feature = sketch_sets.iter_mut().map(of_feature);
+        let mut merged = GkSketch::merge_all(per_feature).expect("w >= 1 sketches");
+        sketch_bytes += merged.wire_bytes();
+        propose_candidates(&mut merged, config.num_candidates)
+    };
+    let candidates = (0..num_features).map(merge).collect();
+    if w > 1 {
+        let t = match kind {
+            BaselineKind::Mllib => cost.t_reduce_to_one(sketch_bytes, w),
+            BaselineKind::Xgboost => cost.t_allreduce_binomial(sketch_bytes, w),
+            BaselineKind::Lightgbm => cost.t_reduce_scatter(sketch_bytes, w),
+        };
+        spent.comm.record(sketch_bytes as u64, w as u64, t);
     }
+    candidates
+}
+
+/// Dense histogram construction on every shard, then per node: aggregate
+/// with the system's collective, scan on the responsible worker(s), and
+/// exchange the winner.
+fn decide_by_collective(
+    kind: BaselineKind,
+    parts: &[Part<'_>],
+    meta: &FeatureMeta,
+    active: &[u32],
+    params: &SplitParams,
+    cost: &CostModel,
+    spent: &mut RunBreakdown,
+) -> Vec<SplitDecision> {
+    let w = parts.len();
+    let mut per_worker_rows: Vec<Vec<Vec<f32>>> = concurrently(spent, w, |wk| {
+        let Part { data, index, grads } = &parts[wk];
+        // Baselines: the traditional dense pass.
+        let dense = |&node: &u32| build_row(data, index.instances(node), grads, meta, false);
+        active.iter().map(dense).collect()
+    });
+    let scan_start = Instant::now();
+    let decide = |(pos, &node): (usize, &u32)| {
+        let take = |rows: &mut Vec<Vec<f32>>| std::mem::take(&mut rows[pos]);
+        let buffers: Vec<Vec<f32>> = per_worker_rows.iter_mut().map(take).collect();
+        let merged_row = aggregate(kind, &buffers, pos % w, cost, &mut spent.comm);
+        // Winner exchange / model broadcast: O(1) messages.
+        if w > 1 {
+            let t = SimTime(cost.alpha + 64.0 * cost.beta);
+            spent.comm.record(64, w as u64, t);
+        }
+        meta.decide(node, &merged_row, params)
+    };
+    let decisions = active.iter().enumerate().map(decide).collect();
+    spent.compute_secs += scan_start.elapsed().as_secs_f64();
+    decisions
+}
+
+/// The ensemble loop every baseline system runs: validate, propose
+/// candidates, then per tree — sample features, gradients, per layer let
+/// the `strategy` decide and apply its decisions — update scores, record
+/// the loss. `shards` are the row partitions (one for a feature-parallel
+/// run); `entry` names the public function in error messages.
+pub(crate) fn train(
+    entry: &str,
+    strategy: &Strategy,
+    shards: &[Dataset],
+    config: &GbdtConfig,
+    cost: CostModel,
+) -> Result<BaselineOutput, String> {
+    config.validate()?;
+    let loss = match config.loss {
+        LossKind::Softmax { .. } => {
+            return Err(format!(
+                "{entry}: {:?} is vector-valued; the baseline systems grow one scalar \
+                 tree per round — use the logistic or square loss",
+                config.loss
+            ))
+        }
+        kind => loss_for(kind),
+    };
+    let Some(first) = shards.first() else {
+        return Err("need at least one worker shard".into());
+    };
+    let num_features = first.num_features();
+    if shards.iter().any(|s| s.num_features() != num_features) {
+        return Err("all shards must share the same dimensionality".into());
+    }
+    let total_instances: usize = shards.iter().map(|s| s.num_rows()).sum();
+    if total_instances == 0 {
+        return Err("cannot train on zero instances".into());
+    }
+    for shard in shards {
+        config.loss.check_labels(shard.labels(), "training")?;
+    }
+
+    let (w, params, eta) = (shards.len(), config.split_params(), config.learning_rate);
+    let mut spent = RunBreakdown::default();
+    let candidates = match strategy {
+        Strategy::DataParallel(kind) => merged_candidates(*kind, shards, config, &cost, &mut spent),
+        Strategy::FeatureParallel(slices) => {
+            feature_parallel::candidates(slices, first, config, &mut spent)
+        }
+    };
+    let mut preds: Vec<Vec<f32>> = shards.iter().map(|s| vec![0.0; s.num_rows()]).collect();
+    let mut trees = Vec::with_capacity(config.num_trees);
+    let mut loss_curve = Vec::with_capacity(config.num_trees);
+
+    for t in 0..config.num_trees {
+        let sampled =
+            FeatureMeta::sample_features(num_features, config.feature_sample_ratio, config.seed, t);
+        // One metadata over all sampled features, or one per column slice.
+        let metas = match strategy {
+            Strategy::DataParallel(_) => vec![FeatureMeta::new(sampled, &candidates)],
+            Strategy::FeatureParallel(slices) => {
+                feature_parallel::metas(slices, &sampled, &candidates)
+            }
+        };
+        let mut tree = Tree::new(config.max_depth);
+        let mut parts: Vec<Part<'_>> = concurrently(&mut spent, w, |wk| {
+            let (data, pred) = (&shards[wk], &preds[wk]);
+            let grad = |i| loss.grad(pred[i], data.label(i));
+            Part {
+                data,
+                index: NodeIndex::new(data.num_rows(), tree.capacity()),
+                grads: (0..data.num_rows()).map(grad).collect(),
+            }
+        });
+
+        let mut active: Vec<u32> = vec![0];
+        for _ in 0..config.max_depth {
+            if active.is_empty() {
+                break;
+            }
+            let decisions = match strategy {
+                Strategy::DataParallel(kind) => {
+                    let meta = &metas[0];
+                    decide_by_collective(*kind, &parts, meta, &active, &params, &cost, &mut spent)
+                }
+                Strategy::FeatureParallel(_) => {
+                    feature_parallel::decide(&parts[0], &metas, &active, &params, &cost, &mut spent)
+                }
+            };
+            active.clear();
+            for decision in &decisions {
+                active.extend(tree.apply_decision(decision, &params).into_iter().flatten());
+                let Some(split) = decision.split else {
+                    continue;
+                };
+                let node = decision.node;
+                let (lc, rc) = (Tree::left_child(node), Tree::right_child(node));
+                for Part { data, index, .. } in &mut parts {
+                    let left = |i| split.goes_left(data.row(i as usize).get(split.feature));
+                    index.split(node, lc, rc, left);
+                }
+            }
+        }
+
+        let losses = concurrently(&mut spent, w, |wk| {
+            let (data, pred) = (&shards[wk], &mut preds[wk]);
+            parts[wk].index.update_scores(&tree, eta, pred, 0, 1);
+            let loss_of = |i| loss.loss(pred[i], data.label(i));
+            (0..data.num_rows()).map(loss_of).sum::<f64>()
+        });
+        let total_loss = losses.iter().fold(0.0f64, |sum, l| sum + l);
+        // Loss aggregation across the row partitions: w tiny messages.
+        if w > 1 {
+            let t = SimTime(cost.alpha + 8.0 * w as f64 * cost.beta);
+            spent.comm.record(8 * w as u64, w as u64, t);
+        }
+
+        trees.push(tree);
+        loss_curve.push(LossPoint {
+            tree: t + 1,
+            train_loss: total_loss / total_instances as f64,
+            elapsed_secs: spent.total_secs(),
+        });
+    }
+
+    let model = GbdtModel::new(trees, config.learning_rate, config.loss, num_features);
+    model.check_consistency()?;
+    Ok(BaselineOutput {
+        model,
+        breakdown: spent,
+        loss_curve,
+    })
 }
 
 /// Trains a GBDT model with a baseline system's aggregation strategy and
@@ -85,246 +321,8 @@ pub fn train_baseline(
     config: &GbdtConfig,
     cost: CostModel,
 ) -> Result<BaselineOutput, String> {
-    config.validate()?;
-    if shards.is_empty() {
-        return Err("need at least one worker shard".into());
-    }
-    let num_features = shards[0].num_features();
-    if shards.iter().any(|s| s.num_features() != num_features) {
-        return Err("all shards must share the same dimensionality".into());
-    }
-    let total_instances: usize = shards.iter().map(|s| s.num_rows()).sum();
-    if total_instances == 0 {
-        return Err("cannot train on zero instances".into());
-    }
-
-    let w = shards.len();
-    let loss = loss_for(config.loss);
-    let params = config.split_params();
-    let mut comm = CommStats::new();
-    let mut compute_secs = 0.0f64;
-
-    // ---- Quantile sketches, aggregated with the system's own collective. --
-    let mut sketch_sets: Vec<Vec<GkSketch>> = Vec::with_capacity(w);
-    {
-        let mut max = 0.0f64;
-        let eps = config.sketch_eps / ((w as f64).log2() + 2.0).max(2.0);
-        for shard in shards {
-            let start = Instant::now();
-            let mut sketches: Vec<GkSketch> =
-                (0..num_features).map(|_| GkSketch::new(eps)).collect();
-            for (row, _) in shard.iter_rows() {
-                for (f, v) in row.iter() {
-                    sketches[f as usize].insert(v);
-                }
-            }
-            for s in &mut sketches {
-                s.flush();
-            }
-            max = max.max(start.elapsed().as_secs_f64());
-            sketch_sets.push(sketches);
-        }
-        compute_secs += max;
-    }
-    let mut sketch_bytes = 0usize;
-    let mut merged: Vec<GkSketch> = Vec::new();
-    for (f, _) in (0..num_features).enumerate() {
-        let per_feature: Vec<GkSketch> = sketch_sets
-            .iter_mut()
-            .map(|set| std::mem::replace(&mut set[f], GkSketch::new(0.1)))
-            .collect();
-        let mut m = GkSketch::merge_all(per_feature).expect("w >= 1 sketches");
-        sketch_bytes += m.wire_bytes();
-        merged.push(m);
-    }
-    if w > 1 {
-        let t = match kind {
-            BaselineKind::Mllib => cost.t_reduce_to_one(sketch_bytes, w),
-            BaselineKind::Xgboost => cost.t_allreduce_binomial(sketch_bytes, w),
-            BaselineKind::Lightgbm => cost.t_reduce_scatter(sketch_bytes, w),
-        };
-        comm.record(sketch_bytes as u64, w as u64, t);
-    }
-    let candidates: Vec<SplitCandidates> = merged
-        .iter_mut()
-        .map(|s| propose_candidates(s, config.num_candidates))
-        .collect();
-
-    // ---- Per-worker state. -------------------------------------------------
-    let mut preds: Vec<Vec<f32>> = shards.iter().map(|s| vec![0.0; s.num_rows()]).collect();
-    let mut trees = Vec::with_capacity(config.num_trees);
-    let mut loss_curve = Vec::with_capacity(config.num_trees);
-
-    for t in 0..config.num_trees {
-        let sampled =
-            FeatureMeta::sample_features(num_features, config.feature_sample_ratio, config.seed, t);
-        let meta = FeatureMeta::new(sampled, &candidates);
-        let mut tree = Tree::new(config.max_depth);
-        let capacity = tree.capacity();
-
-        // Gradients + node index per worker.
-        let mut grads: Vec<Vec<GradPair>> = Vec::with_capacity(w);
-        let mut indices: Vec<NodeIndex> = Vec::with_capacity(w);
-        {
-            let mut max = 0.0f64;
-            for (shard, pred) in shards.iter().zip(&preds) {
-                let start = Instant::now();
-                grads.push(
-                    (0..shard.num_rows())
-                        .map(|i| loss.grad(pred[i], shard.label(i)))
-                        .collect(),
-                );
-                indices.push(NodeIndex::new(shard.num_rows(), capacity));
-                max = max.max(start.elapsed().as_secs_f64());
-            }
-            compute_secs += max;
-        }
-
-        let mut active: Vec<u32> = vec![0];
-        for depth in 0..config.max_depth {
-            if active.is_empty() {
-                break;
-            }
-
-            // Dense histogram construction on every worker (timed, max).
-            let mut per_worker_rows: Vec<Vec<Vec<f32>>> = Vec::with_capacity(w);
-            let mut max = 0.0f64;
-            for wk in 0..w {
-                let start = Instant::now();
-                let rows: Vec<Vec<f32>> = active
-                    .iter()
-                    .map(|&node| {
-                        build_row(
-                            &shards[wk],
-                            indices[wk].instances(node),
-                            &grads[wk],
-                            &meta,
-                            false, // baselines: traditional dense pass
-                        )
-                    })
-                    .collect();
-                max = max.max(start.elapsed().as_secs_f64());
-                per_worker_rows.push(rows);
-            }
-            compute_secs += max;
-
-            // Aggregate per node with the system's collective and find the
-            // split on the responsible worker(s).
-            let scan_start = Instant::now();
-            let mut decisions: Vec<(u32, Option<FinalSplit>, f64, f64)> =
-                Vec::with_capacity(active.len());
-            for (pos, &node) in active.iter().enumerate() {
-                let buffers: Vec<Vec<f32>> = per_worker_rows
-                    .iter()
-                    .map(|rows| rows[pos].clone())
-                    .collect();
-                let merged_row = aggregate(kind, &buffers, pos % w, &cost, &mut comm);
-                let res = best_split_in_range(
-                    &merged_row,
-                    meta.layout(),
-                    0..meta.num_sampled(),
-                    None,
-                    &params,
-                );
-                // Winner exchange / model broadcast: O(1) messages.
-                if w > 1 {
-                    comm.record(64, w as u64, SimTime(cost.alpha + 64.0 * cost.beta));
-                }
-                let split = res.best.map(|s| FinalSplit {
-                    feature: meta.global_id(s.feature as usize),
-                    threshold: meta.threshold(s.feature as usize, s.bucket as usize),
-                    gain: s.gain,
-                    left_g: s.left_g,
-                    left_h: s.left_h,
-                    default_left: s.default_left,
-                });
-                decisions.push((node, split, res.total_g, res.total_h));
-            }
-            compute_secs += scan_start.elapsed().as_secs_f64();
-
-            // SPLIT_TREE, identical logic to the DimBoost trainer.
-            let mut next_active = Vec::new();
-            for &(node, split, total_g, total_h) in &decisions {
-                match split {
-                    Some(split) => {
-                        tree.set_internal_full(
-                            node,
-                            split.feature,
-                            split.threshold,
-                            split.gain as f32,
-                            split.default_left,
-                        );
-                        let (lc, rc) = (Tree::left_child(node), Tree::right_child(node));
-                        for (shard, index) in shards.iter().zip(indices.iter_mut()) {
-                            index.split(node, lc, rc, |i| {
-                                split.goes_left(shard.row(i as usize).get(split.feature))
-                            });
-                        }
-                        if depth + 1 < config.max_depth {
-                            next_active.push(lc);
-                            next_active.push(rc);
-                        } else {
-                            let (gl, hl) = (split.left_g, split.left_h);
-                            tree.set_leaf(lc, params.leaf_weight(gl, hl) as f32);
-                            tree.set_leaf(
-                                rc,
-                                params.leaf_weight(total_g - gl, total_h - hl) as f32,
-                            );
-                        }
-                    }
-                    None => {
-                        tree.set_leaf(node, params.leaf_weight(total_g, total_h) as f32);
-                    }
-                }
-            }
-            active = next_active;
-        }
-
-        // Prediction update + training loss.
-        let eta = config.learning_rate;
-        let mut total_loss = 0.0f64;
-        {
-            let mut max = 0.0f64;
-            for wk in 0..w {
-                let start = Instant::now();
-                let shard = &shards[wk];
-                for leaf in 0..capacity as u32 {
-                    if let dimboost_core::Node::Leaf { weight } = tree.node(leaf) {
-                        for &i in indices[wk].instances(leaf) {
-                            preds[wk][i as usize] += eta * weight;
-                        }
-                    }
-                }
-                total_loss += (0..shard.num_rows())
-                    .map(|i| loss.loss(preds[wk][i], shard.label(i)))
-                    .sum::<f64>();
-                max = max.max(start.elapsed().as_secs_f64());
-            }
-            compute_secs += max;
-        }
-        if w > 1 {
-            comm.record(
-                8 * w as u64,
-                w as u64,
-                SimTime(cost.alpha + 8.0 * w as f64 * cost.beta),
-            );
-        }
-
-        trees.push(tree);
-        loss_curve.push(LossPoint {
-            tree: t + 1,
-            train_loss: total_loss / total_instances as f64,
-            elapsed_secs: compute_secs + comm.sim_time.seconds(),
-        });
-    }
-
-    let model = GbdtModel::new(trees, config.learning_rate, config.loss, num_features);
-    model.check_consistency()?;
-    Ok(BaselineOutput {
-        model,
-        breakdown: RunBreakdown { compute_secs, comm },
-        loss_curve,
-    })
+    let strategy = Strategy::DataParallel(kind);
+    train("train_baseline", &strategy, shards, config, cost)
 }
 
 /// TencentBoost: the parameter-server architecture without DimBoost's
@@ -352,7 +350,7 @@ mod tests {
     use dimboost_core::metrics::classification_error;
     use dimboost_core::train_distributed;
     use dimboost_data::partition::{partition_rows, train_test_split};
-    use dimboost_data::synthetic::{generate, SparseGenConfig};
+    use dimboost_data::synthetic::{generate, LabelKind, SparseGenConfig};
 
     fn config() -> GbdtConfig {
         GbdtConfig {
@@ -478,6 +476,39 @@ mod tests {
         assert!(
             t5 > 1.5 * t4,
             "w=5 {t5} should pay ~2x the w=4 {t4} comm time"
+        );
+    }
+
+    #[test]
+    fn vector_valued_loss_is_an_error_not_a_panic() {
+        // `validate()` accepts softmax (the DimBoost trainer grows one tree
+        // per class); the baselines' scalar loop must refuse it up front.
+        let mut ds_cfg = SparseGenConfig::new(200, 20, 5, 3);
+        ds_cfg.label_kind = LabelKind::Multiclass { classes: 3 };
+        let ds = generate(&ds_cfg);
+        let shards = partition_rows(&ds, 2).unwrap();
+        let cfg = GbdtConfig {
+            num_trees: 1,
+            loss: LossKind::Softmax { classes: 3 },
+            ..config()
+        };
+        cfg.validate().unwrap();
+        for kind in [
+            BaselineKind::Mllib,
+            BaselineKind::Xgboost,
+            BaselineKind::Lightgbm,
+        ] {
+            let err = train_baseline(kind, &shards, &cfg, CostModel::FREE).unwrap_err();
+            assert!(
+                err.contains("train_baseline") && err.contains("Softmax"),
+                "{err}"
+            );
+        }
+        let err =
+            crate::train_lightgbm_feature_parallel(&ds, 2, &cfg, CostModel::FREE).unwrap_err();
+        assert!(
+            err.contains("train_lightgbm_feature_parallel") && err.contains("Softmax"),
+            "{err}"
         );
     }
 

@@ -9,17 +9,18 @@
 //! opposite trade-off to the data-parallel systems, and the reason this
 //! mode only wins on small datasets with many features per worker.
 
-use std::time::Instant;
+use std::ops::Range;
 
 use dimboost_core::hist_build::build_row;
-use dimboost_core::loss::loss_for;
-use dimboost_core::{FeatureMeta, GbdtConfig, GbdtModel, LossPoint, NodeIndex, RunBreakdown, Tree};
+use dimboost_core::{
+    local_sketches, FeatureMeta, GbdtConfig, RunBreakdown, SplitDecision, SplitParams,
+};
 use dimboost_data::Dataset;
-use dimboost_ps::split::{best_split_in_range, FinalSplit};
 use dimboost_simnet::collectives::partition_ranges;
-use dimboost_simnet::{CommStats, CostModel, SimTime};
-use dimboost_sketch::{propose_candidates, GkSketch, SplitCandidates};
+use dimboost_simnet::{CostModel, SimTime};
+use dimboost_sketch::{propose_candidates, SplitCandidates};
 
+use crate::driver::{concurrently, train, Part, Strategy};
 use crate::BaselineOutput;
 
 /// Trains with column-partitioned workers. Unlike the data-parallel
@@ -31,210 +32,97 @@ pub fn train_lightgbm_feature_parallel(
     config: &GbdtConfig,
     cost: CostModel,
 ) -> Result<BaselineOutput, String> {
-    config.validate()?;
     if num_workers == 0 {
         return Err("need at least one worker".into());
     }
-    if dataset.num_rows() == 0 {
-        return Err("cannot train on zero instances".into());
-    }
-    let m = dataset.num_features();
-    let n = dataset.num_rows();
-    let loss = loss_for(config.loss);
-    let params = config.split_params();
-    let mut comm = CommStats::new();
-    let mut compute_secs = 0.0f64;
+    let slices = partition_ranges(dataset.num_features(), num_workers);
+    train(
+        "train_lightgbm_feature_parallel",
+        &Strategy::FeatureParallel(slices),
+        std::slice::from_ref(dataset),
+        config,
+        cost,
+    )
+}
 
-    // Feature slices per worker.
-    let slices = partition_ranges(m, num_workers);
+/// Each worker sketches only its own columns over the full data — fully
+/// local, zero communication, so no merge budget is spent.
+pub(crate) fn candidates(
+    slices: &[Range<usize>],
+    dataset: &Dataset,
+    config: &GbdtConfig,
+    spent: &mut RunBreakdown,
+) -> Vec<SplitCandidates> {
+    let per_worker = concurrently(spent, slices.len(), |wk| {
+        local_sketches(dataset, slices[wk].clone(), config.sketch_eps)
+            .iter_mut()
+            .map(|s| propose_candidates(s, config.num_candidates))
+            .collect::<Vec<_>>()
+    });
+    per_worker.into_iter().flatten().collect()
+}
 
-    // Candidates: each worker sketches only its own columns over the full
-    // data — fully local, zero communication.
-    let mut candidates: Vec<SplitCandidates> = Vec::with_capacity(m);
-    {
-        let mut max = 0.0f64;
-        let mut per_worker: Vec<Vec<SplitCandidates>> = Vec::with_capacity(num_workers);
-        for slice in &slices {
-            let start = Instant::now();
-            let mut sketches: Vec<GkSketch> = slice
-                .clone()
-                .map(|_| GkSketch::new(config.sketch_eps))
-                .collect();
-            for (row, _) in dataset.iter_rows() {
-                let lo = row
-                    .indices()
-                    .partition_point(|&f| (f as usize) < slice.start);
-                let hi = row.indices().partition_point(|&f| (f as usize) < slice.end);
-                for k in lo..hi {
-                    let f = row.indices()[k] as usize - slice.start;
-                    sketches[f].insert(row.values()[k]);
-                }
-            }
-            per_worker.push(
-                sketches
-                    .iter_mut()
-                    .map(|s| propose_candidates(s, config.num_candidates))
-                    .collect(),
-            );
-            max = max.max(start.elapsed().as_secs_f64());
-        }
-        compute_secs += max;
-        for cands in per_worker {
-            candidates.extend(cands);
-        }
-    }
+/// Per-worker feature metadata: the tree's sampled subset intersected with
+/// the worker's slice (possibly nothing).
+pub(crate) fn metas(
+    slices: &[Range<usize>],
+    sampled: &[u32],
+    candidates: &[SplitCandidates],
+) -> Vec<FeatureMeta> {
+    let own = |slice: &Range<usize>| {
+        let in_slice = |f: &u32| slice.contains(&(*f as usize));
+        FeatureMeta::new(
+            sampled.iter().copied().filter(in_slice).collect(),
+            candidates,
+        )
+    };
+    slices.iter().map(own).collect()
+}
 
-    // Per-worker feature metadata (the sampled subset intersected with the
-    // worker's slice); plus a global meta for bookkeeping.
-    let mut preds = vec![0.0f32; n];
-    let mut trees = Vec::with_capacity(config.num_trees);
-    let mut loss_curve = Vec::with_capacity(config.num_trees);
-
-    for t in 0..config.num_trees {
-        let sampled = FeatureMeta::sample_features(m, config.feature_sample_ratio, config.seed, t);
-        let worker_metas: Vec<FeatureMeta> = slices
-            .iter()
-            .map(|slice| {
-                let own: Vec<u32> = sampled
-                    .iter()
-                    .copied()
-                    .filter(|&f| slice.contains(&(f as usize)))
-                    .collect();
-                FeatureMeta::new(own, &candidates)
+/// Per node: every worker builds and scans its own columns (the layer's wall
+/// time is the slowest worker), then all exchange their O(1) local winners.
+/// No histogram crosses the network.
+pub(crate) fn decide(
+    rows: &Part<'_>,
+    metas: &[FeatureMeta],
+    active: &[u32],
+    params: &SplitParams,
+    cost: &CostModel,
+    spent: &mut RunBreakdown,
+) -> Vec<SplitDecision> {
+    let num_workers = metas.len();
+    let decide_node = |&node: &u32| {
+        let instances = rows.index.instances(node);
+        let locals = concurrently(spent, num_workers, |wk| {
+            let meta = &metas[wk];
+            (meta.num_sampled() > 0).then(|| {
+                let row = build_row(rows.data, instances, &rows.grads, meta, true);
+                meta.decide(node, &row, params)
             })
-            .collect();
-
-        let mut tree = Tree::new(config.max_depth);
-        let capacity = tree.capacity();
-        // All workers hold the full data, so the index is shared state.
-        let mut index = NodeIndex::new(n, capacity);
-        let grads: Vec<_> = (0..n)
-            .map(|i| loss.grad(preds[i], dataset.label(i)))
-            .collect();
-
-        let mut active: Vec<u32> = vec![0];
-        for depth in 0..config.max_depth {
-            if active.is_empty() {
-                break;
-            }
-            let mut decisions = Vec::with_capacity(active.len());
-            for &node in &active {
-                // Each worker scans its own columns (timed; the layer's wall
-                // time is the slowest worker).
-                let mut best: Option<(usize, dimboost_ps::NodeSplit)> = None;
-                let mut totals = (0.0f64, 0.0f64);
-                let mut max = 0.0f64;
-                for (wk, meta) in worker_metas.iter().enumerate() {
-                    let start = Instant::now();
-                    if meta.num_sampled() == 0 {
-                        continue;
-                    }
-                    let row = build_row(dataset, index.instances(node), &grads, meta, true);
-                    let res = best_split_in_range(
-                        &row,
-                        meta.layout(),
-                        0..meta.num_sampled(),
-                        None,
-                        &params,
-                    );
-                    totals = (res.total_g, res.total_h);
-                    if let Some(s) = res.best {
-                        let better = match &best {
-                            None => true,
-                            Some((_, cur)) => s.gain > cur.gain,
-                        };
-                        if better {
-                            best = Some((wk, s));
-                        }
-                    }
-                    max = max.max(start.elapsed().as_secs_f64());
-                }
-                compute_secs += max;
-                // Winner exchange: every worker ships one O(1) candidate.
-                if num_workers > 1 {
-                    comm.record(
-                        64 * num_workers as u64,
-                        num_workers as u64,
-                        SimTime(cost.alpha + 64.0 * num_workers as f64 * cost.beta),
-                    );
-                }
-                let split = best.map(|(wk, s)| FinalSplit {
-                    feature: worker_metas[wk].global_id(s.feature as usize),
-                    threshold: worker_metas[wk].threshold(s.feature as usize, s.bucket as usize),
-                    gain: s.gain,
-                    left_g: s.left_g,
-                    left_h: s.left_h,
-                    default_left: s.default_left,
-                });
-                decisions.push((node, split, totals.0, totals.1));
-            }
-
-            let mut next_active = Vec::new();
-            for &(node, split, total_g, total_h) in &decisions {
-                match split {
-                    Some(split) => {
-                        tree.set_internal_full(
-                            node,
-                            split.feature,
-                            split.threshold,
-                            split.gain as f32,
-                            split.default_left,
-                        );
-                        let (lc, rc) = (Tree::left_child(node), Tree::right_child(node));
-                        index.split(node, lc, rc, |i| {
-                            split.goes_left(dataset.row(i as usize).get(split.feature))
-                        });
-                        if depth + 1 < config.max_depth {
-                            next_active.push(lc);
-                            next_active.push(rc);
-                        } else {
-                            tree.set_leaf(
-                                lc,
-                                params.leaf_weight(split.left_g, split.left_h) as f32,
-                            );
-                            tree.set_leaf(
-                                rc,
-                                params.leaf_weight(total_g - split.left_g, total_h - split.left_h)
-                                    as f32,
-                            );
-                        }
-                    }
-                    None => tree.set_leaf(node, params.leaf_weight(total_g, total_h) as f32),
-                }
-            }
-            active = next_active;
-        }
-
-        let eta = config.learning_rate;
-        let start = Instant::now();
-        for leaf in 0..capacity as u32 {
-            if let dimboost_core::Node::Leaf { weight } = tree.node(leaf) {
-                for &i in index.instances(leaf) {
-                    preds[i as usize] += eta * weight;
-                }
-            }
-        }
-        let train_loss = (0..n)
-            .map(|i| loss.loss(preds[i], dataset.label(i)))
-            .sum::<f64>()
-            / n as f64;
-        compute_secs += start.elapsed().as_secs_f64();
-
-        trees.push(tree);
-        loss_curve.push(LossPoint {
-            tree: t + 1,
-            train_loss,
-            elapsed_secs: compute_secs + comm.sim_time.seconds(),
         });
-    }
-
-    let model = GbdtModel::new(trees, config.learning_rate, config.loss, m);
-    model.check_consistency()?;
-    Ok(BaselineOutput {
-        model,
-        breakdown: RunBreakdown { compute_secs, comm },
-        loss_curve,
-    })
+        if num_workers > 1 {
+            let bytes = 64 * num_workers as u64;
+            let t = SimTime(cost.alpha + bytes as f64 * cost.beta);
+            spent.comm.record(bytes, num_workers as u64, t);
+        }
+        // Best of the workers, first wins ties; any worker's buckets sum to
+        // the node totals, the last one's are kept.
+        let mut decision = SplitDecision {
+            node,
+            split: None,
+            total_g: 0.0,
+            total_h: 0.0,
+        };
+        for local in locals.into_iter().flatten() {
+            (decision.total_g, decision.total_h) = (local.total_g, local.total_h);
+            let Some(split) = local.split else { continue };
+            if decision.split.is_none_or(|best| split.gain > best.gain) {
+                decision.split = Some(split);
+            }
+        }
+        decision
+    };
+    active.iter().map(decide_node).collect()
 }
 
 #[cfg(test)]

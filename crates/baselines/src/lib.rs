@@ -1,11 +1,16 @@
 //! Baseline distributed GBDT trainers (Section 2.3 of the paper).
 //!
-//! The paper compares DimBoost against four systems. Rather than wrapping
-//! the real binaries (unavailable in this environment, and coupled to
-//! Yarn/HDFS deployments), this crate reimplements each system's **model
-//! aggregation strategy** and **dense histogram construction** on the same
-//! GBDT kernel DimBoost uses, so end-to-end comparisons isolate exactly the
-//! axes the paper analyses:
+//! The paper compares DimBoost against four systems on two axes: **model
+//! aggregation strategy** and **dense vs sparsity-aware histogram
+//! construction**. Those two are all this crate implements. Everything else
+//! is the code the DimBoost trainer itself runs, in `dimboost-core`:
+//! `local_sketches` + `worker_eps` (candidate proposal),
+//! `FeatureMeta::decide` (the split rule over a merged row),
+//! `Tree::apply_decision` (SPLIT_TREE) and `NodeIndex::update_scores` (the
+//! prediction update). One ensemble loop (`driver::train`) drives them and
+//! is handed a `Strategy` — data-parallel over one of three collectives, or
+//! feature-parallel — that turns a layer's active nodes into split
+//! decisions and says what that cost:
 //!
 //! * [`BaselineKind::Mllib`] — MapReduce-style all-to-one reduce: the
 //!   statistics of each tree node are collected on one designated worker
@@ -22,10 +27,13 @@
 //!   which is precisely `dimboost_core::train_distributed` with
 //!   [`dimboost_core::Optimizations::NONE`].
 //!
-//! All baselines build histograms with the traditional dense enumeration
-//! (the paper observes existing systems "implicitly assume that the dataset
-//! is dense during histogram construction") and without DimBoost's
-//! parallel-batch scheme.
+//! * [`train_lightgbm_feature_parallel`] — LightGBM's column-partitioned
+//!   mode: no histogram crosses the network, every worker holds every row.
+//!
+//! The data-parallel baselines build histograms with the traditional dense
+//! enumeration (the paper observes existing systems "implicitly assume that
+//! the dataset is dense during histogram construction") and without
+//! DimBoost's parallel-batch scheme.
 
 mod driver;
 mod feature_parallel;

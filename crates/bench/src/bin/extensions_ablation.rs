@@ -10,11 +10,9 @@
 
 use dimboost_baselines::train_lightgbm_feature_parallel;
 use dimboost_baselines::BaselineKind;
-use dimboost_bench::{fmt_bytes, fmt_secs, print_table, run_collective_baseline, Scale};
+use dimboost_bench::{fmt_bytes, fmt_secs, print_table, run, Scale, System};
 use dimboost_core::metrics::classification_error;
-use dimboost_core::{
-    train_distributed, train_with_options, EvalOptions, GbdtConfig, Optimizations, TrainOptions,
-};
+use dimboost_core::{train_with_options, EvalOptions, GbdtConfig, Optimizations, TrainOptions};
 use dimboost_data::partition::{partition_rows, train_test_split};
 use dimboost_data::synthetic::{gender_like, generate};
 use dimboost_ps::PsConfig;
@@ -29,11 +27,9 @@ fn main() {
     let (train, test) = train_test_split(&ds, 0.1, 42).unwrap();
     let workers = scale.pick(5, 10);
     let shards = partition_rows(&train, workers).unwrap();
-    let ps = PsConfig {
-        num_servers: workers,
-        num_partitions: 0,
-        cost_model: CostModel::GIGABIT_LAN,
-    };
+    let cost = CostModel::GIGABIT_LAN;
+    let dimboost =
+        |cfg: &GbdtConfig| run(System::DimBoost, &shards, cfg, workers, cost, Some(&test));
     let base = GbdtConfig {
         num_trees: scale.pick(5, 20),
         max_depth: scale.pick(5, 7),
@@ -54,14 +50,13 @@ fn main() {
             hist_subtraction: sub,
             ..Optimizations::ALL
         };
-        let out = train_distributed(&shards, &cfg, ps).unwrap();
-        let err = classification_error(&out.model.predict_dataset(&test), test.labels());
+        let r = dimboost(&cfg);
         rows.push(vec![
             label.into(),
-            fmt_secs(out.breakdown.compute_secs),
-            fmt_secs(out.breakdown.comm.sim_time.seconds()),
-            fmt_bytes(out.breakdown.comm.bytes),
-            format!("{err:.4}"),
+            fmt_secs(r.compute_secs),
+            fmt_secs(r.comm_secs),
+            fmt_bytes(r.comm_bytes),
+            format!("{:.4}", r.test_error.unwrap()),
         ]);
     }
     print_table(
@@ -78,11 +73,11 @@ fn main() {
     ] {
         let mut cfg = base.clone();
         cfg.opts.pre_binning = binning;
-        let out = train_distributed(&shards, &cfg, ps).unwrap();
+        let r = dimboost(&cfg);
         rows.push(vec![
             label.into(),
-            fmt_secs(out.breakdown.compute_secs),
-            fmt_secs(out.breakdown.total_secs()),
+            fmt_secs(r.compute_secs),
+            fmt_secs(r.total_secs()),
         ]);
     }
     print_table(
@@ -96,13 +91,12 @@ fn main() {
     for ratio in [1.0f64, 0.5, 0.25] {
         let mut cfg = base.clone();
         cfg.instance_sample_ratio = ratio;
-        let out = train_distributed(&shards, &cfg, ps).unwrap();
-        let err = classification_error(&out.model.predict_dataset(&test), test.labels());
+        let r = dimboost(&cfg);
         rows.push(vec![
             format!("{:.0}% rows/tree", ratio * 100.0),
-            fmt_secs(out.breakdown.compute_secs),
-            fmt_secs(out.breakdown.total_secs()),
-            format!("{err:.4}"),
+            fmt_secs(r.compute_secs),
+            fmt_secs(r.total_secs()),
+            format!("{:.4}", r.test_error.unwrap()),
         ]);
     }
     print_table(
@@ -112,15 +106,9 @@ fn main() {
     );
 
     // ---- Feature-parallel vs data-parallel LightGBM. -------------------------
-    let data_parallel = run_collective_baseline(
-        BaselineKind::Lightgbm,
-        &shards,
-        &base,
-        CostModel::GIGABIT_LAN,
-        Some(&test),
-    );
-    let fp =
-        train_lightgbm_feature_parallel(&train, workers, &base, CostModel::GIGABIT_LAN).unwrap();
+    let lightgbm = System::Collective(BaselineKind::Lightgbm);
+    let data_parallel = run(lightgbm, &shards, &base, workers, cost, Some(&test));
+    let fp = train_lightgbm_feature_parallel(&train, workers, &base, cost).unwrap();
     let fp_err = classification_error(&fp.model.predict_dataset(&test), test.labels());
     print_table(
         "Extension: LightGBM feature-parallel vs data-parallel (Section 2.3)",
@@ -163,6 +151,11 @@ fn main() {
             early_stopping_rounds: Some(3),
         }),
         ..TrainOptions::default()
+    };
+    let ps = PsConfig {
+        num_servers: workers,
+        num_partitions: 0,
+        cost_model: cost,
     };
     let out = train_with_options(&shards, &cfg, ps, &options).unwrap();
     println!(

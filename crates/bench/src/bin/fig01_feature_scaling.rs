@@ -7,7 +7,7 @@
 //! compressed scatter-style aggregation), so the gap widens with dimension.
 
 use dimboost_baselines::BaselineKind;
-use dimboost_bench::{fmt_secs, print_table, run_collective_baseline, run_dimboost, Scale};
+use dimboost_bench::{fmt_secs, print_table, run, Scale, System};
 use dimboost_core::GbdtConfig;
 use dimboost_data::partition::partition_rows;
 use dimboost_data::synthetic::{gender_like, generate};
@@ -20,7 +20,7 @@ fn main() {
         Scale::Quick => vec![500, 1_000, 2_000, 4_000],
         Scale::Full => vec![2_000, 8_000, 16_000, 33_000],
     };
-    let workers = 5;
+    let (workers, cost) = (5, CostModel::GIGABIT_LAN);
 
     // One Gender-shaped dataset at the largest dimension; prefixes give the
     // smaller-dimension variants, exactly how the paper derives Gender-10K.
@@ -43,14 +43,8 @@ fn main() {
     for &m in &dims {
         let ds = full.restrict_features(m);
         let shards = partition_rows(&ds, workers).unwrap();
-        let dim = run_dimboost(&shards, &config, workers, CostModel::GIGABIT_LAN, None);
-        let xgb = run_collective_baseline(
-            BaselineKind::Xgboost,
-            &shards,
-            &config,
-            CostModel::GIGABIT_LAN,
-            None,
-        );
+        let [dim, xgb] = [System::DimBoost, System::Collective(BaselineKind::Xgboost)]
+            .map(|system| run(system, &shards, &config, workers, cost, None));
         table.push(vec![
             m.to_string(),
             fmt_secs(xgb.total_secs()),

@@ -13,8 +13,7 @@
 
 use dimboost_baselines::BaselineKind;
 use dimboost_bench::{
-    print_table, result_row, run_collective_baseline, run_dimboost, run_tencentboost, Scale,
-    SystemResult, RESULT_HEADER,
+    print_speedups, print_table, result_row, run, Scale, System, SystemResult, RESULT_HEADER,
 };
 use dimboost_core::GbdtConfig;
 use dimboost_data::partition::{partition_rows, train_test_split};
@@ -25,8 +24,7 @@ struct Setup {
     name: &'static str,
     dataset: dimboost_data::synthetic::SparseGenConfig,
     workers: usize,
-    include_lightgbm: bool,
-    include_mllib: bool,
+    systems: &'static [System],
 }
 
 fn convergence_summary(r: &SystemResult) -> String {
@@ -42,7 +40,7 @@ fn convergence_summary(r: &SystemResult) -> String {
     format!("{:.2}s to within 5% of final loss {:.4}", t, last)
 }
 
-fn run(setup: &Setup, scale: Scale) {
+fn compare(setup: &Setup, scale: Scale) {
     let rows_scale = match scale {
         Scale::Quick => 0.25,
         Scale::Full => 1.0,
@@ -78,46 +76,11 @@ fn run(setup: &Setup, scale: Scale) {
     };
     let cost = CostModel::GIGABIT_LAN;
 
-    let mut results: Vec<SystemResult> = Vec::new();
-    results.push(run_dimboost(
-        &shards,
-        &config,
-        setup.workers,
-        cost,
-        Some(&test),
-    ));
-    results.push(run_tencentboost(
-        &shards,
-        &config,
-        setup.workers,
-        cost,
-        Some(&test),
-    ));
-    results.push(run_collective_baseline(
-        BaselineKind::Xgboost,
-        &shards,
-        &config,
-        cost,
-        Some(&test),
-    ));
-    if setup.include_lightgbm {
-        results.push(run_collective_baseline(
-            BaselineKind::Lightgbm,
-            &shards,
-            &config,
-            cost,
-            Some(&test),
-        ));
-    }
-    if setup.include_mllib {
-        results.push(run_collective_baseline(
-            BaselineKind::Mllib,
-            &shards,
-            &config,
-            cost,
-            Some(&test),
-        ));
-    }
+    let results: Vec<SystemResult> = setup
+        .systems
+        .iter()
+        .map(|&system| run(system, &shards, &config, setup.workers, cost, Some(&test)))
+        .collect();
 
     let table: Vec<Vec<String>> = results.iter().map(result_row).collect();
     print_table(
@@ -126,14 +89,7 @@ fn run(setup: &Setup, scale: Scale) {
         &table,
     );
 
-    let dim_total = results[0].total_secs();
-    for r in &results[1..] {
-        println!(
-            "  DimBoost speedup vs {}: {:.1}x",
-            r.system,
-            r.total_secs() / dim_total
-        );
-    }
+    print_speedups(&results);
     println!("\nconvergence (training loss vs modelled time):");
     for r in &results {
         println!("  {:<13} {}", r.system, convergence_summary(r));
@@ -154,15 +110,13 @@ fn main() {
             name: "rcv1",
             dataset: rcv1_like(42),
             workers: 5,
-            include_lightgbm: true,
-            include_mllib: true,
+            systems: &System::ALL,
         },
         Setup {
             name: "synthesis",
             dataset: synthesis_like(42),
             workers: 5,
-            include_lightgbm: true,
-            include_mllib: true,
+            systems: &System::ALL,
         },
         Setup {
             name: "gender",
@@ -170,13 +124,16 @@ fn main() {
             workers: scale.pick(10, 50),
             // The paper excludes LightGBM (no Yarn/HDFS support) and MLlib
             // fails to finish on Gender; we mirror the lineup.
-            include_lightgbm: false,
-            include_mllib: false,
+            systems: &[
+                System::DimBoost,
+                System::TencentBoost,
+                System::Collective(BaselineKind::Xgboost),
+            ],
         },
     ];
     for setup in &setups {
         if which == "all" || which == setup.name {
-            run(setup, scale);
+            compare(setup, scale);
         }
     }
 }

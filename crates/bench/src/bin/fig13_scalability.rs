@@ -7,10 +7,7 @@
 //! significantly with more workers (the PS exchange's bandwidth term is
 //! constant in w).
 
-use dimboost_bench::{
-    fmt_secs, maybe_write_report, maybe_write_trace, phase_rows, print_table, run_dimboost, timed,
-    Scale, PHASE_HEADER,
-};
+use dimboost_bench::{fmt_secs, phase_rows, print_table, run, timed, Scale, System, PHASE_HEADER};
 use dimboost_core::GbdtConfig;
 use dimboost_data::partition::partition_rows;
 use dimboost_data::synthetic::{generate, rcv1_like, synthesis_like, SparseGenConfig};
@@ -18,6 +15,7 @@ use dimboost_simnet::CostModel;
 
 fn sweep(name: &str, cfg_data: &SparseGenConfig, workers: &[usize], config: &GbdtConfig) {
     let ds = generate(cfg_data);
+    let cost = CostModel::GIGABIT_LAN;
     let mut rows = Vec::new();
     let mut last_report = None;
     for &w in workers {
@@ -25,7 +23,7 @@ fn sweep(name: &str, cfg_data: &SparseGenConfig, workers: &[usize], config: &Gbd
         // (stands in for the HDFS read, split evenly across machines).
         let (shards, t_load_total) = timed(|| partition_rows(&ds, w).unwrap());
         let load = t_load_total / w as f64;
-        let r = run_dimboost(&shards, config, w, CostModel::GIGABIT_LAN, None);
+        let r = run(System::DimBoost, &shards, config, w, cost, None);
         rows.push(vec![
             w.to_string(),
             fmt_secs(load),
@@ -33,21 +31,8 @@ fn sweep(name: &str, cfg_data: &SparseGenConfig, workers: &[usize], config: &Gbd
             fmt_secs(r.comm_secs),
             fmt_secs(load + r.total_secs()),
         ]);
-        if let Some(trace) = &r.trace {
-            if let Some(path) =
-                maybe_write_trace(&format!("fig13_{}_w{w}", name.replace(' ', "_")), trace)
-            {
-                println!("wrote {}", path.display());
-            }
-        }
-        if let Some(report) = r.report {
-            if let Some(path) =
-                maybe_write_report(&format!("fig13_{}_w{w}", name.replace(' ', "_")), &report)
-            {
-                println!("wrote {}", path.display());
-            }
-            last_report = Some((w, report));
-        }
+        r.write_artifacts(&format!("fig13_{}_w{w}", name.replace(' ', "_")));
+        last_report = r.report.map(|report| (w, report));
     }
     print_table(
         &format!("Figure 13: scalability on {name}"),

@@ -6,11 +6,7 @@
 //! side (parallel training paradigm), since communication is cheap at low
 //! dimension.
 
-use dimboost_baselines::BaselineKind;
-use dimboost_bench::{
-    print_table, result_row, run_collective_baseline, run_dimboost, run_tencentboost, Scale,
-    RESULT_HEADER,
-};
+use dimboost_bench::{print_speedups, print_table, result_row, run, Scale, System, RESULT_HEADER};
 use dimboost_core::GbdtConfig;
 use dimboost_data::partition::{partition_rows, train_test_split};
 use dimboost_data::synthetic::{generate, low_dim_like};
@@ -33,25 +29,13 @@ fn main() {
     };
     let cost = CostModel::GIGABIT_LAN;
 
-    let results = [
-        run_dimboost(&shards, &config, workers, cost, Some(&test)),
-        run_tencentboost(&shards, &config, workers, cost, Some(&test)),
-        run_collective_baseline(BaselineKind::Xgboost, &shards, &config, cost, Some(&test)),
-        run_collective_baseline(BaselineKind::Lightgbm, &shards, &config, cost, Some(&test)),
-        run_collective_baseline(BaselineKind::Mllib, &shards, &config, cost, Some(&test)),
-    ];
+    let results =
+        System::ALL.map(|system| run(system, &shards, &config, workers, cost, Some(&test)));
     let table: Vec<Vec<String>> = results.iter().map(result_row).collect();
     print_table(
         &format!("Figure 14: low-dimensional dataset ({} workers)", workers),
         &RESULT_HEADER,
         &table,
     );
-    let dim = results[0].total_secs();
-    for r in &results[1..] {
-        println!(
-            "  DimBoost speedup vs {}: {:.1}x",
-            r.system,
-            r.total_secs() / dim
-        );
-    }
+    print_speedups(&results);
 }

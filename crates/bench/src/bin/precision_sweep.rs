@@ -7,7 +7,7 @@
 //! check of the Appendix A.1 unbiasedness argument: the mean decoded value
 //! over repeated quantizations converges to the input.
 
-use dimboost_bench::{fmt_bytes, fmt_secs, print_table, run_dimboost, Scale};
+use dimboost_bench::{fmt_bytes, fmt_secs, print_table, run, Scale, System};
 use dimboost_core::GbdtConfig;
 use dimboost_data::partition::{partition_rows, train_test_split};
 use dimboost_data::synthetic::{gender_like, generate};
@@ -36,24 +36,16 @@ fn main() {
         ..GbdtConfig::default()
     };
 
+    // Full precision first, as the reference.
     let mut rows = Vec::new();
-    // Full precision reference.
-    let mut cfg = base.clone();
-    cfg.opts.low_precision = false;
-    let full = run_dimboost(&shards, &cfg, workers, CostModel::GIGABIT_LAN, Some(&test));
-    rows.push(vec![
-        "32 (full f32)".into(),
-        format!("{:.4}", full.test_error.unwrap()),
-        fmt_bytes(full.comm_bytes),
-        fmt_secs(full.total_secs()),
-    ]);
-    for bits in [16u8, 8, 4, 2] {
+    for bits in [None, Some(16u8), Some(8), Some(4), Some(2)] {
         let mut cfg = base.clone();
-        cfg.opts.low_precision = true;
-        cfg.compress_bits = bits;
-        let r = run_dimboost(&shards, &cfg, workers, CostModel::GIGABIT_LAN, Some(&test));
+        cfg.opts.low_precision = bits.is_some();
+        cfg.compress_bits = bits.unwrap_or(cfg.compress_bits);
+        let (cost, test) = (CostModel::GIGABIT_LAN, Some(&test));
+        let r = run(System::DimBoost, &shards, &cfg, workers, cost, test);
         rows.push(vec![
-            bits.to_string(),
+            bits.map_or("32 (full f32)".into(), |b| b.to_string()),
             format!("{:.4}", r.test_error.unwrap()),
             fmt_bytes(r.comm_bytes),
             fmt_secs(r.total_secs()),
@@ -89,12 +81,17 @@ fn main() {
         "\nAppendix A.1: max |E[decoded] - value| over {} trials = {:.2e} (one quantization step = {:.2e})",
         trials, max_bias, step
     );
+    // Seeded rounding: the verdict is deterministic, so it gates.
+    let unbiased = max_bias < step as f64 / 10.0;
     println!(
         "unbiasedness: {}",
-        if max_bias < step as f64 / 10.0 {
+        if unbiased {
             "REPRODUCED"
         } else {
             "NOT reproduced"
         }
     );
+    if !unbiased {
+        std::process::exit(1);
+    }
 }

@@ -14,34 +14,15 @@
 //! ~2× on deep layers, and the three FIND_SPLIT optimizations progressively
 //! cut per-tree time (paper: 131 → 120 → 77 → 41 s).
 
-use dimboost_bench::{
-    fmt_bytes, fmt_secs, maybe_write_report, maybe_write_trace, print_table, timed, Scale,
-};
+use dimboost_bench::{fmt_bytes, fmt_secs, print_table, run, table3_steps, timed, Scale, System};
 use dimboost_core::hist_build::build_row;
 use dimboost_core::loss::GradPair;
 use dimboost_core::parallel::{build_row_batched, BatchConfig};
-use dimboost_core::{train_distributed, FeatureMeta, GbdtConfig, NodeIndex, Optimizations, Tree};
+use dimboost_core::{local_sketches, FeatureMeta, GbdtConfig, NodeIndex, Tree};
 use dimboost_data::partition::partition_rows;
 use dimboost_data::synthetic::{gender_like, generate};
-use dimboost_data::Dataset;
-use dimboost_ps::PsConfig;
 use dimboost_simnet::{CostModel, Phase};
-use dimboost_sketch::{propose_candidates, GkSketch, SplitCandidates};
-
-fn candidates_for(ds: &Dataset, k: usize) -> Vec<SplitCandidates> {
-    let mut sketches: Vec<GkSketch> = (0..ds.num_features())
-        .map(|_| GkSketch::new(0.02))
-        .collect();
-    for (row, _) in ds.iter_rows() {
-        for (f, v) in row.iter() {
-            sketches[f as usize].insert(v);
-        }
-    }
-    sketches
-        .iter_mut()
-        .map(|s| propose_candidates(s, k))
-        .collect()
-}
+use dimboost_sketch::propose_candidates;
 
 fn main() {
     let scale = Scale::from_env();
@@ -57,7 +38,10 @@ fn main() {
         ds.avg_nnz() / ds.num_features() as f64
     );
 
-    let candidates = candidates_for(&ds, 20);
+    let candidates: Vec<_> = local_sketches(&ds, 0..ds.num_features(), 0.02)
+        .iter_mut()
+        .map(|s| propose_candidates(s, 20))
+        .collect();
     let meta = FeatureMeta::all_features(&candidates);
     let grads: Vec<GradPair> = (0..ds.num_rows())
         .map(|i| GradPair {
@@ -188,68 +172,25 @@ fn main() {
         batch_size: 1_000,
         ..GbdtConfig::default()
     };
-    let steps: Vec<(&str, Optimizations)> = vec![
-        (
-            "index+sparse+batch (no sched/2phase/lp)",
-            Optimizations {
-                task_scheduler: false,
-                two_phase_split: false,
-                low_precision: false,
-                ..Optimizations::ALL
-            },
-        ),
-        (
-            "+ task scheduler",
-            Optimizations {
-                two_phase_split: false,
-                low_precision: false,
-                ..Optimizations::ALL
-            },
-        ),
-        (
-            "+ two-phase split",
-            Optimizations {
-                low_precision: false,
-                ..Optimizations::ALL
-            },
-        ),
-        ("+ low-precision histogram", Optimizations::ALL),
-    ];
     let mut rows = Vec::new();
     let mut first_total = None;
-    for (step, (label, opts)) in steps.into_iter().enumerate() {
+    for (step, (label, opts)) in table3_steps().into_iter().enumerate() {
         let mut cfg = base.clone();
         cfg.opts = opts;
-        cfg.collect_trace = std::env::var_os("DIMBOOST_TRACE_DIR").is_some();
-        let ps = PsConfig {
-            num_servers: workers,
-            num_partitions: 0,
-            cost_model: CostModel::GIGABIT_LAN,
-        };
-        let out = train_distributed(&shards, &cfg, ps).expect("training failed");
-        let total = out.breakdown.total_secs();
+        let cost = CostModel::GIGABIT_LAN;
+        let r = run(System::DimBoost, &shards, &cfg, workers, cost, None);
+        let total = r.total_secs();
         let first = *first_total.get_or_insert(total);
-        // Phase-attributed bytes isolate where each optimization saves
-        // traffic: two-phase split shrinks FIND_SPLIT's pulls, low
-        // precision shrinks BUILD_HISTOGRAM's pushes.
-        let phase_bytes = |phase| out.report.phase(phase).map_or(0, |p| p.comm.bytes);
         rows.push(vec![
             label.into(),
-            fmt_secs(out.breakdown.compute_secs),
-            fmt_secs(out.breakdown.comm.sim_time.seconds()),
-            fmt_bytes(phase_bytes(Phase::BuildHistogram)),
-            fmt_bytes(phase_bytes(Phase::FindSplit)),
+            fmt_secs(r.compute_secs),
+            fmt_secs(r.comm_secs),
+            fmt_bytes(r.phase_bytes(Phase::BuildHistogram)),
+            fmt_bytes(r.phase_bytes(Phase::FindSplit)),
             fmt_secs(total),
             format!("{:.2}x", first / total),
         ]);
-        if let Some(path) = maybe_write_report(&format!("table3_step{step}"), &out.report) {
-            println!("wrote {}", path.display());
-        }
-        if let Some(trace) = &out.trace {
-            if let Some(path) = maybe_write_trace(&format!("table3_step{step}"), trace) {
-                println!("wrote {}", path.display());
-            }
-        }
+        r.write_artifacts(&format!("table3_step{step}"));
     }
     print_table(
         "Table 3c: build a tree (modelled time = compute + simulated comm)",

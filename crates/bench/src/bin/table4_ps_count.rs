@@ -5,7 +5,7 @@
 //! Shape to reproduce: end-to-end time decreases monotonically as servers
 //! are added, because each server's inbound link carries `w·h/p` bytes.
 
-use dimboost_bench::{fmt_secs, print_table, run_dimboost, Scale};
+use dimboost_bench::{fmt_secs, print_table, run, Scale, System};
 use dimboost_core::GbdtConfig;
 use dimboost_data::partition::partition_rows;
 use dimboost_data::synthetic::{gender_like, generate};
@@ -31,10 +31,11 @@ fn main() {
         ..GbdtConfig::default()
     };
 
+    let cost = CostModel::GIGABIT_LAN;
     let mut rows = Vec::new();
     let mut slowest = None;
     for &p in &servers {
-        let r = run_dimboost(&shards, &config, p, CostModel::GIGABIT_LAN, None);
+        let r = run(System::DimBoost, &shards, &config, p, cost, None);
         let total = r.total_secs();
         let base = *slowest.get_or_insert(total);
         rows.push(vec![

@@ -6,7 +6,7 @@
 //! dominates and makes the end-to-end pipeline slower than training
 //! directly in high dimension; (2) the reduced model is less accurate.
 
-use dimboost_bench::{fmt_secs, print_table, run_dimboost, timed, Scale};
+use dimboost_bench::{fmt_secs, print_table, run, timed, Scale, System};
 use dimboost_core::GbdtConfig;
 use dimboost_data::partition::{partition_rows, train_test_split};
 use dimboost_data::synthetic::{gender_like, generate};
@@ -34,16 +34,8 @@ fn main() {
 
     // Direct training in the full dimension.
     let shards = partition_rows(&train, workers).unwrap();
-    let (direct, t_direct) = timed(|| {
-        run_dimboost(
-            &shards,
-            &config,
-            workers,
-            CostModel::GIGABIT_LAN,
-            Some(&test),
-        )
-    });
-    let _ = t_direct;
+    let (dimboost, cost) = (System::DimBoost, CostModel::GIGABIT_LAN);
+    let direct = run(dimboost, &shards, &config, workers, cost, Some(&test));
 
     // PCA to `target_dim`, then train in the reduced space.
     let (pca, t_pca) = timed(|| {
@@ -60,11 +52,12 @@ fn main() {
     let (reduced_sets, t_project) = timed(|| (pca.transform(&train), pca.transform(&test)));
     let (red_train, red_test) = reduced_sets;
     let red_shards = partition_rows(&red_train, workers).unwrap();
-    let reduced = run_dimboost(
+    let reduced = run(
+        dimboost,
         &red_shards,
         &config,
         workers,
-        CostModel::GIGABIT_LAN,
+        cost,
         Some(&red_test),
     );
 

@@ -10,14 +10,16 @@
 //! Set `DIMBOOST_SCALE=full` for paper-shaped (slow) runs; the default
 //! `quick` scale finishes in seconds per experiment.
 
+use std::ffi::OsStr;
+use std::path::PathBuf;
 use std::time::Instant;
 
-use dimboost_baselines::{train_baseline, train_tencentboost, BaselineKind};
+use dimboost_baselines::{train_baseline, train_tencentboost, BaselineKind, BaselineOutput};
 use dimboost_core::metrics::classification_error;
-use dimboost_core::{train_distributed, GbdtConfig, LossPoint, RunReport, Trace};
+use dimboost_core::{train_distributed, GbdtConfig, LossPoint, Optimizations, RunReport, Trace};
 use dimboost_data::Dataset;
 use dimboost_ps::PsConfig;
-use dimboost_simnet::CostModel;
+use dimboost_simnet::{CostModel, Phase};
 
 pub mod check;
 pub mod diff;
@@ -34,11 +36,28 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `DIMBOOST_SCALE` (`quick`/`full`).
+    /// Reads `DIMBOOST_SCALE`. A value that is neither scale ends the
+    /// process with status 2: a misspelt `full` must not quietly regenerate
+    /// `results/*_full.txt` at quick scale.
     pub fn from_env() -> Self {
-        match std::env::var("DIMBOOST_SCALE").as_deref() {
-            Ok("full") | Ok("FULL") => Scale::Full,
-            _ => Scale::Quick,
+        let value = std::env::var_os("DIMBOOST_SCALE");
+        Scale::parse(value.as_deref()).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// `quick` or `full` in any letter case; unset means quick.
+    fn parse(value: Option<&OsStr>) -> Result<Self, String> {
+        let Some(value) = value else {
+            return Ok(Scale::Quick);
+        };
+        match value.to_str().map(str::to_ascii_lowercase).as_deref() {
+            Some("quick") => Ok(Scale::Quick),
+            Some("full") => Ok(Scale::Full),
+            _ => Err(format!(
+                "DIMBOOST_SCALE={value:?}: expected `quick` or `full` (unset means quick)"
+            )),
         }
     }
 
@@ -79,10 +98,55 @@ impl SystemResult {
     pub fn total_secs(&self) -> f64 {
         self.compute_secs + self.comm_secs
     }
+
+    /// Bytes the run report books to `phase` (0 without a report).
+    /// Phase-attributed bytes isolate where an optimization saves traffic:
+    /// two-phase split shrinks FIND_SPLIT's pulls, low precision shrinks
+    /// BUILD_HISTOGRAM's pushes.
+    pub fn phase_bytes(&self, phase: Phase) -> u64 {
+        let report = self.report.as_ref();
+        report
+            .and_then(|r| r.phase(phase))
+            .map_or(0, |p| p.comm.bytes)
+    }
 }
 
-/// Runs the DimBoost trainer and packages the result.
-pub fn run_dimboost(
+/// A system of the paper's comparison (§2.3, Table 1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum System {
+    /// The DimBoost trainer under `config.opts`.
+    DimBoost,
+    /// The parameter server without DimBoost's optimizations.
+    TencentBoost,
+    /// A collective-based data-parallel baseline.
+    Collective(BaselineKind),
+}
+
+impl System {
+    /// The five systems of Figures 12 and 14, DimBoost first.
+    pub const ALL: [System; 5] = [
+        System::DimBoost,
+        System::TencentBoost,
+        System::Collective(BaselineKind::Xgboost),
+        System::Collective(BaselineKind::Lightgbm),
+        System::Collective(BaselineKind::Mllib),
+    ];
+
+    /// Human-readable system name.
+    pub fn name(self) -> &'static str {
+        match self {
+            System::DimBoost => "DimBoost",
+            System::TencentBoost => "TencentBoost",
+            System::Collective(kind) => kind.name(),
+        }
+    }
+}
+
+/// Trains `system` on `shards` and packages the result. `servers` sizes the
+/// parameter server of the two PS systems; the collective baselines have
+/// none and ignore it.
+pub fn run(
+    system: System,
     shards: &[Dataset],
     config: &GbdtConfig,
     servers: usize,
@@ -94,68 +158,51 @@ pub fn run_dimboost(
         num_partitions: 0,
         cost_model: cost,
     };
-    let mut config = config.clone();
-    // Event traces are opt-in per experiment run via the same env-var
-    // convention as reports: collecting them costs memory per event.
-    config.collect_trace = std::env::var_os("DIMBOOST_TRACE_DIR").is_some();
-    let out = train_distributed(shards, &config, ps).expect("dimboost training failed");
-    SystemResult {
-        system: "DimBoost".into(),
-        compute_secs: out.breakdown.compute_secs,
-        comm_secs: out.breakdown.comm.sim_time.seconds(),
-        comm_bytes: out.breakdown.comm.bytes,
-        test_error: test.map(|t| classification_error(&out.model.predict_dataset(t), t.labels())),
-        curve: out.loss_curve,
-        report: Some(out.report),
-        trace: out.trace,
-    }
-}
-
-/// Runs one collective-based baseline.
-pub fn run_collective_baseline(
-    kind: BaselineKind,
-    shards: &[Dataset],
-    config: &GbdtConfig,
-    cost: CostModel,
-    test: Option<&Dataset>,
-) -> SystemResult {
-    let out = train_baseline(kind, shards, config, cost).expect("baseline training failed");
-    SystemResult {
-        system: kind.name().into(),
-        compute_secs: out.breakdown.compute_secs,
-        comm_secs: out.breakdown.comm.sim_time.seconds(),
-        comm_bytes: out.breakdown.comm.bytes,
-        test_error: test.map(|t| classification_error(&out.model.predict_dataset(t), t.labels())),
-        curve: out.loss_curve,
-        report: None,
-        trace: None,
-    }
-}
-
-/// Runs the TencentBoost baseline (PS without DimBoost's optimizations).
-pub fn run_tencentboost(
-    shards: &[Dataset],
-    config: &GbdtConfig,
-    servers: usize,
-    cost: CostModel,
-    test: Option<&Dataset>,
-) -> SystemResult {
-    let ps = PsConfig {
-        num_servers: servers,
-        num_partitions: 0,
-        cost_model: cost,
+    let flat = |out: BaselineOutput| (out.model, out.breakdown, out.loss_curve, None, None);
+    let trained = match system {
+        System::DimBoost => {
+            let mut config = config.clone();
+            // Event traces are opt-in per experiment run via the same env-var
+            // convention as reports: collecting them costs memory per event.
+            config.collect_trace = std::env::var_os("DIMBOOST_TRACE_DIR").is_some();
+            train_distributed(shards, &config, ps)
+                .map(|o| (o.model, o.breakdown, o.loss_curve, Some(o.report), o.trace))
+        }
+        System::TencentBoost => train_tencentboost(shards, config, ps).map(flat),
+        System::Collective(kind) => train_baseline(kind, shards, config, cost).map(flat),
     };
-    let out = train_tencentboost(shards, config, ps).expect("tencentboost training failed");
+    let (model, breakdown, curve, report, trace) =
+        trained.unwrap_or_else(|e| panic!("{} training failed: {e}", system.name()));
     SystemResult {
-        system: "TencentBoost".into(),
-        compute_secs: out.breakdown.compute_secs,
-        comm_secs: out.breakdown.comm.sim_time.seconds(),
-        comm_bytes: out.breakdown.comm.bytes,
-        test_error: test.map(|t| classification_error(&out.model.predict_dataset(t), t.labels())),
-        curve: out.loss_curve,
-        report: None,
-        trace: None,
+        system: system.name().into(),
+        compute_secs: breakdown.compute_secs,
+        comm_secs: breakdown.comm.sim_time.seconds(),
+        comm_bytes: breakdown.comm.bytes,
+        test_error: test.map(|t| classification_error(&model.predict_dataset(t), t.labels())),
+        curve,
+        report,
+        trace,
     }
+}
+
+/// The four cumulative FIND_SPLIT configurations of Table 3c, in the
+/// paper's order: each adds one optimization to the previous.
+pub fn table3_steps() -> [(&'static str, Optimizations); 4] {
+    let without = |task_scheduler, two_phase_split, low_precision| Optimizations {
+        task_scheduler,
+        two_phase_split,
+        low_precision,
+        ..Optimizations::ALL
+    };
+    [
+        (
+            "index+sparse+batch (no sched/2phase/lp)",
+            without(false, false, false),
+        ),
+        ("+ task scheduler", without(true, false, false)),
+        ("+ two-phase split", without(true, true, false)),
+        ("+ low-precision histogram", Optimizations::ALL),
+    ]
 }
 
 /// Table rows for a run report's per-phase breakdown (pairs with
@@ -191,47 +238,41 @@ pub const PHASE_HEADER: [&str; 8] = [
     "comm(sim)",
 ];
 
-/// When `DIMBOOST_REPORT_DIR` is set, writes the report's full JSON to
-/// `<dir>/<name>.json` and returns the path. Directories are created as
-/// needed; failures are reported, not fatal (benches keep printing tables).
-pub fn maybe_write_report(name: &str, report: &RunReport) -> Option<std::path::PathBuf> {
-    let dir = std::env::var_os("DIMBOOST_REPORT_DIR")?;
-    let dir = std::path::PathBuf::from(dir);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("report dir {}: {e}", dir.display());
-        return None;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match std::fs::write(&path, report.json()) {
+/// When the directory variable `var` is set, writes `contents()` to
+/// `<dir>/<file>` and returns the path. Directories are created as needed;
+/// failures are reported, not fatal (benches keep printing tables).
+fn write_artifact(var: &str, file: &str, contents: impl FnOnce() -> String) -> Option<PathBuf> {
+    let dir = PathBuf::from(std::env::var_os(var)?);
+    let path = dir.join(file);
+    let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, contents()));
+    match written {
         Ok(()) => Some(path),
         Err(e) => {
-            eprintln!("report {}: {e}", path.display());
+            eprintln!("{var}: {}: {e}", path.display());
             None
         }
     }
 }
 
-/// When `DIMBOOST_TRACE_DIR` is set, writes the trace's Chrome-trace JSON
-/// to `<dir>/<name>.trace.json` (plus the canonical form to
-/// `<dir>/<name>.trace.canonical.json`) and returns the first path. Same
-/// non-fatal error policy as [`maybe_write_report`].
-pub fn maybe_write_trace(name: &str, trace: &Trace) -> Option<std::path::PathBuf> {
-    let dir = std::env::var_os("DIMBOOST_TRACE_DIR")?;
-    let dir = std::path::PathBuf::from(dir);
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("trace dir {}: {e}", dir.display());
-        return None;
+impl SystemResult {
+    /// Writes whatever the run carries to the directories the environment
+    /// asks for, and says where: the report as `<name>.json` under
+    /// `DIMBOOST_REPORT_DIR`; the trace as Chrome-trace `<name>.trace.json`
+    /// and its canonical twin under `DIMBOOST_TRACE_DIR`.
+    pub fn write_artifacts(&self, name: &str) {
+        let (report, trace) = (self.report.as_ref(), self.trace.as_ref());
+        let (reports, traces) = ("DIMBOOST_REPORT_DIR", "DIMBOOST_TRACE_DIR");
+        let file = |suffix: &str| format!("{name}{suffix}");
+        let canonical = file(".trace.canonical.json");
+        let written = [
+            report.and_then(|r| write_artifact(reports, &file(".json"), || r.json())),
+            trace.and_then(|t| write_artifact(traces, &file(".trace.json"), || t.chrome_json())),
+            trace.and_then(|t| write_artifact(traces, &canonical, || t.canonical_chrome_json())),
+        ];
+        for path in written.into_iter().flatten() {
+            println!("wrote {}", path.display());
+        }
     }
-    let path = dir.join(format!("{name}.trace.json"));
-    if let Err(e) = std::fs::write(&path, trace.chrome_json()) {
-        eprintln!("trace {}: {e}", path.display());
-        return None;
-    }
-    let canonical = dir.join(format!("{name}.trace.canonical.json"));
-    if let Err(e) = std::fs::write(&canonical, trace.canonical_chrome_json()) {
-        eprintln!("trace {}: {e}", canonical.display());
-    }
-    Some(path)
 }
 
 /// Prints an aligned text table.
@@ -317,6 +358,18 @@ pub fn result_row(r: &SystemResult) -> Vec<String> {
     ]
 }
 
+/// Prints the first result's speedup (modelled total time) over each of
+/// the others.
+pub fn print_speedups(results: &[SystemResult]) {
+    let Some((first, rest)) = results.split_first() else {
+        return;
+    };
+    for r in rest {
+        let speedup = r.total_secs() / first.total_secs();
+        println!("  {} speedup vs {}: {speedup:.1}x", first.system, r.system);
+    }
+}
+
 /// Header matching [`result_row`].
 pub const RESULT_HEADER: [&str; 7] = [
     "system",
@@ -352,7 +405,26 @@ mod tests {
     }
 
     #[test]
-    fn runners_produce_comparable_results() {
+    fn scale_parsing() {
+        let parse = |v: &str| Scale::parse(Some(OsStr::new(v)));
+        assert_eq!(Scale::parse(None), Ok(Scale::Quick));
+        for v in ["quick", "QUICK", "Quick"] {
+            assert_eq!(parse(v), Ok(Scale::Quick), "{v}");
+        }
+        for v in ["full", "FULL", "Full"] {
+            assert_eq!(parse(v), Ok(Scale::Full), "{v}");
+        }
+        for v in ["fulll", "quick ", " full", "", "1"] {
+            let err = parse(v).unwrap_err();
+            for word in ["DIMBOOST_SCALE", "quick", "full"] {
+                assert!(err.contains(word), "{v:?}: {err}");
+            }
+            assert!(!err.contains('\n'), "one line: {err}");
+        }
+    }
+
+    #[test]
+    fn systems_produce_comparable_results() {
         let ds = generate(&SparseGenConfig::new(600, 1_500, 8, 5));
         let shards = partition_rows(&ds, 4).unwrap();
         let config = GbdtConfig {
@@ -361,24 +433,28 @@ mod tests {
             num_candidates: 20,
             ..GbdtConfig::default()
         };
-        let dim = run_dimboost(&shards, &config, 4, CostModel::GIGABIT_LAN, Some(&ds));
-        let xgb = run_collective_baseline(
-            BaselineKind::Xgboost,
-            &shards,
-            &config,
-            CostModel::GIGABIT_LAN,
-            Some(&ds),
-        );
-        let tencent = run_tencentboost(&shards, &config, 4, CostModel::GIGABIT_LAN, Some(&ds));
-        for r in [&dim, &xgb, &tencent] {
+        let go = |system| {
+            run(
+                system,
+                &shards,
+                &config,
+                4,
+                CostModel::GIGABIT_LAN,
+                Some(&ds),
+            )
+        };
+        let results = System::ALL.map(go);
+        for (r, system) in results.iter().zip(System::ALL) {
+            assert_eq!(r.system, system.name());
             assert!(r.total_secs() > 0.0, "{}: zero total", r.system);
             assert!(r.test_error.unwrap() < 0.5, "{}: bad error", r.system);
             assert_eq!(r.curve.len(), 2);
         }
+        let [dim, _, xgb, ..] = &results;
         // DimBoost's compressed, scatter-style pushes move fewer bytes than
         // the XGBoost-style full-histogram allreduce path.
         assert!(dim.comm_bytes < xgb.comm_bytes);
-        // The DimBoost runner carries the structured report and it agrees
+        // The DimBoost run carries the structured report and it agrees
         // with the flat fields.
         let report = dim.report.as_ref().expect("dimboost report");
         assert_eq!(report.comm.bytes, dim.comm_bytes);

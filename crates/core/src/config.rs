@@ -30,7 +30,7 @@ impl LossKind {
     /// Checks that `labels` (the `what` set) are valid targets for this
     /// loss: softmax needs class indices in `0..classes`; the scalar losses
     /// accept any label.
-    pub(crate) fn check_labels(&self, labels: &[f32], what: &str) -> Result<(), String> {
+    pub fn check_labels(&self, labels: &[f32], what: &str) -> Result<(), String> {
         let LossKind::Softmax { classes } = *self else {
             return Ok(());
         };

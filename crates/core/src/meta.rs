@@ -1,7 +1,8 @@
 //! Per-tree feature metadata: which features were sampled, their split
 //! candidates, and the histogram layout derived from them.
 
-use dimboost_ps::HistogramLayout;
+use dimboost_ps::split::{best_split_in_range, FinalSplit, PullSplitResult, SplitDecision};
+use dimboost_ps::{HistogramLayout, SplitParams};
 use dimboost_sketch::{bucket_in, SplitCandidates};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -214,6 +215,35 @@ impl FeatureMeta {
     /// of sampled feature `sf`.
     pub fn threshold(&self, sf: usize, bucket: usize) -> f32 {
         self.candidates[sf].threshold(bucket)
+    }
+
+    /// Turns what a scan of `node`'s histogram found — a winner named by
+    /// sampled index and bucket — into the decision SPLIT_TREE applies,
+    /// which names the global feature and the threshold value.
+    pub fn resolve(&self, node: u32, found: PullSplitResult) -> SplitDecision {
+        let split = found.best.map(|s| FinalSplit {
+            feature: self.global_id(s.feature as usize),
+            threshold: self.threshold(s.feature as usize, s.bucket as usize),
+            gain: s.gain,
+            left_g: s.left_g,
+            left_h: s.left_h,
+            default_left: s.default_left,
+        });
+        SplitDecision {
+            node,
+            split,
+            total_g: found.total_g,
+            total_h: found.total_h,
+        }
+    }
+
+    /// Algorithm 1's split rule over `node`'s merged whole `row`: the best
+    /// split across every sampled feature (node totals taken from the first
+    /// feature's buckets), resolved. Every system the paper compares decides
+    /// through here, whatever it did to construct and aggregate the row.
+    pub fn decide(&self, node: u32, row: &[f32], params: &SplitParams) -> SplitDecision {
+        let found = best_split_in_range(row, &self.layout, 0..self.num_sampled(), None, params);
+        self.resolve(node, found)
     }
 }
 

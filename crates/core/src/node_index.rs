@@ -14,6 +14,8 @@
 //! to the layer-fused kernel's single ascending row sweep
 //! (`crate::fused`) — the basis of their bit-equality contract.
 
+use crate::tree::{Node, Tree};
+
 /// The node-to-instance index for one worker's shard during one tree.
 #[derive(Debug, Clone)]
 pub struct NodeIndex {
@@ -107,6 +109,20 @@ impl NodeIndex {
     /// Total instances tracked.
     pub fn num_instances(&self) -> usize {
         self.positions.len()
+    }
+
+    /// Adds the finished `tree`'s shrunk leaf weights to the scores of the
+    /// instances this index tracks — every leaf owns one contiguous range,
+    /// so no instance is routed. `scores` holds `k` columns per instance;
+    /// column `class` is the one updated.
+    pub fn update_scores(&self, tree: &Tree, eta: f32, scores: &mut [f32], class: usize, k: usize) {
+        for leaf in 0..tree.capacity() as u32 {
+            if let Node::Leaf { weight } = tree.node(leaf) {
+                for &i in self.instances(leaf) {
+                    scores[i as usize * k + class] += eta * weight;
+                }
+            }
+        }
     }
 }
 

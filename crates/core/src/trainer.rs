@@ -19,6 +19,7 @@ mod harness;
 mod plan;
 mod state;
 
+use std::ops::Range;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -26,7 +27,6 @@ use rand::rngs::StdRng;
 
 use dimboost_data::Dataset;
 use dimboost_ps::quantize::{quantize_row_into, QuantizedRow};
-use dimboost_ps::split::{best_split_in_range, FinalSplit, SplitDecision};
 use dimboost_ps::{ParameterServer, PsConfig};
 use dimboost_simnet::{CommStats, CostModel, FaultPlan, Phase, SimTime, Trace};
 use dimboost_sketch::{propose_candidates, GkSketch};
@@ -40,7 +40,7 @@ use crate::meta::FeatureMeta;
 use crate::model::GbdtModel;
 use crate::parallel::{build_row_batched_into, BatchConfig};
 use crate::report::{NodeInstances, QuantHistRecord, RoundRecord, RunReport, SpanTimer};
-use crate::tree::{Node, Tree};
+use crate::tree::Tree;
 
 use harness::Harness;
 use plan::{Exchange, InstanceSource, Kernel, SplitPull, TrainPlan};
@@ -345,12 +345,33 @@ fn scan_instances(shard: &Dataset, tree: &Tree, node: u32, mask: Option<&[bool]>
         .collect()
 }
 
-/// Builds one worker's per-feature quantile sketches over its shard.
-fn build_local_sketches(shard: &Dataset, num_features: usize, eps: f64) -> Vec<GkSketch> {
-    let mut sketches: Vec<GkSketch> = (0..num_features).map(|_| GkSketch::new(eps)).collect();
+/// The rank error each of `w` workers may spend locally so that the
+/// balanced merge of their sketches (one ε per merge level) still meets
+/// `sketch_eps`.
+pub fn worker_eps(sketch_eps: f64, w: usize) -> f64 {
+    sketch_eps / ((w as f64).log2() + 2.0).max(2.0)
+}
+
+/// One worker's quantile sketches of `features` over the rows it holds, one
+/// sketch per feature of the range, flushed. The one sketch build in the
+/// workspace: the trainer and the data-parallel baselines pass every
+/// feature, a feature-parallel worker its column slice.
+pub fn local_sketches(shard: &Dataset, features: Range<usize>, eps: f64) -> Vec<GkSketch> {
+    let mut sketches: Vec<GkSketch> = features.clone().map(|_| GkSketch::new(eps)).collect();
+    let whole = features.start == 0 && features.end >= shard.num_features();
     for (row, _) in shard.iter_rows() {
-        for (f, v) in row.iter() {
-            sketches[f as usize].insert(v);
+        // A row's indices ascend, so a slice of the features is one run of
+        // its nonzeros; the whole range needs no search.
+        let (indices, values) = (row.indices(), row.values());
+        let (lo, hi) = match whole {
+            true => (0, indices.len()),
+            false => (
+                indices.partition_point(|&f| (f as usize) < features.start),
+                indices.partition_point(|&f| (f as usize) < features.end),
+            ),
+        };
+        for (&f, &v) in indices[lo..hi].iter().zip(&values[lo..hi]) {
+            sketches[f as usize - features.start].insert(v);
         }
     }
     for s in &mut sketches {
@@ -514,10 +535,10 @@ impl Run<'_> {
         let (shards, w) = (self.shards, self.shards.len());
         let num_features = shards[0].num_features();
         // Budget the rank error for the PS-side balanced merge of w sketches.
-        let worker_eps = self.config.sketch_eps / ((w as f64).log2() + 2.0).max(2.0);
+        let eps = worker_eps(self.config.sketch_eps, w);
         let workers = &mut self.state.workers;
         let locals = self.timer.phase(Phase::CreateSketch, workers, |wk| {
-            build_local_sketches(&shards[wk.shard_id], num_features, worker_eps)
+            local_sketches(&shards[wk.shard_id], 0..num_features, eps)
         });
         let mut sketch_bytes = 0usize;
         for (wi, mut local) in locals.into_iter().enumerate() {
@@ -553,13 +574,13 @@ impl Run<'_> {
         self.round_gradients();
         for class in 0..self.k {
             let mut g = self.new_tree(round * self.k + class, class);
-            for depth in 0..self.config.max_depth {
+            for _ in 0..self.config.max_depth {
                 if g.active.is_empty() {
                     break;
                 }
                 self.build_and_push(&g, &mut record);
                 self.find_split(&g);
-                self.split_tree(&mut g, depth, &mut record);
+                self.split_tree(&mut g, &mut record);
             }
             debug_assert!(
                 g.tree.check_consistency().is_ok(),
@@ -756,26 +777,9 @@ impl Run<'_> {
         let params = self.config.split_params();
         for (pos, &node) in g.active.iter().enumerate() {
             self.h.set_worker(Some(scheduler.worker_for(pos) as u32));
-            let result = match self.plan.split_pull {
-                SplitPull::TwoPhase => ps.pull_split(node, &params),
-                SplitPull::FullRow => {
-                    let (row, layout) = (ps.pull_histogram(node), meta.layout());
-                    best_split_in_range(&row, layout, 0..meta.num_sampled(), None, &params)
-                }
-            };
-            let split = result.best.map(|s| FinalSplit {
-                feature: meta.global_id(s.feature as usize),
-                threshold: meta.threshold(s.feature as usize, s.bucket as usize),
-                gain: s.gain,
-                left_g: s.left_g,
-                left_h: s.left_h,
-                default_left: s.default_left,
-            });
-            ps.publish_decision(SplitDecision {
-                node,
-                split,
-                total_g: result.total_g,
-                total_h: result.total_h,
+            ps.publish_decision(match self.plan.split_pull {
+                SplitPull::TwoPhase => meta.resolve(node, ps.pull_split(node, &params)),
+                SplitPull::FullRow => meta.decide(node, &ps.pull_histogram(node), &params),
             });
         }
         self.h.set_worker(None);
@@ -799,7 +803,7 @@ impl Run<'_> {
 
     /// SPLIT_TREE: pull the layer's decisions, grow the tree, split the
     /// node index, and move `g` to the next layer.
-    fn split_tree(&mut self, g: &mut Growing, depth: usize, record: &mut RoundRecord) {
+    fn split_tree(&mut self, g: &mut Growing, record: &mut RoundRecord) {
         let (shards, params) = (self.shards, self.config.split_params());
         let decisions = self.h.ps.pull_decisions(&g.active);
         let decision_bytes = (64 * g.active.len()) as f64;
@@ -809,21 +813,12 @@ impl Run<'_> {
         let (mut next_active, mut next_pairs) = (Vec::new(), Vec::new());
         for decision in &decisions {
             let node = decision.node;
+            let open = g.tree.apply_decision(decision, &params);
             let Some(split) = decision.split else {
-                let weight = params.leaf_weight(decision.total_g, decision.total_h);
-                g.tree.set_leaf(node, weight as f32);
                 self.h.ps.clear_node(node);
                 continue;
             };
-            let gain = split.gain as f32;
-            record.split_gains.push(gain);
-            g.tree.set_internal_full(
-                node,
-                split.feature,
-                split.threshold,
-                gain,
-                split.default_left,
-            );
+            record.split_gains.push(split.gain as f32);
             let (lc, rc) = (Tree::left_child(node), Tree::right_child(node));
             if self.plan.instances == InstanceSource::Index {
                 let workers = &mut self.state.workers;
@@ -837,8 +832,8 @@ impl Run<'_> {
             // Parents feeding next layer's sibling subtraction must keep
             // their merged rows on the servers until the derive step.
             let mut keep_row = false;
-            if depth + 1 < self.config.max_depth {
-                next_active.extend([lc, rc]);
+            if let Some(children) = open {
+                next_active.extend(children);
                 if self.plan.subtraction {
                     let right_h = decision.total_h - split.left_h;
                     let (small, big) = if split.left_h <= right_h {
@@ -849,13 +844,6 @@ impl Run<'_> {
                     next_pairs.push((node, small, big));
                     keep_row = true;
                 }
-            } else {
-                // Children at maximal depth become leaves using the split's
-                // child statistics.
-                let (gl, hl) = (split.left_g, split.left_h);
-                let (gr, hr) = (decision.total_g - gl, decision.total_h - hl);
-                g.tree.set_leaf(lc, params.leaf_weight(gl, hl) as f32);
-                g.tree.set_leaf(rc, params.leaf_weight(gr, hr) as f32);
             }
             if !keep_row {
                 self.h.ps.clear_node(node);
@@ -881,14 +869,7 @@ impl Run<'_> {
         self.timer.phase(Phase::Finish, workers, |wk| {
             let shard = &shards[wk.shard_id];
             if by_leaf_ranges {
-                // Leaves have contiguous instance ranges in the index.
-                for leaf in 0..tree.capacity() as u32 {
-                    if let Node::Leaf { weight } = tree.node(leaf) {
-                        for &i in wk.index.instances(leaf) {
-                            wk.preds[i as usize * k + class] += eta * weight;
-                        }
-                    }
-                }
+                wk.index.update_scores(tree, eta, &mut wk.preds, class, k);
             } else {
                 for i in 0..shard.num_rows() {
                     wk.preds[i * k + class] += eta * tree.predict(&shard.row(i));
@@ -1046,6 +1027,22 @@ mod tests {
     fn classification_data() -> (Dataset, Dataset) {
         let ds = generate(&SparseGenConfig::new(3_000, 200, 15, 42));
         train_test_split(&ds, 0.2, 42).unwrap()
+    }
+
+    #[test]
+    fn slice_sketches_are_the_matching_run_of_whole_range_sketches() {
+        let ds = generate(&SparseGenConfig::new(400, 50, 6, 9));
+        let mut whole = local_sketches(&ds, 0..50, 0.05);
+        for slice in [0..50, 0..13, 13..37, 37..50, 20..20] {
+            let mut part = local_sketches(&ds, slice.clone(), 0.05);
+            assert_eq!(part.len(), slice.len());
+            for (own, all) in part.iter_mut().zip(&mut whole[slice]) {
+                assert_eq!(own.count(), all.count());
+                assert_eq!(propose_candidates(own, 8), propose_candidates(all, 8));
+            }
+        }
+        assert_eq!(worker_eps(0.1, 1), 0.05);
+        assert_eq!(worker_eps(0.1, 4), 0.025);
     }
 
     #[test]

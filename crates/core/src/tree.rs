@@ -3,6 +3,8 @@
 //! task scheduler, Figure 10, indexes nodes the same way).
 
 use dimboost_data::RowView;
+use dimboost_ps::split::SplitDecision;
+use dimboost_ps::SplitParams;
 use serde::{Deserialize, Serialize};
 
 /// One slot of the tree's node array.
@@ -145,6 +147,36 @@ impl Tree {
     /// Marks `id` as a leaf with the given weight.
     pub fn set_leaf(&mut self, id: u32, weight: f32) {
         self.nodes[id as usize] = Node::Leaf { weight };
+    }
+
+    /// SPLIT_TREE for one node: without a split it becomes a leaf weighted
+    /// from the node totals; with one it becomes internal (gain and default
+    /// direction recorded) and, when it sits on the last layer that may
+    /// split, its children become leaves weighted from the split's left
+    /// sums and the totals. Returns the children that join the next layer's
+    /// active set — `None` when the node or its children ended as leaves.
+    pub fn apply_decision(&mut self, d: &SplitDecision, params: &SplitParams) -> Option<[u32; 2]> {
+        let leaf = |g, h| params.leaf_weight(g, h) as f32;
+        let Some(split) = d.split else {
+            self.set_leaf(d.node, leaf(d.total_g, d.total_h));
+            return None;
+        };
+        let gain = split.gain as f32;
+        self.set_internal_full(
+            d.node,
+            split.feature,
+            split.threshold,
+            gain,
+            split.default_left,
+        );
+        let children = [Self::left_child(d.node), Self::right_child(d.node)];
+        if Self::depth_of(d.node) + 1 < self.max_depth {
+            return Some(children);
+        }
+        let (gl, hl) = (split.left_g, split.left_h);
+        self.set_leaf(children[0], leaf(gl, hl));
+        self.set_leaf(children[1], leaf(d.total_g - gl, d.total_h - hl));
+        None
     }
 
     /// Number of leaves currently in the tree.
@@ -351,6 +383,53 @@ mod tests {
     fn cannot_split_past_max_depth() {
         let mut t = Tree::new(1);
         t.set_internal(1, 0, 0.0);
+    }
+
+    #[test]
+    fn apply_decision_grows_leaves_internals_and_last_layer_children() {
+        use dimboost_ps::split::FinalSplit;
+        let params = SplitParams::default();
+        let split = FinalSplit {
+            feature: 3,
+            threshold: 0.5,
+            gain: 2.0,
+            left_g: 1.0,
+            left_h: 2.0,
+            default_left: false,
+        };
+        let decision = |node, split| SplitDecision {
+            node,
+            split,
+            total_g: 4.0,
+            total_h: 6.0,
+        };
+        let mut t = Tree::new(2);
+        // Above the last layer the children open for the next one.
+        assert_eq!(
+            t.apply_decision(&decision(0, Some(split)), &params),
+            Some([1, 2])
+        );
+        let internal = Node::Internal {
+            feature: 3,
+            threshold: 0.5,
+            gain: 2.0,
+            default_left: false,
+        };
+        assert_eq!(t.node(0), internal);
+        assert_eq!(t.node(1), Node::Unused);
+        // No split: a leaf from the node totals.
+        assert_eq!(t.apply_decision(&decision(1, None), &params), None);
+        let leaf = |g, h| Node::Leaf {
+            weight: params.leaf_weight(g, h) as f32,
+        };
+        assert_eq!(t.node(1), leaf(4.0, 6.0));
+        // On the last layer the children are leaves: left sums, and totals
+        // minus left sums.
+        assert_eq!(t.apply_decision(&decision(2, Some(split)), &params), None);
+        assert_eq!(t.node(2), internal);
+        assert_eq!(t.node(5), leaf(1.0, 2.0));
+        assert_eq!(t.node(6), leaf(3.0, 4.0));
+        assert!(t.check_consistency().is_ok());
     }
 
     #[test]

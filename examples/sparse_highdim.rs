@@ -11,9 +11,9 @@ use std::time::Instant;
 
 use dimboost::core::hist_build::build_row;
 use dimboost::core::loss::loss_for;
-use dimboost::core::{FeatureMeta, LossKind};
+use dimboost::core::{local_sketches, FeatureMeta, LossKind};
 use dimboost::data::synthetic::{gender_like, generate};
-use dimboost::sketch::{propose_candidates, GkSketch};
+use dimboost::sketch::propose_candidates;
 
 fn main() {
     // Gender-shaped: very sparse, many features.
@@ -28,15 +28,7 @@ fn main() {
 
     // Propose split candidates from per-feature sketches (CREATE_SKETCH /
     // PULL_SKETCH), then build the feature metadata.
-    let mut sketches: Vec<GkSketch> = (0..dataset.num_features())
-        .map(|_| GkSketch::new(0.01))
-        .collect();
-    for (row, _) in dataset.iter_rows() {
-        for (f, v) in row.iter() {
-            sketches[f as usize].insert(v);
-        }
-    }
-    let candidates: Vec<_> = sketches
+    let candidates: Vec<_> = local_sketches(&dataset, 0..dataset.num_features(), 0.01)
         .iter_mut()
         .map(|s| propose_candidates(s, 20))
         .collect();
