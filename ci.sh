@@ -30,9 +30,12 @@ cargo test --workspace -q
 # that pin them bit for bit — and the cross-commit model pins — run once more
 # against release codegen; the artefacts tier-1 built are reused. The
 # baselines sum f32 in plain loops the optimiser may reorder only if it is
-# wrong to, so their pins run here too.
+# wrong to, so their pins run here too. column_view pins the feature-major
+# sketch fold and the galloping column split against the per-value and
+# predicate forms they replaced.
 echo "==> release codegen: model pins + kernel suites"
-cargo test --release -q --test model_pins --test baseline_pins --test determinism --test fused
+cargo test --release -q --test model_pins --test baseline_pins --test determinism --test fused \
+  --test column_view
 cargo test --release -q -p dimboost-ps -p dimboost-sketch
 
 # The host-wall yardstick is its own package (own [workspace] and lockfile):
@@ -306,7 +309,9 @@ fi
   --report-canonical "$SMOKE/report_chaos.json" \
   --trace-canonical "$SMOKE/trace_chaos.canonical.json" > /dev/null
 # Exactness invariant: same model bytes as the clean run, and the report
-# agrees on everything but timing and the fault counters.
+# agrees on everything but timing and the fault counters. The resumed leg
+# never ran CREATE_SKETCH, so its column view is built at its first split:
+# this cmp is the end-to-end check that the late view splits identically.
 cmp "$SMOKE/model_a.json" "$SMOKE/model_chaos.json"
 "$BIN/report_diff" --faults "$SMOKE/report_a.json" "$SMOKE/report_chaos.json"
 "$BIN/trace_check" --workers 3 --servers 2 --expect-faults \

@@ -4,10 +4,10 @@ use std::time::Instant;
 use dimboost_core::hist_build::build_row;
 use dimboost_core::loss::{loss_for, GradPair};
 use dimboost_core::{
-    local_sketches, worker_eps, FeatureMeta, GbdtConfig, GbdtModel, LossKind, LossPoint, NodeIndex,
+    sketch_columns, worker_eps, FeatureMeta, GbdtConfig, GbdtModel, LossKind, LossPoint, NodeIndex,
     Optimizations, RunBreakdown, SplitDecision, SplitParams, Tree,
 };
-use dimboost_data::Dataset;
+use dimboost_data::{ColumnView, Dataset};
 use dimboost_ps::PsConfig;
 use dimboost_simnet::collectives::{allreduce_binomial, reduce_scatter_halving, reduce_to_one};
 use dimboost_simnet::{CommStats, CostModel, SimTime};
@@ -117,14 +117,14 @@ pub(crate) fn concurrently<T>(
 /// charged as one exchange over the system's own collective.
 fn merged_candidates(
     kind: BaselineKind,
-    shards: &[Dataset],
+    views: &[ColumnView],
     config: &GbdtConfig,
     cost: &CostModel,
     spent: &mut RunBreakdown,
 ) -> Vec<SplitCandidates> {
-    let (w, num_features) = (shards.len(), shards[0].num_features());
+    let (w, num_features) = (views.len(), views[0].num_features());
     let eps = worker_eps(config.sketch_eps, w);
-    let sketch = |wk: usize| local_sketches(&shards[wk], 0..num_features, eps);
+    let sketch = |wk: usize| sketch_columns(&views[wk], 0..num_features, eps);
     let mut sketch_sets = concurrently(spent, w, sketch);
     let mut sketch_bytes = 0usize;
     let merge = |f: usize| {
@@ -223,10 +223,13 @@ pub(crate) fn train(
 
     let (w, params, eta) = (shards.len(), config.split_params(), config.learning_rate);
     let mut spent = RunBreakdown::default();
+    // One column view per row partition: the candidates are sketched off
+    // it now, every tree's node index is split off it later.
+    let views = concurrently(&mut spent, w, |wk| ColumnView::build(&shards[wk]));
     let candidates = match strategy {
-        Strategy::DataParallel(kind) => merged_candidates(*kind, shards, config, &cost, &mut spent),
+        Strategy::DataParallel(kind) => merged_candidates(*kind, &views, config, &cost, &mut spent),
         Strategy::FeatureParallel(slices) => {
-            feature_parallel::candidates(slices, first, config, &mut spent)
+            feature_parallel::candidates(slices, &views[0], config, &mut spent)
         }
     };
     let mut preds: Vec<Vec<f32>> = shards.iter().map(|s| vec![0.0; s.num_rows()]).collect();
@@ -276,9 +279,9 @@ pub(crate) fn train(
                 };
                 let node = decision.node;
                 let (lc, rc) = (Tree::left_child(node), Tree::right_child(node));
-                for Part { data, index, .. } in &mut parts {
-                    let left = |i| split.goes_left(data.row(i as usize).get(split.feature));
-                    index.split(node, lc, rc, left);
+                for (Part { index, .. }, view) in parts.iter_mut().zip(&views) {
+                    let column = view.column(split.feature as usize);
+                    index.split_column(node, lc, rc, column, |v| split.goes_left(v));
                 }
             }
         }

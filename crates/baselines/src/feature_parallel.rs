@@ -13,9 +13,9 @@ use std::ops::Range;
 
 use dimboost_core::hist_build::build_row;
 use dimboost_core::{
-    local_sketches, FeatureMeta, GbdtConfig, RunBreakdown, SplitDecision, SplitParams,
+    sketch_columns, FeatureMeta, GbdtConfig, RunBreakdown, SplitDecision, SplitParams,
 };
-use dimboost_data::Dataset;
+use dimboost_data::{ColumnView, Dataset};
 use dimboost_simnet::collectives::partition_ranges;
 use dimboost_simnet::{CostModel, SimTime};
 use dimboost_sketch::{propose_candidates, SplitCandidates};
@@ -49,12 +49,12 @@ pub fn train_lightgbm_feature_parallel(
 /// local, zero communication, so no merge budget is spent.
 pub(crate) fn candidates(
     slices: &[Range<usize>],
-    dataset: &Dataset,
+    columns: &ColumnView,
     config: &GbdtConfig,
     spent: &mut RunBreakdown,
 ) -> Vec<SplitCandidates> {
     let per_worker = concurrently(spent, slices.len(), |wk| {
-        local_sketches(dataset, slices[wk].clone(), config.sketch_eps)
+        sketch_columns(columns, slices[wk].clone(), config.sketch_eps)
             .iter_mut()
             .map(|s| propose_candidates(s, config.num_candidates))
             .collect::<Vec<_>>()

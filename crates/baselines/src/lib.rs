@@ -4,10 +4,11 @@
 //! aggregation strategy** and **dense vs sparsity-aware histogram
 //! construction**. Those two are all this crate implements. Everything else
 //! is the code the DimBoost trainer itself runs, in `dimboost-core`:
-//! `local_sketches` + `worker_eps` (candidate proposal),
-//! `FeatureMeta::decide` (the split rule over a merged row),
-//! `Tree::apply_decision` (SPLIT_TREE) and `NodeIndex::update_scores` (the
-//! prediction update). One ensemble loop (`driver::train`) drives them and
+//! `sketch_columns` + `worker_eps` (candidate proposal, off each row
+//! partition's column view), `FeatureMeta::decide` (the split rule over a
+//! merged row), `Tree::apply_decision` + `NodeIndex::split_column`
+//! (SPLIT_TREE) and `NodeIndex::update_scores` (the prediction update). One
+//! ensemble loop (`driver::train`) drives them and
 //! is handed a `Strategy` — data-parallel over one of three collectives, or
 //! feature-parallel — that turns a layer's active nodes into split
 //! decisions and says what that cost:

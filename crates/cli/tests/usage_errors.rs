@@ -177,6 +177,39 @@ fn runtime_errors_still_exit_one() {
 }
 
 #[test]
+fn non_finite_training_data_is_a_read_error_naming_line_and_token() {
+    // `nan` and `inf` parse as f32; a NaN value bins left of every split
+    // candidate while the split rule routes it right, so it must never get
+    // past the reader. Exit 1 (the file is the problem, not the flags).
+    let dir = std::env::temp_dir();
+    for (tag, text, needle) in [
+        (
+            "nan_value",
+            "1 1:0.5\n1 1:nan 2:3\n",
+            "line 2: non-finite value \"nan\"",
+        ),
+        ("inf_value", "1 1:inf\n", "line 1: non-finite value \"inf\""),
+        (
+            "nan_label",
+            "0 1:1\n1 1:2\nnan 1:3\n",
+            "line 3: non-finite label \"nan\"",
+        ),
+    ] {
+        let data = dir.join(format!("dimboost_cli_non_finite_{tag}.txt"));
+        let model = dir.join(format!("dimboost_cli_non_finite_{tag}.model"));
+        std::fs::write(&data, text).unwrap();
+        let (data_arg, model_arg) = (data.to_str().unwrap(), model.to_str().unwrap());
+        let out = dimboost(&["train", "--data", data_arg, "--model", model_arg]);
+        std::fs::remove_file(&data).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{tag}: {stderr}");
+        assert!(stderr.contains(needle), "{tag}: {stderr}");
+        assert!(!stderr.contains("panicked at"), "{tag}: {stderr}");
+        assert!(!model.exists(), "{tag}: no model may be written");
+    }
+}
+
+#[test]
 fn analyze_reports_overflowing_trace_counters_instead_of_panicking() {
     // A trace that parses but whose byte counters sum past u64 used to
     // panic the analyzer in debug builds and wrap silently in release.

@@ -99,6 +99,12 @@ impl BinnedShard {
         }
     }
 
+    /// False once [`QuantBinned::build_releasing`](crate::hist_build::QuantBinned)
+    /// freed the per-entry arrays the f32 builders read.
+    pub(crate) fn has_f32_entries(&self) -> bool {
+        self.g_elem.len() == self.nnz()
+    }
+
     /// Rows covered by this binned shard.
     pub fn num_rows(&self) -> usize {
         self.indptr.len() - 1
@@ -106,7 +112,7 @@ impl BinnedShard {
 
     /// Stored (sampled) nonzero entries.
     pub fn nnz(&self) -> usize {
-        self.g_elem.len()
+        self.indptr[self.indptr.len() - 1]
     }
 
     /// Approximate memory footprint in bytes.
@@ -119,6 +125,7 @@ impl BinnedShard {
     /// Algorithm 2 over pre-resolved offsets: identical output to
     /// `hist_build::build_sparse`, no binary searches.
     pub fn build_into(&self, instances: &[u32], grads: &[GradPair], out: &mut [f32]) {
+        debug_assert!(self.has_f32_entries(), "f32 build over a released shard");
         let mut sum_g = 0.0f64;
         let mut sum_h = 0.0f64;
         for &i in instances {

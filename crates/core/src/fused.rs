@@ -258,6 +258,7 @@ fn accumulate(
     sums: &mut [(f64, f64)],
     touched: &mut [bool],
 ) {
+    debug_assert!(binned.has_f32_entries(), "f32 build over a released shard");
     for (i, &slot) in slots.iter().enumerate().take(hi).skip(lo) {
         if slot == NO_NODE {
             continue;

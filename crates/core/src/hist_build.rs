@@ -319,40 +319,32 @@ pub struct QuantBinned {
 impl QuantBinned {
     /// Derives the pair offsets from an already-built binned shard.
     pub fn build(binned: &BinnedShard, meta: &FeatureMeta) -> Self {
-        let layout = meta.layout();
-        // Pair base of feature `sf` is the cumulative bucket count, i.e.
-        // exactly `layout.g_index(sf, 0) / 2` — but derive it independently
-        // so this never relies on the f32 layout's internal offsets.
-        let mut pair_of_g = vec![u32::MAX; layout.row_len()];
-        let mut zero_pair = Vec::with_capacity(meta.num_sampled());
-        let mut base = 0u32;
-        for sf in 0..meta.num_sampled() {
-            let nb = layout.num_buckets(sf);
-            for k in 0..nb {
-                pair_of_g[layout.g_index(sf, k)] = base + k as u32;
-            }
-            zero_pair.push(base + layout.zero_bucket(sf) as u32);
-            base += nb as u32;
+        let (pair_of_g, zero_pair, pair_len) = pair_layout(meta);
+        Self {
+            pair_elem: pair_elems(&binned.g_elem, &pair_of_g),
+            zero_elem: zero_elems(&binned.sf, &zero_pair),
+            zero_pair,
+            pair_len,
         }
-        let pair_elem: Vec<u32> = binned
-            .g_elem
-            .iter()
-            .map(|&g| {
-                let p = pair_of_g[g as usize];
-                debug_assert_ne!(p, u32::MAX, "g_elem offset outside any G block");
-                p
-            })
-            .collect();
-        // Pre-resolving each entry's zero cell (`zero_pair[sf[e]]`) turns
-        // the hot loop's data-dependent double load into one streamed read,
-        // for 4 bytes/entry — the accumulators are memory-bound, so the
-        // shorter dependency chain is worth the extra array.
-        let zero_elem = binned.sf.iter().map(|&sf| zero_pair[sf as usize]).collect();
+    }
+
+    /// [`QuantBinned::build`] for a shard only the integer kernels will read
+    /// again: they walk its row pointers and this view, so each of its three
+    /// per-entry arrays (12 bytes per nonzero) is freed as soon as the view
+    /// no longer needs it — before the next 4 bytes per nonzero are
+    /// allocated, not after. The f32 builders must not run on `binned`
+    /// afterwards ([`BinnedShard::has_f32_entries`]).
+    pub(crate) fn build_releasing(binned: &mut BinnedShard, meta: &FeatureMeta) -> Self {
+        let (pair_of_g, zero_pair, pair_len) = pair_layout(meta);
+        let pair_elem = pair_elems(&binned.g_elem, &pair_of_g);
+        (binned.g_elem, binned.h_elem) = (Vec::new(), Vec::new());
+        let zero_elem = zero_elems(&binned.sf, &zero_pair);
+        binned.sf = Vec::new();
         Self {
             pair_elem,
             zero_elem,
             zero_pair,
-            pair_len: base as usize,
+            pair_len,
         }
     }
 
@@ -365,6 +357,45 @@ impl QuantBinned {
     pub fn memory_bytes(&self) -> usize {
         (self.pair_elem.len() + self.zero_elem.len() + self.zero_pair.len()) * 4
     }
+}
+
+/// The packed-cell offset of every G cell of `meta`'s f32 layout
+/// (`u32::MAX` at the H cells), of each sampled feature's zero bucket, and
+/// the number of cells.
+fn pair_layout(meta: &FeatureMeta) -> (Vec<u32>, Vec<u32>, usize) {
+    let layout = meta.layout();
+    // Pair base of feature `sf` is the cumulative bucket count, i.e.
+    // exactly `layout.g_index(sf, 0) / 2` — but derive it independently
+    // so this never relies on the f32 layout's internal offsets.
+    let mut pair_of_g = vec![u32::MAX; layout.row_len()];
+    let mut zero_pair = Vec::with_capacity(meta.num_sampled());
+    let mut base = 0u32;
+    for sf in 0..meta.num_sampled() {
+        let nb = layout.num_buckets(sf);
+        for k in 0..nb {
+            pair_of_g[layout.g_index(sf, k)] = base + k as u32;
+        }
+        zero_pair.push(base + layout.zero_bucket(sf) as u32);
+        base += nb as u32;
+    }
+    (pair_of_g, zero_pair, base as usize)
+}
+
+fn pair_elems(g_elem: &[u32], pair_of_g: &[u32]) -> Vec<u32> {
+    let pair = |&g: &u32| {
+        let p = pair_of_g[g as usize];
+        debug_assert_ne!(p, u32::MAX, "g_elem offset outside any G block");
+        p
+    };
+    g_elem.iter().map(pair).collect()
+}
+
+/// Pre-resolving each entry's zero cell (`zero_pair[sf[e]]`) turns the hot
+/// loop's data-dependent double load into one streamed read, for 4
+/// bytes/entry — the accumulators are memory-bound, so the shorter
+/// dependency chain is worth the extra array.
+fn zero_elems(sf: &[u32], zero_pair: &[u32]) -> Vec<u32> {
+    sf.iter().map(|&sf| zero_pair[sf as usize]).collect()
 }
 
 /// A packed G/H accumulator cell: two signed lanes in one integer.
@@ -914,6 +945,49 @@ mod tests {
         let wide = build_quantized(&binned, &qb, &instances, &q, &meta, AccMode::Wide);
         // Same integer sums, same dequantize pass → assert_eq on f32 bits.
         assert_eq!(narrow, wide);
+    }
+
+    // The trainer's quantized arm frees the binned shard's three f32 entry
+    // arrays while it derives the pair view: the view must be the one
+    // `build` derives, and both integer kernels must read the same rows off
+    // what is left (row pointers + pair view).
+    #[test]
+    fn quantized_kernels_read_nothing_the_release_drops() {
+        let ds = generate(&SparseGenConfig::new(250, 30, 6, 11));
+        let meta = meta_for(&ds, vec![0.25, 0.5, 1.0, 1.5]);
+        let q = QuantizedGrads::quantize(&varied_grads(250), 10);
+        let mut binned = BinnedShard::build(&ds, &meta);
+        let qb = QuantBinned::build(&binned, &meta);
+        let instances: Vec<u32> = (0..250).filter(|i| i % 3 != 0).collect();
+        let positions = crate::fused::positions_from_index(
+            &crate::NodeIndex::from_instances(instances.clone(), 1),
+            &[0],
+            250,
+        );
+        let both = |binned: &BinnedShard| {
+            let per_node = build_quantized(binned, &qb, &instances, &q, &meta, AccMode::Wide);
+            let mut fused = Vec::new();
+            crate::fused::build_layer_quantized_into(
+                binned, &qb, &positions, &q, &meta, 64, 1, &mut fused,
+            );
+            (per_node, fused)
+        };
+        let before = both(&binned);
+        let (nnz, bytes) = (binned.nnz(), binned.memory_bytes());
+        let released = QuantBinned::build_releasing(&mut binned, &meta);
+        assert_eq!(
+            (
+                &released.pair_elem,
+                &released.zero_elem,
+                &released.zero_pair
+            ),
+            (&qb.pair_elem, &qb.zero_elem, &qb.zero_pair)
+        );
+        assert!(!binned.has_f32_entries());
+        assert_eq!(binned.nnz(), nnz);
+        assert_eq!(binned.memory_bytes(), bytes - 12 * nnz);
+        assert_eq!(both(&binned), before);
+        assert_eq!(before.0, before.1);
     }
 
     #[test]

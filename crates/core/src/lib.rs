@@ -59,8 +59,9 @@ pub use pool::WorkerPool;
 pub use report::{NodeInstances, PhaseReport, QuantHistRecord, RoundRecord, RunReport, SpanTimer};
 pub use scheduler::RoundRobinScheduler;
 pub use trainer::{
-    local_sketches, train_distributed, train_single_machine, train_with_options, worker_eps,
-    EvalOptions, LossPoint, RobustOptions, RunBreakdown, TrainError, TrainOptions, TrainOutput,
+    local_sketches, sketch_columns, train_distributed, train_single_machine, train_with_options,
+    worker_eps, EvalOptions, LossPoint, RobustOptions, RunBreakdown, TrainError, TrainOptions,
+    TrainOutput,
 };
 pub use tree::{Node, Tree};
 

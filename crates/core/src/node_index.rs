@@ -14,6 +14,8 @@
 //! to the layer-fused kernel's single ascending row sweep
 //! (`crate::fused`) — the basis of their bit-equality contract.
 
+use dimboost_data::Column;
+
 use crate::tree::{Node, Tree};
 
 /// The node-to-instance index for one worker's shard during one tree.
@@ -24,6 +26,8 @@ pub struct NodeIndex {
     /// Per tree node: `(start, end)` into `positions`, or `None` if the node
     /// has not been materialized.
     ranges: Vec<Option<(u32, u32)>>,
+    /// Right-goers of the split in progress, kept between splits.
+    rights: Vec<u32>,
 }
 
 impl NodeIndex {
@@ -43,6 +47,7 @@ impl NodeIndex {
         Self {
             positions: instances,
             ranges,
+            rights: Vec::new(),
         }
     }
 
@@ -88,7 +93,7 @@ impl NodeIndex {
         let (l, r) = (l as usize, r as usize);
         // Stable partition: left-goers compact in place in order; the
         // right-goers are buffered and written back after them.
-        let mut rights: Vec<u32> = Vec::new();
+        self.rights.clear();
         let mut write = l;
         for read in l..r {
             let id = self.positions[read];
@@ -96,14 +101,55 @@ impl NodeIndex {
                 self.positions[write] = id;
                 write += 1;
             } else {
-                rights.push(id);
+                self.rights.push(id);
             }
         }
-        self.positions[write..r].copy_from_slice(&rights);
+        self.positions[write..r].copy_from_slice(&self.rights);
         let mid = write as u32;
         self.ranges[left as usize] = Some((l as u32, mid));
         self.ranges[right as usize] = Some((mid, r as u32));
         write - l
+    }
+
+    /// [`NodeIndex::split`] on one feature: an instance goes left when
+    /// `goes_left` holds for its value in `column`, `0.0` where the column
+    /// has no entry for it — the partition `|i| goes_left(row(i).get(f))`
+    /// produces, without searching any row. The node's list and the column's
+    /// row ids both ascend, so one cursor gallops through the column as the
+    /// list is read: a node far smaller than the column skips most of it, a
+    /// column far sparser than the node is passed in single steps. (A list
+    /// that does not ascend restarts the cursor and stays correct.)
+    pub fn split_column(
+        &mut self,
+        node: u32,
+        left: u32,
+        right: u32,
+        column: Column<'_>,
+        goes_left: impl Fn(f32) -> bool,
+    ) -> usize {
+        let (rows, values) = (column.rows(), column.values());
+        let absent_left = goes_left(0.0);
+        let (mut at, mut prev) = (0usize, 0u32);
+        self.split(node, left, right, |id| {
+            if id < prev {
+                at = 0;
+            }
+            prev = id;
+            // Invariant: every row before `at` is below `id`. Probe at
+            // doubling strides until one is not, then search the last gap.
+            let (mut probe, mut stride) = (at, 1usize);
+            while probe < rows.len() && rows[probe] < id {
+                at = probe + 1;
+                probe += stride;
+                stride *= 2;
+            }
+            let gap = &rows[at..probe.min(rows.len())];
+            at += gap.partition_point(|&row| row < id);
+            match rows.get(at) {
+                Some(&row) if row == id => goes_left(values[at]),
+                _ => absent_left,
+            }
+        })
     }
 
     /// Total instances tracked.
@@ -129,6 +175,7 @@ impl NodeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dimboost_data::{ColumnView, DatasetBuilder};
     use std::collections::HashSet;
 
     #[test]
@@ -227,6 +274,58 @@ mod tests {
                 "node {node} not ascending: {inst:?}"
             );
         }
+    }
+
+    /// The view of a shard of `n` rows whose features are `columns`, each
+    /// `(ascending rows, values)`.
+    fn view_of(n: u32, columns: &[(Vec<u32>, Vec<f32>)]) -> ColumnView {
+        let mut builder = DatasetBuilder::new(columns.len());
+        for i in 0..n {
+            let held = |(rows, _): &(Vec<u32>, Vec<f32>)| rows.binary_search(&i).ok();
+            let entries = columns.iter().enumerate();
+            let (indices, values): (Vec<u32>, Vec<f32>) = entries
+                .filter_map(|(f, col)| held(col).map(|p| (f as u32, col.1[p])))
+                .unzip();
+            builder.push_raw(&indices, &values, 0.0).unwrap();
+        }
+        ColumnView::build(&builder.finish().unwrap())
+    }
+
+    // Equality with the predicate form over random shards, subsets and trees
+    // is the root package's `tests/column_view.rs`; these are the cases it
+    // cannot phrase, on hand-written columns.
+    #[test]
+    fn column_split_edge_cases() {
+        let rule = |v: f32| v != 0.0 && v <= 0.5;
+        let view = view_of(
+            50,
+            &[
+                (vec![], vec![]),
+                (vec![2], vec![0.1]),
+                (
+                    vec![1, 11, 40, 41, 42, 43],
+                    vec![0.1, 0.2, 0.3, 0.3, 0.3, 0.3],
+                ),
+                (vec![0, 4, 5], vec![0.1, 9.0, 0.2]),
+            ],
+        );
+        // Empty column: everything follows the absent rule (right here).
+        let mut idx = NodeIndex::new(6, 7);
+        assert_eq!(idx.split_column(0, 1, 2, view.column(0), rule), 0);
+        assert_eq!(idx.instances(2), &[0, 1, 2, 3, 4, 5]);
+        // Empty node.
+        assert_eq!(idx.split_column(1, 3, 4, view.column(1), rule), 0);
+        assert!(idx.is_materialized(3) && idx.count(4) == 0);
+        // Column rows outside the node, before and after its ids.
+        let mut idx = NodeIndex::from_instances(vec![10, 11, 12], 3);
+        assert_eq!(idx.split_column(0, 1, 2, view.column(2), rule), 1);
+        assert_eq!(idx.instances(1), &[11]);
+        assert_eq!(idx.instances(2), &[10, 12]);
+        // A list that does not ascend is still partitioned by value.
+        let mut idx = NodeIndex::from_instances(vec![5, 1, 4, 0], 3);
+        assert_eq!(idx.split_column(0, 1, 2, view.column(3), rule), 2);
+        assert_eq!(idx.instances(1), &[5, 0]);
+        assert_eq!(idx.instances(2), &[1, 4]);
     }
 
     #[test]

@@ -25,11 +25,11 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 
-use dimboost_data::Dataset;
+use dimboost_data::{ColumnView, Dataset};
 use dimboost_ps::quantize::{quantize_row_into, QuantizedRow};
 use dimboost_ps::{ParameterServer, PsConfig};
 use dimboost_simnet::{CommStats, CostModel, FaultPlan, Phase, SimTime, Trace};
-use dimboost_sketch::{propose_candidates, GkSketch};
+use dimboost_sketch::{propose_candidates, GkScratch, GkSketch};
 
 use crate::checkpoint::{CheckpointError, CheckpointOptions};
 use crate::config::{GbdtConfig, LossKind};
@@ -352,32 +352,27 @@ pub fn worker_eps(sketch_eps: f64, w: usize) -> f64 {
     sketch_eps / ((w as f64).log2() + 2.0).max(2.0)
 }
 
-/// One worker's quantile sketches of `features` over the rows it holds, one
-/// sketch per feature of the range, flushed. The one sketch build in the
-/// workspace: the trainer and the data-parallel baselines pass every
-/// feature, a feature-parallel worker its column slice.
+/// One worker's quantile sketches of `features`, one flushed sketch per
+/// feature of the range, read off its shard's column view. The one sketch
+/// build in the workspace: the trainer and the data-parallel baselines pass
+/// every feature, a feature-parallel worker its column slice. Feature-major,
+/// so one sketch is live at a time and `scratch` serves them all; a column
+/// is the feature's values in row order, so each summary is the one per-value
+/// insertion of the shard's rows would leave.
+pub fn sketch_columns(columns: &ColumnView, features: Range<usize>, eps: f64) -> Vec<GkSketch> {
+    let mut scratch = GkScratch::default();
+    let sketch = |f: usize| {
+        let mut sketch = GkSketch::new(eps);
+        sketch.insert_slice(columns.column(f).values(), &mut scratch);
+        sketch.flush_with(&mut scratch);
+        sketch
+    };
+    features.map(sketch).collect()
+}
+
+/// [`sketch_columns`] for a caller that holds no column view of `shard`.
 pub fn local_sketches(shard: &Dataset, features: Range<usize>, eps: f64) -> Vec<GkSketch> {
-    let mut sketches: Vec<GkSketch> = features.clone().map(|_| GkSketch::new(eps)).collect();
-    let whole = features.start == 0 && features.end >= shard.num_features();
-    for (row, _) in shard.iter_rows() {
-        // A row's indices ascend, so a slice of the features is one run of
-        // its nonzeros; the whole range needs no search.
-        let (indices, values) = (row.indices(), row.values());
-        let (lo, hi) = match whole {
-            true => (0, indices.len()),
-            false => (
-                indices.partition_point(|&f| (f as usize) < features.start),
-                indices.partition_point(|&f| (f as usize) < features.end),
-            ),
-        };
-        for (&f, &v) in indices[lo..hi].iter().zip(&values[lo..hi]) {
-            sketches[f as usize - features.start].insert(v);
-        }
-    }
-    for s in &mut sketches {
-        s.flush();
-    }
-    sketches
+    sketch_columns(&ColumnView::build(shard), features, eps)
 }
 
 /// The tree being grown and the nodes its current layer works on.
@@ -530,15 +525,22 @@ impl Run<'_> {
         }
     }
 
-    /// CREATE_SKETCH: local sketches pushed to the PS.
+    /// CREATE_SKETCH: each worker transposes its shard into the column view
+    /// and sketches every feature from it; local sketches are pushed to the
+    /// PS.
     fn create_sketch(&mut self) {
         let (shards, w) = (self.shards, self.shards.len());
         let num_features = shards[0].num_features();
         // Budget the rank error for the PS-side balanced merge of w sketches.
         let eps = worker_eps(self.config.sketch_eps, w);
+        // Past this phase only the node-index split reads the view.
+        let keep_view = self.plan.instances == InstanceSource::Index;
         let workers = &mut self.state.workers;
         let locals = self.timer.phase(Phase::CreateSketch, workers, |wk| {
-            local_sketches(&shards[wk.shard_id], 0..num_features, eps)
+            let columns = ColumnView::build(&shards[wk.shard_id]);
+            let sketches = sketch_columns(&columns, 0..num_features, eps);
+            wk.columns = keep_view.then_some(columns);
+            sketches
         });
         let mut sketch_bytes = 0usize;
         for (wi, mut local) in locals.into_iter().enumerate() {
@@ -823,10 +825,14 @@ impl Run<'_> {
             if self.plan.instances == InstanceSource::Index {
                 let workers = &mut self.state.workers;
                 self.timer.phase(Phase::SplitTree, workers, |wk| {
-                    let shard = &shards[wk.shard_id];
-                    wk.index.split(node, lc, rc, |i| {
-                        split.goes_left(shard.row(i as usize).get(split.feature))
-                    });
+                    // A resumed run never ran CREATE_SKETCH: its first split
+                    // builds the view.
+                    let columns = wk
+                        .columns
+                        .get_or_insert_with(|| ColumnView::build(&shards[wk.shard_id]));
+                    let column = columns.column(split.feature as usize);
+                    wk.index
+                        .split_column(node, lc, rc, column, |v| split.goes_left(v));
                 });
             }
             // Parents feeding next layer's sibling subtraction must keep

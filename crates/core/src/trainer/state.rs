@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dimboost_data::Dataset;
+use dimboost_data::{ColumnView, Dataset};
 use dimboost_ps::quantize::QuantizedRow;
 use dimboost_simnet::CommLedger;
 use dimboost_sketch::SplitCandidates;
@@ -31,8 +31,9 @@ pub(super) enum HistData {
     Raw,
     /// The pre-binned CSR (f32 accumulators).
     Binned(BinnedShard),
-    /// The pre-binned CSR, its packed-pair view, and the current tree's
-    /// fixed-point gradient codes (integer accumulators).
+    /// The pre-binned CSR's row pointers (its f32 entry arrays released),
+    /// its packed-pair view, and the current tree's fixed-point gradient
+    /// codes (integer accumulators).
     Quantized(BinnedShard, QuantBinned, QuantizedGrads),
 }
 
@@ -52,8 +53,8 @@ impl HistData {
                 *grads = QuantizedGrads::quantize(g, bits());
             }
             (Kernel::Quantized, _) => {
-                let binned = BinnedShard::build(shard, meta);
-                let pairs = QuantBinned::build(&binned, meta);
+                let mut binned = BinnedShard::build(shard, meta);
+                let pairs = QuantBinned::build_releasing(&mut binned, meta);
                 *self = HistData::Quantized(binned, pairs, QuantizedGrads::quantize(g, bits()));
             }
         }
@@ -85,6 +86,11 @@ pub(super) struct Worker {
     /// Round gradients for all classes (`num_classes` per instance).
     pub grads_all: Vec<GradPair>,
     pub index: NodeIndex,
+    /// The shard's transpose, for SPLIT_TREE's node-index split: built in
+    /// CREATE_SKETCH (by the first split on a resumed run), derived from the
+    /// shard alone and so never checkpointed. `None` when the plan scans
+    /// instead of indexing.
+    pub columns: Option<ColumnView>,
     pub hist: HistData,
     /// Row-subsampling membership for the current tree (`None` = all rows).
     pub sample_mask: Option<Vec<bool>>,
@@ -171,6 +177,7 @@ impl TrainState {
             grads: vec![GradPair::default(); s.num_rows()],
             grads_all: vec![GradPair::default(); s.num_rows() * k],
             index: NodeIndex::new(s.num_rows(), 0),
+            columns: None,
             hist: HistData::Raw,
             sample_mask: None,
             rng: rng(i),

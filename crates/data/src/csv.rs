@@ -8,6 +8,7 @@
 use std::io::{BufRead, BufReader, Read};
 use std::path::Path;
 
+use crate::error::parse_finite;
 use crate::{DataError, Dataset, DatasetBuilder};
 
 /// Parsing options for CSV input.
@@ -78,12 +79,11 @@ pub fn read_csv<R: Read>(reader: R, opts: CsvOptions) -> Result<Dataset, DataErr
         }
         let b = builder.get_or_insert_with(|| DatasetBuilder::new(expected_fields - 1));
 
-        let raw_label: f32 = fields[opts.label_column]
-            .parse()
-            .map_err(|_| DataError::Parse {
-                line: line_no + 1,
-                message: format!("bad label {:?}", fields[opts.label_column]),
-            })?;
+        let raw_label = parse_finite(
+            fields[opts.label_column],
+            line_no + 1,
+            format_args!("label"),
+        )?;
         let label = if opts.binarize_labels {
             if raw_label <= 0.0 {
                 0.0
@@ -101,10 +101,7 @@ pub fn read_csv<R: Read>(reader: R, opts: CsvOptions) -> Result<Dataset, DataErr
             if col == opts.label_column {
                 continue;
             }
-            let v: f32 = field.parse().map_err(|_| DataError::Parse {
-                line: line_no + 1,
-                message: format!("bad value {field:?} in column {col}"),
-            })?;
+            let v = parse_finite(field, line_no + 1, format_args!("value in column {col}"))?;
             if v != 0.0 {
                 indices.push(feature);
                 values.push(v);
@@ -203,6 +200,24 @@ label,f1,f2,f3
     fn rejects_non_numeric() {
         let text = "y,a\n1,hello\n";
         assert!(read_csv(text.as_bytes(), CsvOptions::default()).is_err());
+    }
+
+    #[test]
+    fn rejects_non_finite_fields_naming_the_token() {
+        for (text, token) in [
+            ("y,a,b\n1,2,3\n1,NaN,3\n", "value in column 1 \"NaN\""),
+            ("y,a,b\n1,2,3\n0,2,-inf\n", "value in column 2 \"-inf\""),
+            ("y,a,b\n1,2,3\ninf,2,3\n", "label \"inf\""),
+        ] {
+            let err = read_csv(text.as_bytes(), CsvOptions::default()).unwrap_err();
+            let DataError::Parse { line: 3, message } = &err else {
+                panic!("{text:?}: {err}");
+            };
+            assert!(
+                message.contains("non-finite") && message.contains(token),
+                "{err}"
+            );
+        }
     }
 
     #[test]

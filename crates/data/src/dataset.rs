@@ -225,6 +225,100 @@ impl Dataset {
     }
 }
 
+/// A borrowed view of one feature of a [`ColumnView`]: the rows holding a
+/// nonzero there, ascending, and their values.
+#[derive(Debug, Clone, Copy)]
+pub struct Column<'a> {
+    rows: &'a [u32],
+    values: &'a [f32],
+}
+
+impl<'a> Column<'a> {
+    /// Ids of the rows with a nonzero entry, strictly ascending.
+    pub fn rows(&self) -> &'a [u32] {
+        self.rows
+    }
+
+    /// Values parallel to [`Self::rows`] — the column's nonzeros in row
+    /// order.
+    pub fn values(&self) -> &'a [f32] {
+        self.values
+    }
+}
+
+/// The transpose of a [`Dataset`]'s nonzeros (CSC): per feature, the rows
+/// holding it in ascending order and their values. What reads one feature
+/// across many rows — a quantile sketch, a node split — walks one
+/// contiguous column instead of searching every row for it. Costs 8 bytes
+/// per nonzero next to the CSR it was built from.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ColumnView {
+    colptr: Vec<usize>,
+    rows: Vec<u32>,
+    values: Vec<f32>,
+}
+
+impl ColumnView {
+    /// Transposes `dataset` in two passes over its nonzeros (count, place).
+    pub fn build(dataset: &Dataset) -> Self {
+        let mut colptr = vec![0usize; dataset.num_features + 1];
+        for &f in &dataset.indices {
+            colptr[f as usize + 1] += 1;
+        }
+        for f in 0..dataset.num_features {
+            colptr[f + 1] += colptr[f];
+        }
+        let mut next = colptr.clone();
+        let mut rows = vec![0u32; dataset.nnz()];
+        let mut values = vec![0.0f32; dataset.nnz()];
+        // Rows are visited in ascending order, so every column fills
+        // ascending.
+        for (i, span) in dataset.indptr.windows(2).enumerate() {
+            let entries = span[0]..span[1];
+            for (&f, &v) in dataset.indices[entries.clone()]
+                .iter()
+                .zip(&dataset.values[entries])
+            {
+                let at = &mut next[f as usize];
+                rows[*at] = i as u32;
+                values[*at] = v;
+                *at += 1;
+            }
+        }
+        Self {
+            colptr,
+            rows,
+            values,
+        }
+    }
+
+    /// Number of features (columns), all-zero ones included.
+    pub fn num_features(&self) -> usize {
+        self.colptr.len() - 1
+    }
+
+    /// Column of feature `f`; empty for a feature no row holds, which
+    /// includes any `f` past the dimensionality (as [`RowView::get`] reads
+    /// `0.0` there).
+    pub fn column(&self, f: usize) -> Column<'_> {
+        let (lo, hi) = match f < self.num_features() {
+            true => (self.colptr[f], self.colptr[f + 1]),
+            false => (0, 0),
+        };
+        Column {
+            rows: &self.rows[lo..hi],
+            values: &self.values[lo..hi],
+        }
+    }
+
+    /// In-memory footprint in bytes.
+    pub fn memory_bytes(&self) -> usize {
+        self.colptr.len() * std::mem::size_of::<usize>()
+            + self.rows.len() * std::mem::size_of::<u32>()
+            + self.values.len() * std::mem::size_of::<f32>()
+    }
+}
+
 /// Incremental [`Dataset`] constructor.
 #[derive(Debug)]
 pub struct DatasetBuilder {
@@ -398,6 +492,30 @@ mod tests {
         assert_eq!(stats[2].min, 0.5);
         assert_eq!(stats[2].max, 2.0);
         assert_eq!(stats[3].nnz, 0);
+    }
+
+    #[test]
+    fn column_view_is_the_transpose() {
+        let ds = toy();
+        let view = ColumnView::build(&ds);
+        assert_eq!(view.num_features(), 5);
+        let col = |f| {
+            (
+                view.column(f).rows().to_vec(),
+                view.column(f).values().to_vec(),
+            )
+        };
+        assert_eq!(col(0), (vec![0], vec![1.0]));
+        assert_eq!(col(1), (vec![1], vec![-1.0]));
+        assert_eq!(col(2), (vec![0, 2], vec![2.0, 0.5]));
+        assert_eq!(col(3), (vec![], vec![]));
+        assert_eq!(col(4), (vec![2], vec![3.0]));
+        // Past the dimensionality reads as absent, like `RowView::get`.
+        assert_eq!(col(5), (vec![], vec![]));
+        assert_eq!(col(usize::MAX), (vec![], vec![]));
+        assert_eq!(view.memory_bytes(), 6 * 8 + ds.nnz() * 8);
+        let empty = ColumnView::build(&Dataset::empty(3));
+        assert!(empty.column(1).rows().is_empty());
     }
 
     #[test]

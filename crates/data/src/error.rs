@@ -82,3 +82,24 @@ impl From<std::io::Error> for DataError {
         DataError::Io(e)
     }
 }
+
+/// Parses one numeric token of a text dataset: `what` names it in the error
+/// (`label`, `value in column 3`). `nan`, `inf` and `infinity` parse as `f32` but
+/// are refused — a NaN bins left of every candidate while the split rule
+/// routes it right, so histograms and node index would disagree about the
+/// row, and an infinite label has no finite gradient.
+pub(crate) fn parse_finite(
+    tok: &str,
+    line: usize,
+    what: fmt::Arguments<'_>,
+) -> Result<f32, DataError> {
+    let bad = |why: &str| DataError::Parse {
+        line,
+        message: format!("{why} {what} {tok:?}"),
+    };
+    let v: f32 = tok.parse().map_err(|_| bad("bad"))?;
+    match v.is_finite() {
+        true => Ok(v),
+        false => Err(bad("non-finite")),
+    }
+}

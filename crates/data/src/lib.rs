@@ -26,6 +26,6 @@ pub mod libsvm;
 pub mod partition;
 pub mod synthetic;
 
-pub use dataset::{ColumnStats, Dataset, DatasetBuilder, RowView};
+pub use dataset::{Column, ColumnStats, ColumnView, Dataset, DatasetBuilder, RowView};
 pub use error::DataError;
 pub use instance::{DenseInstance, SparseInstance};

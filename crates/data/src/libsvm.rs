@@ -8,6 +8,7 @@
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+use crate::error::parse_finite;
 use crate::{DataError, Dataset, DatasetBuilder};
 
 /// Parsing options for LibSVM input.
@@ -52,10 +53,7 @@ pub fn read_libsvm<R: Read>(reader: R, opts: LibsvmOptions) -> Result<Dataset, D
             line: line_no + 1,
             message: "missing label".into(),
         })?;
-        let raw_label: f32 = label_tok.parse().map_err(|_| DataError::Parse {
-            line: line_no + 1,
-            message: format!("bad label {label_tok:?}"),
-        })?;
+        let raw_label = parse_finite(label_tok, line_no + 1, format_args!("label"))?;
         let label = if opts.binarize_labels {
             if raw_label <= 0.0 {
                 0.0
@@ -85,10 +83,7 @@ pub fn read_libsvm<R: Read>(reader: R, opts: LibsvmOptions) -> Result<Dataset, D
             } else {
                 raw_idx
             };
-            let value: f32 = val_str.parse().map_err(|_| DataError::Parse {
-                line: line_no + 1,
-                message: format!("bad value {val_str:?}"),
-            })?;
+            let value = parse_finite(val_str, line_no + 1, format_args!("value"))?;
             max_index = max_index.max(idx as usize);
             indices.push(idx as u32);
             values.push(value);
@@ -240,6 +235,33 @@ mod tests {
     fn rejects_malformed_pair() {
         let err = read_libsvm("1 nonsense\n".as_bytes(), LibsvmOptions::default()).unwrap_err();
         assert!(matches!(err, DataError::Parse { .. }));
+    }
+
+    #[test]
+    fn rejects_non_finite_values_and_labels_naming_the_token() {
+        for (text, line, token) in [
+            ("1 1:nan 2:3\n", 1, "value \"nan\""),
+            ("0 1:1\n1 1:inf\n", 2, "value \"inf\""),
+            ("1 2:-infinity\n", 1, "value \"-infinity\""),
+            ("# c\nnan 1:1\n", 2, "label \"nan\""),
+            ("+inf 1:1\n", 1, "label \"+inf\""),
+        ] {
+            for binarize_labels in [true, false] {
+                let opts = LibsvmOptions {
+                    binarize_labels,
+                    ..Default::default()
+                };
+                let err = read_libsvm(text.as_bytes(), opts).unwrap_err();
+                let DataError::Parse { line: at, message } = &err else {
+                    panic!("{text:?}: {err}");
+                };
+                assert_eq!(*at, line, "{text:?}: {err}");
+                assert!(
+                    message.contains("non-finite") && message.contains(token),
+                    "{err}"
+                );
+            }
+        }
     }
 
     #[test]

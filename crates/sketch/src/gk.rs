@@ -20,6 +20,34 @@ struct Entry {
     delta: u64,
 }
 
+/// Working memory for folding sorted batches into a [`GkSketch`]: the sort
+/// keys of a slice batch and the pre-compression tuple list. It belongs to
+/// whoever drives the build — one per loop over many sketches — and never to
+/// a sketch: a run holds `workers × features` flushed sketches at once, so a
+/// per-sketch copy would cost more than every summary together.
+#[derive(Debug, Default)]
+pub struct GkScratch {
+    /// One slice batch as [`key_of`] integers.
+    keys: Vec<i32>,
+    merged: Vec<Entry>,
+}
+
+/// `v` as an integer that orders the way [`f32::total_cmp`] orders `v` — the
+/// bit flip `total_cmp` applies to both sides of every comparison, applied
+/// once per value so a batch sorts as plain integers.
+fn key_of(v: f32) -> i32 {
+    flip_magnitude_if_negative(v.to_bits() as i32)
+}
+
+/// Inverse of [`key_of`]: the flip undoes itself.
+fn value_of(key: i32) -> f32 {
+    f32::from_bits(flip_magnitude_if_negative(key) as u32)
+}
+
+fn flip_magnitude_if_negative(bits: i32) -> i32 {
+    bits ^ (((bits >> 31) as u32) >> 1) as i32
+}
+
 /// A mergeable Greenwald–Khanna quantile sketch over `f32` values.
 ///
 /// Incoming values are staged in a head buffer and folded into the summary in
@@ -38,18 +66,22 @@ struct Entry {
 /// assert!((median - 5_000.0).abs() <= 0.02 * 10_000.0);
 /// assert_eq!(a.count(), 10_000);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GkSketch {
     epsilon: f64,
     entries: Vec<Entry>,
     count: u64,
+    /// Head buffer: allocated by the first insert, kept while inserts keep
+    /// filling it, released by [`GkSketch::flush`] — a flushed sketch owns
+    /// its tuples and nothing else.
     buffer: Vec<(f32, u64)>,
     buffer_capacity: usize,
 }
 
 impl GkSketch {
     /// Creates a sketch with rank-error bound `epsilon` (e.g. `0.01` for 1%
-    /// of `n`).
+    /// of `n`). Allocates nothing: a feature that never sees a value costs
+    /// the struct alone.
     ///
     /// # Panics
     /// Panics if `epsilon` is not in `(0, 0.5)`.
@@ -58,13 +90,12 @@ impl GkSketch {
             epsilon > 0.0 && epsilon < 0.5,
             "epsilon must be in (0, 0.5), got {epsilon}"
         );
-        let buffer_capacity = ((1.0 / (2.0 * epsilon)) as usize).clamp(16, 50_000);
         Self {
             epsilon,
             entries: Vec::new(),
             count: 0,
-            buffer: Vec::with_capacity(buffer_capacity),
-            buffer_capacity,
+            buffer: Vec::new(),
+            buffer_capacity: ((1.0 / (2.0 * epsilon)) as usize).clamp(16, 50_000),
         }
     }
 
@@ -97,6 +128,13 @@ impl GkSketch {
         16 * self.entries.len() + 24
     }
 
+    /// Heap bytes this sketch holds right now, by capacity — what a run pays
+    /// per live sketch, whatever [`GkSketch::wire_bytes`] says.
+    pub fn memory_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<Entry>()
+            + self.buffer.capacity() * std::mem::size_of::<(f32, u64)>()
+    }
+
     /// Inserts one value. NaN values are ignored (they have no rank).
     pub fn insert(&mut self, v: f32) {
         self.insert_weighted(v, 1);
@@ -107,13 +145,7 @@ impl GkSketch {
     /// one candidate-proposal strategy; Hessian weights are scaled to
     /// integers by the caller). Zero-weight and NaN inserts are ignored.
     pub fn insert_weighted(&mut self, v: f32, weight: u64) {
-        if v.is_nan() || weight == 0 {
-            return;
-        }
-        self.buffer.push((v, weight));
-        if self.buffer.len() >= self.buffer_capacity {
-            self.flush();
-        }
+        self.push_head(v, weight, &mut GkScratch::default());
     }
 
     /// Inserts many values.
@@ -123,17 +155,88 @@ impl GkSketch {
         }
     }
 
-    /// Folds the head buffer into the summary and compresses.
+    /// Inserts `values` in order — tuple for tuple what calling
+    /// [`GkSketch::insert`] on each would leave, because the batches are the
+    /// same values folded at the same counts: a partly filled head buffer is
+    /// topped up first, every further full batch is sorted as bare keys in
+    /// `scratch` without passing through the head buffer, and a final short
+    /// run waits there for the next insert or flush.
+    pub fn insert_slice(&mut self, values: &[f32], scratch: &mut GkScratch) {
+        let mut rest = values;
+        while !self.buffer.is_empty() {
+            let Some((&v, tail)) = rest.split_first() else {
+                return;
+            };
+            self.push_head(v, 1, scratch);
+            rest = tail;
+        }
+        loop {
+            scratch.keys.clear();
+            let mut taken = 0;
+            for &v in rest {
+                taken += 1;
+                if !v.is_nan() {
+                    scratch.keys.push(key_of(v));
+                    if scratch.keys.len() == self.buffer_capacity {
+                        break;
+                    }
+                }
+            }
+            rest = &rest[taken..];
+            if scratch.keys.len() < self.buffer_capacity {
+                break;
+            }
+            scratch.keys.sort_unstable();
+            let GkScratch { keys, merged } = scratch;
+            self.fold_sorted(keys.iter().map(|&k| (value_of(k), 1)), merged);
+        }
+        self.buffer
+            .extend(scratch.keys.iter().map(|&k| (value_of(k), 1)));
+    }
+
+    /// Folds the head buffer into the summary, compresses, and releases the
+    /// buffer.
     pub fn flush(&mut self) {
+        self.flush_with(&mut GkScratch::default());
+    }
+
+    /// [`GkSketch::flush`] through a kept `scratch`.
+    pub fn flush_with(&mut self, scratch: &mut GkScratch) {
+        self.fold_head(scratch);
+        self.buffer = Vec::new();
+    }
+
+    fn push_head(&mut self, v: f32, weight: u64, scratch: &mut GkScratch) {
+        if v.is_nan() || weight == 0 {
+            return;
+        }
+        self.buffer.push((v, weight));
+        if self.buffer.len() >= self.buffer_capacity {
+            self.fold_head(scratch);
+        }
+    }
+
+    /// Folds the head buffer into the summary; the buffer keeps its capacity
+    /// for the batch that follows.
+    fn fold_head(&mut self, scratch: &mut GkScratch) {
         if self.buffer.is_empty() {
             return;
         }
         let mut batch = std::mem::take(&mut self.buffer);
         batch.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        self.fold_sorted(batch.iter().copied(), &mut scratch.merged);
+        batch.clear();
+        self.buffer = batch;
+    }
 
-        let mut merged = Vec::with_capacity(self.entries.len() + batch.len());
+    /// Folds one batch of `(value, weight)` pairs, ascending by value, into
+    /// the summary and compresses — the only way tuples enter a sketch
+    /// outside [`GkSketch::merge`].
+    fn fold_sorted(&mut self, batch: impl Iterator<Item = (f32, u64)>, merged: &mut Vec<Entry>) {
+        merged.clear();
+        merged.reserve(self.entries.len() + batch.size_hint().0);
         let mut ei = 0;
-        for &(v, weight) in &batch {
+        for (v, weight) in batch {
             while ei < self.entries.len() && self.entries[ei].v <= v {
                 merged.push(self.entries[ei]);
                 ei += 1;
@@ -153,37 +256,36 @@ impl GkSketch {
             });
         }
         merged.extend_from_slice(&self.entries[ei..]);
-        self.entries = merged;
-        self.compress();
+        self.compress_from(merged);
     }
 
-    /// Removes tuples whose neighbours can absorb them without violating the
-    /// GK invariant `g_i + g_{i+1} + delta_{i+1} <= 2·ε·n`.
-    fn compress(&mut self) {
-        if self.entries.len() < 3 {
-            return;
-        }
+    /// Replaces the summary with `merged` minus the tuples whose neighbours
+    /// can absorb them without violating the GK invariant
+    /// `g_i + g_{i+1} + delta_{i+1} <= 2·ε·n`.
+    fn compress_from(&mut self, merged: &[Entry]) {
+        let out = &mut self.entries;
+        out.clear();
+        out.reserve(merged.len());
+        let [first, middle @ .., last] = merged else {
+            return out.extend_from_slice(merged);
+        };
         let threshold = (2.0 * self.epsilon * self.count as f64).floor() as u64;
-        let mut out: Vec<Entry> = Vec::with_capacity(self.entries.len());
         // Never merge away the first or last tuple: they pin min and max.
-        out.push(self.entries[0]);
-        for &e in &self.entries[1..self.entries.len() - 1] {
-            let last = *out.last().expect("out is non-empty");
-            if out.len() > 1 && last.g + e.g + e.delta <= threshold {
-                // Absorb `last` into `e` (keep the larger value).
-                let g = last.g + e.g;
-                out.pop();
-                out.push(Entry {
+        out.push(*first);
+        for &e in middle {
+            let prev = *out.last().expect("out is non-empty");
+            if out.len() > 1 && prev.g + e.g + e.delta <= threshold {
+                // Absorb `prev` into `e` (keep the larger value).
+                *out.last_mut().expect("out is non-empty") = Entry {
                     v: e.v,
-                    g,
+                    g: prev.g + e.g,
                     delta: e.delta,
-                });
+                };
             } else {
                 out.push(e);
             }
         }
-        out.push(self.entries[self.entries.len() - 1]);
-        self.entries = out;
+        out.push(*last);
     }
 
     /// Merges another sketch into this one.
@@ -195,14 +297,25 @@ impl GkSketch {
     /// sketches at a fraction of the target ε — the trainer uses
     /// `ε / (log2(w) + 2)`.
     pub fn merge(&mut self, other: &GkSketch) {
-        let mut other = other.clone();
-        other.flush();
+        // Only an unflushed argument needs a copy to flush; the PS merges
+        // `features × (workers − 1)` sketches that were flushed to be sized.
+        let flushed;
+        let other = if other.buffer.is_empty() {
+            other
+        } else {
+            flushed = {
+                let mut copy = other.clone();
+                copy.flush();
+                copy
+            };
+            &flushed
+        };
         self.flush();
         if other.count == 0 {
             return;
         }
         if self.count == 0 {
-            *self = other;
+            *self = other.clone();
             return;
         }
         let mut merged = Vec::with_capacity(self.entries.len() + other.entries.len());
@@ -230,10 +343,9 @@ impl GkSketch {
         }
         merged.extend_from_slice(&self.entries[i..]);
         merged.extend_from_slice(&other.entries[j..]);
-        self.entries = merged;
         self.count += other.count;
         self.epsilon = self.epsilon.max(other.epsilon);
-        self.compress();
+        self.compress_from(&merged);
     }
 
     /// Merges a collection of sketches with a balanced binary tree, which
@@ -534,6 +646,227 @@ mod tests {
         let mut s = GkSketch::new(0.1);
         s.insert_weighted(5.0, 0);
         assert!(s.is_empty());
+    }
+
+    /// The per-value build this module had before the slice path, verbatim:
+    /// an eagerly allocated head buffer, an allocating fold and an allocating
+    /// compress. Kept as the reference the shared fold is pinned against.
+    struct PerValueReference {
+        epsilon: f64,
+        entries: Vec<Entry>,
+        count: u64,
+        buffer: Vec<(f32, u64)>,
+        buffer_capacity: usize,
+    }
+
+    impl PerValueReference {
+        fn new(epsilon: f64) -> Self {
+            let buffer_capacity = ((1.0 / (2.0 * epsilon)) as usize).clamp(16, 50_000);
+            Self {
+                epsilon,
+                entries: Vec::new(),
+                count: 0,
+                buffer: Vec::with_capacity(buffer_capacity),
+                buffer_capacity,
+            }
+        }
+
+        fn insert_weighted(&mut self, v: f32, weight: u64) {
+            if v.is_nan() || weight == 0 {
+                return;
+            }
+            self.buffer.push((v, weight));
+            if self.buffer.len() >= self.buffer_capacity {
+                self.flush();
+            }
+        }
+
+        fn flush(&mut self) {
+            if self.buffer.is_empty() {
+                return;
+            }
+            let mut batch = std::mem::take(&mut self.buffer);
+            batch.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+            let mut merged = Vec::with_capacity(self.entries.len() + batch.len());
+            let mut ei = 0;
+            for &(v, weight) in &batch {
+                while ei < self.entries.len() && self.entries[ei].v <= v {
+                    merged.push(self.entries[ei]);
+                    ei += 1;
+                }
+                self.count += weight;
+                let delta = if merged.is_empty() || ei == self.entries.len() {
+                    0
+                } else {
+                    ((2.0 * self.epsilon * self.count as f64).floor() as u64).saturating_sub(1)
+                };
+                merged.push(Entry {
+                    v,
+                    g: weight,
+                    delta,
+                });
+            }
+            merged.extend_from_slice(&self.entries[ei..]);
+            self.entries = merged;
+            self.compress();
+        }
+
+        fn compress(&mut self) {
+            if self.entries.len() < 3 {
+                return;
+            }
+            let threshold = (2.0 * self.epsilon * self.count as f64).floor() as u64;
+            let mut out: Vec<Entry> = Vec::with_capacity(self.entries.len());
+            out.push(self.entries[0]);
+            for &e in &self.entries[1..self.entries.len() - 1] {
+                let last = *out.last().unwrap();
+                if out.len() > 1 && last.g + e.g + e.delta <= threshold {
+                    let g = last.g + e.g;
+                    out.pop();
+                    out.push(Entry {
+                        v: e.v,
+                        g,
+                        delta: e.delta,
+                    });
+                } else {
+                    out.push(e);
+                }
+            }
+            out.push(self.entries[self.entries.len() - 1]);
+            self.entries = out;
+        }
+    }
+
+    fn stream(len: usize, salt: u64) -> Vec<f32> {
+        (0..len as u64)
+            .map(|i| match (i * 2_654_435_761 + salt * 97) % 1_009 {
+                0 => f32::NAN,
+                1 => -0.0,
+                2 => f32::INFINITY,
+                3 => f32::NEG_INFINITY,
+                4 => -f32::MIN_POSITIVE / 2.0,
+                k => (k % 211) as f32 * 0.25 - 20.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn integer_keys_order_like_total_cmp_and_round_trip() {
+        let mut values = stream(2_000, 3);
+        values.retain(|v| !v.is_nan());
+        for &v in &values {
+            assert_eq!(value_of(key_of(v)).to_bits(), v.to_bits());
+        }
+        let mut by_key = values.clone();
+        by_key.sort_unstable_by_key(|&v| key_of(v));
+        values.sort_unstable_by(f32::total_cmp);
+        let bits = |vs: &[f32]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&by_key), bits(&values));
+    }
+
+    #[test]
+    fn slice_and_per_value_paths_leave_the_reference_tuples() {
+        let mut scratch = GkScratch::default();
+        for (eps, len) in [
+            (0.2, 0),
+            (0.2, 15),
+            (0.2, 16),
+            (0.03, 17),
+            (0.03, 1_000),
+            (0.01, 49),
+            (0.01, 50),
+            (0.01, 51),
+            (0.01, 20_000),
+            (0.004, 7_777),
+        ] {
+            // `head` values arrive weighted one by one before the slice, so
+            // the slice call meets an empty, a part-filled and a just-folded
+            // head buffer.
+            for head in [0usize, 1, 7, 16, 125, 130] {
+                let values = stream(len, head as u64);
+                let head = head.min(values.len());
+                let weight = |i: usize| 1 + (i as u64 % 3);
+                let mut reference = PerValueReference::new(eps);
+                let (mut sliced, mut single) = (GkSketch::new(eps), GkSketch::new(eps));
+                for (i, &v) in values[..head].iter().enumerate() {
+                    reference.insert_weighted(v, weight(i));
+                    sliced.insert_weighted(v, weight(i));
+                    single.insert_weighted(v, weight(i));
+                }
+                for &v in &values[head..] {
+                    reference.insert_weighted(v, 1);
+                    single.insert(v);
+                }
+                sliced.insert_slice(&values[head..], &mut scratch);
+                assert_eq!(sliced.count(), single.count());
+                assert_eq!(sliced.buffer, reference.buffer, "eps={eps} len={len}");
+                reference.flush();
+                sliced.flush_with(&mut scratch);
+                single.flush();
+                assert_eq!(sliced.entries, reference.entries, "eps={eps} len={len}");
+                assert_eq!(sliced.count, reference.count);
+                assert_eq!(single, sliced);
+            }
+        }
+    }
+
+    // A run holds workers × features flushed sketches at once (40k on the
+    // high-dimensional presets): anything a sketch keeps beyond its tuples
+    // is multiplied by that, which is why fold scratch lives in `GkScratch`.
+    #[test]
+    fn a_sketch_owns_its_tuples_and_nothing_else() {
+        assert!(std::mem::size_of::<GkSketch>() <= 80);
+        let mut s = GkSketch::new(0.001);
+        assert_eq!(s.memory_bytes(), 0, "an unused sketch allocates nothing");
+        let mut scratch = GkScratch::default();
+        s.insert_slice(&stream(3_000, 1), &mut scratch);
+        s.insert(4.0);
+        assert!(s.buffer.capacity() > 0);
+        s.flush_with(&mut scratch);
+        let tuples = s.entries.len();
+        assert_eq!(s.buffer.capacity(), 0, "flush releases the head buffer");
+        // Capacity follows the largest pre-compression list: tuples + a batch.
+        assert!(
+            s.entries.capacity() <= tuples + 2 * s.buffer_capacity,
+            "{tuples} tuples in {} slots",
+            s.entries.capacity()
+        );
+        assert_eq!(
+            s.memory_bytes(),
+            s.entries.capacity() * std::mem::size_of::<Entry>()
+        );
+        // The per-value path releases the same way.
+        let mut p = GkSketch::new(0.001);
+        p.extend(stream(3_000, 1));
+        p.insert(4.0);
+        p.flush();
+        assert_eq!(p.buffer.capacity(), 0);
+        assert_eq!(p, s);
+    }
+
+    #[test]
+    fn merge_borrows_a_flushed_argument_and_flushes_a_copy_otherwise() {
+        let build = |salt: u64, flush: bool| {
+            let mut s = GkSketch::new(0.02);
+            s.extend(stream(1_234, salt));
+            if flush {
+                s.flush();
+            }
+            s
+        };
+        let (flushed, pending) = (build(5, true), build(5, false));
+        assert!(!pending.buffer.is_empty());
+        let (mut a, mut b) = (build(9, true), build(9, false));
+        a.merge(&flushed);
+        b.merge(&pending);
+        assert_eq!(a, b);
+        assert_eq!(a.count(), flushed.count() + build(9, true).count());
+        // The argument is left as it was.
+        assert_eq!(pending, build(5, false));
+        // Into an empty sketch: a copy of the flushed argument.
+        let mut empty = GkSketch::new(0.02);
+        empty.merge(&pending);
+        assert_eq!(empty, flushed);
     }
 
     #[test]

@@ -14,4 +14,4 @@ mod candidates;
 mod gk;
 
 pub use candidates::{bucket_in, propose_candidates, SplitCandidates};
-pub use gk::GkSketch;
+pub use gk::{GkScratch, GkSketch};

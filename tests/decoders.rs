@@ -1,5 +1,6 @@
 //! Every file the tools read back — `DIMBGBDT` model, `DIMBCKPT`
-//! checkpoint, fault plan, events-text trace, serve-sim trace — must turn
+//! checkpoint, fault plan, events-text trace, serve-sim trace — and every
+//! dataset they read in (LibSVM, CSV) must turn
 //! *any* input into `Ok` or its decoder's typed error: never a panic, never
 //! an allocation sized by a number the file merely claims. One valid
 //! artefact of each kind is built from a tiny run, then fed back as every
@@ -12,9 +13,11 @@ use dimboost::core::{
     train_with_options, CheckpointError, CheckpointOptions, FaultPlan, GbdtConfig, RobustOptions,
     TrainCheckpoint, TrainError, TrainOptions, TrainOutput,
 };
+use dimboost::data::csv::{read_csv, CsvOptions};
+use dimboost::data::libsvm::{read_libsvm, write_libsvm, LibsvmOptions};
 use dimboost::data::partition::partition_rows;
 use dimboost::data::synthetic::{generate, SparseGenConfig};
-use dimboost::data::Dataset;
+use dimboost::data::{DataError, Dataset};
 use dimboost::predict::CompiledModel;
 use dimboost::ps::PsConfig;
 use dimboost::serving::{
@@ -351,6 +354,62 @@ fn text_decoders_survive_truncation_and_mutation() {
     let decode = |t: &str| drop(analyze_serve_trace(t));
     truncated_text("serve trace", &serve, decode);
     mutated_text("serve trace", &serve, decode);
+}
+
+/// What the trainer assumes of a dataset it did not generate itself: every
+/// stored value and label is finite. (`nan` parses as an `f32`; a NaN value
+/// would bin left of every candidate and be routed right of every split.)
+fn assert_all_finite(ds: &Dataset) {
+    let finite = |(row, label): (dimboost::data::RowView<'_>, f32)| {
+        label.is_finite() && row.values().iter().all(|v| v.is_finite())
+    };
+    assert!(
+        ds.iter_rows().all(finite),
+        "reader let a non-finite through"
+    );
+}
+
+#[test]
+fn dataset_readers_refuse_non_finite_tokens_and_survive_mutation() {
+    let libsvm = |t: &str| read_libsvm(t.as_bytes(), LibsvmOptions::default());
+    let csv = |t: &str| read_csv(t.as_bytes(), CsvOptions::default());
+    for (text, line, token) in [
+        ("1 1:nan 2:3\n", 1, "\"nan\""),
+        ("0 3:1\n1 1:inf\n", 2, "\"inf\""),
+        ("0 3:1\n\n1 1:2 4:-Infinity\n", 3, "\"-Infinity\""),
+        ("NaN 1:1\n", 1, "\"NaN\""),
+    ] {
+        match libsvm(text) {
+            Err(DataError::Parse { line: at, message }) => {
+                assert!(at == line && message.contains(token), "{at}: {message}")
+            }
+            other => panic!("{text:?} read as {other:?}"),
+        }
+    }
+    match csv("y,a,b\n1,0.5,2\n0,nan,1\n") {
+        Err(DataError::Parse { line: 3, message }) => assert!(message.contains("\"nan\"")),
+        other => panic!("CSV with a nan field read as {other:?}"),
+    }
+
+    let mut text = Vec::new();
+    write_libsvm(&mut text, &generate(&SparseGenConfig::new(12, 9, 4, 3))).unwrap();
+    let text = String::from_utf8(text).unwrap();
+    assert_eq!(libsvm(&text).unwrap().num_rows(), 12);
+    let decode = |t: &str| drop(libsvm(t).map(|ds| assert_all_finite(&ds)));
+    truncated_text("libsvm", &text, decode);
+    mutated_text("libsvm", &text, decode);
+    // A dense table of the same shape; the mutator's token replacement
+    // works on spaces, so the CSV is space-delimited.
+    let table = "y a b c\n1 0.5 0 -2\n0 1.5 3 0\n1 0 0 0.25\n0 -1 2 2\n";
+    let spaced = CsvOptions {
+        delimiter: ' ',
+        ..CsvOptions::default()
+    };
+    let csv = |t: &str| read_csv(t.as_bytes(), spaced);
+    assert_eq!(csv(table).unwrap().num_rows(), 4);
+    let decode = |t: &str| drop(csv(t).map(|ds| assert_all_finite(&ds)));
+    truncated_text("csv", table, decode);
+    mutated_text("csv", table, decode);
 }
 
 #[test]
