@@ -32,11 +32,13 @@ cargo test --workspace -q
 # baselines sum f32 in plain loops the optimiser may reorder only if it is
 # wrong to, so their pins run here too. column_view pins the feature-major
 # sketch fold and the galloping column split against the per-value and
-# predicate forms they replaced.
+# predicate forms they replaced. The compiled scorer's branch-free step and
+# its eight-row block interleave also only take their optimised shape here,
+# so the predict and serving suites and the root serve-sim pins rerun too.
 echo "==> release codegen: model pins + kernel suites"
 cargo test --release -q --test model_pins --test baseline_pins --test determinism --test fused \
-  --test column_view
-cargo test --release -q -p dimboost-ps -p dimboost-sketch
+  --test column_view --test serving_sim
+cargo test --release -q -p dimboost-ps -p dimboost-sketch -p dimboost-predict -p dimboost-serving
 
 # The host-wall yardstick is its own package (own [workspace] and lockfile):
 # build it, run its tests, and run every workload once at smoke scale so it

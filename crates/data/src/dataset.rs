@@ -1,8 +1,8 @@
 use crate::{DataError, SparseInstance};
 
 /// A borrowed view of one row of a [`Dataset`]: the nonzero entries of a
-/// sparse instance, without copying.
-#[derive(Debug, Clone, Copy)]
+/// sparse instance, without copying. The default view is an empty row.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RowView<'a> {
     indices: &'a [u32],
     values: &'a [f32],

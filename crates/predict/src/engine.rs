@@ -19,7 +19,7 @@ use std::time::Instant;
 use dimboost_data::Dataset;
 use dimboost_simnet::MetricsRegistry;
 
-use crate::compiled::CompiledModel;
+use crate::compiled::{CompiledModel, ScoreScratch};
 
 /// Tuning knobs for the scoring engine.
 #[derive(Debug, Clone, Copy)]
@@ -87,15 +87,13 @@ fn score(
     let num_batches = rows.div_ceil(config.batch_size);
     let threads = config.threads.min(num_batches.max(1));
 
-    // Scores one batch into `buf` (length `(hi - lo) * width`).
-    let fill = |lo: usize, hi: usize, buf: &mut [f32]| {
-        for r in lo..hi {
-            let row = data.row(r);
-            let out = &mut buf[(r - lo) * width..(r - lo + 1) * width];
-            match kind {
-                ScoreKind::Raw => model.score_into(&row, out),
-                ScoreKind::Transformed => out[0] = model.predict(&row),
-            }
+    // Scores one batch into `buf` (length `(hi - lo) * width`, zeroed) in
+    // blocks of `BLOCK_ROWS`, reusing the stripe's `scratch`.
+    let fill = |lo: usize, hi: usize, buf: &mut [f32], scratch: &mut ScoreScratch| {
+        let rows = (lo..hi).map(|r| data.row(r));
+        match kind {
+            ScoreKind::Raw => model.score_rows(rows, scratch, buf),
+            ScoreKind::Transformed => model.predict_rows(rows, scratch, buf),
         }
     };
 
@@ -104,11 +102,12 @@ fn score(
     let mut batch_stats: Vec<(usize, f64)> = Vec::with_capacity(num_batches);
 
     if threads <= 1 {
+        let mut scratch = ScoreScratch::new();
         for b in 0..num_batches {
             let lo = b * config.batch_size;
             let hi = (lo + config.batch_size).min(rows);
             let start = Instant::now();
-            fill(lo, hi, &mut out[lo * width..hi * width]);
+            fill(lo, hi, &mut out[lo * width..hi * width], &mut scratch);
             batch_stats.push((hi - lo, start.elapsed().as_secs_f64()));
         }
     } else {
@@ -120,13 +119,14 @@ fn score(
         let per_thread: Vec<Vec<(Vec<f32>, f64)>> =
             dimboost_core::pool::global().run(threads, |t| {
                 let mut done = Vec::new();
+                let mut scratch = ScoreScratch::new();
                 let mut b = t;
                 while b < num_batches {
                     let lo = b * config.batch_size;
                     let hi = (lo + config.batch_size).min(rows);
                     let mut buf = vec![0.0f32; (hi - lo) * width];
                     let start = Instant::now();
-                    fill(lo, hi, &mut buf);
+                    fill(lo, hi, &mut buf, &mut scratch);
                     done.push((buf, start.elapsed().as_secs_f64()));
                     b += threads;
                 }

@@ -10,14 +10,18 @@
 //!
 //! This crate provides that path in three layers:
 //!
-//! * [`compiled::CompiledModel`] — a trained [`GbdtModel`] compiled into
-//!   struct-of-arrays form: per-tree contiguous node arrays (feature id,
-//!   threshold or leaf weight, child indices, flag byte) laid out in BFS
-//!   order, visiting only reachable nodes. Scores are **bit-equal** to the
-//!   interpreted `Tree` path on every loss (binary, regression, multiclass);
-//!   an equivalence test pins this.
-//! * [`engine`] — batch scoring over sparse rows (no dense materialization)
-//!   with the same **static round-robin striping** rule the batched
+//! * [`compiled::CompiledModel`] — a trained [`GbdtModel`] compiled into one
+//!   packed array of 16-byte nodes (slot, threshold or leaf weight, child,
+//!   default direction) per tree in BFS order, reachable nodes only, plus a
+//!   feature→slot map over the features the trees test (built only when it
+//!   costs no more than the nodes). Rows are scored in blocks of eight:
+//!   scattered into short per-row slot vectors and walked branch-free, or —
+//!   when rows are dense next to the ensemble's depth, or the model has no
+//!   slot map — binary-searched per node. Scores are **bit-equal** to the interpreted
+//!   `Tree` path on every loss (binary, regression, multiclass) and either
+//!   walk; an equivalence test pins this.
+//! * [`engine`] — batch scoring over sparse rows (one [`ScoreScratch`] per
+//!   stripe) with the same **static round-robin striping** rule the batched
 //!   histogram builders use: thread `t` owns batches `t, t+threads, …` and
 //!   results are merged in batch-index order, so output bytes are
 //!   bit-identical across reruns for any fixed `(threads, batch_size)`.
@@ -36,6 +40,6 @@ pub mod compiled;
 pub mod engine;
 pub mod report;
 
-pub use compiled::CompiledModel;
+pub use compiled::{CompiledModel, ScoreScratch};
 pub use engine::{score_raw, score_transformed, score_with_metrics, EngineConfig, ScoreKind};
 pub use report::{run_serving_bench, BenchOptions, ServingReport};

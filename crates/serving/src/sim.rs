@@ -37,7 +37,7 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use dimboost_data::Dataset;
-use dimboost_predict::CompiledModel;
+use dimboost_predict::{CompiledModel, ScoreScratch};
 use dimboost_simnet::{Metric, MetricsRegistry};
 
 use crate::arrival::Arrival;
@@ -259,6 +259,9 @@ pub fn run_serve_sim(
     let mut ai = 0usize; // next arrival
     let mut si = 0usize; // next swap
     let mut in_flight: Option<InFlight> = None;
+    // One scoring scratch and score buffer for the whole run.
+    let mut scratch = ScoreScratch::new();
+    let mut batch_scores = vec![0.0f32; config.max_batch];
     let mut total_queued = 0usize;
     let (mut arrived, mut admitted, mut served, mut shed) = (0u64, 0u64, 0u64, 0u64);
     let (mut batches, mut swap_count, mut slo_violations) = (0u64, 0u64, 0u64);
@@ -291,11 +294,19 @@ pub fn run_serve_sim(
                 let mut scored = Vec::with_capacity(n);
                 for _ in 0..n {
                     let p = t.queue.pop_front().expect("picked tenant has a queue");
-                    // The data path is real: score the request's row with
-                    // the tenant's current model, at dispatch time.
-                    let s = model.predict(&data.row(p.row));
                     registry.observe("sim/serve/wait_secs", now - p.arrival);
-                    scored.push((p, s));
+                    scored.push((p, 0.0));
+                }
+                // The data path is real: score the batch's rows with the
+                // tenant's current model, at dispatch time.
+                let scores = &mut batch_scores[..n];
+                model.predict_rows(
+                    scored.iter().map(|(p, _)| data.row(p.row)),
+                    &mut scratch,
+                    scores,
+                );
+                for ((_, s), &v) in scored.iter_mut().zip(scores.iter()) {
+                    *s = v;
                 }
                 total_queued -= n;
                 batches += 1;

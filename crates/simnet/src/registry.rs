@@ -238,13 +238,18 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    /// The named metric, created by `make` on first use. Only that first
+    /// use allocates the key: an existing metric is found by `&str`.
+    fn metric_mut(&mut self, name: &str, make: impl FnOnce() -> Metric) -> &mut Metric {
+        if !self.metrics.contains_key(name) {
+            self.metrics.insert(name.to_string(), make());
+        }
+        self.metrics.get_mut(name).expect("inserted above")
+    }
+
     /// Adds `delta` to the named counter, creating it at zero.
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::Counter(0))
-        {
+        match self.metric_mut(name, || Metric::Counter(0)) {
             Metric::Counter(v) => *v += delta,
             other => panic!("metric {name} is not a counter: {other:?}"),
         }
@@ -252,14 +257,11 @@ impl MetricsRegistry {
 
     /// Sets the named gauge.
     pub fn gauge_set(&mut self, name: &str, v: f64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::Gauge {
-                last: v,
-                min: v,
-                max: v,
-            }) {
+        match self.metric_mut(name, || Metric::Gauge {
+            last: v,
+            min: v,
+            max: v,
+        }) {
             Metric::Gauge { last, min, max } => {
                 *last = v;
                 *min = min.min(v);
@@ -277,11 +279,7 @@ impl MetricsRegistry {
 
     /// Records one observation, creating the histogram with `make` if absent.
     pub fn observe_with(&mut self, name: &str, v: f64, make: impl FnOnce() -> FixedHistogram) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(make()))
-        {
+        match self.metric_mut(name, || Metric::Histogram(make())) {
             Metric::Histogram(h) => h.observe(v),
             other => panic!("metric {name} is not a histogram: {other:?}"),
         }
