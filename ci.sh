@@ -345,6 +345,15 @@ cmp "$SMOKE/report_elastic_a.json" "$SMOKE/report_elastic_b.json"
 cmp "$SMOKE/model_a.json" "$SMOKE/model_elastic_a.json"
 "$BIN/report_diff" --faults "$SMOKE/report_a.json" "$SMOKE/report_elastic_a.json"
 grep -q '"membership":{"joins":1,"leaves":2,' "$SMOKE/report_elastic_a.json"
+# The PS merges every push on arrival, so the sparse exchange reproduces the
+# dense fold only if a stripe keeps its id and its place in the push order
+# whichever machine holds it. The same schedule over --sparse-wire must still
+# be an encoding: model cmp-identical to the fixed-membership dense run.
+"$BIN/dimboost" train --data "$SMOKE/train.libsvm" --model "$SMOKE/model_elastic_sparse.json" \
+  --trees 3 --depth 4 --workers 3 --servers 2 --seed 7 \
+  --threads 4 --batch-size 25 --sparse-wire \
+  --fault-plan "$SMOKE/elastic.txt" > /dev/null
+cmp "$SMOKE/model_a.json" "$SMOKE/model_elastic_sparse.json"
 # A chronic 8x straggler under speculation: the backups must actually win,
 # and the wins must be visible in the trace profile's membership lane.
 cat > "$SMOKE/speculate.txt" <<'EOF'

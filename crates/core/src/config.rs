@@ -95,9 +95,9 @@ pub struct Optimizations {
     /// exchange (after Vasiloudis et al.'s block-distributed GBT). Each
     /// worker pushes per-(stripe, feature-block) deltas under the smallest
     /// of three wire layouts (dense / bitmap / runs; the low-precision path
-    /// packs codes, scales, and zero values the same way), and the PS folds
-    /// the staged blocks in deterministic stripe order — bit-identical to
-    /// the dense exchange while `hist_bytes_wire` tracks the true frame
+    /// packs codes, scales, and zero values the same way), and the PS adds
+    /// each decoded block on arrival, as it does a dense row — bit-identical
+    /// to the dense exchange while `hist_bytes_wire` tracks the true frame
     /// sizes. Excluded from [`Optimizations::ALL`] so paper-faithful
     /// ablation configs keep the paper's dense exchange.
     pub sparse_wire: bool,

@@ -439,8 +439,8 @@ struct LayerPush<'a> {
     /// workers — they push concurrently.
     dense_row_bytes_max: usize,
     sparse_layer_bytes_max: u64,
-    /// The worker now pushing: its stripe id keys the server-side block
-    /// staging (ascending-stripe fold).
+    /// The logical stripe of the worker now pushing, which the sparse
+    /// pushes carry.
     stripe: u32,
     stripe_frame_bytes: u64,
 }

@@ -1,4 +1,4 @@
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
@@ -46,97 +46,88 @@ impl PsConfig {
     }
 }
 
-/// One feature-block partition's histogram storage.
+/// One feature-block partition's histogram storage: each node's merged
+/// accumulator and the buffers retired for reuse. Every push adds into
+/// `merged` as it arrives (see [`ParameterServer::apply_push`]), so a read
+/// finds the node's row complete.
 ///
-/// Dense pushes merge straight into `merged` in arrival order (the classic
-/// path). Sparse block pushes land in `staged`, keyed by the data stripe
-/// that produced them, and are folded into `merged` in ascending stripe
-/// order the first time the partition is read. The fold order is a property
-/// of the *keys*, not of message arrival, so the block-keyed merge is
-/// order-independent: any interleaving of stripe deliveries yields the same
-/// accumulator bits. Because the trainer's dense path pushes stripes in
-/// ascending order too, the fold reproduces the dense add sequence exactly
-/// — this is half of the sparse path's bit-identity argument (the other
-/// half is that decoded frames reproduce every nonzero f32 verbatim).
-///
-/// Accumulators are not allocated per node: [`PartitionState::lend`] hands
-/// out a zeroed buffer from the partition's free list, and
-/// [`PartitionState::retire`] puts a finished node's buffer back (at
-/// `clear_node`, after a staged delta is folded, and wholesale at the next
-/// `init_tree`). `lent + free.len()` grows only when `lend` finds the list
-/// empty, so a partition allocates as many buffers as it ever holds at once
-/// — a few tree layers' worth — however many trees and layers the run has.
+/// Accumulators are not allocated per node: [`lend`] hands out a zeroed
+/// buffer from `free`, and a finished node's buffer goes back there (at
+/// `clear_node`, when `derive_sibling` replaces a row, and wholesale at the
+/// next `init_tree`). Every buffer is in `merged` or in `free`, and `lend`
+/// allocates only when `free` is empty, so a partition allocates as many
+/// buffers as it ever holds at once — a few tree layers' worth — however
+/// many trees and layers the run has.
 #[derive(Default)]
 struct PartitionState {
-    /// `node → merged accumulator` (the flushed global shard).
+    /// `node → merged accumulator` (the node's global shard).
     merged: HashMap<u32, Vec<f32>>,
-    /// `node → stripe → pending sparse delta`, awaiting the deterministic
-    /// ascending-stripe fold.
-    staged: HashMap<u32, BTreeMap<u32, Vec<f32>>>,
     /// Retired buffers awaiting reuse.
     free: Vec<Vec<f32>>,
-    /// Buffers handed out by `lend` and not retired yet.
-    lent: usize,
+}
+
+/// A `+0.0`-filled buffer of `len` elements, reused from `free` when one is
+/// there.
+fn lend(free: &mut Vec<Vec<f32>>, len: usize) -> Vec<f32> {
+    match free.pop() {
+        Some(mut buf) => {
+            buf.clear();
+            buf.resize(len, 0.0);
+            buf
+        }
+        None => vec![0.0f32; len],
+    }
 }
 
 impl PartitionState {
-    /// A `+0.0`-filled buffer of `len` elements, reused when one is free.
-    fn lend(&mut self, len: usize) -> Vec<f32> {
-        self.lent += 1;
-        match self.free.pop() {
-            Some(mut buf) => {
-                buf.clear();
-                buf.resize(len, 0.0);
-                buf
-            }
-            None => vec![0.0f32; len],
-        }
-    }
-
-    /// Takes back a buffer nothing refers to any more. Buffers that did not
-    /// come from `lend` (a delta decoded off the wire) are accepted only in
-    /// place of one that did, so the list never outgrows what was lent.
-    fn retire(&mut self, buf: Vec<f32>) {
-        if self.lent > 0 {
-            self.lent -= 1;
-            self.free.push(buf);
-        }
-    }
-
     /// The merged accumulator of `node` over `len` elements, lent on first
     /// touch.
     fn accumulator(&mut self, node: u32, len: usize) -> &mut Vec<f32> {
-        if !self.merged.contains_key(&node) {
-            let acc = self.lend(len);
-            self.merged.insert(node, acc);
-        }
-        let acc = self.merged.get_mut(&node).expect("inserted above");
+        let free = &mut self.free;
+        let acc = self.merged.entry(node).or_insert_with(|| lend(free, len));
         debug_assert_eq!(acc.len(), len, "accumulator/partition length mismatch");
         acc
     }
+}
 
-    /// Folds all staged stripe deltas into the merged accumulators
-    /// (ascending stripe order per node; nodes are independent).
-    fn flush(&mut self, elems_len: usize) {
-        for (node, stripes) in std::mem::take(&mut self.staged) {
-            for (_stripe, delta) in stripes {
-                let acc = self.accumulator(node, elems_len);
-                for (a, &v) in acc.iter_mut().zip(&delta) {
-                    *a += v;
-                }
-                self.retire(delta);
-            }
+/// One worker's histogram row for a node, in one of the four forms the
+/// exchange ships it in.
+#[derive(Clone, Copy)]
+enum Push<'a> {
+    /// Full-precision row, a dense `f32` slice per partition.
+    Dense(&'a [f32]),
+    /// §6.1 quantized row; each server decodes only its feature shard.
+    Quantized(&'a QuantizedRow),
+    /// Full-precision row, one density-adaptive §14 frame per feature block.
+    Sparse(&'a [f32]),
+    /// Quantized row, one §14.3 quantized block frame per feature block.
+    QuantizedSparse(&'a QuantizedRow),
+}
+
+impl Push<'_> {
+    /// The operation name the ledger's trace event carries.
+    fn name(self) -> &'static str {
+        match self {
+            Push::Dense(_) => "push_histogram",
+            Push::Quantized(_) => "push_histogram_quantized",
+            Push::Sparse(_) => "push_histogram_sparse",
+            Push::QuantizedSparse(_) => "push_histogram_quantized_sparse",
         }
     }
 
-    /// Retires every buffer the partition holds (the tree is over).
-    fn retire_all(&mut self) {
-        let merged = std::mem::take(&mut self.merged);
-        let staged = std::mem::take(&mut self.staged);
-        let staged = staged.into_values().flat_map(BTreeMap::into_values);
-        for buf in merged.into_values().chain(staged) {
-            self.retire(buf);
+    /// Elements in the row the payload carries.
+    fn len(self) -> usize {
+        match self {
+            Push::Dense(row) | Push::Sparse(row) => row.len(),
+            Push::Quantized(q) | Push::QuantizedSparse(q) => q.len(),
         }
+    }
+}
+
+/// `acc += values`, element by element.
+fn add_into(acc: &mut [f32], values: &[f32]) {
+    for (a, &v) in acc.iter_mut().zip(values) {
+        *a += v;
     }
 }
 
@@ -181,8 +172,7 @@ pub struct ParameterServer {
     /// Current elastic-membership epoch. Stays 0 for fixed-membership runs;
     /// the trainer bumps it via [`ParameterServer::set_epoch`] after every
     /// scripted join/leave. Operations stamped with an older epoch are
-    /// rejected instead of merged (see
-    /// [`ParameterServer::push_histogram_from_epoch`]).
+    /// rejected instead of merged (see [`ParameterServer::admit`]).
     epoch: Mutex<u64>,
 }
 
@@ -251,12 +241,35 @@ impl ParameterServer {
         *self.faults.lock() = Some(session);
     }
 
-    /// First-apply gate: returns `true` exactly once per
-    /// `(epoch, worker, seq)`. Sequence ids are monotone per worker and
-    /// never reused within an epoch, so a retried or duplicated message can
-    /// never merge twice.
-    fn mark_applied(&self, epoch: u64, worker: u32, seq: u64) -> bool {
-        self.applied.lock().insert((epoch, worker, seq))
+    /// The admission gate: whether a delivered copy of operation
+    /// `(epoch, worker, seq)` applies. `true` exactly once per identity —
+    /// sequence ids are monotone per worker and never reused within an
+    /// epoch, so a retried or duplicated message never merges twice; a
+    /// repeat is a `dedup_hit`. An op stamped with an epoch older than the
+    /// server's is a late retry from before a join/leave: it is rejected
+    /// outright as a `stale_reject` membership event, so a departed
+    /// machine's straggling traffic cannot corrupt the new epoch's
+    /// histograms.
+    fn admit(&self, phase: Phase, epoch: u64, worker: u32, seq: u64) -> bool {
+        let stale = epoch < self.current_epoch();
+        if !stale && self.applied.lock().insert((epoch, worker, seq)) {
+            return true;
+        }
+        let session = self.faults.lock().clone();
+        if stale {
+            if let Some(session) = session {
+                session.on_stale_reject();
+            }
+            self.recorder
+                .membership_event(phase, "stale_reject", SimTime::ZERO, 0, 1);
+        } else {
+            if let Some(session) = session {
+                session.on_dedup_hit();
+            }
+            self.recorder
+                .fault_event(phase, "dedup_hit", SimTime::ZERO, 0, 1);
+        }
+        false
     }
 
     /// Advances the membership epoch the server stamps deduplication state
@@ -276,7 +289,7 @@ impl ParameterServer {
 
     /// Runs one logical worker→server operation under the fault plan:
     /// timeout + exponential backoff with deterministic jitter on loss, and
-    /// exactly-once application via server-side sequence-id deduplication.
+    /// exactly-once application through [`ParameterServer::admit`].
     ///
     /// The exactness invariant lives here: `apply` runs exactly once no
     /// matter how the message is dropped, duplicated, or reordered by
@@ -312,17 +325,13 @@ impl ParameterServer {
         let mut apply = Some(apply);
         let mut result: Option<R> = None;
         // Delivers one copy to the server: applies the op on the first
-        // delivery of this seq, absorbs every later copy via the dedup set.
-        // The op is stamped with the epoch current at issue time.
+        // delivery of this seq, absorbs every later copy at the gate. The op
+        // is stamped with the epoch current at issue time.
         let epoch = self.current_epoch();
         let mut deliver = || {
-            if self.mark_applied(epoch, worker, seq) {
+            if self.admit(phase, epoch, worker, seq) {
                 let f = apply.take().expect("op applies exactly once");
                 result = Some(f());
-            } else {
-                session.on_dedup_hit();
-                self.recorder
-                    .fault_event(phase, "dedup_hit", SimTime::ZERO, 0, 1);
             }
         };
         let mut attempt: u32 = 0;
@@ -469,7 +478,7 @@ impl ParameterServer {
         retired.resize_with(partitioner.num_partitions(), Default::default);
         for partition in &mut retired {
             let part = partition.get_mut();
-            part.retire_all();
+            part.free.extend(part.merged.drain().map(|(_, buf)| buf));
         }
         *hist = Some(HistState {
             layout,
@@ -496,81 +505,7 @@ impl ParameterServer {
     /// row for `node` into the global row, shard by shard (the default
     /// *push* UDF — addition).
     pub fn push_histogram(&self, node: u32, row: &[f32]) {
-        self.resilient(Phase::BuildHistogram, || {
-            self.apply_push_histogram(node, row)
-        })
-    }
-
-    /// Idempotent entry used by the retry-schedule tests: delivers one copy
-    /// of push `seq` from `worker` (stamped with the current epoch) and
-    /// returns whether it applied (`false` means the copy was absorbed by
-    /// the dedup set). Any schedule of duplicated/reordered deliveries
-    /// merges to the clean-schedule histogram because each
-    /// `(epoch, worker, seq)` applies at most once.
-    pub fn push_histogram_from(&self, worker: u32, seq: u64, node: u32, row: &[f32]) -> bool {
-        self.push_histogram_from_epoch(self.current_epoch(), worker, seq, node, row)
-    }
-
-    /// [`ParameterServer::push_histogram_from`] with an explicit issue
-    /// epoch: the elastic-membership protocol's server-side gate. A message
-    /// stamped with an epoch older than the server's current one is a late
-    /// retry from before a join/leave — it is rejected outright (recorded
-    /// as a `stale_reject` membership event, never merged), so a departed
-    /// machine's straggling traffic cannot corrupt the new epoch's
-    /// histograms.
-    pub fn push_histogram_from_epoch(
-        &self,
-        epoch: u64,
-        worker: u32,
-        seq: u64,
-        node: u32,
-        row: &[f32],
-    ) -> bool {
-        if epoch < self.current_epoch() {
-            if let Some(session) = &*self.faults.lock() {
-                session.on_stale_reject();
-            }
-            self.recorder.membership_event(
-                Phase::BuildHistogram,
-                "stale_reject",
-                SimTime::ZERO,
-                0,
-                1,
-            );
-            return false;
-        }
-        if !self.mark_applied(epoch, worker, seq) {
-            return false;
-        }
-        self.apply_push_histogram(node, row);
-        true
-    }
-
-    fn apply_push_histogram(&self, node: u32, row: &[f32]) {
-        self.with_hist(|state| {
-            assert_eq!(row.len(), state.layout.row_len(), "row length mismatch");
-            let mut bytes = 0u64;
-            for p in 0..state.partitioner.num_partitions() {
-                let elems = state.layout.elem_range(state.partitioner.range(p));
-                if elems.is_empty() {
-                    continue;
-                }
-                let slice = &row[elems.clone()];
-                let mut part = state.partitions[p].lock();
-                let acc = part.accumulator(node, elems.len());
-                for (a, &v) in acc.iter_mut().zip(slice) {
-                    *a += v;
-                }
-                bytes += 4 * elems.len() as u64;
-            }
-            self.recorder.record_named(
-                Phase::BuildHistogram,
-                "push_histogram",
-                bytes,
-                state.partitioner.num_partitions() as u64,
-                SimTime::ZERO,
-            );
-        });
+        self.push(node, Push::Dense(row));
     }
 
     /// FIND_SPLIT push, low precision (Section 6.1): the worker ships a
@@ -578,82 +513,20 @@ impl ParameterServer {
     /// it. Byte accounting distributes the row's wire size across
     /// partitions proportionally to their element counts.
     pub fn push_histogram_quantized(&self, node: u32, q: &QuantizedRow) {
-        self.resilient(Phase::BuildHistogram, || {
-            self.apply_push_histogram_quantized(node, q)
-        })
+        self.push(node, Push::Quantized(q));
     }
 
-    fn apply_push_histogram_quantized(&self, node: u32, q: &QuantizedRow) {
-        self.with_hist(|state| {
-            assert_eq!(q.len(), state.layout.row_len(), "row length mismatch");
-            let row_len = state.layout.row_len().max(1);
-            let wire = q.wire_bytes() as u64;
-            let mut bytes = 0u64;
-            for p in 0..state.partitioner.num_partitions() {
-                let features = state.partitioner.range(p);
-                let elems = state.layout.elem_range(features.clone());
-                if elems.is_empty() {
-                    continue;
-                }
-                let mut part = state.partitions[p].lock();
-                let acc = part.accumulator(node, elems.len());
-                q.add_features_into(&state.layout, features, acc);
-                bytes += wire * elems.len() as u64 / row_len as u64;
-            }
-            self.recorder.record_named(
-                Phase::BuildHistogram,
-                "push_histogram_quantized",
-                bytes,
-                state.partitioner.num_partitions() as u64,
-                SimTime::ZERO,
-            );
-        });
-    }
-
-    /// FIND_SPLIT push, sparse full precision: the worker serializes each
-    /// feature-block slice of its local row under the smallest of the three
-    /// density-adaptive layouts (`wire::encode_f32_sparse`) and the server
-    /// stages the decoded delta keyed by `(node, stripe, block)`. Staged
-    /// deltas are folded in ascending stripe order when the partition is
-    /// next read, so the merge is order-independent in message arrival yet
-    /// reproduces the dense path's add sequence exactly (see
-    /// [`PartitionState`]). Byte accounting charges the *actual* frame
-    /// sizes; empty feature blocks ship nothing at all.
+    /// FIND_SPLIT push, sparse full precision: each feature-block slice of
+    /// the row travels under the smallest of the three density-adaptive
+    /// layouts (`wire::encode_f32_sparse`); byte accounting charges the
+    /// *actual* frame sizes. Returns the per-encoding frame/byte tally for
+    /// the trainer's telemetry.
     ///
-    /// Returns the per-encoding frame/byte tally for the trainer's
-    /// telemetry.
-    pub fn push_histogram_sparse(&self, stripe: u32, node: u32, row: &[f32]) -> SparseWireStats {
-        self.resilient(Phase::BuildHistogram, || {
-            self.apply_push_histogram_sparse(stripe, node, row)
-        })
-    }
-
-    fn apply_push_histogram_sparse(&self, stripe: u32, node: u32, row: &[f32]) -> SparseWireStats {
-        self.with_hist(|state| {
-            assert_eq!(row.len(), state.layout.row_len(), "row length mismatch");
-            let mut stats = SparseWireStats::default();
-            for p in 0..state.partitioner.num_partitions() {
-                let elems = state.layout.elem_range(state.partitioner.range(p));
-                if elems.is_empty() {
-                    continue;
-                }
-                let (frame, encoding) = wire::encode_f32_sparse(&row[elems.clone()]);
-                stats.record(encoding, frame.len());
-                // Simulated receive: decode and stage the delta under its
-                // (node, stripe) key. Nonzero values come back bit-exact;
-                // zero slots decode as +0.0, which is add-neutral.
-                let (delta, _) = wire::decode_f32_sparse(frame);
-                Self::stage_delta(&state.partitions[p], node, stripe, delta);
-            }
-            self.recorder.record_named(
-                Phase::BuildHistogram,
-                "push_histogram_sparse",
-                stats.total_bytes(),
-                state.partitioner.num_partitions() as u64,
-                SimTime::ZERO,
-            );
-            stats
-        })
+    /// `stripe` (the pushing worker's logical stripe) is not read: the
+    /// server merges on arrival like every other push. It stays in the
+    /// signature for the callers that name it.
+    pub fn push_histogram_sparse(&self, _stripe: u32, node: u32, row: &[f32]) -> SparseWireStats {
+        self.push(node, Push::Sparse(row))
     }
 
     /// FIND_SPLIT push, sparse low precision: like
@@ -661,71 +534,82 @@ impl ParameterServer {
     /// carry the quantized representation — codes bit-packed at `d` bits
     /// under a dense-or-bitmap layout, scales and exact zero-bucket values
     /// as adaptive f32 sub-frames (`sparse::encode_quantized_block`). The
-    /// server decodes each frame and runs the same dequantize-add kernel as
-    /// the dense quantized path, staged and folded identically, so the two
-    /// paths are bit-identical on the model while the wire bytes shrink
-    /// with node sparsity.
+    /// server decodes each frame through the same dequantize-add kernel as
+    /// the dense quantized push, so the two are bit-identical on the model
+    /// while the wire bytes shrink with node sparsity. `stripe` is unread,
+    /// as in [`ParameterServer::push_histogram_sparse`].
     pub fn push_histogram_quantized_sparse(
         &self,
-        stripe: u32,
+        _stripe: u32,
         node: u32,
         q: &QuantizedRow,
     ) -> SparseWireStats {
-        self.resilient(Phase::BuildHistogram, || {
-            self.apply_push_histogram_quantized_sparse(stripe, node, q)
-        })
+        self.push(node, Push::QuantizedSparse(q))
     }
 
-    fn apply_push_histogram_quantized_sparse(
-        &self,
-        stripe: u32,
-        node: u32,
-        q: &QuantizedRow,
-    ) -> SparseWireStats {
+    /// The one histogram push: `payload` goes through the retry loop and
+    /// merges once, on its first admitted delivery.
+    fn push(&self, node: u32, payload: Push) -> SparseWireStats {
+        self.resilient(Phase::BuildHistogram, || self.apply_push(node, payload))
+    }
+
+    /// Adds one worker's row for `node` into each partition's accumulator
+    /// as it arrives — the addition push UDF of Sections 4.2–4.3 — and
+    /// records the bytes it put on the wire. A sparse frame is decoded on
+    /// receipt into the adds its dense twin performs (zero slots add
+    /// `+0.0`), so every exchange folds a node's rows in arrival order, the
+    /// trainer's ascending stripe order (DESIGN §14.2).
+    fn apply_push(&self, node: u32, payload: Push) -> SparseWireStats {
         self.with_hist(|state| {
-            assert_eq!(q.len(), state.layout.row_len(), "row length mismatch");
-            let mut stats = SparseWireStats::default();
+            let layout = &state.layout;
+            assert_eq!(payload.len(), layout.row_len(), "row length mismatch");
+            let row_len = layout.row_len().max(1) as u64;
+            let mut frames = SparseWireStats::default();
+            let mut bytes = 0u64;
             for p in 0..state.partitioner.num_partitions() {
                 let features = state.partitioner.range(p);
-                let elems = state.layout.elem_range(features.clone());
+                let elems = layout.elem_range(features.clone());
                 if elems.is_empty() {
                     continue;
                 }
-                let (frame, frame_stats) =
-                    sparse::encode_quantized_block(q, &state.layout, features.clone());
-                stats.merge(&frame_stats);
-                let block = sparse::decode_quantized_block(frame, &state.layout, features.clone());
-                let mut delta = state.partitions[p].lock().lend(elems.len());
-                block.add_into(&state.layout, features, &mut delta);
-                Self::stage_delta(&state.partitions[p], node, stripe, delta);
+                let (partition, n) = (&state.partitions[p], elems.len());
+                match payload {
+                    Push::Dense(row) => {
+                        add_into(partition.lock().accumulator(node, n), &row[elems]);
+                        bytes += 4 * n as u64;
+                    }
+                    Push::Quantized(q) => {
+                        q.add_features_into(
+                            layout,
+                            features,
+                            partition.lock().accumulator(node, n),
+                        );
+                        bytes += q.wire_bytes() as u64 * n as u64 / row_len;
+                    }
+                    Push::Sparse(row) => {
+                        let (frame, encoding) = wire::encode_f32_sparse(&row[elems]);
+                        frames.record(encoding, frame.len());
+                        let (values, _) = wire::decode_f32_sparse(frame);
+                        add_into(partition.lock().accumulator(node, n), &values);
+                    }
+                    Push::QuantizedSparse(q) => {
+                        let (frame, tally) =
+                            sparse::encode_quantized_block(q, layout, features.clone());
+                        frames.merge(&tally);
+                        let block = sparse::decode_quantized_block(frame, layout, features.clone());
+                        block.add_into(layout, features, partition.lock().accumulator(node, n));
+                    }
+                }
             }
             self.recorder.record_named(
                 Phase::BuildHistogram,
-                "push_histogram_quantized_sparse",
-                stats.total_bytes(),
+                payload.name(),
+                bytes + frames.total_bytes(),
                 state.partitioner.num_partitions() as u64,
                 SimTime::ZERO,
             );
-            stats
+            frames
         })
-    }
-
-    /// Stages one decoded block delta under its `(node, stripe)` key; a
-    /// second delta for the same key (e.g. a worker owning several logical
-    /// stripes pushing twice) accumulates into the staged vector.
-    fn stage_delta(partition: &Mutex<PartitionState>, node: u32, stripe: u32, delta: Vec<f32>) {
-        let mut part = partition.lock();
-        match part.staged.entry(node).or_default().entry(stripe) {
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(delta);
-            }
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                for (a, &v) in slot.get_mut().iter_mut().zip(&delta) {
-                    *a += v;
-                }
-                part.retire(delta);
-            }
-        }
     }
 
     /// FIND_SPLIT pull, two-phase (Section 6.3): every partition runs the
@@ -746,9 +630,7 @@ impl ParameterServer {
                 if features.is_empty() {
                     continue;
                 }
-                let elems_len = state.layout.elem_range(features.clone()).len();
-                let mut part = state.partitions[p].lock();
-                part.flush(elems_len);
+                let part = state.partitions[p].lock();
                 let Some(shard) = part.merged.get(&node) else {
                     continue;
                 };
@@ -789,9 +671,7 @@ impl ParameterServer {
                 if elems.is_empty() {
                     continue;
                 }
-                let mut part = state.partitions[p].lock();
-                part.flush(elems.len());
-                if let Some(shard) = part.merged.get(&node) {
+                if let Some(shard) = state.partitions[p].lock().merged.get(&node) {
                     row[elems].copy_from_slice(shard);
                 }
                 packages += 1;
@@ -822,8 +702,7 @@ impl ParameterServer {
                     continue;
                 }
                 let mut part = state.partitions[p].lock();
-                part.flush(elems.len());
-                let mut out = part.lend(elems.len());
+                let mut out = lend(&mut part.free, elems.len());
                 if let Some(parent) = part.merged.get(&parent) {
                     out.copy_from_slice(parent);
                 }
@@ -833,7 +712,7 @@ impl ParameterServer {
                     }
                 }
                 if let Some(replaced) = part.merged.insert(sibling, out) {
-                    part.retire(replaced);
+                    part.free.push(replaced);
                 }
             }
         });
@@ -844,10 +723,8 @@ impl ParameterServer {
         self.with_hist(|state| {
             for p in &state.partitions {
                 let mut part = p.lock();
-                let merged = part.merged.remove(&node);
-                let staged = part.staged.remove(&node).unwrap_or_default();
-                for buf in merged.into_iter().chain(staged.into_values()) {
-                    part.retire(buf);
+                if let Some(buf) = part.merged.remove(&node) {
+                    part.free.push(buf);
                 }
             }
         });
@@ -899,8 +776,35 @@ impl ParameterServer {
 mod tests {
     use super::*;
     use crate::split::FinalSplit;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng as _, SeedableRng};
+
+    impl ParameterServer {
+        /// Test hook for retry schedules: delivers one copy of push `seq` from
+        /// `worker`, stamped with the current epoch, and returns whether it
+        /// applied (`false`: the gate absorbed it).
+        fn push_histogram_from(&self, worker: u32, seq: u64, node: u32, row: &[f32]) -> bool {
+            self.push_histogram_from_epoch(self.current_epoch(), worker, seq, node, row)
+        }
+
+        /// [`ParameterServer::push_histogram_from`] with an explicit issue epoch.
+        fn push_histogram_from_epoch(
+            &self,
+            epoch: u64,
+            worker: u32,
+            seq: u64,
+            node: u32,
+            row: &[f32],
+        ) -> bool {
+            let admitted = self.admit(Phase::BuildHistogram, epoch, worker, seq);
+            if admitted {
+                self.apply_push(node, Push::Dense(row));
+            }
+            admitted
+        }
+    }
 
     fn ps_with_layout(buckets: Vec<u32>, servers: usize) -> ParameterServer {
         let ps = ParameterServer::new(
@@ -945,26 +849,53 @@ mod tests {
         }
     }
 
+    /// Worker rows whose `f32` sum depends on the order they are added in:
+    /// every third feature is touched, by every worker, with values spanning
+    /// six decimal orders of magnitude; the other features are all zero.
+    fn order_sensitive_rows(layout: &HistogramLayout, workers: usize) -> Vec<Vec<f32>> {
+        let mut rng = StdRng::seed_from_u64(23);
+        (0..workers)
+            .map(|_| {
+                let mut row = vec![0.0f32; layout.row_len()];
+                for f in (0..layout.num_features()).step_by(3) {
+                    for i in layout.elem_range(f..f + 1) {
+                        let magnitude = 10f32.powi(rng.random_range(-3..=3));
+                        row[i] = rng.random_range(-1.0f32..1.0) * magnitude;
+                    }
+                }
+                row
+            })
+            .collect()
+    }
+
+    fn bits(row: &[f32]) -> Vec<u32> {
+        row.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
-    fn sparse_push_merge_is_stripe_order_independent() {
-        // Deliver the same stripe deltas in opposite arrival orders: the
-        // block-keyed staging folds by stripe key, so the accumulator bits
-        // must come out identical.
-        let buckets = vec![4u32; 20];
-        let rows = sparse_rows(4 * 2 * 20, 3);
-        let fwd = ps_with_layout(buckets.clone(), 2);
-        let rev = ps_with_layout(buckets, 2);
-        for (w, row) in rows.iter().enumerate() {
-            fwd.push_histogram_sparse(w as u32, 1, row);
-        }
-        for (w, row) in rows.iter().enumerate().rev() {
-            rev.push_histogram_sparse(w as u32, 1, row);
-        }
-        let a = fwd.pull_histogram(1);
-        let b = rev.pull_histogram(1);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+    fn sparse_push_merges_on_arrival_like_dense() {
+        // Both exchanges merge on arrival, so pushed in the same ascending
+        // stripe order they fold every element in the same order.
+        let buckets = vec![4u32; 30];
+        let rows = order_sensitive_rows(&HistogramLayout::new(buckets.clone()), 4);
+        let merged = |order: &[usize], sparse: bool| {
+            let ps = ps_with_layout(buckets.clone(), 3);
+            for &w in order {
+                if sparse {
+                    ps.push_histogram_sparse(w as u32, 2, &rows[w]);
+                } else {
+                    ps.push_histogram(2, &rows[w]);
+                }
+            }
+            bits(&ps.pull_histogram(2))
+        };
+        let ascending: Vec<usize> = (0..rows.len()).collect();
+        let reversed: Vec<usize> = ascending.iter().rev().copied().collect();
+        assert_eq!(merged(&ascending, true), merged(&ascending, false));
+        // The rows' sums depend on the order, so the equality above is not
+        // vacuous: either side fed in reverse disagrees with the other.
+        assert_ne!(merged(&reversed, true), merged(&ascending, false));
+        assert_ne!(merged(&ascending, true), merged(&reversed, false));
     }
 
     #[test]
@@ -993,7 +924,7 @@ mod tests {
     fn sparse_quantized_push_is_bit_identical_to_dense_quantized() {
         let buckets = vec![6u32; 30];
         let layout = HistogramLayout::new(buckets.clone());
-        let rows = sparse_rows(layout.row_len(), 3);
+        let rows = order_sensitive_rows(&layout, 3);
         let dense = ps_with_layout(buckets.clone(), 2);
         let sparse = ps_with_layout(buckets, 2);
         for (w, row) in rows.iter().enumerate() {
@@ -1013,8 +944,7 @@ mod tests {
 
     #[test]
     fn sparse_push_then_derive_sibling_matches_dense() {
-        // derive_sibling reads partitions; staged sparse deltas must be
-        // flushed before the subtraction sees them.
+        // derive_sibling subtracts what the sparse pushes merged.
         let buckets = vec![4u32; 10];
         let rows = sparse_rows(4 * 2 * 10, 2);
         let ps = ps_with_layout(buckets, 2);
@@ -1057,7 +987,7 @@ mod tests {
         ps.with_hist(|state| {
             let held = |p: &Mutex<PartitionState>| {
                 let part = p.lock();
-                part.free.len() + part.lent
+                part.free.len() + part.merged.len()
             };
             state.partitions.iter().map(held).sum()
         })
@@ -1124,8 +1054,9 @@ mod tests {
                 after_warm_up = buffers_allocated(&ps);
                 // Per partition at most 5 nodes hold a merged row at once
                 // (2 parents + 2 built children + the sibling being
-                // derived), plus 2 built nodes × 3 staged stripe deltas.
-                assert!(after_warm_up <= 3 * (5 + 6), "{after_warm_up}");
+                // derived), and a partition holds nothing but merged rows:
+                // every push adds into its node's row on arrival.
+                assert!(after_warm_up <= 3 * 5, "{after_warm_up}");
             }
         }
         assert_eq!(buffers_allocated(&ps), after_warm_up);
@@ -1370,6 +1301,66 @@ mod tests {
             "other worker, same seq"
         );
         assert_eq!(ps.pull_histogram(7), vec![2.0, 4.0, 6.0, 8.0]);
+    }
+
+    proptest! {
+        /// Push idempotency: any delivery schedule in which each message's
+        /// first copy arrives in issue order and retransmitted/duplicated
+        /// copies arrive at arbitrary later points merges to a histogram
+        /// bit-identical to the clean exactly-once schedule, and the comm
+        /// ledger records each logical push exactly once.
+        #[test]
+        fn retried_push_schedules_merge_exactly_once(
+            n_msgs in 1usize..12,
+            servers in 1usize..4,
+            rows in vec(vec(-8.0f32..8.0, 8..=8), 12..=12),
+            extra_copies in vec(0usize..3, 12..=12),
+            shuffle_seed in any::<u64>(),
+        ) {
+            let features = 2usize;
+            let msgs: Vec<(u32, u64, u32, &Vec<f32>)> = (0..n_msgs)
+                .map(|i| ((i % 3) as u32, (i / 3) as u64, (i % 2) as u32, &rows[i]))
+                .collect();
+
+            let clean = ps_with_layout(vec![2; features], servers);
+            for &(w, s, node, row) in &msgs {
+                prop_assert!(clean.push_histogram_from(w, s, node, row));
+            }
+
+            // Build the chaotic schedule: first copies stay in issue order
+            // (the retry loop is synchronous per logical op, so a later op
+            // never overtakes an earlier one's first delivery), while
+            // retransmitted copies of message i land anywhere after its
+            // first copy.
+            let mut schedule: Vec<usize> = (0..n_msgs).collect();
+            let mut rng = StdRng::seed_from_u64(shuffle_seed);
+            for (i, &copies) in extra_copies.iter().take(n_msgs).enumerate() {
+                for _ in 0..copies {
+                    let first = schedule
+                        .iter()
+                        .position(|&m| m == i)
+                        .expect("first copy present");
+                    let at = rng.random_range(first + 1..=schedule.len());
+                    schedule.insert(at, i);
+                }
+            }
+            let chaotic = ps_with_layout(vec![2; features], servers);
+            let mut applied = 0usize;
+            for &i in &schedule {
+                let (w, s, node, row) = msgs[i];
+                if chaotic.push_histogram_from(w, s, node, row) {
+                    applied += 1;
+                }
+            }
+            prop_assert_eq!(applied, n_msgs, "each message applies exactly once");
+            for node in 0..2u32 {
+                prop_assert_eq!(chaotic.pull_histogram(node), clean.pull_histogram(node));
+            }
+            let (cl, fl) = (clean.comm_ledger(), chaotic.comm_ledger());
+            let p = Phase::BuildHistogram;
+            prop_assert_eq!(cl.phase(p).bytes, fl.phase(p).bytes);
+            prop_assert_eq!(cl.phase(p).packages, fl.phase(p).packages);
+        }
     }
 
     #[test]

@@ -154,7 +154,6 @@ fn arb_quantizer_input(span: f32) -> impl Strategy<Value = (HistogramLayout, Vec
 use dimboost_simnet::fault::OutageSpec;
 use dimboost_simnet::{FaultPlan, FaultSession, Phase};
 use rand::seq::SliceRandom;
-use rand::Rng as _;
 
 fn free_ps(features: usize, servers: usize) -> ParameterServer {
     let ps = ParameterServer::new(
@@ -170,63 +169,6 @@ fn free_ps(features: usize, servers: usize) -> ParameterServer {
 }
 
 proptest! {
-    /// Push idempotency: any delivery schedule in which each message's
-    /// first copy arrives in issue order and retransmitted/duplicated
-    /// copies arrive at arbitrary later points merges to a histogram
-    /// bit-identical to the clean exactly-once schedule, and the comm
-    /// ledger records each logical push exactly once.
-    #[test]
-    fn retried_push_schedules_merge_exactly_once(
-        n_msgs in 1usize..12,
-        servers in 1usize..4,
-        rows in vec(vec(-8.0f32..8.0, 8..=8), 12..=12),
-        extra_copies in vec(0usize..3, 12..=12),
-        shuffle_seed in any::<u64>(),
-    ) {
-        let features = 2usize;
-        let msgs: Vec<(u32, u64, u32, &Vec<f32>)> = (0..n_msgs)
-            .map(|i| ((i % 3) as u32, (i / 3) as u64, (i % 2) as u32, &rows[i]))
-            .collect();
-
-        let clean = free_ps(features, servers);
-        for &(w, s, node, row) in &msgs {
-            prop_assert!(clean.push_histogram_from(w, s, node, row));
-        }
-
-        // Build the chaotic schedule: first copies stay in issue order (the
-        // retry loop is synchronous per logical op, so a later op never
-        // overtakes an earlier one's first delivery), while retransmitted
-        // copies of message i land anywhere after its first copy.
-        let mut schedule: Vec<usize> = (0..n_msgs).collect();
-        let mut rng = StdRng::seed_from_u64(shuffle_seed);
-        for (i, &copies) in extra_copies.iter().take(n_msgs).enumerate() {
-            for _ in 0..copies {
-                let first = schedule
-                    .iter()
-                    .position(|&m| m == i)
-                    .expect("first copy present");
-                let at = rng.random_range(first + 1..=schedule.len());
-                schedule.insert(at, i);
-            }
-        }
-        let chaotic = free_ps(features, servers);
-        let mut applied = 0usize;
-        for &i in &schedule {
-            let (w, s, node, row) = msgs[i];
-            if chaotic.push_histogram_from(w, s, node, row) {
-                applied += 1;
-            }
-        }
-        prop_assert_eq!(applied, n_msgs, "each message applies exactly once");
-        for node in 0..2u32 {
-            prop_assert_eq!(chaotic.pull_histogram(node), clean.pull_histogram(node));
-        }
-        let (cl, fl) = (clean.comm_ledger(), chaotic.comm_ledger());
-        let p = Phase::BuildHistogram;
-        prop_assert_eq!(cl.phase(p).bytes, fl.phase(p).bytes);
-        prop_assert_eq!(cl.phase(p).packages, fl.phase(p).packages);
-    }
-
     /// End-to-end exactness through the retry loop itself: the same pushes
     /// issued under an arbitrary fault plan (drops, lost acks, duplicates,
     /// an outage window) produce a bit-identical histogram and logical

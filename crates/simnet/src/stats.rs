@@ -10,8 +10,9 @@ use crate::SimTime;
 /// The seven phases of the DimBoost worker execution plan (Figure 7), used
 /// to attribute communication and computation to the step that caused it.
 ///
-/// [`Phase::Other`] is the catch-all for events recorded through untagged
-/// legacy entry points; a fully instrumented run leaves it empty.
+/// No recording entry point files under [`Phase::Other`], so a run leaves it
+/// empty; it stays because the checkpoint's ledger block writes one slot per
+/// [`Phase::ALL`] entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Phase {
     /// Workers build local per-feature quantile sketches and push them.
@@ -28,7 +29,8 @@ pub enum Phase {
     SplitTree,
     /// End-of-round work: score updates, loss aggregation.
     Finish,
-    /// Untagged events (legacy [`StatsRecorder::record`] / `absorb`).
+    /// No entry point records here: kept so the checkpoint's per-phase
+    /// ledger block keeps its eight slots (see the type docs).
     Other,
 }
 
@@ -194,9 +196,8 @@ impl CommLedger {
 /// and the collectives all record into one of these so a training run ends
 /// with a single communication ledger, attributed by phase.
 ///
-/// The untagged [`StatsRecorder::record`] / [`StatsRecorder::absorb`] entry
-/// points remain for callers that predate phase attribution; they file
-/// events under [`Phase::Other`].
+/// Every entry point takes its phase explicitly; none files under
+/// [`Phase::Other`].
 ///
 /// When a [`TraceBus`] is attached, every record additionally emits exactly
 /// one trace event with the same `(phase, bytes, packages, sim_time)` — this
@@ -217,16 +218,6 @@ impl StatsRecorder {
     /// Mirrors every subsequent record onto `bus` as a trace event.
     pub fn attach_trace(&self, bus: TraceBus) {
         *self.trace.lock() = Some(bus);
-    }
-
-    /// Records one event without attribution (files under [`Phase::Other`]).
-    pub fn record(&self, bytes: u64, packages: u64, time: SimTime) {
-        self.record_tagged(Phase::Other, bytes, packages, time);
-    }
-
-    /// Records one event under `phase`.
-    pub fn record_tagged(&self, phase: Phase, bytes: u64, packages: u64, time: SimTime) {
-        self.record_named(phase, phase.name(), bytes, packages, time);
     }
 
     /// Records one event under `phase` with an operation name for the trace
@@ -297,26 +288,6 @@ impl StatsRecorder {
         self.inner.lock().absorb_ledger(ledger);
     }
 
-    /// Adds a whole [`CommStats`] (e.g. a collective's report) without
-    /// attribution.
-    pub fn absorb(&self, stats: &CommStats) {
-        self.absorb_tagged(Phase::Other, stats);
-    }
-
-    /// Adds a whole [`CommStats`] under `phase`.
-    pub fn absorb_tagged(&self, phase: Phase, stats: &CommStats) {
-        self.absorb_named(phase, phase.name(), stats);
-    }
-
-    /// Adds a whole [`CommStats`] under `phase` with an operation name for
-    /// the trace.
-    pub fn absorb_named(&self, phase: Phase, name: &'static str, stats: &CommStats) {
-        self.inner.lock().absorb(phase, stats);
-        if let Some(bus) = &*self.trace.lock() {
-            bus.on_request(phase, name, stats.bytes, stats.packages, stats.sim_time);
-        }
-    }
-
     /// Snapshot of the current totals (aggregate over all phases).
     pub fn snapshot(&self) -> CommStats {
         self.inner.lock().total()
@@ -325,11 +296,6 @@ impl StatsRecorder {
     /// Snapshot of the full per-phase ledger.
     pub fn ledger(&self) -> CommLedger {
         self.inner.lock().clone()
-    }
-
-    /// Resets the ledger and returns the aggregate that was accumulated.
-    pub fn take(&self) -> CommStats {
-        std::mem::take(&mut *self.inner.lock()).total()
     }
 }
 
@@ -353,8 +319,8 @@ mod tests {
     fn recorder_is_shared() {
         let r = StatsRecorder::new();
         let r2 = r.clone();
-        r.record(10, 1, SimTime(0.1));
-        r2.record(20, 1, SimTime(0.2));
+        r.record_named(Phase::FindSplit, "pull_split", 10, 1, SimTime(0.1));
+        r2.record_named(Phase::SplitTree, "pull_decisions", 20, 1, SimTime(0.2));
         let snap = r.snapshot();
         assert_eq!(snap.bytes, 30);
         assert_eq!(snap.packages, 2);
@@ -372,7 +338,13 @@ mod tests {
                 let r = r.clone();
                 scope.spawn(move || {
                     for _ in 0..1000 {
-                        r.record(1, 1, SimTime(0.001));
+                        r.record_named(
+                            Phase::BuildHistogram,
+                            "push_histogram",
+                            1,
+                            1,
+                            SimTime(0.001),
+                        );
                     }
                 });
             }
@@ -381,15 +353,6 @@ mod tests {
         assert_eq!(snap.bytes, 8000);
         assert_eq!(snap.packages, 8000);
         assert!((snap.sim_time.seconds() - 8.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn take_resets() {
-        let r = StatsRecorder::new();
-        r.record(5, 1, SimTime(1.0));
-        let taken = r.take();
-        assert_eq!(taken.bytes, 5);
-        assert_eq!(r.snapshot(), CommStats::default());
     }
 
     #[test]
@@ -409,22 +372,25 @@ mod tests {
     }
 
     #[test]
-    fn untagged_records_land_in_other() {
+    fn no_entry_point_files_under_other() {
         let r = StatsRecorder::new();
-        r.record(10, 1, SimTime(0.1));
-        let mut extra = CommStats::new();
-        extra.record(5, 1, SimTime(0.05));
-        r.absorb(&extra);
+        r.record_named(Phase::NewTree, "publish_sampled", 10, 1, SimTime(0.1));
+        r.charge(Phase::BuildHistogram, SimTime(0.05));
+        r.fault_event(Phase::FindSplit, "dedup_hit", SimTime::ZERO, 0, 1);
+        r.membership_event(Phase::BuildHistogram, "stale_reject", SimTime::ZERO, 0, 1);
+        let mut restored = CommLedger::new();
+        restored.record(Phase::Finish, 5, 1, SimTime(0.25));
+        r.preload(&restored);
         let ledger = r.ledger();
-        assert_eq!(ledger.phase(Phase::Other).bytes, 15);
+        assert_eq!(ledger.phase(Phase::Other), &CommStats::default());
         assert_eq!(ledger.total().bytes, 15);
     }
 
     #[test]
     fn ledger_entries_skip_empty_phases() {
         let r = StatsRecorder::new();
-        r.record_tagged(Phase::NewTree, 4, 1, SimTime::ZERO);
-        r.record_tagged(Phase::SplitTree, 64, 1, SimTime(0.2));
+        r.record_named(Phase::NewTree, "publish_sampled", 4, 1, SimTime::ZERO);
+        r.record_named(Phase::SplitTree, "pull_decisions", 64, 1, SimTime(0.2));
         let ledger = r.ledger();
         let entries: Vec<(Phase, CommStats)> = ledger.entries().map(|(p, s)| (p, *s)).collect();
         assert_eq!(entries.len(), 2);
@@ -463,10 +429,8 @@ mod tests {
         );
         bus.set_worker(None);
         r.charge(Phase::BuildHistogram, SimTime(0.125));
-        let mut extra = CommStats::new();
-        extra.record(64, 1, SimTime(0.001));
-        r.absorb_named(Phase::FindSplit, "pull_split", &extra);
-        r.record_tagged(Phase::Finish, 8, 1, SimTime::ZERO);
+        r.record_named(Phase::FindSplit, "pull_split", 64, 1, SimTime(0.001));
+        r.record_named(Phase::Finish, "finish", 8, 1, SimTime::ZERO);
 
         let events = bus.snapshot_events();
         assert_eq!(comm_totals(&events), r.ledger());
