@@ -26,9 +26,11 @@ echo "==> every test: cargo test --workspace -q"
 cargo test --workspace -q
 
 # Everything above ran unoptimised. The row kernels (quantize, dequantize-add,
-# bucket count, the streamed build) only vectorise in release, so the suites
-# that pin them bit for bit — and the cross-commit model pins — run once more
-# against release codegen; the artefacts tier-1 built are reused. The
+# bucket count, the streamed build, the f32 and packed-integer histogram
+# kernels) only vectorise in release, so the suites that pin them bit for
+# bit — dimboost-core's unit tests and its pool_unsafe/proptests/golden
+# suites among them — and the cross-commit model pins run once more against
+# release codegen; the artefacts tier-1 built are reused. The
 # baselines sum f32 in plain loops the optimiser may reorder only if it is
 # wrong to, so their pins run here too. column_view pins the feature-major
 # sketch fold and the galloping column split against the per-value and
@@ -38,7 +40,8 @@ cargo test --workspace -q
 echo "==> release codegen: model pins + kernel suites"
 cargo test --release -q --test model_pins --test baseline_pins --test determinism --test fused \
   --test column_view --test serving_sim
-cargo test --release -q -p dimboost-ps -p dimboost-sketch -p dimboost-predict -p dimboost-serving
+cargo test --release -q -p dimboost-core -p dimboost-ps -p dimboost-sketch -p dimboost-predict \
+  -p dimboost-serving
 
 # The host-wall yardstick is its own package (own [workspace] and lockfile):
 # build it, run its tests, and run every workload once at smoke scale so it

@@ -15,10 +15,9 @@
 
 use dimboost_data::Dataset;
 
-use crate::hist_build::{new_row, reset_row};
+use crate::fused::{accumulate, build_rows_into, Rows};
 use crate::loss::GradPair;
 use crate::meta::FeatureMeta;
-use crate::parallel::merge_partials;
 
 /// A shard with every nonzero entry pre-resolved to histogram offsets.
 ///
@@ -122,38 +121,19 @@ impl BinnedShard {
             + (self.zero_g.len() + self.zero_h.len()) * 4
     }
 
-    /// Algorithm 2 over pre-resolved offsets: identical output to
-    /// `hist_build::build_sparse`, no binary searches.
+    /// Algorithm 2 over pre-resolved offsets, added into `out` (a zeroed
+    /// row, or one this builder already added into): identical output to
+    /// `hist_build::build_sparse`, no binary searches. The one-slot case of
+    /// the [`crate::fused`] f32 kernel.
     pub fn build_into(&self, instances: &[u32], grads: &[GradPair], out: &mut [f32]) {
-        debug_assert!(self.has_f32_entries(), "f32 build over a released shard");
-        let mut sum_g = 0.0f64;
-        let mut sum_h = 0.0f64;
-        for &i in instances {
-            let gp = grads[i as usize];
-            sum_g += gp.g as f64;
-            sum_h += gp.h as f64;
-            let (lo, hi) = (self.indptr[i as usize], self.indptr[i as usize + 1]);
-            for e in lo..hi {
-                let sf = self.sf[e] as usize;
-                out[self.g_elem[e] as usize] += gp.g;
-                out[self.h_elem[e] as usize] += gp.h;
-                out[self.zero_g[sf] as usize] -= gp.g;
-                out[self.zero_h[sf] as usize] -= gp.h;
-            }
-        }
-        for sf in 0..self.zero_g.len() {
-            out[self.zero_g[sf] as usize] += sum_g as f32;
-            out[self.zero_h[sf] as usize] += sum_h as f32;
-        }
+        let (rows, all) = (Rows::Node(instances), 0..instances.len());
+        accumulate(self, rows, all, grads, out.len(), out, &mut [None]);
     }
 
     /// Batched parallel variant (Section 5.2's scheme over the binned data):
-    /// instance batches of `batch_size` are **statically striped** over up
-    /// to `threads` workers (thread `t` owns batches `t, t+threads, …`),
-    /// each accumulating into a private partial row, merged in thread-index
-    /// order at the end. See `crate::parallel` for the determinism
-    /// rationale: the output is bit-identical across reruns for any fixed
-    /// `(instances, threads, batch_size)`.
+    /// instance batches statically striped over up to `threads` stripes,
+    /// bit-identical across reruns for any fixed configuration (see
+    /// `crate::fused`).
     pub fn build_row_batched(
         &self,
         instances: &[u32],
@@ -163,50 +143,17 @@ impl BinnedShard {
         threads: usize,
     ) -> Vec<f32> {
         let mut out = Vec::new();
-        self.build_row_batched_into(instances, grads, meta, batch_size, threads, &mut out);
+        let rows = Rows::Node(instances);
+        build_rows_into(self, rows, grads, meta, batch_size, threads, &mut out);
         out
-    }
-
-    /// [`BinnedShard::build_row_batched`] into a kept buffer (see
-    /// [`reset_row`]).
-    pub fn build_row_batched_into(
-        &self,
-        instances: &[u32],
-        grads: &[GradPair],
-        meta: &FeatureMeta,
-        batch_size: usize,
-        threads: usize,
-        out: &mut Vec<f32>,
-    ) {
-        assert!(batch_size > 0, "batch_size must be positive");
-        assert!(threads > 0, "threads must be positive");
-        let num_batches = instances.len().div_ceil(batch_size);
-        let threads = threads.min(num_batches.max(1));
-        if threads <= 1 {
-            reset_row(meta, out);
-            return self.build_into(instances, grads, out);
-        }
-        // Static round-robin striping, same rule as
-        // `parallel::build_row_batched`, executed on the persistent pool.
-        let partials: Vec<Vec<f32>> = crate::pool::global().run(threads, |t| {
-            let mut partial = new_row(meta);
-            let mut b = t;
-            while b < num_batches {
-                let lo = b * batch_size;
-                let hi = (lo + batch_size).min(instances.len());
-                self.build_into(&instances[lo..hi], grads, &mut partial);
-                b += threads;
-            }
-            partial
-        });
-        merge_partials(partials, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hist_build::build_row;
+    use crate::hist_build::{build_row, new_row};
+    use crate::parallel::{build_row_batched, BatchConfig};
     use dimboost_data::synthetic::{generate, SparseGenConfig};
     use dimboost_sketch::SplitCandidates;
 
@@ -272,22 +219,22 @@ mod tests {
     }
 
     #[test]
-    fn batched_binned_matches_sequential() {
+    fn batched_binned_bit_equals_raw_batched_algorithm_2() {
+        // The raw-shard batched builder runs `build_sparse` per batch under
+        // the same striping: separate code, so the binned kernel must match
+        // it bit for bit at every (batch, threads), one stripe or many.
         let (ds, meta, grads) = setup(500, 30);
         let binned = BinnedShard::build(&ds, &meta);
-        let instances: Vec<u32> = (0..500).collect();
-        let mut reference = new_row(&meta);
-        binned.build_into(&instances, &grads, &mut reference);
-        for (batch, threads) in [(64, 4), (100, 2), (7, 8), (1000, 4)] {
-            let out = binned.build_row_batched(&instances, &grads, &meta, batch, threads);
-            if batch >= instances.len() {
-                // One batch → one worker adding in sequential order: bit-equal.
-                assert_eq!(out, reference);
-            } else {
-                for (a, b) in out.iter().zip(&reference) {
-                    assert!((a - b).abs() < 1e-3, "{a} vs {b}");
-                }
-            }
+        let instances: Vec<u32> = (0..500).filter(|i| i % 5 != 3).collect();
+        for (batch_size, threads) in [(64, 4), (100, 2), (7, 8), (1000, 4), (37, 1)] {
+            let out = binned.build_row_batched(&instances, &grads, &meta, batch_size, threads);
+            let cfg = BatchConfig {
+                batch_size,
+                threads,
+                sparse: true,
+            };
+            let raw = build_row_batched(&ds, &instances, &grads, &meta, &cfg);
+            assert_eq!(out, raw, "batch={batch_size} threads={threads}");
         }
     }
 

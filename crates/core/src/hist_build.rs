@@ -11,19 +11,23 @@
 //!   bucket), then deposit the accumulated sums into every feature's zero
 //!   bucket. `O(z·N + M)` where `z` is the mean nonzeros per instance.
 //!
-//! A third, non-paper builder family accumulates **fixed-point integers**
-//! instead of f32 ([`build_quantized`], plus the layer-fused variant in
-//! [`crate::fused`]): gradients are pre-quantized once per tree
-//! ([`QuantizedGrads`]) and each histogram cell holds a *packed* G/H code
-//! pair in one integer, so integer addition — associative and commutative —
-//! replaces float addition and the result is bit-identical under **any**
-//! thread count, batch size, or merge order. DESIGN.md §15 documents the
-//! format and the overflow bounds.
+//! Both walk the raw shard and stay separate code from the binned kernels
+//! in [`crate::fused`], which the kernel tests pin against them.
+//!
+//! This module also holds the types of the non-paper **fixed-point integer**
+//! accumulation ([`build_quantized`] is its per-node entry; the kernel is
+//! [`crate::fused`]'s packed-integer one): gradients are pre-quantized once
+//! per tree ([`QuantizedGrads`]) and each histogram cell holds a *packed*
+//! G/H code pair in one integer, so integer addition — associative and
+//! commutative — replaces float addition and the result is bit-identical
+//! under **any** thread count, batch size, or merge order. DESIGN.md §15
+//! documents the format and the overflow bounds.
 
 use dimboost_data::Dataset;
 use dimboost_ps::quantize::levels;
 
 use crate::binned::BinnedShard;
+use crate::fused::{build_rows_quantized_into, Rows};
 use crate::loss::GradPair;
 use crate::meta::FeatureMeta;
 
@@ -174,16 +178,6 @@ pub enum AccMode {
     /// `i64` cells with two 32-bit lanes — always legal under the
     /// [`effective_quant_bits`] row-count guard.
     Wide,
-}
-
-impl AccMode {
-    /// Bytes per packed G/H cell in this mode.
-    pub fn cell_bytes(self) -> usize {
-        match self {
-            AccMode::Narrow => 4,
-            AccMode::Wide => 8,
-        }
-    }
 }
 
 /// Overflow promotion rule: the narrow (16-bit-lane) accumulator is chosen
@@ -461,77 +455,11 @@ impl PairCell for i32 {
     }
 }
 
-/// Algorithm 2 over packed integer cells: add each nonzero's packed pair to
-/// its bucket cell, subtract it from the feature's zero cell, and return the
-/// total code sums for the zero-bucket deposit. 2 read-modify-writes per
-/// entry (the f32 builders do 4).
-pub(crate) fn accumulate_pairs<C: PairCell>(
-    binned: &BinnedShard,
-    qb: &QuantBinned,
-    grads: &QuantizedGrads,
-    instances: &[u32],
-    cells: &mut [C],
-) -> (i64, i64) {
-    let mut sum_g = 0i64;
-    let mut sum_h = 0i64;
-    for &i in instances {
-        let i = i as usize;
-        let (gc, hc) = grads.codes(i);
-        sum_g += gc;
-        sum_h += hc;
-        let packed = C::pack(gc, hc);
-        for e in binned.indptr[i]..binned.indptr[i + 1] {
-            let p = qb.pair_elem[e] as usize;
-            cells[p] = cells[p].add(packed);
-            let z = qb.zero_elem[e] as usize;
-            cells[z] = cells[z].sub(packed);
-        }
-    }
-    (sum_g, sum_h)
-}
-
-/// Deposits the accumulated code sums into every feature's zero cell
-/// (Algorithm 2 lines 12-15, packed form).
-pub(crate) fn deposit_zero_sums<C: PairCell>(
-    zero_pair: &[u32],
-    sum_g: i64,
-    sum_h: i64,
-    cells: &mut [C],
-) {
-    let packed = C::pack(sum_g, sum_h);
-    for &z in zero_pair {
-        cells[z as usize] = cells[z as usize].add(packed);
-    }
-}
-
-/// Decodes one node's packed cells into an f32 histogram row in layout
-/// order. Shared by the per-node and layer-fused quantized builders so the
-/// f32 conversion (`lane_sum as f32 * step`) runs in the identical order on
-/// both paths — bit-equality between them is structural, not tolerant.
-pub(crate) fn dequantize_cells_into<C: PairCell>(
-    cells: &[C],
-    meta: &FeatureMeta,
-    grads: &QuantizedGrads,
-    out: &mut [f32],
-) {
-    let layout = meta.layout();
-    debug_assert_eq!(out.len(), layout.row_len());
-    let mut base = 0usize;
-    for sf in 0..meta.num_sampled() {
-        let nb = layout.num_buckets(sf);
-        for k in 0..nb {
-            let (g, h) = cells[base + k].unpack();
-            out[layout.g_index(sf, k)] = g as f32 * grads.g_step();
-            out[layout.h_index(sf, k)] = h as f32 * grads.h_step();
-        }
-        base += nb;
-    }
-}
-
 /// Per-node quantized histogram build: packed integer accumulation followed
-/// by one dequantize pass. The integer phase is associative, so the output
+/// by one dequantize pass — the one-slot case of the [`crate::fused`]
+/// packed-integer kernel. The integer phase is associative, so the output
 /// depends only on the *set* of instances — not on threads, batching, or
-/// visit order — and is bit-identical to the layer-fused quantized kernel.
+/// visit order — and is bit-identical to the layer-fused quantized build.
 pub fn build_quantized(
     binned: &BinnedShard,
     qb: &QuantBinned,
@@ -541,46 +469,9 @@ pub fn build_quantized(
     mode: AccMode,
 ) -> Vec<f32> {
     let mut out = Vec::new();
-    build_quantized_into(binned, qb, instances, grads, meta, mode, &mut out);
+    let (rows, batch_size) = (Rows::Node(instances), instances.len().max(1));
+    build_rows_quantized_into(binned, qb, rows, grads, meta, batch_size, 1, mode, &mut out);
     out
-}
-
-/// [`build_quantized`] into a kept buffer (see [`reset_row`]).
-pub fn build_quantized_into(
-    binned: &BinnedShard,
-    qb: &QuantBinned,
-    instances: &[u32],
-    grads: &QuantizedGrads,
-    meta: &FeatureMeta,
-    mode: AccMode,
-    out: &mut Vec<f32>,
-) {
-    reset_row(meta, out);
-    match mode {
-        AccMode::Narrow => {
-            debug_assert_eq!(
-                acc_mode_for(instances.len() as u64, grads.max_code()),
-                AccMode::Narrow,
-                "narrow mode requested past the overflow bound"
-            );
-            quantized_into::<i32>(binned, qb, instances, grads, meta, out);
-        }
-        AccMode::Wide => quantized_into::<i64>(binned, qb, instances, grads, meta, out),
-    }
-}
-
-fn quantized_into<C: PairCell>(
-    binned: &BinnedShard,
-    qb: &QuantBinned,
-    instances: &[u32],
-    grads: &QuantizedGrads,
-    meta: &FeatureMeta,
-    out: &mut [f32],
-) {
-    let mut cells = vec![C::ZERO; qb.pair_len()];
-    let (sum_g, sum_h) = accumulate_pairs::<C>(binned, qb, grads, instances, &mut cells);
-    deposit_zero_sums::<C>(&qb.zero_pair, sum_g, sum_h, &mut cells);
-    dequantize_cells_into::<C>(&cells, meta, grads, out);
 }
 
 #[cfg(test)]
@@ -966,11 +857,9 @@ mod tests {
         );
         let both = |binned: &BinnedShard| {
             let per_node = build_quantized(binned, &qb, &instances, &q, &meta, AccMode::Wide);
-            let mut fused = Vec::new();
-            crate::fused::build_layer_quantized_into(
-                binned, &qb, &positions, &q, &meta, 64, 1, &mut fused,
-            );
-            (per_node, fused)
+            let fused =
+                crate::fused::build_layer_quantized(binned, &qb, &positions, &q, &meta, 64, 1);
+            (per_node, fused.0)
         };
         let before = both(&binned);
         let (nnz, bytes) = (binned.nnz(), binned.memory_bytes());

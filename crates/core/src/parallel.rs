@@ -8,25 +8,30 @@
 //!
 //! # Deterministic striping
 //!
-//! Batches are assigned by **static round-robin striping**: thread `t`
+//! Batches are assigned by **static round-robin striping**
+//! ([`crate::pool::Striping`], the one owner of the rule): stripe `t`
 //! processes batches `t, t + q, t + 2q, …` in ascending order. An earlier
 //! version claimed batches from an atomic cursor, which made each thread's
 //! f32 partial sum depend on OS scheduling and silently broke the repo's
 //! bit-reproducibility guarantee. With striping, each partial row is a pure
 //! function of `(instances, threads, batch_size)`, and partials are merged
-//! in thread-index order, so the output is bit-identical across reruns for
-//! any fixed configuration. The same rule is used by
-//! [`crate::binned::BinnedShard::build_row_batched`] and the batch scoring
-//! engine in `dimboost-predict`.
+//! in stripe order ([`merge_partials`], shared with the binned kernel in
+//! [`crate::fused`]), so the output is bit-identical across reruns for any
+//! fixed configuration. The binned builders and the batch scoring engine in
+//! `dimboost-predict` take their batches from the same `Striping`.
 //!
-//! Across *different* `(threads, batch_size)` the f32 builders here only
-//! agree to a float-associativity tolerance — the grouping of additions
-//! changes. That caveat used to apply to every histogram path; it no longer
-//! does. The quantized accumulator ([`crate::hist_build::build_quantized`]
-//! and `fused::build_layer_quantized`, behind `Optimizations::
-//! quantized_hist`) sums fixed-point integers, which are associative, so
-//! its histograms — and the resulting model bytes — are bit-identical
-//! across **any** thread count and batch size (DESIGN.md §15).
+//! This is the raw-shard builder: every batch runs Algorithm 2
+//! ([`crate::hist_build::build_sparse`]) or the dense pass over the
+//! unbinned rows, code separate from the binned kernel — which is why the
+//! kernel tests use it as their reference.
+//!
+//! Across *different* `(threads, batch_size)` the f32 builders only agree to
+//! a float-associativity tolerance — the grouping of additions changes. The
+//! quantized kernel ([`crate::hist_build::build_quantized`] and
+//! `fused::build_layer_quantized`, behind `Optimizations::quantized_hist`)
+//! sums fixed-point integers, which are associative, so its histograms — and
+//! the resulting model bytes — are bit-identical across **any** thread count
+//! and batch size (DESIGN.md §15).
 //!
 //! The stripes execute on the persistent [`crate::pool`] (one pool per
 //! process) rather than per-call scoped threads; `threads` here is the
@@ -38,7 +43,7 @@ use dimboost_data::Dataset;
 use crate::hist_build::{build_dense, build_row_into, build_sparse, new_row};
 use crate::loss::GradPair;
 use crate::meta::FeatureMeta;
-use crate::pool;
+use crate::pool::{self, Striping};
 
 /// Tuning knobs for the batched builder.
 #[derive(Debug, Clone, Copy)]
@@ -87,34 +92,21 @@ pub fn build_row_batched_into(
     config: &BatchConfig,
     out: &mut Vec<f32>,
 ) {
-    assert!(config.batch_size > 0, "batch_size must be positive");
-    assert!(config.threads > 0, "threads must be positive");
-
-    let num_batches = instances.len().div_ceil(config.batch_size.max(1));
-    let threads = config.threads.min(num_batches.max(1));
-    if threads <= 1 {
+    let striping = Striping::new(instances.len(), config.batch_size, config.threads);
+    if striping.stripes() == 1 {
         // Single batch or single thread: no parallel machinery.
         return build_row_into(shard, instances, grads, meta, config.sparse, out);
     }
-
-    // Static round-robin striping: stripe `t` owns batches t, t+threads, …
-    // in ascending order. No shared cursor, so batch→stripe assignment and
-    // therefore every f32 partial sum is independent of OS scheduling. The
-    // persistent pool returns partials in stripe order.
-    let partials: Vec<Vec<f32>> = pool::global().run(threads, |t| {
+    let partials: Vec<Vec<f32>> = pool::global().run(striping.stripes(), |t| {
         let mut partial = new_row(meta);
         let mut scratch = Vec::new();
-        let mut b = t;
-        while b < num_batches {
-            let lo = b * config.batch_size;
-            let hi = (lo + config.batch_size).min(instances.len());
-            let batch = &instances[lo..hi];
+        for batch in striping.batches(t) {
+            let batch = &instances[batch];
             if config.sparse {
                 build_sparse(shard, batch, grads, meta, &mut partial);
             } else {
                 build_dense(shard, batch, grads, meta, &mut partial, &mut scratch);
             }
-            b += threads;
         }
         partial
     });

@@ -31,7 +31,13 @@
 //! A `run` issued from inside a pool worker (nested parallelism) executes
 //! its stripes inline, sequentially, on the calling worker — same results
 //! (stripe functions are pure), no deadlock, no extra threads.
+//!
+//! # Static striping
+//!
+//! [`Striping`] owns the rule by which every batched pass in the workspace
+//! (the histogram builders, the scoring engine) deals its batches to stripes.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -256,6 +262,69 @@ fn worker_loop(shared: &Shared, index: usize, size: usize) {
     }
 }
 
+/// The static striping rule (Section 5.2's batch scheme made deterministic):
+/// `len` positions cut into batches of `batch_size`, dealt round-robin over
+/// `stripes = threads.min(num_batches).max(1)` logical stripes — stripe `t`
+/// owns batches `t, t + stripes, …` in ascending order. Which stripe handles
+/// which position is a pure function of `(len, batch_size, threads)`, never
+/// of OS scheduling; run the stripes with [`WorkerPool::run`] and merge their
+/// results in stripe order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Striping {
+    len: usize,
+    batch_size: usize,
+    stripes: usize,
+}
+
+impl Striping {
+    /// The striping of `len` positions into batches of `batch_size` over at
+    /// most `threads` stripes.
+    ///
+    /// # Panics
+    /// Panics if `batch_size` or `threads` is zero.
+    pub fn new(len: usize, batch_size: usize, threads: usize) -> Self {
+        assert!(batch_size > 0, "batch_size must be positive");
+        assert!(threads > 0, "threads must be positive");
+        let stripes = threads.min(len.div_ceil(batch_size)).max(1);
+        Self {
+            len,
+            batch_size,
+            stripes,
+        }
+    }
+
+    /// Logical stripes: the requested threads, clamped to the batch count
+    /// and to at least one.
+    pub fn stripes(&self) -> usize {
+        self.stripes
+    }
+
+    /// Batches, the last one possibly short.
+    pub fn num_batches(&self) -> usize {
+        self.len.div_ceil(self.batch_size)
+    }
+
+    /// The positions of batch `b`.
+    pub fn batch(&self, b: usize) -> Range<usize> {
+        let lo = b * self.batch_size;
+        lo..lo.saturating_add(self.batch_size).min(self.len)
+    }
+
+    /// Where batch `b` lands: `(stripe, k)`, the stripe that owns it and its
+    /// index among that stripe's batches.
+    pub fn owner(&self, b: usize) -> (usize, usize) {
+        (b % self.stripes, b / self.stripes)
+    }
+
+    /// The batches stripe `t` owns, ascending: `t, t + stripes, …`.
+    pub fn batches(&self, t: usize) -> impl Iterator<Item = Range<usize>> {
+        let this = *self;
+        (t..self.num_batches())
+            .step_by(self.stripes)
+            .map(move |b| this.batch(b))
+    }
+}
+
 /// The process-wide shared pool, created on first use and reused by every
 /// training and serving hot path. Sized from the machine's available
 /// parallelism (clamped to 16): callers request any number of logical
@@ -275,9 +344,19 @@ pub fn global() -> &'static WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{MutexGuard, PoisonError};
+
+    /// The tests in this module that build a pool run one at a time, so the
+    /// construction counter moves only with the pools the running test
+    /// creates.
+    fn serial() -> MutexGuard<'static, ()> {
+        static SERIAL: Mutex<()> = Mutex::new(());
+        SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 
     #[test]
     fn results_come_back_in_stripe_order() {
+        let _serial = serial();
         let pool = WorkerPool::new(4);
         let out = pool.run(13, |s| s * 10);
         assert_eq!(out, (0..13).map(|s| s * 10).collect::<Vec<_>>());
@@ -287,6 +366,7 @@ mod tests {
     fn results_independent_of_pool_size() {
         let work = |s: usize| (0..=s).map(|v| v as f32 * 0.1).sum::<f32>();
         let reference: Vec<f32> = (0..9).map(work).collect();
+        let _serial = serial();
         for size in [1, 2, 3, 8, 16] {
             let pool = WorkerPool::new(size);
             assert_eq!(pool.run(9, work), reference, "pool size {size}");
@@ -295,6 +375,7 @@ mod tests {
 
     #[test]
     fn pool_is_reusable_across_many_runs() {
+        let _serial = serial();
         let pool = WorkerPool::new(3);
         for rep in 0..50 {
             let out = pool.run(7, |s| s + rep);
@@ -304,6 +385,7 @@ mod tests {
 
     #[test]
     fn nested_runs_execute_inline() {
+        let _serial = serial();
         let pool = Arc::new(WorkerPool::new(4));
         let inner = Arc::clone(&pool);
         // Each outer stripe issues a nested run; nested calls must complete
@@ -314,6 +396,7 @@ mod tests {
 
     #[test]
     fn zero_and_single_stripe() {
+        let _serial = serial();
         let pool = WorkerPool::new(2);
         assert!(pool.run(0, |s| s).is_empty());
         assert_eq!(pool.run(1, |s| s + 1), vec![1]);
@@ -321,6 +404,7 @@ mod tests {
 
     #[test]
     fn stripe_panic_propagates() {
+        let _serial = serial();
         let pool = WorkerPool::new(2);
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             pool.run(4, |s| {
@@ -335,9 +419,52 @@ mod tests {
 
     #[test]
     fn construction_counter_tracks_pools() {
+        // The global pool is built lazily by whichever test reaches it
+        // first; build it now so it cannot land between the two reads.
+        global();
+        let _serial = serial();
         let before = pool_constructions();
         let _pool = WorkerPool::new(2);
         assert_eq!(pool_constructions(), before + 1);
+    }
+
+    #[test]
+    fn striping_deals_batches_round_robin_in_ascending_order() {
+        // 23 positions in batches of 5: [0,5) [5,10) [10,15) [15,20) [20,23).
+        let s = Striping::new(23, 5, 2);
+        assert_eq!((s.stripes(), s.num_batches()), (2, 5));
+        assert_eq!(s.batches(0).collect::<Vec<_>>(), [0..5, 10..15, 20..23]);
+        assert_eq!(s.batches(1).collect::<Vec<_>>(), [5..10, 15..20]);
+        // `owner` inverts `batches`: batch b is the k-th batch of stripe t.
+        for t in 0..2 {
+            for (k, range) in s.batches(t).enumerate() {
+                assert_eq!(s.owner(range.start / 5), (t, k));
+            }
+        }
+    }
+
+    #[test]
+    fn striping_clamps_stripes_to_the_batch_count() {
+        // More threads than batches: one stripe per batch, none idle.
+        let s = Striping::new(10, 4, 8);
+        assert_eq!((s.stripes(), s.num_batches()), (3, 3));
+        assert_eq!((s.batch(2), s.batches(2).count()), (8..10, 1));
+        // One batch covering everything: a single stripe whatever `threads`;
+        // a batch size past any length never overflows.
+        for batch_size in [10, usize::MAX] {
+            let one = Striping::new(10, batch_size, 8);
+            assert_eq!(one.stripes(), 1);
+            assert_eq!(one.batches(0).collect::<Vec<_>>(), vec![0..10; 1]);
+        }
+        // Nothing to split: one stripe with no batches.
+        let empty = Striping::new(0, 7, 4);
+        assert_eq!((empty.stripes(), empty.batches(0).count()), (1, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "threads must be positive")]
+    fn striping_rejects_zero_threads() {
+        Striping::new(5, 1, 0);
     }
 
     #[test]

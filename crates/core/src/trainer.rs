@@ -33,8 +33,8 @@ use dimboost_sketch::{propose_candidates, GkScratch, GkSketch};
 
 use crate::checkpoint::{CheckpointError, CheckpointOptions};
 use crate::config::{GbdtConfig, LossKind};
-use crate::fused;
-use crate::hist_build::{acc_mode_for, build_quantized_into, build_row_into, reset_row};
+use crate::fused::{self, Rows};
+use crate::hist_build::build_row_into;
 use crate::loss::{loss_for, softmax_grads, summed_loss, GradPair, Loss};
 use crate::meta::FeatureMeta;
 use crate::model::GbdtModel;
@@ -398,21 +398,23 @@ fn build_node_row(
     instances: &[u32],
     out: &mut Vec<f32>,
 ) {
-    let (batch_size, threads) = (plan.batch_size, plan.threads);
+    let (batch_size, rows) = (plan.batch_size, Rows::Node(instances));
+    // Unbatched is the single-stripe case of the batched build.
+    let threads = if plan.batched { plan.threads } else { 1 };
     match hist {
         HistData::Quantized(binned, pairs, qgrads) => {
             // Narrow/wide is chosen per node from its own row count; either
             // mode decodes the same exact integer sums, so the choice can
-            // never change the output (pinned by tests).
-            let mode = acc_mode_for(instances.len() as u64, qgrads.max_code());
-            build_quantized_into(binned, pairs, instances, qgrads, meta, mode, out);
-        }
-        HistData::Binned(binned) if plan.batched => {
-            binned.build_row_batched_into(instances, grads, meta, batch_size, threads, out);
+            // never change the output (pinned by tests). One stripe: the
+            // integer sums are exact whatever the striping, so striping a
+            // node would only add a dispatch, per-stripe cells and a merge.
+            let mode = rows.acc_mode(qgrads);
+            fused::build_rows_quantized_into(
+                binned, pairs, rows, qgrads, meta, batch_size, 1, mode, out,
+            );
         }
         HistData::Binned(binned) => {
-            reset_row(meta, out);
-            binned.build_into(instances, grads, out);
+            fused::build_rows_into(binned, rows, grads, meta, batch_size, threads, out);
         }
         HistData::Raw if plan.batched => {
             let bc = BatchConfig {
@@ -692,13 +694,15 @@ impl Run<'_> {
                         ),
                     };
                     let (batch_size, threads) = (plan.batch_size, plan.threads);
+                    let rows = Rows::Layer(&positions);
                     match &wk.hist {
-                        HistData::Binned(binned) => fused::build_layer_into(
-                            binned, &positions, &wk.grads, meta, batch_size, threads, buf,
+                        HistData::Binned(binned) => fused::build_rows_into(
+                            binned, rows, &wk.grads, meta, batch_size, threads, buf,
                         ),
                         HistData::Quantized(binned, pairs, qgrads) => {
-                            fused::build_layer_quantized_into(
-                                binned, pairs, &positions, qgrads, meta, batch_size, threads, buf,
+                            let mode = rows.acc_mode(qgrads);
+                            fused::build_rows_quantized_into(
+                                binned, pairs, rows, qgrads, meta, batch_size, threads, mode, buf,
                             );
                         }
                         HistData::Raw => unreachable!("the plan fuses only over a binned shard"),

@@ -87,12 +87,6 @@ impl SparseGenConfig {
         self
     }
 
-    /// Overrides the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Switches the label model.
     pub fn with_label_kind(mut self, kind: LabelKind) -> Self {
         self.label_kind = kind;

@@ -2,20 +2,23 @@
 //!
 //! The engine scores a [`Dataset`] in batches of `batch_size` rows,
 //! distributed over `threads` workers by the repo's shared deterministic
-//! rule: **static round-robin striping** (thread `t` owns batches
-//! `t, t + threads, …`), the same assignment the batched histogram builders
-//! use. Each worker scores its batches into private buffers; the buffers
-//! are then written into the output in ascending batch index, a fixed merge
-//! order. Per-row scoring is independent, so unlike the histogram merge
-//! there is no f32 reassociation at all: the output is bit-identical to a
-//! sequential scan *and* across reruns for any `(threads, batch_size)`.
+//! rule: **static round-robin striping** (`dimboost_core::pool::Striping`:
+//! stripe `t` owns batches `t, t + stripes, …`), the same assignment the
+//! batched histogram builders use. Each worker scores its batches into
+//! private buffers; the buffers are then written into the output in
+//! ascending batch index, a fixed merge order. Per-row scoring is
+//! independent, so unlike the histogram merge there is no f32
+//! reassociation at all: the output is bit-identical to a sequential scan
+//! *and* across reruns for any `(threads, batch_size)`.
 //!
 //! Wall-clock timings per batch are recorded under `wall/serving/*`
 //! (excluded from canonical documents); structural counts under
 //! `sim/serving/*` (deterministic, canonical).
 
+use std::ops::Range;
 use std::time::Instant;
 
+use dimboost_core::pool::Striping;
 use dimboost_data::Dataset;
 use dimboost_simnet::MetricsRegistry;
 
@@ -76,21 +79,18 @@ fn score(
     kind: ScoreKind,
     registry: Option<&mut MetricsRegistry>,
 ) -> Vec<f32> {
-    assert!(config.batch_size > 0, "batch_size must be positive");
-    assert!(config.threads > 0, "threads must be positive");
-
     let rows = data.num_rows();
     let width = match kind {
         ScoreKind::Raw => model.num_classes(),
         ScoreKind::Transformed => 1,
     };
-    let num_batches = rows.div_ceil(config.batch_size);
-    let threads = config.threads.min(num_batches.max(1));
+    let striping = Striping::new(rows, config.batch_size, config.threads);
+    let (num_batches, stripes) = (striping.num_batches(), striping.stripes());
 
-    // Scores one batch into `buf` (length `(hi - lo) * width`, zeroed) in
+    // Scores one batch into `buf` (length `batch.len() * width`, zeroed) in
     // blocks of `BLOCK_ROWS`, reusing the stripe's `scratch`.
-    let fill = |lo: usize, hi: usize, buf: &mut [f32], scratch: &mut ScoreScratch| {
-        let rows = (lo..hi).map(|r| data.row(r));
+    let fill = |batch: Range<usize>, buf: &mut [f32], scratch: &mut ScoreScratch| {
+        let rows = batch.map(|r| data.row(r));
         match kind {
             ScoreKind::Raw => model.score_rows(rows, scratch, buf),
             ScoreKind::Transformed => model.predict_rows(rows, scratch, buf),
@@ -101,50 +101,42 @@ fn score(
     // (batch rows, wall seconds) per batch, in ascending batch order.
     let mut batch_stats: Vec<(usize, f64)> = Vec::with_capacity(num_batches);
 
-    if threads <= 1 {
+    if stripes == 1 {
         let mut scratch = ScoreScratch::new();
-        for b in 0..num_batches {
-            let lo = b * config.batch_size;
-            let hi = (lo + config.batch_size).min(rows);
-            let start = Instant::now();
-            fill(lo, hi, &mut out[lo * width..hi * width], &mut scratch);
-            batch_stats.push((hi - lo, start.elapsed().as_secs_f64()));
+        for batch in striping.batches(0) {
+            let (len, start) = (batch.len(), Instant::now());
+            let buf = &mut out[batch.start * width..batch.end * width];
+            fill(batch, buf, &mut scratch);
+            batch_stats.push((len, start.elapsed().as_secs_f64()));
         }
     } else {
-        // Static striping: stripe t owns batches t, t+threads, … Each owner
-        // pushes its batches in ascending order, so batch b sits at slot
-        // b / threads of owner b % threads — a fixed, scheduling-free map.
-        // Stripes run on the shared persistent pool (`dimboost_core::pool`):
-        // no per-call thread spawns on the serving hot path.
-        let per_thread: Vec<Vec<(Vec<f32>, f64)>> =
-            dimboost_core::pool::global().run(threads, |t| {
-                let mut done = Vec::new();
+        // Each stripe scores its batches into private buffers in ascending
+        // order, so batch b sits where `Striping::owner` says. Stripes run on
+        // the shared persistent pool: no thread spawns on the serving path.
+        let per_stripe: Vec<Vec<(Vec<f32>, f64)>> =
+            dimboost_core::pool::global().run(stripes, |t| {
                 let mut scratch = ScoreScratch::new();
-                let mut b = t;
-                while b < num_batches {
-                    let lo = b * config.batch_size;
-                    let hi = (lo + config.batch_size).min(rows);
-                    let mut buf = vec![0.0f32; (hi - lo) * width];
+                let score = |batch: Range<usize>| {
+                    let mut buf = vec![0.0f32; batch.len() * width];
                     let start = Instant::now();
-                    fill(lo, hi, &mut buf, &mut scratch);
-                    done.push((buf, start.elapsed().as_secs_f64()));
-                    b += threads;
-                }
-                done
+                    fill(batch, &mut buf, &mut scratch);
+                    (buf, start.elapsed().as_secs_f64())
+                };
+                striping.batches(t).map(score).collect()
             });
         for b in 0..num_batches {
-            let lo = b * config.batch_size;
-            let hi = (lo + config.batch_size).min(rows);
-            let (buf, secs) = &per_thread[b % threads][b / threads];
-            out[lo * width..hi * width].copy_from_slice(buf);
-            batch_stats.push((hi - lo, *secs));
+            let batch = striping.batch(b);
+            let (stripe, k) = striping.owner(b);
+            let (buf, secs) = &per_stripe[stripe][k];
+            out[batch.start * width..batch.end * width].copy_from_slice(buf);
+            batch_stats.push((batch.len(), *secs));
         }
     }
 
     if let Some(reg) = registry {
         reg.counter_add("sim/serving/rows", rows as u64);
         reg.counter_add("sim/serving/batches", num_batches as u64);
-        reg.gauge_set("sim/serving/threads", threads as f64);
+        reg.gauge_set("sim/serving/threads", stripes as f64);
         for &(batch_rows, secs) in &batch_stats {
             reg.observe("sim/serving/batch_rows", batch_rows as f64);
             reg.observe("wall/serving/batch_secs", secs);

@@ -976,7 +976,7 @@ mod tests {
         ps.init_tree(HistogramLayout::new(vec![2, 2]));
         let row = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
         let stats = ps.push_histogram_sparse(0, 0, &row);
-        assert_eq!(stats.total_frames(), 2);
+        assert_eq!(stats.frames.iter().sum::<u64>(), 2);
         // Each 4-element block is fully dense → dense layout, 5 + 16 bytes.
         assert_eq!(stats.total_bytes(), 2 * (5 + 16));
         assert_eq!(ps.pull_histogram(0).as_slice(), &row);

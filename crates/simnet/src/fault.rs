@@ -809,11 +809,6 @@ impl FaultSession {
         });
     }
 
-    /// Whether the elastic overlay has been initialised.
-    pub fn membership_active(&self) -> bool {
-        self.inner.lock().membership.is_some()
-    }
-
     /// Current membership epoch: 0 before any event or without an overlay.
     /// The PS tags deduplication state with this, so operations issued
     /// under an older epoch are rejected instead of merged.
@@ -1361,7 +1356,6 @@ speculate threshold=1.5
         assert!(s.apply_join(3).is_err());
         assert_eq!(s.membership_epoch(), 0);
         s.init_membership(3);
-        assert!(s.membership_active());
         // Joining an already-live machine is an error.
         assert!(s.apply_join(2).is_err());
         // 3 stripes over 3 machines: a joiner finds no gap ≥ 2, takes none.

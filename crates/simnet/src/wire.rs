@@ -1,9 +1,11 @@
 //! Minimal wire encoding for simulated network payloads.
 //!
-//! Collectives and the parameter server move `f32` histograms and `u8`
-//! quantized histograms. This module provides the little-endian framing used
-//! to count *actual serialized bytes* (the simulated clock charges per byte
-//! on the wire, so compressed payloads must really be smaller).
+//! Collectives and the parameter server move `f32` histograms, whole or as
+//! density-adaptive sparse frames. This module provides the little-endian
+//! framing used to count *actual serialized bytes* (the simulated clock
+//! charges per byte on the wire, so compressed payloads must really be
+//! smaller). Low-precision rows (Section 6.1) ship as
+//! `dimboost_ps::quantize::QuantizedRow`, framed by `dimboost_ps`.
 
 pub use bytes::{Buf, BufMut, Bytes, BytesMut};
 
@@ -122,11 +124,6 @@ impl SparseWireStats {
         w.u64("runs", self.frames[2]);
         w.u64("runs_bytes", self.bytes[2]);
     }
-
-    /// Total frames across all encodings.
-    pub fn total_frames(&self) -> u64 {
-        self.frames.iter().sum()
-    }
 }
 
 /// An element is "zero" for sparsity purposes when it compares equal to 0.0
@@ -154,18 +151,6 @@ fn runs_of(values: &[f32]) -> Vec<(usize, usize)> {
         runs.push((start, i - start));
     }
     runs
-}
-
-/// Serialized size of [`encode_f32_sparse`]'s winning layout without
-/// building the frame (used by cost planning and tests).
-pub fn sparse_frame_bytes(values: &[f32]) -> usize {
-    let n = values.len();
-    let nnz = values.iter().filter(|&&v| !is_zero(v)).count();
-    let runs = runs_of(values).len();
-    let dense = 5 + 4 * n;
-    let bitmap = 5 + n.div_ceil(8) + 4 * nnz;
-    let run_enc = 9 + 8 * runs + 4 * nnz;
-    dense.min(bitmap).min(run_enc)
 }
 
 /// Serializes an `f32` slice under the smallest of the three
@@ -243,22 +228,31 @@ pub fn decode_f32_sparse(mut bytes: Bytes) -> (Vec<f32>, WireEncoding) {
 /// frame from the front of `bytes`, leaving any trailing bytes in place
 /// (sparse frames are self-delimiting, so they compose into larger
 /// messages — the quantized block frames concatenate several).
+///
+/// The dense and bitmap layouts carry at least 4 and ⅛ bytes per element,
+/// so their length word is checked against the frame before `len` elements
+/// are allocated. The runs layout legitimately expands — an all-zero slice
+/// of `n` elements is a 9-byte frame — so its length word is not bounded
+/// here: a runs frame is trusted to come from [`encode_f32_sparse`].
 pub fn read_f32_sparse(bytes: &mut Bytes) -> (Vec<f32>, WireEncoding) {
     assert!(bytes.remaining() >= 5, "truncated sparse frame");
     let encoding = WireEncoding::from_tag(bytes.get_u8());
     let len = bytes.get_u32_le() as usize;
+    let min_body = match encoding {
+        WireEncoding::Dense => len * 4,
+        WireEncoding::Bitmap => len.div_ceil(8),
+        WireEncoding::Runs => 4,
+    };
+    assert!(bytes.remaining() >= min_body, "truncated sparse frame");
     let mut out = vec![0.0f32; len];
     match encoding {
         WireEncoding::Dense => {
-            assert!(bytes.remaining() >= len * 4, "truncated sparse frame");
             for slot in out.iter_mut() {
                 *slot = bytes.get_f32_le();
             }
         }
         WireEncoding::Bitmap => {
-            let bm_len = len.div_ceil(8);
-            assert!(bytes.remaining() >= bm_len, "truncated sparse frame");
-            let mut bitmap = vec![0u8; bm_len];
+            let mut bitmap = vec![0u8; min_body];
             bytes.copy_to_slice(&mut bitmap);
             for (i, slot) in out.iter_mut().enumerate() {
                 if bitmap[i / 8] & (1 << (i % 8)) != 0 {
@@ -268,7 +262,6 @@ pub fn read_f32_sparse(bytes: &mut Bytes) -> (Vec<f32>, WireEncoding) {
             }
         }
         WireEncoding::Runs => {
-            assert!(bytes.remaining() >= 4, "truncated sparse frame");
             let nruns = bytes.get_u32_le() as usize;
             for _ in 0..nruns {
                 assert!(bytes.remaining() >= 8, "truncated sparse frame");
@@ -288,32 +281,6 @@ pub fn read_f32_sparse(bytes: &mut Bytes) -> (Vec<f32>, WireEncoding) {
     (out, encoding)
 }
 
-/// Serializes a quantized histogram frame: the max-abs scalar `c` followed by
-/// the `u8` codes (Section 6.1's low-precision representation: the compressed
-/// integers *and* `c` are sent to the PS).
-pub fn encode_quantized(c: f32, codes: &[u8]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(8 + codes.len());
-    buf.put_f32_le(c);
-    buf.put_u32_le(codes.len() as u32);
-    buf.put_slice(codes);
-    buf.freeze()
-}
-
-/// Deserializes a frame produced by [`encode_quantized`].
-///
-/// # Panics
-/// Panics with `"truncated quantized frame"` if the frame is truncated
-/// anywhere, including inside the 8-byte scale+length header.
-pub fn decode_quantized(mut bytes: Bytes) -> (f32, Vec<u8>) {
-    assert!(bytes.remaining() >= 8, "truncated quantized frame");
-    let c = bytes.get_f32_le();
-    let len = bytes.get_u32_le() as usize;
-    assert!(bytes.remaining() >= len, "truncated quantized frame");
-    let mut codes = vec![0u8; len];
-    bytes.copy_to_slice(&mut codes);
-    (c, codes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,24 +296,6 @@ mod tests {
     #[test]
     fn f32_empty() {
         assert_eq!(decode_f32(encode_f32(&[])), Vec::<f32>::new());
-    }
-
-    #[test]
-    fn quantized_roundtrip() {
-        let codes = vec![0u8, 127, 255, 3];
-        let encoded = encode_quantized(3.5, &codes);
-        assert_eq!(encoded.len(), 8 + codes.len());
-        let (c, back) = decode_quantized(encoded);
-        assert_eq!(c, 3.5);
-        assert_eq!(back, codes);
-    }
-
-    #[test]
-    fn quantized_is_smaller_than_f32() {
-        let n = 1000;
-        let f32_frame = encode_f32(&vec![1.0; n]);
-        let q_frame = encode_quantized(1.0, &vec![1; n]);
-        assert!(q_frame.len() * 3 < f32_frame.len());
     }
 
     #[test]
@@ -371,22 +320,8 @@ mod tests {
         decode_f32(frame.slice(0..3));
     }
 
-    #[test]
-    #[should_panic(expected = "truncated quantized frame")]
-    fn quantized_empty_frame_panics() {
-        decode_quantized(Bytes::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "truncated quantized frame")]
-    fn quantized_seven_byte_frame_panics() {
-        let frame = encode_quantized(1.0, &[1, 2, 3]);
-        decode_quantized(frame.slice(0..7));
-    }
-
     fn sparse_roundtrip(values: &[f32]) -> WireEncoding {
         let (frame, encoding) = encode_f32_sparse(values);
-        assert_eq!(frame.len(), sparse_frame_bytes(values));
         let (decoded, decoded_enc) = decode_f32_sparse(frame);
         assert_eq!(decoded_enc, encoding);
         assert_eq!(decoded.len(), values.len());
@@ -474,6 +409,27 @@ mod tests {
         let (frame, _) = encode_f32_sparse(&[1.0, 2.0, 3.0]);
         let cut = frame.len() - 2;
         decode_f32_sparse(frame.slice(0..cut));
+    }
+
+    /// A 5-byte frame of `encoding` whose length word claims `u32::MAX`
+    /// elements: 16 GiB of `f32`s if it were believed before checked.
+    fn lying_header(encoding: WireEncoding) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_u8(encoding as u8);
+        buf.put_u32_le(u32::MAX);
+        buf.freeze()
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated sparse frame")]
+    fn sparse_dense_length_word_is_checked_before_allocating() {
+        decode_f32_sparse(lying_header(WireEncoding::Dense));
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated sparse frame")]
+    fn sparse_bitmap_length_word_is_checked_before_allocating() {
+        decode_f32_sparse(lying_header(WireEncoding::Bitmap));
     }
 
     #[test]

@@ -406,11 +406,6 @@ impl GkSketch {
         }
         Some(prev)
     }
-
-    /// Queries several quantiles at once (values are clamped and may repeat).
-    pub fn query_many(&mut self, phis: &[f64]) -> Vec<f32> {
-        phis.iter().filter_map(|&p| self.query(p)).collect()
-    }
 }
 
 #[cfg(test)]

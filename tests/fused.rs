@@ -4,8 +4,10 @@
 //! tree layer in one statically-striped pass over the binned CSR. Its
 //! guarantees, pinned here at both the kernel and the full-trainer level:
 //!
-//! * at `threads == 1` it is **bit-equal** to the per-node binned path —
-//!   same trained model bytes, `assert_eq!`, no tolerances;
+//! * at `threads == 1` it is **bit-equal** to Algorithm 2 over each node's
+//!   instance list (`hist_build::build_sparse`, the raw-shard builder, which
+//!   shares no code with the kernel) and trains the same model bytes as the
+//!   per-node path — `assert_eq!`, no tolerances;
 //! * for any fixed `(threads, batch_size)` it is bit-identical across
 //!   reruns (≥10 reps at threads {2, 4, 8});
 //! * combined with `hist_subtraction` it matches direct construction the
@@ -15,7 +17,7 @@
 
 use dimboost::core::binned::BinnedShard;
 use dimboost::core::fused::{build_layer, LayerPositions, NO_NODE};
-use dimboost::core::hist_build::new_row;
+use dimboost::core::hist_build::{build_sparse, new_row};
 use dimboost::core::loss::GradPair;
 use dimboost::core::metrics::classification_error;
 use dimboost::core::model_io::model_to_bytes;
@@ -277,8 +279,8 @@ fn arb_layer_input() -> impl Strategy<Value = (Dataset, Vec<GradPair>, Vec<u32>)
 proptest! {
     /// Kernel-level pin of the fused contract for random shards, node
     /// partitions, thread counts, and batch sizes: the single-threaded
-    /// kernel is bit-equal to the per-node binned reference
-    /// (`assert_eq!`), every multi-threaded configuration is bit-equal on
+    /// kernel is bit-equal to Algorithm 2 run per node on the raw shard
+    /// (`build_sparse`, separate code from the kernel; `assert_eq!`), every multi-threaded configuration is bit-equal on
     /// rerun, and — since different thread counts regroup f32 additions —
     /// multi-threaded output matches the reference within the builders'
     /// shared associativity tolerance.
@@ -299,7 +301,7 @@ proptest! {
         let positions = LayerPositions { slots: slots.clone(), counts };
         let row_len = meta.layout().row_len();
 
-        // Per-node reference: build_into over each slot's (ascending)
+        // Per-node reference: Algorithm 2 over each slot's (ascending)
         // instance list.
         let mut reference = Vec::with_capacity(4 * row_len);
         for s in 0..4u32 {
@@ -307,7 +309,7 @@ proptest! {
                 .filter(|&i| slots[i as usize] == s)
                 .collect();
             let mut row = new_row(&meta);
-            binned.build_into(&instances, &grads, &mut row);
+            build_sparse(&ds, &instances, &grads, &meta, &mut row);
             reference.extend_from_slice(&row);
         }
 
