@@ -247,6 +247,47 @@ for run in dense sparse; do
 done
 cmp "$SMOKE/model_wq_dense.json" "$SMOKE/model_wq_sparse.json"
 "$BIN/report_diff" --wire "$SMOKE/report_wq_dense.json" "$SMOKE/report_wq_sparse.json"
+# The benchmark's highdim-ext flag set: 8-bit frames fed by the fused
+# quantized-histogram kernel, with sibling subtraction on the servers.
+for run in dense sparse; do
+  flag=""
+  [ "$run" = sparse ] && flag="--sparse-wire"
+  "$BIN/dimboost" train --data "$SMOKE/wide.libsvm" --model "$SMOKE/model_w8_$run.json" \
+    --trees 3 --depth 4 --workers 3 --servers 2 --seed 7 --bits 8 \
+    --pre-binning --hist-subtraction --fused-layer --quantized-hist \
+    --threads 4 --batch-size 64 $flag \
+    --report-canonical "$SMOKE/report_w8_$run.json" > /dev/null
+done
+cmp "$SMOKE/model_w8_dense.json" "$SMOKE/model_w8_sparse.json"
+"$BIN/report_diff" --wire "$SMOKE/report_w8_dense.json" "$SMOKE/report_w8_sparse.json"
+# Features with about 100 buckets: the frame codecs walk a block 32 slots at
+# a time, so blocks of more than 64 slots cross two chunk edges. At full and
+# 8-bit precision the sparse exchange must still be an encoding.
+"$BIN/dimboost" gen --out "$SMOKE/deep.libsvm" --rows 2000 --features 40 --nnz 20 --seed 9
+for precision in full 8; do
+  bits=""
+  [ "$precision" = 8 ] && bits="--bits 8"
+  for run in dense sparse; do
+    flag=""
+    [ "$run" = sparse ] && flag="--sparse-wire"
+    "$BIN/dimboost" train --data "$SMOKE/deep.libsvm" \
+      --model "$SMOKE/model_deep${precision}_$run.json" \
+      --trees 3 --depth 4 --workers 3 --servers 2 --seed 7 --candidates 100 $bits \
+      --threads 4 --batch-size 64 $flag \
+      --report-canonical "$SMOKE/report_deep${precision}_$run.json" > /dev/null
+  done
+  cmp "$SMOKE/model_deep${precision}_dense.json" "$SMOKE/model_deep${precision}_sparse.json"
+  "$BIN/report_diff" --wire "$SMOKE/report_deep${precision}_dense.json" \
+    "$SMOKE/report_deep${precision}_sparse.json"
+  # 3 trees x 15 nodes x 3 workers pushes of 40 features; were every feature
+  # 64 buckets or fewer, the raw rows would total at most this many bytes.
+  raw=$(sed -n 's/.*"sparsity":{"raw_bytes":\([0-9]*\),.*/\1/p' \
+    "$SMOKE/report_deep${precision}_sparse.json")
+  if [ -z "$raw" ] || [ "$raw" -le $((3 * 15 * 3 * 40 * 2 * 64 * 4)) ]; then
+    echo "deep-bucket smoke has no feature over 64 buckets (raw=${raw:-?})" >&2
+    exit 1
+  fi
+done
 
 echo "==> serve-sim: open-loop traffic replay must be bit-deterministic"
 # Two identical serve-sim runs — seeded arrivals, SLO batching, a hot-swap

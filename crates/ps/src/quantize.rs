@@ -26,12 +26,12 @@ pub fn levels(bits: u8) -> u32 {
 
 /// Decodes one feature-block slice of codes and adds it into `acc`.
 ///
-/// This is the *single* dequantize-add kernel: both the dense quantized
-/// push ([`QuantizedRow::add_features_into`]) and the sparse block frames
-/// (`crate::sparse`) funnel through it, so the exact f32 operation sequence
-/// — `(code − zero_pt) as f32 / levels · scale`, zero buckets taken verbatim
-/// — is identical on both paths. That shared kernel is what makes the
-/// sparse wire format bit-identical to the dense one.
+/// The dense quantized push's dequantize-add kernel
+/// ([`QuantizedRow::add_features_into`]). Every element takes the f32
+/// expression `(code − zero_pt) as f32 / levels · scale`, zero buckets
+/// verbatim; the sparse block frames (`crate::sparse`) decode with the same
+/// expression and skip only the elements it would map to `+0.0`, which is
+/// what makes the sparse wire format bit-identical to the dense one.
 ///
 /// `scales`/`zero_values` are block-relative (2 entries per feature of
 /// `features`, G then H); `codes` covers exactly

@@ -4,12 +4,12 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use dimboost_simnet::fault::{Fate, FaultSession, MAX_ATTEMPTS};
-use dimboost_simnet::wire::{self, SparseWireStats};
+use dimboost_simnet::wire::SparseWireStats;
 use dimboost_simnet::{CommLedger, CommStats, CostModel, Phase, SimTime, StatsRecorder, TraceBus};
 use dimboost_sketch::GkSketch;
 
 use crate::quantize::QuantizedRow;
-use crate::sparse;
+use crate::sparse::FrameBuffer;
 use crate::split::{best_split_in_range, NodeSplit, PullSplitResult, SplitDecision, SplitParams};
 use crate::{HistogramLayout, RangeHashPartitioner};
 
@@ -47,9 +47,10 @@ impl PsConfig {
 }
 
 /// One feature-block partition's histogram storage: each node's merged
-/// accumulator and the buffers retired for reuse. Every push adds into
-/// `merged` as it arrives (see [`ParameterServer::apply_push`]), so a read
-/// finds the node's row complete.
+/// accumulator, the buffers retired for reuse, and the buffer sparse frames
+/// for this partition are written into and read back from. Every push adds
+/// into `merged` as it arrives (see [`ParameterServer::apply_push`]), so a
+/// read finds the node's row complete.
 ///
 /// Accumulators are not allocated per node: [`lend`] hands out a zeroed
 /// buffer from `free`, and a finished node's buffer goes back there (at
@@ -57,13 +58,17 @@ impl PsConfig {
 /// next `init_tree`). Every buffer is in `merged` or in `free`, and `lend`
 /// allocates only when `free` is empty, so a partition allocates as many
 /// buffers as it ever holds at once — a few tree layers' worth — however
-/// many trees and layers the run has.
+/// many trees and layers the run has. `frames` likewise grows to the
+/// partition's largest frame once and is reused by every sparse push.
 #[derive(Default)]
 struct PartitionState {
     /// `node → merged accumulator` (the node's global shard).
     merged: HashMap<u32, Vec<f32>>,
     /// Retired buffers awaiting reuse.
     free: Vec<Vec<f32>>,
+    /// The buffers every sparse push to this partition is written into and
+    /// read back from.
+    frames: FrameBuffer,
 }
 
 /// A `+0.0`-filled buffer of `len` elements, reused from `free` when one is
@@ -81,12 +86,12 @@ fn lend(free: &mut Vec<Vec<f32>>, len: usize) -> Vec<f32> {
 
 impl PartitionState {
     /// The merged accumulator of `node` over `len` elements, lent on first
-    /// touch.
-    fn accumulator(&mut self, node: u32, len: usize) -> &mut Vec<f32> {
+    /// touch, and the partition's frame buffer.
+    fn accumulator(&mut self, node: u32, len: usize) -> (&mut [f32], &mut FrameBuffer) {
         let free = &mut self.free;
         let acc = self.merged.entry(node).or_insert_with(|| lend(free, len));
         debug_assert_eq!(acc.len(), len, "accumulator/partition length mismatch");
-        acc
+        (acc, &mut self.frames)
     }
 }
 
@@ -534,10 +539,11 @@ impl ParameterServer {
     /// carry the quantized representation — codes bit-packed at `d` bits
     /// under a dense-or-bitmap layout, scales and exact zero-bucket values
     /// as adaptive f32 sub-frames (`sparse::encode_quantized_block`). The
-    /// server decodes each frame through the same dequantize-add kernel as
-    /// the dense quantized push, so the two are bit-identical on the model
-    /// while the wire bytes shrink with node sparsity. `stripe` is unread,
-    /// as in [`ParameterServer::push_histogram_sparse`].
+    /// server decodes each frame straight into the accumulator with the
+    /// dense quantized push's f32 expression, skipping only adds of `+0.0`,
+    /// so the two are bit-identical on the model while the wire bytes
+    /// shrink with node sparsity. `stripe` is unread, as in
+    /// [`ParameterServer::push_histogram_sparse`].
     pub fn push_histogram_quantized_sparse(
         &self,
         _stripe: u32,
@@ -555,10 +561,11 @@ impl ParameterServer {
 
     /// Adds one worker's row for `node` into each partition's accumulator
     /// as it arrives — the addition push UDF of Sections 4.2–4.3 — and
-    /// records the bytes it put on the wire. A sparse frame is decoded on
-    /// receipt into the adds its dense twin performs (zero slots add
-    /// `+0.0`), so every exchange folds a node's rows in arrival order, the
-    /// trainer's ascending stripe order (DESIGN §14.2).
+    /// records the bytes it put on the wire. A sparse frame is written into
+    /// the partition's kept buffer and read straight into the accumulator:
+    /// it performs the adds its dense twin performs but the `+0.0` ones, so
+    /// every exchange folds a node's rows in arrival order, the trainer's
+    /// ascending stripe order (DESIGN §14.2).
     fn apply_push(&self, node: u32, payload: Push) -> SparseWireStats {
         self.with_hist(|state| {
             let layout = &state.layout;
@@ -572,32 +579,24 @@ impl ParameterServer {
                 if elems.is_empty() {
                     continue;
                 }
-                let (partition, n) = (&state.partitions[p], elems.len());
+                let n = elems.len();
+                let mut partition = state.partitions[p].lock();
+                let (acc, buffer) = partition.accumulator(node, n);
                 match payload {
                     Push::Dense(row) => {
-                        add_into(partition.lock().accumulator(node, n), &row[elems]);
+                        add_into(acc, &row[elems]);
                         bytes += 4 * n as u64;
                     }
                     Push::Quantized(q) => {
-                        q.add_features_into(
-                            layout,
-                            features,
-                            partition.lock().accumulator(node, n),
-                        );
+                        q.add_features_into(layout, features, acc);
                         bytes += q.wire_bytes() as u64 * n as u64 / row_len;
                     }
                     Push::Sparse(row) => {
-                        let (frame, encoding) = wire::encode_f32_sparse(&row[elems]);
-                        frames.record(encoding, frame.len());
-                        let (values, _) = wire::decode_f32_sparse(frame);
-                        add_into(partition.lock().accumulator(node, n), &values);
+                        let (encoding, len) = buffer.ship_f32(&row[elems], acc);
+                        frames.record(encoding, len);
                     }
                     Push::QuantizedSparse(q) => {
-                        let (frame, tally) =
-                            sparse::encode_quantized_block(q, layout, features.clone());
-                        frames.merge(&tally);
-                        let block = sparse::decode_quantized_block(frame, layout, features.clone());
-                        block.add_into(layout, features, partition.lock().accumulator(node, n));
+                        frames.merge(&buffer.ship_quantized(q, layout, features, acc));
                     }
                 }
             }
