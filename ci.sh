@@ -326,13 +326,16 @@ fi
 echo "==> chaos: faults + crash/resume must change timing, never the model"
 cat > "$SMOKE/plan.txt" <<'EOF'
 # Canned chaos: lossy network, a histogram-phase straggler, a server
-# outage window, and a scripted worker crash at round 2.
+# outage window, a worker lost at round 1 (its stripe re-shards cold onto
+# the survivors), and a scripted worker crash at round 2. The resumed leg
+# restores the loss from the checkpoint's overlay snapshot.
 seed 77
 drop 0.15
 ack_drop 0.1
 dup 0.1
 straggler worker=1 factor=3.0 phase=build_histogram
 outage server=0 start=0.01 dur=0.05
+lose worker=2 round=1 policy=redistribute
 crash round=2
 EOF
 # The faulted leg dies at the scripted crash (exit 3, not a real failure)...

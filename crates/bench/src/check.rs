@@ -178,7 +178,7 @@ pub fn check_fault_track(stats: &TraceStats, expect_faults: bool) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dimboost_simnet::{CostModel, Phase, SimTime, TraceBus};
+    use dimboost_simnet::{CostModel, Lane, Phase, SimTime, TraceBus};
 
     fn sample_trace_json(canonical: bool) -> String {
         let bus = TraceBus::new(2, 2, CostModel::GIGABIT_LAN, true);
@@ -229,7 +229,14 @@ mod tests {
         // Faulted trace: the lane appears and is a well-formed track.
         let bus = TraceBus::new(1, 1, CostModel::GIGABIT_LAN, true);
         bus.set_worker(Some(0));
-        bus.on_fault(Phase::BuildHistogram, "retry_backoff", SimTime(0.02), 0, 1);
+        bus.on_lane(
+            Lane::Fault,
+            Phase::BuildHistogram,
+            "retry_backoff",
+            SimTime(0.02),
+            0,
+            1,
+        );
         bus.set_worker(None);
         bus.on_charge(Phase::BuildHistogram, SimTime(0.05));
         let stats = check_chrome_trace(&bus.finish().canonical_chrome_json()).unwrap();

@@ -10,7 +10,7 @@ use dimboost_serving::predict::ServingReport;
 use dimboost_serving::{analyze_serve_trace, ServeSimReport, TenantReport};
 use dimboost_simnet::wire::SparseWireStats;
 use dimboost_simnet::{
-    analyze_trace, CommStats, CostModel, FaultSummary, MembershipSummary, MetricExport,
+    analyze_trace, CommStats, CostModel, FaultSummary, Lane, MembershipSummary, MetricExport,
     MetricsRegistry, Phase, SimTime, TraceBus,
 };
 
@@ -155,7 +155,14 @@ fn serve_sim_report() -> ServeSimReport {
 /// A trace with request, service, fault and membership lanes.
 fn trace_profile_json() -> String {
     let b = TraceBus::new(2, 1, CostModel::GIGABIT_LAN, true);
-    b.on_membership(Phase::NewTree, "join", SimTime(0.02), 4096, 1);
+    b.on_lane(
+        Lane::Membership,
+        Phase::NewTree,
+        "join",
+        SimTime(0.02),
+        4096,
+        1,
+    );
     b.on_charge(Phase::NewTree, SimTime(0.03));
     for w in 0..2 {
         b.set_worker(Some(w));
@@ -168,7 +175,14 @@ fn trace_profile_json() -> String {
         );
     }
     b.set_worker(None);
-    b.on_fault(Phase::BuildHistogram, "retry_backoff", SimTime(0.01), 0, 1);
+    b.on_lane(
+        Lane::Fault,
+        Phase::BuildHistogram,
+        "retry_backoff",
+        SimTime(0.01),
+        0,
+        1,
+    );
     b.on_charge(Phase::BuildHistogram, SimTime(0.25));
     b.on_charge(Phase::Finish, SimTime(0.01));
     analyze_trace(&b.finish()).unwrap().canonical_json()

@@ -347,7 +347,9 @@ A `--fault-plan` file scripts deterministic faults (stragglers, message
 drops, duplicates, server outages, a crash, permanent worker losses) into
 the simulated cluster; faults change timing only, never the learned model.
 A run that crashes under the plan exits with status 3 after writing its
-checkpoint; rerun with `--resume` to continue it bit-exactly.
+checkpoint; rerun with `--resume` to continue it bit-exactly. A line that
+names a machine the run never has (not one of its workers, and added by
+no `join`) is an error.
 
 The same file scripts elastic membership: `join worker=N round=R` adds a
 machine at a round boundary, `leave worker=N round=R policy=handoff|
@@ -360,6 +362,8 @@ fixed for the whole run and re-sharded deterministically, so any
 membership schedule yields byte-identical model, ledger, and loss curve
 to the fixed-membership run — only simulated time stretches, reported
 under `membership` in the report and on the membership trace track.
+Stragglers and `lose … policy=redistribute` (a cold leave) are timed by
+the same stripe→machine model, so every plan reports `membership`.
 ";
 
 fn train_flags(f: &mut Flags) -> Result<Command, String> {

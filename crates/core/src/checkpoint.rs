@@ -46,7 +46,8 @@ use crate::trainer::LossPoint;
 const MAGIC: &[u8; 8] = b"DIMBCKPT";
 /// Version 2 adds the elastic-membership digest to the fingerprint and an
 /// optional stripe-assignment snapshot to the payload. Version-1 files are
-/// still readable: they decode with a zero digest and no snapshot.
+/// still readable: they decode with a zero digest and no snapshot, so they
+/// resume only runs without a fault plan.
 const VERSION: u32 = 2;
 const MIN_VERSION: u32 = 1;
 
@@ -138,8 +139,9 @@ pub struct CheckpointFingerprint {
     pub shard_rows: Vec<u64>,
     /// Digest of the fault plan's elastic-membership schedule (joins,
     /// leaves, speed factors, speculation threshold) — see
-    /// [`dimboost_simnet::FaultPlan::membership_digest`]. Zero for runs
-    /// without membership events. Resuming under a different schedule
+    /// [`dimboost_simnet::FaultPlan::membership_digest`]. Zero only for
+    /// runs without a fault plan; a plan without membership lines still
+    /// has its (non-zero) digest. Resuming under a different schedule
     /// would silently change epoch numbering and stripe placement, so it
     /// must fail loudly here instead.
     pub membership_digest: u64,
@@ -148,7 +150,7 @@ pub struct CheckpointFingerprint {
 impl CheckpointFingerprint {
     /// The fingerprint of a run over `shards` under `config`.
     /// `membership_digest` covers the fault plan's elastic schedule (0
-    /// without one).
+    /// without a plan).
     pub(crate) fn for_run(config: &GbdtConfig, shards: &[Dataset], membership_digest: u64) -> Self {
         let (loss_tag, loss_classes) = model_io::loss_tag(config.loss);
         Self {
@@ -238,10 +240,10 @@ pub struct TrainCheckpoint {
     pub best_eval_loss: f64,
     /// Round of the best eval loss.
     pub best_iteration: Option<usize>,
-    /// Elastic-membership snapshot `(stripe→machine assignment, live
-    /// machine set, epoch)` at checkpoint time; `None` for fixed-membership
-    /// runs. Restoring it on resume reproduces the exact placement and
-    /// epoch numbering the interrupted run had reached.
+    /// Overlay snapshot `(stripe→machine assignment, live machine set,
+    /// epoch)` at checkpoint time; `None` for runs without a fault plan.
+    /// Restoring it on resume reproduces the exact placement and epoch
+    /// numbering the interrupted run had reached, lost machines included.
     pub membership: Option<(Vec<u32>, Vec<u32>, u64)>,
 }
 
@@ -698,7 +700,7 @@ mod tests {
         let ck = sample_checkpoint();
         let back = TrainCheckpoint::from_bytes(ck.to_bytes()).unwrap();
         assert_eq!(back.membership, Some((vec![0, 1, 1], vec![0, 1, 5], 4)));
-        // And a fixed-membership checkpoint stays `None`.
+        // And the checkpoint of a run without a fault plan stays `None`.
         let mut fixed = ck.clone();
         fixed.membership = None;
         fixed.fingerprint.membership_digest = 0;

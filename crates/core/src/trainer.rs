@@ -979,7 +979,7 @@ impl Run<'_> {
             h.bus.export_metrics(),
         );
         report.faults = h.session.as_ref().map(|s| s.summary());
-        report.membership = h.session.as_ref().and_then(|s| s.membership_summary());
+        report.membership = h.session.as_ref().map(|s| s.membership_summary());
         report.resumed_from_round = state.resumed_from;
         let trace = config.collect_trace.then(|| h.bus.finish());
         Ok(TrainOutput {

@@ -1,15 +1,16 @@
 //! The simulated cluster a run talks to (parameter server, trace bus) and
-//! the robustness layer around it: fault session, elastic membership
-//! overlay, scripted round-boundary events, checkpoints. Without a fault
-//! plan every method here is inert: `charge` is `ps.charge`, `set_worker`
-//! tags the trace bus only, `round_boundary` returns `Ok`.
+//! the robustness layer around it: fault session, the stripe→machine
+//! overlay every fault plan is timed against, scripted round-boundary
+//! events, checkpoints. Without a fault plan every method here is inert:
+//! `charge` is `ps.charge`, `set_worker` tags the trace bus only,
+//! `round_boundary` returns `Ok`.
 
 use std::sync::Arc;
 
 use dimboost_data::Dataset;
 use dimboost_ps::{ParameterServer, PsConfig};
 use dimboost_simnet::fault::{LeavePolicy, LossPolicy, StripeMove};
-use dimboost_simnet::{CostModel, FaultSession, Phase, SimTime, TraceBus};
+use dimboost_simnet::{CostModel, FaultSession, Lane, Phase, SimTime, TraceBus};
 
 use super::state::TrainState;
 use super::{invalid, RobustOptions, TrainError};
@@ -19,13 +20,12 @@ use crate::config::GbdtConfig;
 pub(super) struct Harness<'a> {
     pub ps: ParameterServer,
     pub bus: TraceBus,
+    /// Present exactly when the run has a fault plan. Its overlay changes
+    /// only *placement* and simulated timing: the logical stripes are the
+    /// initial shard set, immutable for the run, so per-stripe worker state
+    /// and push order never change and the model stays bit-identical to a
+    /// fixed-membership run (f32 histogram merging is grouping-sensitive).
     pub session: Option<Arc<FaultSession>>,
-    /// The plan scripts joins/leaves/speeds. They change only *placement*
-    /// and simulated timing: the logical stripes are the initial shard set,
-    /// immutable for the run, so per-stripe worker state and push order
-    /// never change and the model stays bit-identical to a fixed-membership
-    /// run (f32 histogram merging is grouping-sensitive).
-    membership_on: bool,
     /// The scripted crash fires only on a fresh run: a resumed run is the
     /// recovery from exactly that crash.
     crash_armed: bool,
@@ -40,8 +40,8 @@ pub(super) struct Harness<'a> {
 impl<'a> Harness<'a> {
     /// Brings the cluster up: fault session, the checkpoint a `resume` run
     /// continues (returned for [`TrainState::from_checkpoint`]), the PS with
-    /// trace and faults attached, and the membership overlay at the
-    /// placement the start round expects.
+    /// trace and faults attached, and the overlay at the placement the
+    /// start round expects.
     pub fn start(
         shards: &[Dataset],
         config: &'a GbdtConfig,
@@ -50,7 +50,11 @@ impl<'a> Harness<'a> {
         warm_start: bool,
     ) -> Result<(Self, Option<TrainCheckpoint>), TrainError> {
         let plan = robust.fault_plan.as_ref();
-        let session = plan.map(|plan| FaultSession::new(plan.clone()));
+        let w = shards.len();
+        if let Some(plan) = plan {
+            plan.check_machines(w as u32).map_err(invalid)?;
+        }
+        let session = plan.map(|plan| FaultSession::new(plan.clone(), w));
         let fingerprint = CheckpointFingerprint::for_run(
             config,
             shards,
@@ -74,43 +78,34 @@ impl<'a> Harness<'a> {
         } else {
             None
         };
-        let start_round = resume.as_ref().map_or(0, |ck| ck.next_round);
-        if let (Some(session), Some(_)) = (&session, &resume) {
-            // Workers redistributed before the crash stay lost in the resumed run.
-            for spec in &session.plan().losses {
-                if spec.round < start_round && matches!(spec.policy, LossPolicy::Redistribute) {
-                    session.mark_lost(spec.worker);
-                }
-            }
-        }
 
         let ps = ParameterServer::new(shards[0].num_features(), ps_config);
         // The trace bus rides along on every PS interaction (through the
         // shared StatsRecorder) and on every timed compute phase. With
         // collect_trace off it still aggregates metrics percentiles.
-        let (w, servers, cost) = (shards.len(), ps_config.num_servers, ps_config.cost_model);
+        let (servers, cost) = (ps_config.num_servers, ps_config.cost_model);
         let bus = TraceBus::new(w, servers, cost, config.collect_trace);
         ps.attach_trace(bus.clone());
-        if let Some(session) = &session {
-            ps.attach_faults(session.clone());
-        }
         if let Some(ck) = &resume {
             // The resumed report accounts for the whole logical run: absorb
             // the pre-crash ledger before any new charges land.
             ps.recorder().preload(&ck.ledger);
         }
-        let membership_on = plan.is_some_and(|p| p.has_membership_events());
-        if let (true, Some(session)) = (membership_on, &session) {
-            session.init_membership(w);
-            match resume.as_ref().and_then(|ck| ck.membership.clone()) {
-                // The snapshot reproduces the exact placement and epoch
-                // numbering the interrupted run had reached.
-                Some((assignment, live, epoch)) => {
-                    session.restore_membership(assignment, live, epoch);
+        if let Some(session) = &session {
+            ps.attach_faults(session.clone());
+            // The snapshot reproduces the exact placement and epoch
+            // numbering the interrupted run had reached, machines lost
+            // before the crash included.
+            if let Some((assignment, live, epoch)) =
+                resume.as_ref().and_then(|ck| ck.membership.clone())
+            {
+                if assignment.len() != w {
+                    return Err(invalid(format!(
+                        "checkpoint overlay places {} stripes, the run has {w}",
+                        assignment.len()
+                    )));
                 }
-                // Fresh run, or a pre-elastic checkpoint: replay the
-                // schedule up to the start round.
-                None => replay_membership_to(session, start_round)?,
+                session.restore_membership(assignment, live, epoch);
             }
             ps.set_epoch(session.membership_epoch());
         }
@@ -121,7 +116,6 @@ impl<'a> Harness<'a> {
             ps,
             bus,
             session,
-            membership_on,
             crash_armed: resume.is_none(),
             cost,
             stripe_bytes: stripe_bytes.collect(),
@@ -141,49 +135,38 @@ impl<'a> Harness<'a> {
         }
     }
 
-    /// Charges a phase-tagged communication time, dilated by any live
-    /// stragglers (and by permanent worker losses under the redistribute
-    /// policy: survivors carry the lost shard's traffic on their links).
-    /// Dilation adds simulated *time* only — bytes and packages stay
-    /// identical to the fault-free run, preserving the exactness invariant.
+    /// Charges a phase-tagged communication time, dilated by the overlay:
+    /// the phase finishes when the slowest live machine drains its stripes
+    /// (speed × straggler × load, see `FaultSession::membership_dilation`),
+    /// and speculation can cap a chronic straggler by replaying its stripes
+    /// on a backup. Dilation adds simulated *time* only — bytes and
+    /// packages stay identical to the fault-free run, preserving the
+    /// exactness invariant.
     pub fn charge(&self, phase: Phase, time: SimTime) {
         let (ps, recorder) = (&self.ps, self.ps.recorder());
         ps.charge(phase, time);
         let Some(session) = &self.session else {
             return;
         };
-        if self.membership_on {
-            // Elastic schedule: a phase finishes when the slowest live
-            // machine drains its stripes (rate × load, see
-            // `FaultSession::membership_dilation`); speculation can cap a
-            // chronic straggler by replaying its stripes on a backup.
-            let d = session.membership_dilation(phase);
-            if let Some(b) = d.backup {
-                let won = b.effective_factor < b.raw_factor;
-                let saved = time.seconds() * (b.raw_factor - b.effective_factor);
-                session.on_backup(won, saved);
-                recorder.membership_event(phase, "speculative_backup", SimTime::ZERO, 0, 1);
-                if won {
-                    // The win's saved seconds are a *reduction*, not
-                    // schedule stretch — recorded with zero duration so the
-                    // trace profile attributes only real stretch.
-                    recorder.membership_event(phase, "backup_win", SimTime::ZERO, 0, 1);
-                }
+        let event = |name, secs| recorder.lane_event(Lane::Membership, phase, name, secs, 0, 1);
+        let d = session.membership_dilation(phase);
+        if let Some(b) = d.backup {
+            let won = b.effective_factor < b.raw_factor;
+            let saved = time.seconds() * (b.raw_factor - b.effective_factor);
+            session.on_backup(won, saved);
+            event("speculative_backup", SimTime::ZERO);
+            if won {
+                // The win's saved seconds are a *reduction*, not schedule
+                // stretch — recorded with zero duration so the trace
+                // profile attributes only real stretch.
+                event("backup_win", SimTime::ZERO);
             }
-            if d.factor > 1.0 {
-                let extra = time.seconds() * (d.factor - 1.0);
-                session.add_elastic_secs(extra);
-                recorder.membership_event(phase, "elastic_dilation", SimTime(extra), 0, 1);
-                ps.charge(phase, SimTime(extra));
-            }
-        } else {
-            let dilation = session.dilation(phase);
-            if dilation > 1.0 {
-                let extra = time.seconds() * (dilation - 1.0);
-                session.add_straggler_secs(extra);
-                recorder.fault_event(phase, "straggler_dilation", SimTime(extra), 0, 1);
-                ps.charge(phase, SimTime(extra));
-            }
+        }
+        if d.factor > 1.0 {
+            let extra = time.seconds() * (d.factor - 1.0);
+            session.add_elastic_secs(extra);
+            event("elastic_dilation", SimTime(extra));
+            ps.charge(phase, SimTime(extra));
         }
     }
 
@@ -204,7 +187,10 @@ impl<'a> Harness<'a> {
         graceful: bool,
     ) {
         let recorder = self.ps.recorder();
-        recorder.membership_event(Phase::NewTree, event, SimTime::ZERO, 0, 1);
+        let record = |name, secs, bytes| {
+            recorder.lane_event(Lane::Membership, Phase::NewTree, name, secs, bytes, 1)
+        };
+        record(event, SimTime::ZERO, 0);
         for mv in moves {
             let bytes = self.stripe_bytes[mv.stripe as usize];
             let base = self.cost.alpha + bytes as f64 * self.cost.beta;
@@ -215,23 +201,27 @@ impl<'a> Harness<'a> {
                 session.add_reshard_secs(2.0 * base);
                 ("stripe_reshard", 2.0 * base)
             };
-            recorder.membership_event(Phase::NewTree, name, SimTime(secs), bytes, 1);
+            record(name, SimTime(secs), bytes);
             self.ps.charge(Phase::NewTree, SimTime(secs));
         }
         self.ps.set_epoch(session.membership_epoch());
     }
 
-    /// Scripted faults that fire before `round`: the crash, membership
-    /// events (joins first, then graceful leaves — the order
-    /// `replay_membership_to` uses), and permanent worker losses.
+    /// Scripted faults that fire before `round`: the crash, then membership
+    /// events (joins first, then graceful leaves), then permanent worker
+    /// losses.
     pub fn round_boundary(&self, round: usize, state: &TrainState) -> Result<(), TrainError> {
         let Some(session) = &self.session else {
             return Ok(());
         };
-        let (plan, recorder) = (session.plan(), self.ps.recorder());
+        let plan = session.plan();
+        let fault = |name| {
+            let recorder = self.ps.recorder();
+            recorder.lane_event(Lane::Fault, Phase::NewTree, name, SimTime::ZERO, 0, 1)
+        };
         if self.crash_armed && plan.crash_round == Some(round) {
             session.on_crash();
-            recorder.fault_event(Phase::NewTree, "crash", SimTime::ZERO, 0, 1);
+            fault("crash");
             // Force a crash-time checkpoint regardless of the cadence, so
             // recovery loses no completed round.
             let checkpoint = match self.checkpoint {
@@ -240,42 +230,38 @@ impl<'a> Harness<'a> {
             };
             return Err(TrainError::Crashed { round, checkpoint });
         }
-        if self.membership_on {
-            for spec in plan.joins.iter().filter(|j| j.round == round) {
-                let moves = session.apply_join(spec.worker).map_err(invalid)?;
-                self.rehome(session, "join", &moves, true);
-            }
-            for spec in plan.leaves.iter().filter(|l| l.round == round) {
-                let moves = session.apply_leave(spec.worker).map_err(invalid)?;
-                let graceful = matches!(spec.policy, LeavePolicy::Handoff);
-                self.rehome(session, "leave", &moves, graceful);
-            }
+        for spec in plan.joins.iter().filter(|j| j.round == round) {
+            let moves = session.apply_join(spec.worker).map_err(invalid)?;
+            self.rehome(session, "join", &moves, true);
+        }
+        for spec in plan.leaves.iter().filter(|l| l.round == round) {
+            let moves = session.apply_leave(spec.worker).map_err(invalid)?;
+            let graceful = matches!(spec.policy, LeavePolicy::Handoff);
+            self.rehome(session, "leave", &moves, graceful);
         }
         for spec in &plan.losses {
-            if spec.round != round || session.is_lost(spec.worker) {
+            // A machine the overlay no longer has live is already gone.
+            if spec.round != round || !session.is_live(spec.worker) {
                 continue;
             }
             if matches!(spec.policy, LossPolicy::Abort) {
                 let worker = spec.worker;
                 return Err(TrainError::WorkerLost { worker, round });
             }
-            // Redistribute: the lost shard is re-read by the survivors; the
-            // logical computation (and so the model) is unchanged, but every
-            // communication phase dilates — see `FaultSession::dilation`.
-            session.mark_lost(spec.worker);
-            recorder.fault_event(Phase::NewTree, "worker_lost", SimTime::ZERO, 0, 1);
-            // Under the elastic overlay a dead machine also leaves the
-            // membership: its stripes cold re-shard onto the survivors.
-            if self.membership_on {
-                let moves = session.apply_leave(spec.worker).map_err(invalid)?;
-                self.rehome(session, "leave", &moves, false);
-            }
+            // Redistribute: a dead machine cannot hand off, so its stripes
+            // cold re-shard onto the survivors. The logical computation
+            // (and so the model) is unchanged; the adopters' heavier load
+            // dilates every later phase.
+            session.on_worker_lost();
+            fault("worker_lost");
+            let moves = session.apply_leave(spec.worker).map_err(invalid)?;
+            self.rehome(session, "leave", &moves, false);
         }
         Ok(())
     }
 
     fn snapshot(&self, state: &TrainState, next_round: usize) -> TrainCheckpoint {
-        let membership = self.session.as_ref().and_then(|s| s.membership_snapshot());
+        let membership = self.session.as_ref().map(|s| s.membership_snapshot());
         let fingerprint = self.fingerprint.clone();
         let ledger = self.ps.comm_ledger();
         state.checkpoint(self.config, fingerprint, next_round, ledger, membership)
@@ -291,27 +277,4 @@ impl<'a> Harness<'a> {
         }
         Ok(())
     }
-}
-
-/// Reconstructs the membership overlay a run had reached after rounds
-/// `0..start` by replaying the plan's schedule (a resume with no
-/// checkpointed snapshot to restore). The rebalance is a pure function of
-/// the event sequence, so replay and live application agree exactly; the
-/// per-round order mirrors the live path: joins, leaves, redistribute-losses.
-fn replay_membership_to(session: &FaultSession, start: usize) -> Result<(), TrainError> {
-    let plan = session.plan();
-    for round in 0..start {
-        for spec in plan.joins.iter().filter(|j| j.round == round) {
-            session.apply_join(spec.worker).map_err(invalid)?;
-        }
-        for spec in plan.leaves.iter().filter(|l| l.round == round) {
-            session.apply_leave(spec.worker).map_err(invalid)?;
-        }
-        for spec in plan.losses.iter().filter(|l| l.round == round) {
-            if matches!(spec.policy, LossPolicy::Redistribute) {
-                session.apply_leave(spec.worker).map_err(invalid)?;
-            }
-        }
-    }
-    Ok(())
 }

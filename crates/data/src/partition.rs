@@ -34,62 +34,6 @@ pub fn partition_rows(dataset: &Dataset, num_workers: usize) -> Result<Vec<Datas
     Ok(shards)
 }
 
-/// Returns the `[start, end)` row range of stripe `stripe` when `num_rows`
-/// rows are cut into `num_stripes` contiguous stripes.
-///
-/// Matches [`partition_rows`] exactly: the first `num_rows % num_stripes`
-/// stripes get one extra row. Because the mapping depends only on
-/// `(num_rows, num_stripes)`, a stripe owned by any machine covers the same
-/// global row ids regardless of membership history — this is the stable
-/// row→stripe assignment the elastic trainer re-shards through.
-pub fn stripe_bounds(
-    num_rows: usize,
-    num_stripes: usize,
-    stripe: usize,
-) -> Result<(usize, usize), DataError> {
-    if num_stripes == 0 {
-        return Err(DataError::InvalidConfig(
-            "num_stripes must be positive".into(),
-        ));
-    }
-    if stripe >= num_stripes {
-        return Err(DataError::InvalidConfig(format!(
-            "stripe {stripe} out of range for {num_stripes} stripes"
-        )));
-    }
-    let base = num_rows / num_stripes;
-    let extra = num_rows % num_stripes;
-    let start = stripe * base + stripe.min(extra);
-    let len = base + usize::from(stripe < extra);
-    Ok((start, start + len))
-}
-
-/// Maps a global row id to the stripe that owns it (inverse of
-/// [`stripe_bounds`]), in O(1) via the same base/extra arithmetic.
-pub fn stripe_of_row(num_rows: usize, num_stripes: usize, row: usize) -> Result<usize, DataError> {
-    if num_stripes == 0 {
-        return Err(DataError::InvalidConfig(
-            "num_stripes must be positive".into(),
-        ));
-    }
-    if row >= num_rows {
-        return Err(DataError::InvalidConfig(format!(
-            "row {row} out of range for {num_rows} rows"
-        )));
-    }
-    let base = num_rows / num_stripes;
-    let extra = num_rows % num_stripes;
-    // The first `extra` stripes are `base + 1` rows wide and span the prefix
-    // `[0, extra * (base + 1))`; the rest are exactly `base` rows wide.
-    let fat_span = extra * (base + 1);
-    let stripe = if row < fat_span {
-        row / (base + 1)
-    } else {
-        extra + (row - fat_span) / base
-    };
-    Ok(stripe)
-}
-
 /// Shuffles rows with the given seed and splits off the last `test_fraction`
 /// as the test set (the paper uses 90% train / 10% test).
 pub fn train_test_split(
@@ -148,46 +92,6 @@ mod tests {
     #[test]
     fn partition_rejects_zero_workers() {
         assert!(partition_rows(&toy(10), 0).is_err());
-    }
-
-    #[test]
-    fn stripe_bounds_agree_with_partition_rows() {
-        for &(n, k) in &[(103usize, 5usize), (3, 5), (10, 1), (1000, 7), (0, 3)] {
-            let ds = toy(n.max(1));
-            let ds = ds.subset(&(0..n).collect::<Vec<_>>());
-            let shards = partition_rows(&ds, k).unwrap();
-            let mut start = 0;
-            for (s, shard) in shards.iter().enumerate() {
-                let (lo, hi) = stripe_bounds(n, k, s).unwrap();
-                assert_eq!((lo, hi), (start, start + shard.num_rows()));
-                start = hi;
-            }
-            assert_eq!(start, n);
-        }
-    }
-
-    #[test]
-    fn stripe_of_row_inverts_stripe_bounds() {
-        for &(n, k) in &[(103usize, 5usize), (3, 5), (10, 1), (1000, 7), (64, 64)] {
-            for s in 0..k {
-                let (lo, hi) = stripe_bounds(n, k, s).unwrap();
-                for row in lo..hi {
-                    assert_eq!(
-                        stripe_of_row(n, k, row).unwrap(),
-                        s,
-                        "n={n} k={k} row={row}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn stripe_helpers_reject_bad_input() {
-        assert!(stripe_bounds(10, 0, 0).is_err());
-        assert!(stripe_bounds(10, 3, 3).is_err());
-        assert!(stripe_of_row(10, 0, 0).is_err());
-        assert!(stripe_of_row(10, 3, 10).is_err());
     }
 
     #[test]

@@ -5,7 +5,9 @@ use parking_lot::{Mutex, RwLock};
 
 use dimboost_simnet::fault::{Fate, FaultSession, MAX_ATTEMPTS};
 use dimboost_simnet::wire::SparseWireStats;
-use dimboost_simnet::{CommLedger, CommStats, CostModel, Phase, SimTime, StatsRecorder, TraceBus};
+use dimboost_simnet::{
+    CommLedger, CommStats, CostModel, Lane, Phase, SimTime, StatsRecorder, TraceBus,
+};
 use dimboost_sketch::GkSketch;
 
 use crate::quantize::QuantizedRow;
@@ -266,13 +268,13 @@ impl ParameterServer {
                 session.on_stale_reject();
             }
             self.recorder
-                .membership_event(phase, "stale_reject", SimTime::ZERO, 0, 1);
+                .lane_event(Lane::Membership, phase, "stale_reject", SimTime::ZERO, 0, 1);
         } else {
             if let Some(session) = session {
                 session.on_dedup_hit();
             }
             self.recorder
-                .fault_event(phase, "dedup_hit", SimTime::ZERO, 0, 1);
+                .lane_event(Lane::Fault, phase, "dedup_hit", SimTime::ZERO, 0, 1);
         }
         false
     }
@@ -315,6 +317,10 @@ impl ParameterServer {
         };
         let plan = session.plan();
         let seq = session.next_seq(worker);
+        let fault = |name, secs| {
+            self.recorder
+                .lane_event(Lane::Fault, phase, name, secs, 0, 1)
+        };
 
         // Transient partition unavailability: the op blocks until every
         // outage window covering the current simulated instant has passed.
@@ -322,8 +328,7 @@ impl ParameterServer {
         let wait = plan.outage_wait(now);
         if wait > 0.0 {
             session.add_outage_wait_secs(wait);
-            self.recorder
-                .fault_event(phase, "outage_wait", SimTime(wait), 0, 1);
+            fault("outage_wait", SimTime(wait));
             self.recorder.charge(phase, SimTime(wait));
         }
 
@@ -344,8 +349,7 @@ impl ParameterServer {
             let fate = if attempt >= MAX_ATTEMPTS {
                 // The network "heals": force delivery so runs terminate.
                 session.on_forced_delivery();
-                self.recorder
-                    .fault_event(phase, "forced_delivery", SimTime::ZERO, 0, 1);
+                fault("forced_delivery", SimTime::ZERO);
                 Fate::Deliver
             } else {
                 plan.fate(worker, seq, attempt)
@@ -357,8 +361,7 @@ impl ParameterServer {
                 }
                 Fate::Duplicate => {
                     session.on_duplicate();
-                    self.recorder
-                        .fault_event(phase, "duplicate", SimTime::ZERO, 0, 1);
+                    fault("duplicate", SimTime::ZERO);
                     deliver();
                     deliver();
                     break;
@@ -368,20 +371,17 @@ impl ParameterServer {
                     // times out and retries; the retry hits the dedup set.
                     deliver();
                     session.on_ack_drop();
-                    self.recorder
-                        .fault_event(phase, "ack_drop", SimTime::ZERO, 0, 1);
+                    fault("ack_drop", SimTime::ZERO);
                 }
                 Fate::DropRequest => {
                     session.on_request_drop();
-                    self.recorder
-                        .fault_event(phase, "request_drop", SimTime::ZERO, 0, 1);
+                    fault("request_drop", SimTime::ZERO);
                 }
             }
             // Lost request or lost ack: timeout, back off, retry.
             let wait = plan.timeout_secs + plan.backoff_secs(worker, seq, attempt);
             session.on_retry(wait);
-            self.recorder
-                .fault_event(phase, "retry_backoff", SimTime(wait), 0, 1);
+            fault("retry_backoff", SimTime(wait));
             self.recorder.charge(phase, SimTime(wait));
             attempt += 1;
         }
@@ -1388,12 +1388,11 @@ mod tests {
     fn stale_rejects_reach_the_fault_session() {
         let ps = ps_with_layout(vec![2], 1);
         let plan = dimboost_simnet::FaultPlan::parse("join worker=9 round=0\n").unwrap();
-        let session = dimboost_simnet::FaultSession::new(plan);
-        session.init_membership(2);
+        let session = dimboost_simnet::FaultSession::new(plan, 2);
         ps.attach_faults(session.clone());
         ps.set_epoch(3);
         assert!(!ps.push_histogram_from_epoch(2, 0, 0, 0, &[1.0; 4]));
-        let summary = session.membership_summary().unwrap();
+        let summary = session.membership_summary();
         assert_eq!(summary.stale_rejects, 1);
     }
 
@@ -1419,7 +1418,7 @@ mod tests {
         }
 
         let faulted = ps_with_layout(vec![2, 2], 2);
-        let session = dimboost_simnet::FaultSession::new(chaos_plan());
+        let session = dimboost_simnet::FaultSession::new(chaos_plan(), 6);
         faulted.attach_faults(session.clone());
         for (w, row) in rows.iter().enumerate() {
             session.set_worker(Some(w as u32));
@@ -1457,7 +1456,7 @@ mod tests {
         let clean_bytes = ps.comm_ledger().phase(Phase::FindSplit).bytes;
         assert_eq!(clean_bytes, 0);
 
-        let session = dimboost_simnet::FaultSession::new(chaos_plan());
+        let session = dimboost_simnet::FaultSession::new(chaos_plan(), 1);
         ps.attach_faults(session.clone());
         session.set_worker(Some(0));
         for _ in 0..20 {
@@ -1480,7 +1479,7 @@ mod tests {
             ..dimboost_simnet::FaultPlan::default()
         };
         let ps = ps_with_layout(vec![2], 1);
-        let session = dimboost_simnet::FaultSession::new(plan);
+        let session = dimboost_simnet::FaultSession::new(plan, 1);
         ps.attach_faults(session.clone());
         session.set_worker(Some(0));
         ps.push_histogram(0, &[1.0; 4]);

@@ -200,7 +200,7 @@ proptest! {
             dup_p,
             outages: vec![OutageSpec { server: 0, start: 0.0, duration: 0.01 }],
             ..FaultPlan::default()
-        });
+        }, 3);
         faulted.attach_faults(session.clone());
         for &i in &order {
             session.set_worker(Some((i % 3) as u32));

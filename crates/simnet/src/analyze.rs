@@ -190,7 +190,7 @@ pub struct PsProfile {
 /// Fault-stretch attribution for one fault kind.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultKind {
-    /// Fault event name (`retry_backoff`, `straggler`, …).
+    /// Fault event name (`retry_backoff`, `outage_wait`, …).
     pub name: String,
     /// Events of this kind.
     pub events: u64,
@@ -757,7 +757,7 @@ impl TraceProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::TraceBus;
+    use crate::trace::{Lane, TraceBus};
     use crate::{CostModel, SimTime};
 
     /// A small but representative bus: setup, two rounds with queued
@@ -968,7 +968,14 @@ mod tests {
     #[test]
     fn fault_stretch_is_attributed() {
         let b = TraceBus::new(1, 1, CostModel::GIGABIT_LAN, true);
-        b.on_fault(Phase::BuildHistogram, "retry_backoff", SimTime(0.01), 0, 1);
+        b.on_lane(
+            Lane::Fault,
+            Phase::BuildHistogram,
+            "retry_backoff",
+            SimTime(0.01),
+            0,
+            1,
+        );
         b.on_charge(Phase::BuildHistogram, SimTime(0.05));
         b.on_charge(Phase::Finish, SimTime(0.01));
         let profile = analyze_trace(&b.finish()).unwrap();
@@ -983,10 +990,25 @@ mod tests {
     #[test]
     fn membership_stretch_is_attributed_next_to_faults() {
         let b = TraceBus::new(2, 1, CostModel::GIGABIT_LAN, true);
-        b.on_membership(Phase::NewTree, "join", SimTime::ZERO, 0, 1);
-        b.on_membership(Phase::NewTree, "stripe_handoff", SimTime(0.02), 4096, 1);
+        b.on_lane(
+            Lane::Membership,
+            Phase::NewTree,
+            "join",
+            SimTime::ZERO,
+            0,
+            1,
+        );
+        b.on_lane(
+            Lane::Membership,
+            Phase::NewTree,
+            "stripe_handoff",
+            SimTime(0.02),
+            4096,
+            1,
+        );
         b.on_charge(Phase::NewTree, SimTime(0.03));
-        b.on_membership(
+        b.on_lane(
+            Lane::Membership,
             Phase::BuildHistogram,
             "elastic_dilation",
             SimTime(0.05),

@@ -20,13 +20,21 @@
 //! as *pure simulated time* on the phase that suffered it. A faulted run
 //! and a clean run with the same training seed therefore produce
 //! bit-identical models and bit-identical per-phase byte/package counts;
-//! only the `sim_time` columns and the `faults` report section differ.
+//! only the `sim_time` columns and the `faults`/`membership` report
+//! sections differ.
+//!
+//! # One cluster model
+//!
+//! Every session times its run against the stripe→machine overlay (see
+//! [`FaultSession::membership_dilation`]), whatever lines the plan has: a
+//! straggler is a per-machine rate factor, a redistributed loss is a cold
+//! leave, and a join or leave re-homes stripes.
 //!
 //! Because everything lands on the simulated clock, a faulted run is itself
 //! deterministic: rerunning it reproduces the same canonical report and
 //! trace byte-for-byte.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -84,10 +92,11 @@ pub struct OutageSpec {
 /// What the trainer does about a permanently lost worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossPolicy {
-    /// Another machine adopts the lost worker's instance shard. The shard's
-    /// computation (and its push/RNG streams) continue unchanged, so the
-    /// model stays bit-identical; the adopter's doubled load dilates the
-    /// simulated phase times instead.
+    /// The lost machine leaves the overlay cold, like `leave …
+    /// policy=redistribute`: its stripes re-shard onto the survivors. Each
+    /// stripe's computation (and its push/RNG streams) continue unchanged,
+    /// so the model stays bit-identical; the adopters' heavier load
+    /// dilates the simulated phase times instead.
     Redistribute,
     /// Abort the run with an error.
     Abort,
@@ -284,15 +293,24 @@ impl FaultPlan {
         self.drop_p > 0.0 || self.ack_drop_p > 0.0 || self.dup_p > 0.0 || !self.outages.is_empty()
     }
 
-    /// True when the plan scripts elastic membership: joins, leaves, speed
-    /// skew, or speculative backups. The trainer switches to the elastic
-    /// dilation model (and initialises the stripe→machine overlay) exactly
-    /// when this holds.
-    pub fn has_membership_events(&self) -> bool {
-        !self.joins.is_empty()
-            || !self.leaves.is_empty()
-            || !self.speeds.is_empty()
-            || self.speculate_threshold.is_some()
+    /// Checks that every line naming a machine — `straggler`, `speed`,
+    /// `lose`, `leave` — names one of the run's `workers` initial machines
+    /// or one a `join` line adds. The error names the offending line.
+    pub fn check_machines(&self, workers: u32) -> Result<(), String> {
+        let known = |m: u32| m < workers || self.joins.iter().any(|j| j.worker == m);
+        let named = (self.stragglers.iter().map(|s| ("straggler", s.worker)))
+            .chain(self.speeds.iter().map(|s| ("speed", s.worker)))
+            .chain(self.losses.iter().map(|l| ("lose", l.worker)))
+            .chain(self.leaves.iter().map(|l| ("leave", l.worker)));
+        for (keyword, machine) in named {
+            if !known(machine) {
+                return Err(format!(
+                    "fault plan: `{keyword} worker={machine}` names a machine the run never \
+                     has: it has {workers} workers and no join adds machine {machine}"
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Order-sensitive digest of the membership schedule (joins, leaves,
@@ -502,8 +520,6 @@ pub struct FaultSummary {
     pub forced_deliveries: u64,
     /// Total simulated seconds spent in timeouts + backoff.
     pub backoff_secs: f64,
-    /// Total simulated seconds added by straggler dilation.
-    pub straggler_secs: f64,
     /// Total simulated seconds spent waiting out server outages.
     pub outage_wait_secs: f64,
     /// Crashes injected (0 or 1).
@@ -552,7 +568,6 @@ impl FaultSummary {
         w.u64("retries", self.retries);
         w.u64("forced_deliveries", self.forced_deliveries);
         w.f64("backoff_secs", self.backoff_secs);
-        w.f64("straggler_secs", self.straggler_secs);
         w.f64("outage_wait_secs", self.outage_wait_secs);
         w.u64("crashes", self.crashes);
         w.u64("workers_lost", self.workers_lost);
@@ -616,7 +631,7 @@ pub struct ElasticDilation {
 /// Stripe→machine overlay: which physical machine currently *executes*
 /// each logical stripe. Aggregation identity lives entirely in the stripe,
 /// so this table affects simulated time only — never model bytes.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct MembershipState {
     /// `assignment[stripe]` = owning machine id.
     assignment: Vec<u32>,
@@ -634,24 +649,21 @@ impl MembershipState {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct SessionState {
     summary: FaultSummary,
     /// Worker currently issuing PS requests (mirrors `TraceBus::set_worker`).
     origin: Option<u32>,
     /// Next per-worker message sequence id.
     next_seq: HashMap<u32, u64>,
-    /// Workers permanently lost so far.
-    lost: HashSet<u32>,
-    /// Elastic membership overlay (`None` until the trainer initialises it
-    /// for plans with membership events).
-    membership: Option<MembershipState>,
+    /// The stripe→machine overlay every phase is timed against.
+    membership: MembershipState,
 }
 
 /// Shared per-run fault state: the immutable [`FaultPlan`] plus the mutable
-/// counters, message sequence ids, and lost-worker set. One session is
-/// created per training run and shared (via `Arc`) between the trainer and
-/// the parameter server.
+/// counters, message sequence ids, and the stripe→machine overlay. One
+/// session is created per training run and shared (via `Arc`) between the
+/// trainer and the parameter server.
 #[derive(Debug)]
 pub struct FaultSession {
     plan: FaultPlan,
@@ -659,8 +671,10 @@ pub struct FaultSession {
 }
 
 impl FaultSession {
-    /// A fresh session for `plan`.
-    pub fn new(plan: FaultPlan) -> Arc<Self> {
+    /// A fresh session for `plan` over `stripes` logical stripes: machines
+    /// `0..stripes` are live and machine `i` owns stripe `i` (the initial
+    /// 1:1 placement).
+    pub fn new(plan: FaultPlan, stripes: usize) -> Arc<Self> {
         let plan_seed = plan.seed;
         Arc::new(FaultSession {
             plan,
@@ -669,7 +683,14 @@ impl FaultSession {
                     plan_seed,
                     ..FaultSummary::default()
                 },
-                ..SessionState::default()
+                origin: None,
+                next_seq: HashMap::new(),
+                membership: MembershipState {
+                    assignment: (0..stripes as u32).collect(),
+                    live: (0..stripes as u32).collect(),
+                    epoch: 0,
+                    summary: MembershipSummary::default(),
+                },
             }),
         })
     }
@@ -699,35 +720,6 @@ impl FaultSession {
         let out = *seq;
         *seq += 1;
         out
-    }
-
-    /// Marks `worker` permanently lost.
-    pub fn mark_lost(&self, worker: u32) {
-        let mut st = self.inner.lock();
-        if st.lost.insert(worker) {
-            st.summary.workers_lost += 1;
-        }
-    }
-
-    /// Whether `worker` has been lost.
-    pub fn is_lost(&self, worker: u32) -> bool {
-        self.inner.lock().lost.contains(&worker)
-    }
-
-    /// Simulated-time dilation factor for `phase`: the worst live straggler
-    /// times the load multiplier from redistributed shards (a machine that
-    /// adopted `n` extra shards runs `1 + n`× slower on every phase).
-    pub fn dilation(&self, phase: Phase) -> f64 {
-        let st = self.inner.lock();
-        let straggler = self
-            .plan
-            .stragglers
-            .iter()
-            .filter(|s| !st.lost.contains(&s.worker))
-            .filter(|s| s.phase.is_none() || s.phase == Some(phase))
-            .map(|s| s.factor)
-            .fold(1.0, f64::max);
-        straggler * (1.0 + st.lost.len() as f64)
     }
 
     /// Snapshot of the accumulated counters.
@@ -769,11 +761,6 @@ impl FaultSession {
         self.inner.lock().summary.forced_deliveries += 1;
     }
 
-    /// Accumulates straggler-dilation seconds.
-    pub fn add_straggler_secs(&self, secs: f64) {
-        self.inner.lock().summary.straggler_secs += secs;
-    }
-
     /// Accumulates outage-wait seconds.
     pub fn add_outage_wait_secs(&self, secs: f64) {
         self.inner.lock().summary.outage_wait_secs += secs;
@@ -782,6 +769,12 @@ impl FaultSession {
     /// Records the injected crash.
     pub fn on_crash(&self) {
         self.inner.lock().summary.crashes += 1;
+    }
+
+    /// Records one permanently lost machine (its stripes leave through
+    /// [`FaultSession::apply_leave`]).
+    pub fn on_worker_lost(&self) {
+        self.inner.lock().summary.workers_lost += 1;
     }
 
     // ---- elastic membership (stripe→machine overlay) ---------------------
@@ -793,56 +786,44 @@ impl FaultSession {
     // stripes to physical machines, which affects the simulated clock and
     // the trace — never model bytes.
 
-    /// Initialises the membership overlay: machines `0..stripes` are live
-    /// and machine `i` owns stripe `i` (the initial 1:1 placement). No-op
-    /// when already initialised.
-    pub fn init_membership(&self, stripes: usize) {
-        let mut st = self.inner.lock();
-        if st.membership.is_some() {
-            return;
-        }
-        st.membership = Some(MembershipState {
-            assignment: (0..stripes as u32).collect(),
-            live: (0..stripes as u32).collect(),
-            epoch: 0,
-            summary: MembershipSummary::default(),
-        });
+    /// Current membership epoch: 0 before any event. The PS tags
+    /// deduplication state with this, so operations issued under an older
+    /// epoch are rejected instead of merged.
+    pub fn membership_epoch(&self) -> u64 {
+        self.inner.lock().membership.epoch
     }
 
-    /// Current membership epoch: 0 before any event or without an overlay.
-    /// The PS tags deduplication state with this, so operations issued
-    /// under an older epoch are rejected instead of merged.
-    pub fn membership_epoch(&self) -> u64 {
-        self.inner.lock().membership.as_ref().map_or(0, |m| m.epoch)
+    /// Whether `machine` is live in the overlay. A lost machine is one the
+    /// overlay no longer has live.
+    pub fn is_live(&self, machine: u32) -> bool {
+        self.inner.lock().membership.live.contains(&machine)
     }
 
     /// Snapshot `(stripe→machine assignment, live set, epoch)` for
-    /// checkpointing. `None` without an overlay.
-    pub fn membership_snapshot(&self) -> Option<(Vec<u32>, Vec<u32>, u64)> {
+    /// checkpointing.
+    pub fn membership_snapshot(&self) -> (Vec<u32>, Vec<u32>, u64) {
         let st = self.inner.lock();
-        st.membership.as_ref().map(|m| {
-            (
-                m.assignment.clone(),
-                m.live.iter().copied().collect(),
-                m.epoch,
-            )
-        })
+        let m = &st.membership;
+        (
+            m.assignment.clone(),
+            m.live.iter().copied().collect(),
+            m.epoch,
+        )
     }
 
-    /// Restores a checkpointed overlay snapshot on resume (overwrites any
-    /// existing overlay).
+    /// Restores a checkpointed overlay snapshot on resume (overwrites the
+    /// initial placement).
     pub fn restore_membership(&self, assignment: Vec<u32>, live: Vec<u32>, epoch: u64) {
-        let mut st = self.inner.lock();
         let summary = MembershipSummary {
             epoch,
             ..MembershipSummary::default()
         };
-        st.membership = Some(MembershipState {
+        self.inner.lock().membership = MembershipState {
             assignment,
             live: live.into_iter().collect(),
             epoch,
             summary,
-        });
+        };
     }
 
     /// A machine joins: bump the epoch and rebalance deterministically —
@@ -851,11 +832,7 @@ impl FaultSession {
     /// highest-numbered stripe. Returns the stripe moves so the trainer can
     /// charge the transfers.
     pub fn apply_join(&self, worker: u32) -> Result<Vec<StripeMove>, String> {
-        let mut st = self.inner.lock();
-        let m = st
-            .membership
-            .as_mut()
-            .ok_or("membership overlay not initialised")?;
+        let m = &mut self.inner.lock().membership;
         if !m.live.insert(worker) {
             return Err(format!("join: machine {worker} is already live"));
         }
@@ -901,11 +878,7 @@ impl FaultSession {
     /// to the currently least-loaded live machine (ties → smallest id).
     /// Returns the stripe moves. The last live machine cannot leave.
     pub fn apply_leave(&self, worker: u32) -> Result<Vec<StripeMove>, String> {
-        let mut st = self.inner.lock();
-        let m = st
-            .membership
-            .as_mut()
-            .ok_or("membership overlay not initialised")?;
+        let m = &mut self.inner.lock().membership;
         if !m.live.remove(&worker) {
             return Err(format!("leave: machine {worker} is not live"));
         }
@@ -952,12 +925,7 @@ impl FaultSession {
     /// `min(max, F × median + rate(backup) × load(straggler))`.
     pub fn membership_dilation(&self, phase: Phase) -> ElasticDilation {
         let st = self.inner.lock();
-        let Some(m) = st.membership.as_ref() else {
-            return ElasticDilation {
-                factor: 1.0,
-                backup: None,
-            };
-        };
+        let m = &st.membership;
         // Per-stripe service rate of one machine: hardware speed × any
         // straggler slowdown matching this phase.
         let rate = |id: u32| -> f64 {
@@ -972,7 +940,7 @@ impl FaultSession {
                 .plan
                 .stragglers
                 .iter()
-                .filter(|s| s.worker == id && !st.lost.contains(&s.worker))
+                .filter(|s| s.worker == id)
                 .filter(|s| s.phase.is_none() || s.phase == Some(phase))
                 .map(|s| s.factor)
                 .fold(1.0, f64::max);
@@ -1042,50 +1010,40 @@ impl FaultSession {
         }
     }
 
-    /// Snapshot of the accumulated membership counters (`None` without an
-    /// overlay, so non-elastic runs keep their reports byte-identical).
-    pub fn membership_summary(&self) -> Option<MembershipSummary> {
-        self.inner.lock().membership.as_ref().map(|m| m.summary)
+    /// Snapshot of the accumulated membership counters.
+    pub fn membership_summary(&self) -> MembershipSummary {
+        self.inner.lock().membership.summary
     }
 
     /// Accumulates graceful-handoff transfer seconds.
     pub fn add_handoff_secs(&self, secs: f64) {
-        if let Some(m) = self.inner.lock().membership.as_mut() {
-            m.summary.handoff_secs += secs;
-        }
+        self.inner.lock().membership.summary.handoff_secs += secs;
     }
 
     /// Accumulates cold re-shard seconds.
     pub fn add_reshard_secs(&self, secs: f64) {
-        if let Some(m) = self.inner.lock().membership.as_mut() {
-            m.summary.reshard_secs += secs;
-        }
+        self.inner.lock().membership.summary.reshard_secs += secs;
     }
 
     /// Accumulates elastic-dilation seconds.
     pub fn add_elastic_secs(&self, secs: f64) {
-        if let Some(m) = self.inner.lock().membership.as_mut() {
-            m.summary.elastic_secs += secs;
-        }
+        self.inner.lock().membership.summary.elastic_secs += secs;
     }
 
     /// Records one speculative backup launch (and its win, when the backup
     /// finished first, with the simulated seconds it saved).
     pub fn on_backup(&self, won: bool, saved_secs: f64) {
-        if let Some(m) = self.inner.lock().membership.as_mut() {
-            m.summary.speculative_backups += 1;
-            if won {
-                m.summary.backup_wins += 1;
-                m.summary.speculation_saved_secs += saved_secs;
-            }
+        let s = &mut self.inner.lock().membership.summary;
+        s.speculative_backups += 1;
+        if won {
+            s.backup_wins += 1;
+            s.speculation_saved_secs += saved_secs;
         }
     }
 
     /// Records one stale-epoch operation rejected by the PS.
     pub fn on_stale_reject(&self) {
-        if let Some(m) = self.inner.lock().membership.as_mut() {
-            m.summary.stale_rejects += 1;
-        }
+        self.inner.lock().membership.summary.stale_rejects += 1;
     }
 }
 
@@ -1281,8 +1239,6 @@ speculate threshold=1.5
             }]
         );
         assert_eq!(plan.speculate_threshold, Some(1.5));
-        assert!(plan.has_membership_events());
-        assert!(!FaultPlan::default().has_membership_events());
         // Membership directives alone do not perturb message delivery.
         assert!(!plan.perturbs_messages());
     }
@@ -1351,11 +1307,8 @@ speculate threshold=1.5
 
     #[test]
     fn join_and_leave_rebalance_deterministically() {
-        let s = FaultSession::new(FaultPlan::default());
-        // No overlay yet: events fail loudly, epoch stays 0.
-        assert!(s.apply_join(3).is_err());
+        let s = FaultSession::new(FaultPlan::default(), 3);
         assert_eq!(s.membership_epoch(), 0);
-        s.init_membership(3);
         // Joining an already-live machine is an error.
         assert!(s.apply_join(2).is_err());
         // 3 stripes over 3 machines: a joiner finds no gap ≥ 2, takes none.
@@ -1398,27 +1351,26 @@ speculate threshold=1.5
         );
         // Leaving a non-live machine is an error; so is the last machine.
         assert!(s.apply_leave(0).is_err());
-        let sum = s.membership_summary().unwrap();
+        let sum = s.membership_summary();
         assert_eq!(sum.joins, 2);
         assert_eq!(sum.leaves, 2);
         assert_eq!(sum.stripes_moved, 3);
         assert_eq!(sum.epoch, 4);
         // Snapshot / restore round-trips the overlay.
-        let (assignment, live, epoch) = s.membership_snapshot().unwrap();
-        let t = FaultSession::new(FaultPlan::default());
+        let (assignment, live, epoch) = s.membership_snapshot();
+        let t = FaultSession::new(FaultPlan::default(), 3);
         t.restore_membership(assignment.clone(), live.clone(), epoch);
-        assert_eq!(t.membership_snapshot().unwrap(), (assignment, live, epoch));
+        assert_eq!(t.membership_snapshot(), (assignment, live, epoch));
     }
 
     #[test]
     fn last_machine_cannot_leave() {
-        let s = FaultSession::new(FaultPlan::default());
-        s.init_membership(1);
+        let s = FaultSession::new(FaultPlan::default(), 1);
         let err = s.apply_leave(0).unwrap_err();
         assert!(err.contains("last live machine"), "{err}");
         // The failed leave did not mutate the overlay.
         assert_eq!(s.membership_epoch(), 0);
-        assert_eq!(s.membership_snapshot().unwrap().1, vec![0]);
+        assert_eq!(s.membership_snapshot().1, vec![0]);
     }
 
     #[test]
@@ -1427,10 +1379,7 @@ speculate threshold=1.5
             "speed worker=1 factor=3\nstraggler worker=2 factor=2 phase=build_histogram",
         )
         .unwrap();
-        let s = FaultSession::new(plan);
-        // Without an overlay the elastic model is inert.
-        assert_eq!(s.membership_dilation(Phase::Finish).factor, 1.0);
-        s.init_membership(3);
+        let s = FaultSession::new(plan, 3);
         // Uniform 1-stripe loads: machine 1 runs 3× slow everywhere, and
         // machine 2 runs 2× slow in build_histogram only.
         assert_eq!(s.membership_dilation(Phase::Finish).factor, 3.0);
@@ -1446,8 +1395,7 @@ speculate threshold=1.5
     #[test]
     fn speculation_races_a_backup_against_the_straggler() {
         let plan = FaultPlan::parse("speed worker=0 factor=6\nspeculate threshold=1.5").unwrap();
-        let s = FaultSession::new(plan);
-        s.init_membership(3);
+        let s = FaultSession::new(plan, 3);
         // d = [6, 1, 1]; median 1, threshold trips at 1.5; the backup
         // (machine 1, rate 1) replays stripe 0 by 1.5 + 1 = 2.5 < 6.
         let d = s.membership_dilation(Phase::BuildHistogram);
@@ -1460,8 +1408,7 @@ speculate threshold=1.5
         // A losing backup: straggler barely over the threshold, replay from
         // scratch is slower, so the straggler's own finish stands.
         let plan = FaultPlan::parse("speed worker=0 factor=2\nspeculate threshold=1.2").unwrap();
-        let s = FaultSession::new(plan);
-        s.init_membership(3);
+        let s = FaultSession::new(plan, 3);
         let d = s.membership_dilation(Phase::BuildHistogram);
         let b = d.backup.expect("backup launched");
         assert_eq!(b.raw_factor, 2.0);
@@ -1469,8 +1416,7 @@ speculate threshold=1.5
         assert_eq!(d.factor, 2.0);
         // Below the threshold no backup launches at all.
         let plan = FaultPlan::parse("speed worker=0 factor=2\nspeculate threshold=3").unwrap();
-        let s = FaultSession::new(plan);
-        s.init_membership(3);
+        let s = FaultSession::new(plan, 3);
         assert!(s
             .membership_dilation(Phase::BuildHistogram)
             .backup
@@ -1479,19 +1425,14 @@ speculate threshold=1.5
 
     #[test]
     fn membership_summary_accumulates() {
-        let s = FaultSession::new(FaultPlan::default());
-        // Hooks are inert without an overlay.
-        s.add_elastic_secs(1.0);
-        s.on_backup(true, 0.5);
-        assert!(s.membership_summary().is_none());
-        s.init_membership(2);
+        let s = FaultSession::new(FaultPlan::default(), 2);
         s.add_handoff_secs(0.25);
         s.add_reshard_secs(0.5);
         s.add_elastic_secs(1.5);
         s.on_backup(false, 0.0);
         s.on_backup(true, 0.75);
         s.on_stale_reject();
-        let sum = s.membership_summary().unwrap();
+        let sum = s.membership_summary();
         assert!((sum.handoff_secs - 0.25).abs() < 1e-12);
         assert!((sum.reshard_secs - 0.5).abs() < 1e-12);
         assert!((sum.elastic_secs - 1.5).abs() < 1e-12);
@@ -1502,7 +1443,7 @@ speculate threshold=1.5
     }
 
     #[test]
-    fn session_tracks_seqs_losses_and_dilation() {
+    fn session_prices_stragglers_and_losses_on_the_overlay() {
         let plan = FaultPlan {
             stragglers: vec![
                 StragglerSpec {
@@ -1518,28 +1459,40 @@ speculate threshold=1.5
             ],
             ..FaultPlan::default()
         };
-        let s = FaultSession::new(plan);
+        let s = FaultSession::new(plan, 3);
         assert_eq!(s.next_seq(0), 0);
         assert_eq!(s.next_seq(0), 1);
         assert_eq!(s.next_seq(1), 0);
-        assert_eq!(s.dilation(Phase::BuildHistogram), 4.0);
-        assert_eq!(s.dilation(Phase::Finish), 4.0);
-        // Losing the all-phase straggler leaves the phase-specific one, but
-        // the adopted shard doubles every phase.
-        s.mark_lost(1);
-        s.mark_lost(1); // idempotent
-        assert!(s.is_lost(1));
-        assert_eq!(s.summary().workers_lost, 1);
-        assert_eq!(s.dilation(Phase::BuildHistogram), 4.0); // 2.0 × (1 + 1)
-        assert_eq!(s.dilation(Phase::Finish), 2.0); // 1.0 × (1 + 1)
+        let factor = |phase| s.membership_dilation(phase).factor;
+        assert_eq!(factor(Phase::BuildHistogram), 4.0);
+        assert_eq!(factor(Phase::Finish), 4.0);
+        // Losing the all-phase straggler is a cold leave: its stripe lands
+        // on machine 0 (tied loads → smallest id), which now carries two
+        // stripes and keeps its phase-specific slowdown.
+        assert!(s.is_live(1));
+        let moves = s.apply_leave(1).unwrap();
+        assert_eq!(
+            moves,
+            vec![StripeMove {
+                stripe: 1,
+                from: 1,
+                to: 0,
+            }]
+        );
+        assert!(!s.is_live(1));
+        assert_eq!(factor(Phase::BuildHistogram), 4.0); // 2.0 × 2 stripes
+        assert_eq!(factor(Phase::Finish), 2.0); // 1.0 × 2 stripes
     }
 
     #[test]
     fn summary_accumulates() {
-        let s = FaultSession::new(FaultPlan {
-            seed: 9,
-            ..FaultPlan::default()
-        });
+        let s = FaultSession::new(
+            FaultPlan {
+                seed: 9,
+                ..FaultPlan::default()
+            },
+            1,
+        );
         s.on_request_drop();
         s.on_ack_drop();
         s.on_duplicate();
@@ -1547,9 +1500,9 @@ speculate threshold=1.5
         s.on_retry(0.125);
         s.on_retry(0.25);
         s.on_forced_delivery();
-        s.add_straggler_secs(1.5);
         s.add_outage_wait_secs(0.5);
         s.on_crash();
+        s.on_worker_lost();
         let sum = s.summary();
         assert_eq!(sum.plan_seed, 9);
         assert_eq!(sum.request_drops, 1);
@@ -1559,8 +1512,8 @@ speculate threshold=1.5
         assert_eq!(sum.retries, 2);
         assert_eq!(sum.forced_deliveries, 1);
         assert!((sum.backoff_secs - 0.375).abs() < 1e-12);
-        assert!((sum.straggler_secs - 1.5).abs() < 1e-12);
         assert!((sum.outage_wait_secs - 0.5).abs() < 1e-12);
         assert_eq!(sum.crashes, 1);
+        assert_eq!(sum.workers_lost, 1);
     }
 }

@@ -45,4 +45,4 @@ pub use cost::{CostModel, SimTime};
 pub use fault::{FaultPlan, FaultSession, FaultSummary, MembershipSummary};
 pub use registry::{FixedHistogram, Metric, MetricExport, MetricsRegistry};
 pub use stats::{CommLedger, CommStats, Phase, StatsRecorder};
-pub use trace::{Trace, TraceBus, TraceEvent};
+pub use trace::{Lane, Trace, TraceBus, TraceEvent};

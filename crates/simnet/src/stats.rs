@@ -4,7 +4,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::emit::JsonWriter;
-use crate::trace::TraceBus;
+use crate::trace::{Lane, TraceBus};
 use crate::SimTime;
 
 /// The seven phases of the DimBoost worker execution plan (Figure 7), used
@@ -246,12 +246,13 @@ impl StatsRecorder {
         }
     }
 
-    /// Mirrors a fault event onto the attached trace bus (no ledger entry —
-    /// the simulated time a fault costs is charged separately through
-    /// [`StatsRecorder::charge`], which keeps the ledger-sum invariant
-    /// intact).
-    pub fn fault_event(
+    /// Mirrors a fault or membership event onto `lane` of the attached
+    /// trace bus (no ledger entry — the simulated time the event costs is
+    /// charged separately through [`StatsRecorder::charge`], which keeps
+    /// the ledger-sum invariant intact).
+    pub fn lane_event(
         &self,
+        lane: Lane,
         phase: Phase,
         name: &'static str,
         dur: SimTime,
@@ -259,24 +260,7 @@ impl StatsRecorder {
         count: u64,
     ) {
         if let Some(bus) = &*self.trace.lock() {
-            bus.on_fault(phase, name, dur, bytes, count);
-        }
-    }
-
-    /// Mirrors an elastic-membership event onto the attached trace bus (no
-    /// ledger entry — like [`StatsRecorder::fault_event`], the simulated
-    /// time a membership change costs is charged separately through
-    /// [`StatsRecorder::charge`]).
-    pub fn membership_event(
-        &self,
-        phase: Phase,
-        name: &'static str,
-        dur: SimTime,
-        bytes: u64,
-        count: u64,
-    ) {
-        if let Some(bus) = &*self.trace.lock() {
-            bus.on_membership(phase, name, dur, bytes, count);
+            bus.on_lane(lane, phase, name, dur, bytes, count);
         }
     }
 
@@ -376,8 +360,23 @@ mod tests {
         let r = StatsRecorder::new();
         r.record_named(Phase::NewTree, "publish_sampled", 10, 1, SimTime(0.1));
         r.charge(Phase::BuildHistogram, SimTime(0.05));
-        r.fault_event(Phase::FindSplit, "dedup_hit", SimTime::ZERO, 0, 1);
-        r.membership_event(Phase::BuildHistogram, "stale_reject", SimTime::ZERO, 0, 1);
+        r.lane_event(
+            Lane::Fault,
+            Phase::FindSplit,
+            "dedup_hit",
+            SimTime::ZERO,
+            0,
+            1,
+        );
+        let stale = "stale_reject";
+        r.lane_event(
+            Lane::Membership,
+            Phase::BuildHistogram,
+            stale,
+            SimTime::ZERO,
+            0,
+            1,
+        );
         let mut restored = CommLedger::new();
         restored.record(Phase::Finish, 5, 1, SimTime(0.25));
         r.preload(&restored);

@@ -47,6 +47,37 @@ use crate::kv::{self, Fields, LineError};
 use crate::registry::{FixedHistogram, MetricExport, MetricsRegistry};
 use crate::{CommLedger, CostModel, Phase, SimTime};
 
+/// A side lane: where an injected fault or an elastic-membership change
+/// is recorded, next to the charge that accounts for its cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// Drops, retries, backoff waits, outages, crashes, losses.
+    Fault,
+    /// Joins, leaves, stripe moves, dilation, backups, stale rejects.
+    Membership,
+}
+
+impl Lane {
+    /// The lane's track, event kind, and metric prefixes (event counter,
+    /// seconds histogram).
+    fn parts(self) -> (Track, EventKind, &'static str, &'static str) {
+        match self {
+            Lane::Fault => (
+                Track::Fault,
+                EventKind::Fault,
+                "sim/faults/",
+                "sim/fault_secs/",
+            ),
+            Lane::Membership => (
+                Track::Membership,
+                EventKind::Membership,
+                "sim/membership/",
+                "sim/membership_secs/",
+            ),
+        }
+    }
+}
+
 /// One horizontal lane of the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Track {
@@ -56,11 +87,12 @@ pub enum Track {
     Server(u32),
     /// The shared network lane: barrier charges.
     Net,
-    /// The fault-injection lane: drops, retries, backoff waits, stragglers,
-    /// outages, crashes (see [`crate::fault`]).
+    /// The fault-injection lane: drops, retries, backoff waits, outages,
+    /// crashes, lost workers (see [`crate::fault`]).
     Fault,
     /// The elastic-membership lane: joins, leaves, stripe handoffs, epoch
-    /// bumps, elastic dilation, speculative backups (see [`crate::fault`]).
+    /// bumps, straggler/speed/load dilation, speculative backups (see
+    /// [`crate::fault`]).
     Membership,
 }
 
@@ -138,8 +170,8 @@ pub enum EventKind {
     Service,
     /// A simulated-time charge: a barrier on the net track.
     Collective,
-    /// An injected fault or its recovery cost (drop, retry backoff,
-    /// straggler dilation, outage wait, crash). The matching simulated time
+    /// An injected fault or its recovery cost (drop, retry backoff, outage
+    /// wait, crash, lost worker). The matching simulated time
     /// is charged separately through the ledger, so fault events never count
     /// toward the ledger-sum invariant.
     Fault,
@@ -436,62 +468,29 @@ impl TraceBus {
         st.metrics.gauge_set("sim/clock_secs", now);
     }
 
-    /// An injected fault or its recovery cost. Emitted *before* the charge
-    /// that accounts for `dur` on the ledger, so the fault interval
+    /// An injected fault, a membership change, or its cost, on `lane`.
+    /// Emitted *before* the charge that accounts for `dur` on the ledger,
+    /// at the current clock and without advancing it, so the interval
     /// `[now, now + dur]` lines up with the barrier that follows it and the
-    /// fault track stays monotone. `count` is free-form per event name
-    /// (attempt number for retries, worker id for crashes).
-    pub fn on_fault(&self, phase: Phase, name: &'static str, dur: SimTime, bytes: u64, count: u64) {
-        let mut st = self.inner.lock();
-        let begin = st.now;
-        st.metrics.counter_add(&format!("sim/faults/{name}"), 1);
-        if dur.0 > 0.0 {
-            st.metrics
-                .observe_with(&format!("sim/fault_secs/{name}"), dur.0, secs_buckets);
-        }
-        st.push(
-            Track::Fault,
-            EventKind::Fault,
-            phase,
-            name,
-            begin,
-            dur.0,
-            bytes,
-            count,
-            0.0,
-        );
-    }
-
-    /// An elastic-membership event or its cost. Mirrors [`TraceBus::on_fault`]:
-    /// emitted *before* the charge that accounts for `dur` on the ledger, at
-    /// the current clock, without advancing it. `count` is free-form per
-    /// event name (machine id for joins/leaves, stripe count for handoffs).
-    pub fn on_membership(
+    /// lane stays monotone. `count` is free-form per event name.
+    pub fn on_lane(
         &self,
+        lane: Lane,
         phase: Phase,
         name: &'static str,
         dur: SimTime,
         bytes: u64,
         count: u64,
     ) {
+        let (track, kind, events, secs) = lane.parts();
         let mut st = self.inner.lock();
         let begin = st.now;
-        st.metrics.counter_add(&format!("sim/membership/{name}"), 1);
+        st.metrics.counter_add(&format!("{events}{name}"), 1);
         if dur.0 > 0.0 {
             st.metrics
-                .observe_with(&format!("sim/membership_secs/{name}"), dur.0, secs_buckets);
+                .observe_with(&format!("{secs}{name}"), dur.0, secs_buckets);
         }
-        st.push(
-            Track::Membership,
-            EventKind::Membership,
-            phase,
-            name,
-            begin,
-            dur.0,
-            bytes,
-            count,
-            0.0,
-        );
+        st.push(track, kind, phase, name, begin, dur.0, bytes, count, 0.0);
     }
 
     /// A worker phase slice measured on the wall clock.
@@ -1260,8 +1259,22 @@ mod tests {
     fn membership_events_record_without_advancing_the_clock() {
         let b = bus();
         b.on_charge(Phase::NewTree, SimTime(0.5));
-        b.on_membership(Phase::NewTree, "join", SimTime::ZERO, 0, 3);
-        b.on_membership(Phase::NewTree, "stripe_handoff", SimTime(0.25), 4096, 1);
+        b.on_lane(
+            Lane::Membership,
+            Phase::NewTree,
+            "join",
+            SimTime::ZERO,
+            0,
+            3,
+        );
+        b.on_lane(
+            Lane::Membership,
+            Phase::NewTree,
+            "stripe_handoff",
+            SimTime(0.25),
+            4096,
+            1,
+        );
         b.on_charge(Phase::NewTree, SimTime(0.25));
         let trace = b.finish();
         trace.validate().unwrap();

@@ -78,6 +78,22 @@ fn checkpoint_under(plan: &str, tag: &str) -> TrainCheckpoint {
     ck
 }
 
+/// The last rolling checkpoint of a run with no fault plan: the form
+/// without an overlay snapshot.
+fn checkpoint_without_plan() -> TrainCheckpoint {
+    let dir = std::env::temp_dir().join("dimboost_decoders_fixed");
+    let _ = std::fs::remove_dir_all(&dir);
+    tiny_run(RobustOptions {
+        fault_plan: None,
+        checkpoint: Some(CheckpointOptions::new(&dir)),
+        resume: false,
+    })
+    .unwrap();
+    let ck = TrainCheckpoint::load_from_dir(&dir).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    ck
+}
+
 /// A plan that uses every directive, with both comment forms.
 const EVERY_DIRECTIVE: &str = "\
 # every directive once
@@ -281,7 +297,7 @@ fn binary_decoders_survive_truncation_and_mutation() {
         let _ = model_from_bytes(b.to_vec().into());
     });
 
-    let fixed = checkpoint_under("", "fixed");
+    let fixed = checkpoint_without_plan();
     let elastic = checkpoint_under(
         "join worker=2 round=0\nspeed worker=1 factor=2\n",
         "elastic",

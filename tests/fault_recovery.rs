@@ -345,3 +345,97 @@ fn truncated_checkpoint_resume_is_a_clean_error() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn plan_lines_must_name_machines_the_run_has() {
+    // Three workers: machines 0..3, plus any machine a join line adds.
+    for line in [
+        "straggler worker=7 factor=3",
+        "speed worker=3 factor=2",
+        "lose worker=5 round=1 policy=redistribute",
+        "leave worker=4 round=1 policy=handoff",
+    ] {
+        let result = run(&RobustOptions {
+            fault_plan: Some(FaultPlan::parse(line).unwrap()),
+            ..RobustOptions::default()
+        });
+        let Err(TrainError::Invalid(message)) = &result else {
+            let got = result.map(|_| "a trained model");
+            panic!("{line}: expected an invalid-input error, got {got:?}");
+        };
+        let keyword_and_machine: String = line.split(' ').take(2).collect::<Vec<_>>().join(" ");
+        assert!(message.contains(&keyword_and_machine), "{line}: {message}");
+    }
+    // A machine a join line adds may be named by every other line.
+    let joined = "join worker=7 round=1\n\
+                  straggler worker=7 factor=3\n\
+                  speed worker=7 factor=2\n\
+                  leave worker=7 round=3 policy=handoff\n";
+    run(&RobustOptions {
+        fault_plan: Some(FaultPlan::parse(joined).unwrap()),
+        ..RobustOptions::default()
+    })
+    .unwrap();
+}
+
+#[test]
+fn a_loss_is_priced_the_same_with_or_without_membership_lines() {
+    // One time model for every plan: a no-op speed line must not switch
+    // the loss below onto different timing.
+    let loss = "lose worker=1 round=1 policy=redistribute\n";
+    let train = |plan: &str| {
+        run(&RobustOptions {
+            fault_plan: Some(FaultPlan::parse(plan).unwrap()),
+            ..RobustOptions::default()
+        })
+        .unwrap()
+    };
+    let plain = train(loss);
+    let with_speed = train(&format!("{loss}speed worker=0 factor=1.0\n"));
+    for phase in Phase::ALL {
+        assert_eq!(
+            plain.report.phase(phase).map(|p| p.comm),
+            with_speed.report.phase(phase).map(|p| p.comm),
+            "{phase:?} ledger differs"
+        );
+    }
+    assert_eq!(plain.report.faults, with_speed.report.faults);
+    assert_eq!(plain.report.membership, with_speed.report.membership);
+    let faults = plain.report.faults.unwrap();
+    assert_eq!(faults.workers_lost, 1);
+    // The loss is a cold leave on the overlay: one stripe re-shards.
+    let membership = plain.report.membership.unwrap();
+    assert_eq!((membership.leaves, membership.stripes_moved), (1, 1));
+    assert!(membership.reshard_secs > 0.0);
+}
+
+#[test]
+fn resume_rejects_an_overlay_snapshot_of_the_wrong_size() {
+    // A checkpoint whose fingerprint matches but whose overlay places more
+    // stripes than the run has must fail at start, not index past the
+    // shards when the leave at round 3 re-homes stripe 3.
+    let dir = std::env::temp_dir().join("dimboost_fault_recovery_overlay_size");
+    let _ = std::fs::remove_dir_all(&dir);
+    let plan = "leave worker=0 round=3 policy=handoff\ncrash round=2\n";
+    let crashing = RobustOptions {
+        fault_plan: Some(FaultPlan::parse(plan).unwrap()),
+        checkpoint: Some(CheckpointOptions::new(&dir)),
+        resume: false,
+    };
+    run(&crashing).unwrap_err();
+    let mut ck = TrainCheckpoint::load_from_dir(&dir).unwrap();
+    let (assignment, live, epoch) = ck.membership.clone().expect("planned runs snapshot");
+    assert_eq!(assignment, vec![0, 1, 2]);
+    ck.membership = Some((vec![0, 1, 2, 0], live, epoch));
+    ck.save_to_dir(&dir).unwrap();
+    let result = run(&RobustOptions {
+        resume: true,
+        ..crashing
+    });
+    let Err(TrainError::Invalid(message)) = &result else {
+        let got = result.map(|_| "a trained model");
+        panic!("expected an invalid-input error, got {got:?}");
+    };
+    assert!(message.contains("4 stripes"), "{message}");
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -509,14 +509,14 @@ const PINS: &[(&str, Pin)] = &[
     ("eval+early-stop", [0x55ab146a124a9c6b, 0x34da60888a1220ae, 0xcccde9149b057a2c, 0xf12a0ff2998e0d61, 0xd748c9f6f5b850e7]),
     ("eval+extensions", [0xe04161dc357fbefd, 0xea9e07f2ba36ba42, 0x9afba19bd533a406, 0xf24331c2a8ef44c2, 0x44d75e97a452380a]),
     ("warm-start", [0x305a1d8229ff14d6, 0xd2d33451f0c4b4de, 0x61feaf9dfbeb8433, 0x3fb417db05b3a489, 0xb984b915fba55b74]),
-    ("chaos", [0xb3ba456fd7361a61, 0x855ab7b7081e270b, 0x57857999399b5749, 0x44eacba21be12f63, 0xe2c1982046ce0137]),
-    ("chaos+extensions", [0x53169f0286920905, 0xd1a7ca3773e66bc2, 0xc589aafab3c28064, 0x5e17753f11617a0c, 0xa7beece6a7899f83]),
-    ("elastic", [0xb3ba456fd7361a61, 0xc22a3fd8d42d81e5, 0x9415f1752c61cd8a, 0x44eacba21be12f63, 0x2d36f04fe75af0b3]),
-    ("elastic+lose", [0x53169f0286920905, 0xbc18a6376fe43af2, 0x1f6f6d7caff25eb4, 0x5e17753f11617a0c, 0xc47ee78d0a8bb0b3]),
-    ("lose-redistribute", [0xb3ba456fd7361a61, 0x264a5b5723fa3d23, 0x88f3ff6ceb4d00f8, 0x44eacba21be12f63, 0xc17740963f429ced]),
-    ("crash-resume", [0xb3ba456fd7361a61, 0x112c01abb6fee217, 0x643297f3c531e238, 0x44eacba21be12f63, 0x3560bc6461d34b11]),
-    ("crash-resume+extensions", [0x53169f0286920905, 0xfcd05a1476b48e7a, 0x9122881eab7cec61, 0x5e17753f11617a0c, 0x9451d7e519fbd806]),
-    ("crash-resume-elastic", [0xb3ba456fd7361a61, 0xcab326f403f49f7b, 0x9415f1752c61cd8a, 0x44eacba21be12f63, 0x7131c946b7eb037b]),
+    ("chaos", [0xb3ba456fd7361a61, 0x6ef7927631037820, 0x57857999399b5749, 0x44eacba21be12f63, 0xc6830f5082d836ad]),
+    ("chaos+extensions", [0x53169f0286920905, 0x5d3a1cd026d434e5, 0xc589aafab3c28064, 0x5e17753f11617a0c, 0xcfd8a6fccb76f727]),
+    ("elastic", [0xb3ba456fd7361a61, 0x8a148bb89bb4047b, 0x9415f1752c61cd8a, 0x44eacba21be12f63, 0x2d36f04fe75af0b3]),
+    ("elastic+lose", [0x53169f0286920905, 0x31e17b0739bdc920, 0x1f6f6d7caff25eb4, 0x5e17753f11617a0c, 0xc47ee78d0a8bb0b3]),
+    ("lose-redistribute", [0xb3ba456fd7361a61, 0xe94ad473bf145fd0, 0x916a9bdfd28dc2fe, 0x44eacba21be12f63, 0xd9446812bc6a1634]),
+    ("crash-resume", [0xb3ba456fd7361a61, 0xa9b2aae6cbb416c2, 0x643297f3c531e238, 0x44eacba21be12f63, 0xd678268c99f8d12b]),
+    ("crash-resume+extensions", [0x53169f0286920905, 0x9d0c3ce462afc197, 0x9122881eab7cec61, 0x5e17753f11617a0c, 0x9370ef97ec3e866e]),
+    ("crash-resume-elastic", [0xb3ba456fd7361a61, 0x764093d335f1ff65, 0x9415f1752c61cd8a, 0x44eacba21be12f63, 0x7131c946b7eb037b]),
 ];
 
 #[test]
