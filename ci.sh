@@ -37,11 +37,13 @@ cargo test --workspace -q
 # predicate forms they replaced. The compiled scorer's branch-free step and
 # its eight-row block interleave also only take their optimised shape here,
 # so the predict and serving suites and the root serve-sim pins rerun too.
+# dimboost-data reruns for the LibSVM writer's bit-pattern sweep against
+# `{}` and the reader's allocation count, both meant for optimised code.
 echo "==> release codegen: model pins + kernel suites"
 cargo test --release -q --test model_pins --test baseline_pins --test determinism --test fused \
   --test column_view --test serving_sim
 cargo test --release -q -p dimboost-core -p dimboost-ps -p dimboost-sketch -p dimboost-predict \
-  -p dimboost-serving
+  -p dimboost-serving -p dimboost-data
 
 # The host-wall yardstick is its own package (own [workspace] and lockfile):
 # build it, run its tests, and run every workload once at smoke scale so it

@@ -115,6 +115,28 @@ impl Dataset {
         builder.finish()
     }
 
+    /// Wraps CSR arrays a reader filled itself. They must hold what
+    /// [`DatasetBuilder::push_raw`] would have let in: strictly increasing
+    /// indices below `num_features` within each row, no zero values.
+    pub(crate) fn from_csr(
+        indptr: Vec<usize>,
+        indices: Vec<u32>,
+        values: Vec<f32>,
+        labels: Vec<f32>,
+        num_features: usize,
+    ) -> Self {
+        debug_assert_eq!(indptr.len(), labels.len() + 1);
+        debug_assert_eq!(indptr.last(), Some(&indices.len()));
+        debug_assert_eq!(indices.len(), values.len());
+        Self {
+            indptr,
+            indices,
+            values,
+            labels,
+            num_features,
+        }
+    }
+
     /// Number of rows (instances).
     pub fn num_rows(&self) -> usize {
         self.labels.len()
@@ -190,18 +212,27 @@ impl Dataset {
     }
 
     /// Copies the selected rows into a new dataset (used for partitioning and
-    /// train/test splits). Row order follows `rows`.
+    /// train/test splits). Row order follows `rows`. The rows are already
+    /// valid, so each is one slice copy into arrays sized up front.
     pub fn subset(&self, rows: &[usize]) -> Self {
-        let mut builder = DatasetBuilder::new(self.num_features);
+        let span = |i: usize| self.indptr[i]..self.indptr[i + 1];
+        let nnz = rows.iter().map(|&i| span(i).len()).sum();
+        let mut indptr = Vec::with_capacity(rows.len() + 1);
+        let mut indices = Vec::with_capacity(nnz);
+        let mut values = Vec::with_capacity(nnz);
+        indptr.push(0);
         for &i in rows {
-            let row = self.row(i);
-            builder
-                .push_raw(row.indices, row.values, self.label(i))
-                .expect("subset of a valid dataset cannot fail");
+            indices.extend_from_slice(&self.indices[span(i)]);
+            values.extend_from_slice(&self.values[span(i)]);
+            indptr.push(indices.len());
         }
-        builder
-            .finish()
-            .expect("subset of a valid dataset cannot fail")
+        Self {
+            indptr,
+            indices,
+            values,
+            labels: rows.iter().map(|&i| self.labels[i]).collect(),
+            num_features: self.num_features,
+        }
     }
 
     /// Per-column min/max/nnz statistics over nonzero entries.

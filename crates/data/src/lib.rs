@@ -19,6 +19,7 @@
 #[cfg_attr(not(test), deny(clippy::unwrap_used))]
 pub mod csv;
 mod dataset;
+mod decimal;
 mod error;
 mod instance;
 #[cfg_attr(not(test), deny(clippy::unwrap_used))]
