@@ -6,7 +6,6 @@
 use dimboost_bench::diff::{default_rules, flatten, glob_match};
 use dimboost_bench::json::{parse, Json};
 use dimboost_core::{NodeInstances, PhaseReport, QuantHistRecord, RoundRecord, RunReport};
-use dimboost_serving::predict::ServingReport;
 use dimboost_serving::{analyze_serve_trace, ServeSimReport, TenantReport};
 use dimboost_simnet::wire::SparseWireStats;
 use dimboost_simnet::{
@@ -93,24 +92,6 @@ fn run_report() -> RunReport {
             ..MembershipSummary::default()
         }),
         resumed_from_round: Some(2),
-    }
-}
-
-fn serving_report() -> ServingReport {
-    ServingReport {
-        rows: 200,
-        features: 30,
-        classes: 1,
-        trees: 3,
-        nodes: 21,
-        threads: 4,
-        batch_size: 16,
-        batches: 13,
-        repeats: 2,
-        score_kind: "transformed",
-        score_checksum: 0xdead_beef_cafe_f00d,
-        compute_secs: 0.0625,
-        percentiles: metrics(),
     }
 }
 
@@ -235,18 +216,11 @@ fn prune(timed: &Json, canonical: &Json) -> Json {
 #[test]
 fn documents_parse_and_canonical_is_timed_minus_ignored_wall_members() {
     let run = run_report();
-    let serving = serving_report();
     let serve_sim = serve_sim_report();
     let trace_profile = trace_profile_json();
     let serve_profile = serve_profile_json();
     let documents = [
         ("run", run.json(), run.canonical_json(), true),
-        (
-            "serving",
-            serving.json(true),
-            serving.canonical_json(),
-            true,
-        ),
         (
             "serving_sim",
             serve_sim.json(true),

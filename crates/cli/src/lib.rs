@@ -6,8 +6,6 @@
 //!   multi-worker cluster) and save it.
 //! * `predict` — score a LibSVM/CSV file with a saved model through the
 //!   compiled inference engine (`dimboost-predict`).
-//! * `bench` — serving throughput benchmark: repeated scoring runs plus a
-//!   JSON serving report gateable by `report_diff`.
 //! * `serve-sim` — open-loop traffic simulation over one or more saved
 //!   models (`dimboost-serving`): seeded arrivals, SLO batching, load
 //!   shedding, hot-swap, and a canonical `serving_sim` report.
@@ -40,7 +38,7 @@ use dimboost_data::libsvm::{read_libsvm_file, write_libsvm, LibsvmOptions};
 use dimboost_data::partition::{partition_rows, train_test_split};
 use dimboost_data::synthetic::{generate, SparseGenConfig};
 use dimboost_data::Dataset;
-use dimboost_predict::{score_raw, score_transformed, BenchOptions, CompiledModel, EngineConfig};
+use dimboost_predict::{score_raw, score_transformed, CompiledModel, EngineConfig};
 use dimboost_ps::PsConfig;
 use dimboost_serving::{
     analyze_serve_trace, is_serve_trace, poisson_arrivals, ModelSwap, ServeSimConfig, TenantSpec,
@@ -51,14 +49,13 @@ use flags::{Flags, ANY, FINITE, NON_NEGATIVE, POSITIVE, UNIT_INTERVAL};
 /// A fully-parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Train a model from a LibSVM file (boxed: much larger than the rest).
+    /// Train a model from a LibSVM file (boxed, like `ServeSim`: both are
+    /// much larger than the rest).
     Train(Box<TrainArgs>),
     /// Score a LibSVM/CSV file with a saved model.
     Predict(PredictArgs),
-    /// Serving throughput benchmark over a saved model.
-    Bench(BenchArgs),
     /// Open-loop traffic simulation over saved models.
-    ServeSim(ServeSimArgs),
+    ServeSim(Box<ServeSimArgs>),
     /// Profile a recorded trace into a canonical trace_profile report.
     Analyze(AnalyzeArgs),
     /// Evaluate a saved model on a LibSVM file.
@@ -137,33 +134,6 @@ pub struct PredictArgs {
     pub threads: usize,
     /// Rows per scoring batch.
     pub batch_size: usize,
-}
-
-/// Arguments for `bench`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BenchArgs {
-    /// Input LibSVM (or, with `csv`, CSV) file.
-    pub data: PathBuf,
-    /// Saved model path.
-    pub model: PathBuf,
-    /// Scoring threads.
-    pub threads: usize,
-    /// Rows per scoring batch.
-    pub batch_size: usize,
-    /// Timed full-dataset scoring repeats.
-    pub repeats: usize,
-    /// Emit raw per-class scores instead of transformed predictions.
-    pub raw: bool,
-    /// Feature indices in the file start at 0 instead of 1.
-    pub zero_based: bool,
-    /// Parse the input as CSV (label in column 0) instead of LibSVM.
-    pub csv: bool,
-    /// Where to write the scores of the final repeat.
-    pub scores: Option<PathBuf>,
-    /// Write the timed JSON serving report here.
-    pub report: Option<PathBuf>,
-    /// Write the canonical (timing-free, rerun-stable) serving report here.
-    pub report_canonical: Option<PathBuf>,
 }
 
 /// Arguments for `serve-sim`.
@@ -273,10 +243,9 @@ pub struct GenArgs {
 /// rules no single flag can declare.
 type Build = fn(&mut Flags) -> Result<Command, String>;
 
-const SUBCOMMANDS: [(&str, Build); 8] = [
+const SUBCOMMANDS: [(&str, Build); 7] = [
     ("train", train_flags),
     ("predict", predict_flags),
-    ("bench", bench_flags),
     ("serve-sim", serve_sim_flags),
     ("analyze", analyze_flags),
     ("evaluate", evaluate_flags),
@@ -307,10 +276,10 @@ pub fn usage() -> String {
 }
 
 const USAGE_PROSE: &str = "\
-`predict` and `bench` score through the compiled inference engine
-(struct-of-arrays trees, statically striped batches): output bytes are
-bit-identical across reruns for any `--threads`/`--batch-size`, and equal
-to the interpreted evaluation path. `--threads`/`--batch-size` on `train`
+`predict` scores through the compiled inference engine (packed 16-byte
+tree nodes, statically striped batches): output bytes are bit-identical
+across reruns and across any `--threads`/`--batch-size`, and equal to the
+interpreted evaluation path. `--threads`/`--batch-size` on `train`
 control the batched histogram builder the same way. `--fused-layer`
 builds all of a layer's node histograms in one pass over the pre-binned
 shard (implies the binned representation); reruns stay bit-identical for
@@ -446,23 +415,6 @@ fn predict_flags(f: &mut Flags) -> Result<Command, String> {
     }))
 }
 
-fn bench_flags(f: &mut Flags) -> Result<Command, String> {
-    let engine = EngineConfig::default();
-    Ok(Command::Bench(BenchArgs {
-        data: f.required("--data <libsvm|csv>"),
-        model: f.required("--model <file>"),
-        threads: f.value_or("--threads Q", &[POSITIVE], engine.threads),
-        batch_size: f.value_or("--batch-size B", &[POSITIVE], engine.batch_size),
-        repeats: f.value_or("--repeats R", &[POSITIVE], 3),
-        raw: f.switch("--raw"),
-        zero_based: f.switch("--zero-based"),
-        csv: f.switch("--csv"),
-        scores: f.optional("--scores <path>", ANY),
-        report: f.optional("--report <json>", ANY),
-        report_canonical: f.optional("--report-canonical <json>", ANY),
-    }))
-}
-
 fn serve_sim_flags(f: &mut Flags) -> Result<Command, String> {
     let args = ServeSimArgs {
         data: f.required("--data <libsvm|csv>"),
@@ -504,7 +456,7 @@ fn serve_sim_flags(f: &mut Flags) -> Result<Command, String> {
             args.models.len()
         ));
     }
-    Ok(Command::ServeSim(args))
+    Ok(Command::ServeSim(Box::new(args)))
 }
 
 fn analyze_flags(f: &mut Flags) -> Result<Command, String> {
@@ -635,7 +587,6 @@ pub fn run(command: Command) -> Result<(), CliError> {
         Command::Gen(args) => run_gen(&args),
         Command::Train(args) => run_train(&args),
         Command::Predict(args) => run_predict(&args),
-        Command::Bench(args) => run_bench(&args),
         Command::ServeSim(args) => run_serve_sim(&args),
         Command::Analyze(args) => run_analyze(&args),
         Command::Evaluate(args) => run_evaluate(&args),
@@ -914,36 +865,6 @@ fn run_predict(args: &PredictArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-fn run_bench(args: &BenchArgs) -> Result<(), CliError> {
-    let compiled = load_compiled(&args.model)?;
-    let num_features = compiled.num_features();
-    let ds = read_scoring_data(&args.data, args.csv, args.zero_based, num_features)?;
-    let opts = BenchOptions {
-        engine: EngineConfig {
-            threads: args.threads,
-            batch_size: args.batch_size,
-        },
-        repeats: args.repeats,
-        raw: args.raw,
-    };
-    let (scores, report) = dimboost_predict::run_serving_bench(&compiled, &ds, &opts);
-    println!("{}", report.summary());
-    if let Some(path) = &args.scores {
-        let width = if args.raw { compiled.num_classes() } else { 1 };
-        let path = write_artifact(path, "scores", &scores_text(&scores, width))?;
-        println!("scores written to {path}");
-    }
-    if let Some(path) = &args.report {
-        let path = write_artifact(path, "serving report", &report.json(true))?;
-        println!("serving report written to {path}");
-    }
-    if let Some(path) = &args.report_canonical {
-        let path = write_artifact(path, "canonical serving report", &report.canonical_json())?;
-        println!("canonical serving report written to {path}");
-    }
-    Ok(())
-}
-
 fn run_serve_sim(args: &ServeSimArgs) -> Result<(), CliError> {
     let mut compiled: Vec<CompiledModel> = Vec::new();
     for path in &args.models {
@@ -1103,6 +1024,8 @@ mod tests {
         assert!(parse_args(&strs(&["explode"])).is_err());
         assert!(parse_args(&strs(&["train", "--data", "x", "--model", "y", "--what"])).is_err());
         assert!(parse_args(&strs(&["predict", "--data", "x"])).is_err());
+        let err = parse_args(&strs(&["bench", "--data", "d", "--model", "m"])).unwrap_err();
+        assert!(err.contains("unknown subcommand"), "{err}");
     }
 
     #[test]
@@ -1744,7 +1667,7 @@ mod tests {
     }
 
     #[test]
-    fn parses_predict_and_bench_flags() {
+    fn parses_predict_flags() {
         let cmd = parse_args(&strs(&[
             "predict",
             "--data",
@@ -1765,32 +1688,6 @@ mod tests {
         assert!(args.csv && args.raw);
         assert_eq!((args.threads, args.batch_size), (8, 256));
 
-        let cmd = parse_args(&strs(&[
-            "bench",
-            "--data",
-            "d.libsvm",
-            "--model",
-            "m.bin",
-            "--threads",
-            "4",
-            "--batch-size",
-            "128",
-            "--repeats",
-            "5",
-            "--scores",
-            "s.txt",
-            "--report",
-            "r.json",
-            "--report-canonical",
-            "rc.json",
-        ]))
-        .unwrap();
-        let Command::Bench(args) = cmd else { panic!() };
-        assert_eq!((args.threads, args.batch_size, args.repeats), (4, 128, 5));
-        assert_eq!(args.scores, Some(PathBuf::from("s.txt")));
-        assert_eq!(args.report, Some(PathBuf::from("r.json")));
-        assert_eq!(args.report_canonical, Some(PathBuf::from("rc.json")));
-
         // Degenerate values are rejected at parse time.
         assert!(parse_args(&strs(&[
             "predict",
@@ -1802,17 +1699,6 @@ mod tests {
             "0"
         ]))
         .is_err());
-        assert!(parse_args(&strs(&[
-            "bench",
-            "--data",
-            "d",
-            "--model",
-            "m",
-            "--repeats",
-            "0"
-        ]))
-        .is_err());
-        assert!(parse_args(&strs(&["bench", "--data", "d"])).is_err());
     }
 
     #[test]
@@ -2049,8 +1935,8 @@ mod tests {
     }
 
     #[test]
-    fn bench_end_to_end_is_rerun_stable() {
-        let dir = std::env::temp_dir().join("dimboost_cli_bench");
+    fn predict_end_to_end_is_rerun_stable() {
+        let dir = std::env::temp_dir().join("dimboost_cli_predict_rerun");
         std::fs::create_dir_all(&dir).unwrap();
         let data = dir.join("data.libsvm");
         let model = dir.join("model.bin");
@@ -2084,63 +1970,32 @@ mod tests {
         .unwrap())
         .unwrap();
 
-        let bench = |tag: &str| {
-            let scores = dir.join(format!("scores_{tag}.txt"));
-            let canon = dir.join(format!("report_{tag}.json"));
+        let predict = |tag: &str, threads: &str, batch_size: &str| {
+            let preds = dir.join(format!("preds_{tag}.txt"));
             run(parse_args(&strs(&[
-                "bench",
+                "predict",
                 "--data",
                 data.to_str().unwrap(),
                 "--model",
                 model.to_str().unwrap(),
                 "--threads",
-                "4",
+                threads,
                 "--batch-size",
-                "64",
-                "--repeats",
-                "2",
-                "--scores",
-                scores.to_str().unwrap(),
-                "--report",
-                dir.join(format!("timed_{tag}.json")).to_str().unwrap(),
-                "--report-canonical",
-                canon.to_str().unwrap(),
+                batch_size,
+                "--output",
+                preds.to_str().unwrap(),
             ]))
             .unwrap())
             .unwrap();
-            (
-                std::fs::read_to_string(scores).unwrap(),
-                std::fs::read_to_string(canon).unwrap(),
-            )
+            std::fs::read_to_string(preds).unwrap()
         };
-        let (scores_a, canon_a) = bench("a");
-        let (scores_b, canon_b) = bench("b");
         // The repo-wide serving determinism gate, in-process form: score
-        // bytes and canonical serving reports are rerun-identical.
-        assert_eq!(scores_a, scores_b);
-        assert_eq!(canon_a, canon_b);
-        assert_eq!(scores_a.lines().count(), 500);
-        assert!(canon_a.contains("\"kind\":\"serving\""), "{canon_a}");
-        assert!(canon_a.contains("\"score_checksum\":"), "{canon_a}");
-        assert!(!canon_a.contains("compute_secs"), "{canon_a}");
-        // Scores match the predict subcommand (same engine, same bits).
-        let preds = dir.join("preds.txt");
-        run(parse_args(&strs(&[
-            "predict",
-            "--data",
-            data.to_str().unwrap(),
-            "--model",
-            model.to_str().unwrap(),
-            "--threads",
-            "2",
-            "--batch-size",
-            "100",
-            "--output",
-            preds.to_str().unwrap(),
-        ]))
-        .unwrap())
-        .unwrap();
-        assert_eq!(std::fs::read_to_string(&preds).unwrap(), scores_a);
+        // bytes are rerun-identical, and identical across thread counts
+        // and batch sizes.
+        let a = predict("a", "4", "64");
+        assert_eq!(a.lines().count(), 500);
+        assert_eq!(predict("b", "4", "64"), a);
+        assert_eq!(predict("c", "2", "100"), a);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -28,7 +28,6 @@ pub mod checkpoint;
 pub mod config;
 #[cfg_attr(not(test), deny(clippy::unwrap_used))]
 mod cursor;
-pub mod cv;
 pub mod fused;
 pub mod hist_build;
 pub mod loss;
@@ -49,7 +48,6 @@ pub use checkpoint::{
     CheckpointError, CheckpointFingerprint, CheckpointOptions, TrainCheckpoint, CHECKPOINT_FILE,
 };
 pub use config::{GbdtConfig, LossKind, Optimizations};
-pub use cv::{cross_validate, CvResult};
 pub use loss::{loss_for, GradPair, Loss};
 pub use meta::FeatureMeta;
 pub use model::GbdtModel;

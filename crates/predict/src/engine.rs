@@ -10,17 +10,11 @@
 //! independent, so unlike the histogram merge there is no f32
 //! reassociation at all: the output is bit-identical to a sequential scan
 //! *and* across reruns for any `(threads, batch_size)`.
-//!
-//! Wall-clock timings per batch are recorded under `wall/serving/*`
-//! (excluded from canonical documents); structural counts under
-//! `sim/serving/*` (deterministic, canonical).
 
 use std::ops::Range;
-use std::time::Instant;
 
 use dimboost_core::pool::Striping;
 use dimboost_data::Dataset;
-use dimboost_simnet::MetricsRegistry;
 
 use crate::compiled::{CompiledModel, ScoreScratch};
 
@@ -43,8 +37,8 @@ impl Default for EngineConfig {
 }
 
 /// What each output slot holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScoreKind {
+#[derive(Clone, Copy)]
+enum ScoreKind {
     /// Per-class raw additive scores, row-major (`rows × num_classes`).
     Raw,
     /// One transformed prediction per row (see [`CompiledModel::predict`]).
@@ -53,23 +47,12 @@ pub enum ScoreKind {
 
 /// Raw per-class scores for every row, row-major (`rows × num_classes`).
 pub fn score_raw(model: &CompiledModel, data: &Dataset, config: &EngineConfig) -> Vec<f32> {
-    score(model, data, config, ScoreKind::Raw, None)
+    score(model, data, config, ScoreKind::Raw)
 }
 
 /// Transformed predictions for every row (length `rows`).
 pub fn score_transformed(model: &CompiledModel, data: &Dataset, config: &EngineConfig) -> Vec<f32> {
-    score(model, data, config, ScoreKind::Transformed, None)
-}
-
-/// Scores `data` and records serving metrics into `registry`.
-pub fn score_with_metrics(
-    model: &CompiledModel,
-    data: &Dataset,
-    config: &EngineConfig,
-    kind: ScoreKind,
-    registry: &mut MetricsRegistry,
-) -> Vec<f32> {
-    score(model, data, config, kind, Some(registry))
+    score(model, data, config, ScoreKind::Transformed)
 }
 
 fn score(
@@ -77,7 +60,6 @@ fn score(
     data: &Dataset,
     config: &EngineConfig,
     kind: ScoreKind,
-    registry: Option<&mut MetricsRegistry>,
 ) -> Vec<f32> {
     let rows = data.num_rows();
     let width = match kind {
@@ -98,51 +80,29 @@ fn score(
     };
 
     let mut out = vec![0.0f32; rows * width];
-    // (batch rows, wall seconds) per batch, in ascending batch order.
-    let mut batch_stats: Vec<(usize, f64)> = Vec::with_capacity(num_batches);
-
     if stripes == 1 {
         let mut scratch = ScoreScratch::new();
         for batch in striping.batches(0) {
-            let (len, start) = (batch.len(), Instant::now());
             let buf = &mut out[batch.start * width..batch.end * width];
             fill(batch, buf, &mut scratch);
-            batch_stats.push((len, start.elapsed().as_secs_f64()));
         }
     } else {
         // Each stripe scores its batches into private buffers in ascending
         // order, so batch b sits where `Striping::owner` says. Stripes run on
         // the shared persistent pool: no thread spawns on the serving path.
-        let per_stripe: Vec<Vec<(Vec<f32>, f64)>> =
-            dimboost_core::pool::global().run(stripes, |t| {
-                let mut scratch = ScoreScratch::new();
-                let score = |batch: Range<usize>| {
-                    let mut buf = vec![0.0f32; batch.len() * width];
-                    let start = Instant::now();
-                    fill(batch, &mut buf, &mut scratch);
-                    (buf, start.elapsed().as_secs_f64())
-                };
-                striping.batches(t).map(score).collect()
-            });
+        let per_stripe: Vec<Vec<Vec<f32>>> = dimboost_core::pool::global().run(stripes, |t| {
+            let mut scratch = ScoreScratch::new();
+            let score = |batch: Range<usize>| {
+                let mut buf = vec![0.0f32; batch.len() * width];
+                fill(batch, &mut buf, &mut scratch);
+                buf
+            };
+            striping.batches(t).map(score).collect()
+        });
         for b in 0..num_batches {
             let batch = striping.batch(b);
             let (stripe, k) = striping.owner(b);
-            let (buf, secs) = &per_stripe[stripe][k];
-            out[batch.start * width..batch.end * width].copy_from_slice(buf);
-            batch_stats.push((batch.len(), *secs));
-        }
-    }
-
-    if let Some(reg) = registry {
-        reg.counter_add("sim/serving/rows", rows as u64);
-        reg.counter_add("sim/serving/batches", num_batches as u64);
-        reg.gauge_set("sim/serving/threads", stripes as f64);
-        for &(batch_rows, secs) in &batch_stats {
-            reg.observe("sim/serving/batch_rows", batch_rows as f64);
-            reg.observe("wall/serving/batch_secs", secs);
-            if batch_rows > 0 {
-                reg.observe("wall/serving/row_secs", secs / batch_rows as f64);
-            }
+            out[batch.start * width..batch.end * width].copy_from_slice(&per_stripe[stripe][k]);
         }
     }
     out
@@ -195,28 +155,16 @@ mod tests {
     }
 
     #[test]
-    fn repeat_runs_bit_identical_with_metrics() {
+    fn repeat_runs_bit_identical() {
         let (c, ds) = trained(LossKind::Softmax { classes: 3 });
         let cfg = EngineConfig {
             threads: 4,
             batch_size: 32,
         };
-        let mut reg = MetricsRegistry::new();
-        let first = score_with_metrics(&c, &ds, &cfg, ScoreKind::Transformed, &mut reg);
+        let first = score_transformed(&c, &ds, &cfg);
         assert_eq!(first.len(), ds.num_rows());
         for _ in 0..10 {
-            let mut reg = MetricsRegistry::new();
-            let again = score_with_metrics(&c, &ds, &cfg, ScoreKind::Transformed, &mut reg);
-            assert_eq!(again, first);
-        }
-        // Deterministic serving metrics are present and structural.
-        match reg.get("sim/serving/rows") {
-            Some(dimboost_simnet::Metric::Counter(v)) => assert_eq!(*v, 300),
-            other => panic!("unexpected {other:?}"),
-        }
-        match reg.get("sim/serving/batches") {
-            Some(dimboost_simnet::Metric::Counter(v)) => assert_eq!(*v, 10),
-            other => panic!("unexpected {other:?}"),
+            assert_eq!(score_transformed(&c, &ds, &cfg), first);
         }
     }
 

@@ -8,7 +8,7 @@
 //! path wants a flat, cache-friendly layout and a batch engine whose
 //! throughput runs are reproducible.
 //!
-//! This crate provides that path in three layers:
+//! This crate provides that path in two layers:
 //!
 //! * [`compiled::CompiledModel`] — a trained [`GbdtModel`] compiled into one
 //!   packed array of 16-byte nodes (slot, threshold or leaf weight, child,
@@ -24,13 +24,10 @@
 //!   stripe) with the same **static round-robin striping** rule the batched
 //!   histogram builders use: thread `t` owns batches `t, t+threads, …` and
 //!   results are merged in batch-index order, so output bytes are
-//!   bit-identical across reruns for any fixed `(threads, batch_size)`.
-//!   Latency/throughput feed a [`dimboost_simnet::MetricsRegistry`]
-//!   (`sim/serving/*` canonical, `wall/serving/*` excluded).
-//! * [`report::ServingReport`] — a JSON serving report in the same
-//!   canonical-vs-timed scheme as the training `RunReport`, gateable by the
-//!   `report_diff` tool, plus [`report::run_serving_bench`], the throughput
-//!   harness behind the CLI `bench` subcommand.
+//!   bit-identical across reruns and across any `(threads, batch_size)`.
+//!
+//! Scoring speed is measured by the `serve` workload of the repository's
+//! `benchmark/` package; `dimboost predict` is the command-line front end.
 //!
 //! [`GbdtModel`]: dimboost_core::GbdtModel
 
@@ -38,8 +35,6 @@
 
 pub mod compiled;
 pub mod engine;
-pub mod report;
 
 pub use compiled::{CompiledModel, ScoreScratch};
-pub use engine::{score_raw, score_transformed, score_with_metrics, EngineConfig, ScoreKind};
-pub use report::{run_serving_bench, BenchOptions, ServingReport};
+pub use engine::{score_raw, score_transformed, EngineConfig};

@@ -44,17 +44,26 @@ fn assert_bit_equal(model: &GbdtModel, ds: &Dataset) {
         assert_eq!(compiled.predict(&row), model.predict(&row), "row {i}");
         assert_eq!(compiled.predict_proba(&row), model.predict_proba(&row));
     }
-    // The batch engine must agree with both, for every threading config.
+    // The batch engine must agree with both, for every (threads,
+    // batch_size): one identity across all of them.
     let transformed_ref = model.predict_dataset(ds);
-    for threads in [1, 2, 4, 8] {
-        let cfg = EngineConfig {
-            threads,
-            batch_size: 33,
-        };
-        assert_eq!(score_transformed(&compiled, ds, &cfg), transformed_ref);
-        let raw = score_raw(&compiled, ds, &cfg);
-        for i in 0..ds.num_rows() {
-            assert_eq!(raw[i * k..(i + 1) * k], model.predict_scores(&ds.row(i)));
+    for batch_size in [1, 33, 64, 100] {
+        for threads in [1, 2, 4, 8] {
+            let cfg = EngineConfig {
+                threads,
+                batch_size,
+            };
+            let at = format!("threads={threads} batch_size={batch_size}");
+            assert_eq!(
+                score_transformed(&compiled, ds, &cfg),
+                transformed_ref,
+                "{at}"
+            );
+            let raw = score_raw(&compiled, ds, &cfg);
+            for i in 0..ds.num_rows() {
+                let row_ref = model.predict_scores(&ds.row(i));
+                assert_eq!(raw[i * k..(i + 1) * k], row_ref, "row {i} {at}");
+            }
         }
     }
 }

@@ -37,10 +37,6 @@ pub mod arrival;
 pub mod report;
 pub mod sim;
 
-/// The compiled scoring engine, whose types (`CompiledModel`) appear in this
-/// crate's public API.
-pub use dimboost_predict as predict;
-
 pub use analyze::{analyze_serve_trace, is_serve_trace, ServeAnalyzeError, ServeProfile};
 pub use arrival::{poisson_arrivals, Arrival};
 pub use report::{ServeSimReport, TenantReport};

@@ -1,7 +1,6 @@
 //! The `{"kind":"serving_sim"}` report.
 //!
-//! Same canonical-vs-timed scheme as the training `RunReport` and the
-//! serving bench's `ServingReport`: every field that is a pure function of
+//! Same canonical-vs-timed scheme as the training `RunReport`: every field that is a pure function of
 //! `(models, data, arrivals, config)` — counts, simulated-clock latencies,
 //! per-tenant score checksums, `sim/serve/*` metric entries — appears in
 //! the canonical JSON and must be byte-identical across reruns. Wall-clock

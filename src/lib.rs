@@ -11,7 +11,7 @@
 //! * [`simnet`] — the simulated cluster: network cost model + collectives.
 //! * [`ps`] — the parameter server (range-hash sharding, push/pull UDFs).
 //! * [`core`] — the GBDT algorithm and the DimBoost distributed trainer.
-//! * [`predict`] — compiled inference engine and serving benchmark.
+//! * [`predict`] — compiled, deterministic batch inference engine.
 //! * [`serving`] — open-loop traffic simulation: arrivals, SLO batching,
 //!   load shedding, and hot-swap on the simnet clock.
 //! * [`baselines`] — MLlib/XGBoost/LightGBM/TencentBoost-style trainers.

@@ -1,10 +1,11 @@
 //! Facade-level smoke for the serving simulation: train a real model,
 //! drive it with seeded traffic through `dimboost::serving`, and check the
-//! report is rerun-stable and internally consistent.
+//! report is rerun-stable and internally consistent. The batch engine
+//! behind `dimboost predict` is pinned to the interpreted model here too.
 
 use dimboost::core::{train_single_machine, GbdtConfig, LossKind};
 use dimboost::data::synthetic::{generate, SparseGenConfig};
-use dimboost::predict::CompiledModel;
+use dimboost::predict::{score_transformed, CompiledModel, EngineConfig};
 use dimboost::serving::{poisson_arrivals, run_serve_sim, ServeSimConfig, TenantSpec};
 
 #[test]
@@ -16,7 +17,27 @@ fn trained_model_serves_seeded_traffic_deterministically() {
         loss: LossKind::Logistic,
         ..GbdtConfig::default()
     };
-    let compiled = CompiledModel::compile(&train_single_machine(&ds, &cfg).unwrap());
+    let model = train_single_machine(&ds, &cfg).unwrap();
+    let compiled = CompiledModel::compile(&model);
+    // The batch engine is bit-equal to the interpreted model at any
+    // (threads, batch_size).
+    let interpreted: Vec<u32> = model
+        .predict_dataset(&ds)
+        .iter()
+        .map(|p| p.to_bits())
+        .collect();
+    for (threads, batch_size) in [(4, 64), (1, 1)] {
+        let engine = EngineConfig {
+            threads,
+            batch_size,
+        };
+        let batch = score_transformed(&compiled, &ds, &engine);
+        let bits: Vec<u32> = batch.iter().map(|p| p.to_bits()).collect();
+        assert_eq!(
+            bits, interpreted,
+            "threads={threads} batch_size={batch_size}"
+        );
+    }
     let tenants = [TenantSpec {
         name: "tenant0".into(),
         model: compiled.clone(),
